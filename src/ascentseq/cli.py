@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: count, list, dist, bijection, wilf, table, conjectures.
-Output is deterministic (byte-identical across runs and thread settings)
-in three formats: an aligned human table, CSV, or line-delimited JSON.
+Output is deterministic (byte-identical across runs) in three formats:
+an aligned human table, CSV, or line-delimited JSON.
 Exit codes: 0 success, 2 usage or domain errors, 3 budget refusals,
 4 failed verifications (table mismatches, conjecture failures).
 """
@@ -17,8 +17,8 @@ from collections import Counter
 
 from .core import (STATISTICS, asc, des, is_pattern, normalize_pattern, stat,
                    word_str)
-from .enumeration import (avoiders, count_avoiders, count_modified_avoiders,
-                          modified_avoiders)
+from .enumeration import (avoider_counts, avoiders, count_avoiders,
+                          count_modified_avoiders, modified_avoiders)
 from .bijections import BIJECTIONS, partition_str, standardize_partition
 from .fixtures import available_depth, expected_counts, table_patterns
 from .oracles import (CONJECTURE_IDS, all_patterns, run_conjecture,
@@ -144,14 +144,15 @@ def cmd_count(args) -> int:
     lo, hi = parse_n_range(args.n)
     budget = Budget(args.budget_seconds)
     rows, status = [], {"complete": True}
+    if args.modified:
+        counts = ((n, count_modified_avoiders(p, n, check=budget.check))
+                  for n in range(lo, hi + 1))
+    else:
+        counts = avoider_counts(p, hi, check=budget.check)
     try:
-        for n in range(lo, hi + 1):
-            if args.modified:
-                c = count_modified_avoiders(p, n, check=budget.check)
-            else:
-                c = count_avoiders(p, n, threads=args.threads,
-                                   check=budget.check).values[n]
-            rows.append({"n": n, "count": c})
+        for n, c in counts:
+            if n >= lo:
+                rows.append({"n": n, "count": c})
     except BudgetExceeded as exc:
         status = {"complete": False, "reason": str(exc)}
     emit(args.format, "count",
@@ -261,8 +262,7 @@ def cmd_wilf(args) -> int:
     lo, hi = parse_n_range(args.n)
     budget = Budget(args.budget_seconds)
     try:
-        report = wilf_classify(labels, hi, threads=args.threads,
-                               check=budget.check)
+        report = wilf_classify(labels, hi, check=budget.check)
     except BudgetExceeded as exc:
         emit(args.format, "wilf", {"n": args.n}, ["class", "patterns"], [],
              {"complete": False, "reason": str(exc)})
@@ -288,8 +288,7 @@ def cmd_table(args) -> int:
             p = tuple(int(ch) for ch in label)
             n_max = available_depth(label, args.nmax)
             want = expected_counts(label, n_max)
-            got = count_avoiders(p, n_max, threads=args.threads,
-                                 check=budget.check).values
+            got = count_avoiders(p, n_max, check=budget.check).values
             diffs = [n for n in sorted(want) if n <= n_max
                      and got[n] != want[n]]
             if diffs:
@@ -356,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abort enumeration after this many seconds")
         if threads:
             sp.add_argument("--threads", type=int, default=1,
-                            help="prefix-split workers for counting")
+                            help="accepted for compatibility; counting "
+                                 "is sequential")
 
     sp = sub.add_parser("count", help="count avoiders by length")
     sp.add_argument("--pattern", required=True)

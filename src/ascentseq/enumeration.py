@@ -3,25 +3,22 @@
 All generators stream lazily in lexicographic order and are deterministic.
 Avoider enumeration prunes: a prefix that already contains the pattern is
 never extended, which is sound because containment is monotone under
-appending letters.  Counting runs over the same pruned prefix tree but
-collapses the final level through ``count_allowed``, so no sequence is
-materialized; with ``threads > 1`` the tree is split into independent
-subtrees at a fixed depth and the per-subtree counts are summed, which
-gives bit-identical results to a sequential run.
+appending letters.  Counting needs no sequences at all: it is a layered
+transfer-matrix count over (tracker state, last letter, ascents), where
+prefixes with equal keys have equal futures and are merged into one
+weighted state.  The last layer is never built; its states are summed
+through ``count_allowed``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bijections
 from .core import (contains, extension_completes, normalize_pattern, stat,
                    word_str)
-from .incremental import Tracker, make_tracker
-
-DEFAULT_SPLIT_DEPTH = 4
+from .incremental import make_tracker
 
 
 @dataclass
@@ -110,71 +107,49 @@ def avoiders(p, n: int):
     yield from extend([0], step(tr.state, 0), 0)
 
 
-def _count_walk(tr: Tracker, state, last: int, a: int, depth: int,
-                n_max: int, counts: list, check) -> None:
-    counts[depth] += 1
-    if depth == n_max:
-        return
-    if check is not None:
-        check()
-    forbid, step = tr.forbid, tr.step
-    if depth + 1 == n_max:
-        counts[n_max] += tr.count_allowed(state, a + 1)
-        return
-    for c in range(a + 2):
-        if not forbid(state, c):
-            _count_walk(tr, step(state, c), c, a + 1 if c > last else a,
-                        depth + 1, n_max, counts, check)
+def avoider_counts(p, n_max: int, check=None):
+    """Yield ``(n, count)`` for n = 1..n_max, the number of p-avoiding
+    ascent sequences of length n, each as soon as its layer is done.
 
-
-def _subtree_roots(tr: Tracker, depth: int, n_max: int, counts: list):
-    """Count nodes above the split depth and collect the subtree roots."""
-    roots = []
-
-    def walk(state, last, a, d):
-        if d == depth:
-            roots.append((state, last, a))
-            return
-        counts[d] += 1
-        for c in range(a + 2):
-            if not tr.forbid(state, c):
-                walk(tr.step(state, c), c, a + 1 if c > last else a, d + 1)
-
-    if not tr.forbid(tr.state, 0):
-        walk(tr.step(tr.state, 0), 0, 0, 1)
-    return roots
-
-
-def count_avoiders(p, n_max: int, threads: int = 1,
-                   split_depth: int = DEFAULT_SPLIT_DEPTH,
-                   check=None) -> CountSeries:
-    """Count p-avoiding ascent sequences for every length 1..n_max.
-
-    ``check``, when given, is called periodically during the walk and may
-    raise to abort cleanly (used for CLI budget guards).
+    A layer maps (tracker state, last letter, ascents) to the number of
+    prefixes with that key.  ``check``, when given, is called once per
+    state and may raise to abort cleanly (used for CLI budget guards);
+    the counts yielded before it raised stay valid.
     """
     _check_length(n_max)
     p = normalize_pattern(p)
     tr = make_tracker(p, n_max + 2)
-    counts = [0] * (n_max + 1)
-    if threads > 1 and n_max > split_depth:
-        roots = _subtree_roots(tr, split_depth, n_max, counts)
+    forbid, step = tr.forbid, tr.step
+    # the empty prefix: with last = a = -1, only letter 0 may follow and
+    # appending it leaves zero ascents
+    layer = Counter({(tr.state, -1, -1): 1})
+    for n in range(1, n_max):
+        nxt: Counter = Counter()
+        for (state, last, a), ways in layer.items():
+            if check is not None:
+                check()
+            for c in range(a + 2):
+                if not forbid(state, c):
+                    nxt[(step(state, c), c, a + 1 if c > last else a)] += ways
+        layer = nxt
+        yield n, sum(layer.values())
+    total = 0
+    for (state, _, a), ways in layer.items():
+        if check is not None:
+            check()
+        total += ways * tr.count_allowed(state, a + 1)
+    yield n_max, total
 
-        def work(root):
-            state, last, a = root
-            local = [0] * (n_max + 1)
-            _count_walk(tr, state, last, a, split_depth, n_max, local, check)
-            return local
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for local in pool.map(work, roots):
-                for i, v in enumerate(local):
-                    counts[i] += v
-    else:
-        if not tr.forbid(tr.state, 0):
-            _count_walk(tr, tr.step(tr.state, 0), 0, 0, 1, n_max, counts,
-                        check)
-    return CountSeries(word_str(p), {n: counts[n] for n in range(1, n_max + 1)})
+def count_avoiders(p, n_max: int, threads: int = 1, split_depth=None,
+                   check=None) -> CountSeries:
+    """Count p-avoiding ascent sequences for every length 1..n_max.
+
+    ``threads`` and ``split_depth`` are accepted and ignored: counting is
+    sequential.  ``check`` is passed on to ``avoider_counts``.
+    """
+    counts = dict(avoider_counts(p, n_max, check))
+    return CountSeries(word_str(normalize_pattern(p)), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,20 @@ Growing an avoider prefix letter by letter only ever creates a pattern
 occurrence that ends at the newly appended letter, so pruning needs one
 question answered per candidate letter c: does some partial occurrence of
 p[:-1] in the prefix accept c as the final pattern letter?  A *tracker*
-answers that question from a small state carried down the search tree:
+answers that question from a small state carried along the prefix:
 
     state0                  state of the empty prefix
     forbid(state, c)        appending c would complete the pattern
     step(state, c)          state of the prefix extended by c
     count_allowed(state, t) number of allowed letters in 0..t
 
-The generic tracker keeps the whole prefix and re-searches on every
+The counting engine merges prefixes whose states are equal, so a state
+should keep no more than the future depends on.  The generic tracker
+keeps the whole prefix, which never merges, and re-searches on every
 query.  For the patterns that dominate the counting workload there are
-hand-derived constant-size summaries below; every one of them is checked
+hand-derived summaries below, each a bitmask of dead letters, a
+threshold above which letters are dead, or a floor below which they
+are; every one of them is checked
 against the generic path by the enumeration test suite, which compares
 pruned enumeration with filter-everything enumeration for all patterns
 of length at most 4.
@@ -341,63 +345,50 @@ def _t_210(p, size):
     return _max_tracker((-1, -1), lambda s: s[1], step)
 
 
-# --- straddle trackers ------------------------------------------------------
-# The final letter must fit strictly between the two legs of a stored
-# pair, so per candidate letter c we keep g[c] = largest second leg over
-# pairs whose first leg is below c; c is forbidden iff g[c] > c.
+# --- straddle trackers: letters dead once inside a stored pair -------------
+# The final letter must fit strictly between the two legs lo < hi of a
+# stored pair; legs only accumulate, so a dead letter stays dead and the
+# dead letters form a bitmask that grows by _between(lo, hi) per pair.
 
 
-def _straddle_tracker(state0, gvec, step):
-    def forbid(s, c):
-        return gvec(s)[c] > c
-
-    def count_allowed(s, top):
-        g = gvec(s)
-        return sum(1 for c in range(top + 1) if g[c] <= c)
-
-    return Tracker(state0, forbid, step, count_allowed)
-
-
-def _bump(g, lo, value):
-    # raise g[y] to value for y > lo
-    return g[:lo + 1] + tuple(x if x >= value else value
-                              for x in g[lo + 1:])
+def _between(lo: int, hi: int) -> int:
+    return _below(hi) & ~_below(lo + 1)
 
 
 def _t_201(p, size):
     # (d, a, b): needs a descent pair d..a with a < c < d
     def step(s, c):
-        maxv, g = s
+        maxv, dead = s
         if c < maxv:
-            g = _bump(g, c, maxv)
-        return (max(maxv, c), g)
+            dead |= _between(c, maxv)
+        return (max(maxv, c), dead)
 
-    return _straddle_tracker((-1, (-1,) * size), lambda s: s[1], step)
+    return _mask_tracker((-1, 0), lambda s: s[1], step)
 
 
 def _t_021(p, size):
     # (a, d, b): needs an ascent pair a..d with a < c < d
     def step(s, c):
-        seen, g = s
+        seen, dead = s
         lower = seen & _below(c)
         if lower:
-            g = _bump(g, _lsb(lower), c)
-        return (seen | (1 << c), g)
+            dead |= _between(_lsb(lower), c)
+        return (seen | (1 << c), dead)
 
-    return _straddle_tracker((0, (-1,) * size), lambda s: s[1], step)
+    return _mask_tracker((0, 0), lambda s: s[1], step)
 
 
 def _t_0021(p, size):
     # (a, a, d, b): like 021 but the bottom leg must be repeated
     def step(s, c):
-        seen, rep, g = s
+        seen, rep, dead = s
         lower = rep & _below(c)
         if lower:
-            g = _bump(g, _lsb(lower), c)
+            dead |= _between(_lsb(lower), c)
         bit = 1 << c
-        return (seen | bit, rep | (seen & bit), g)
+        return (seen | bit, rep | (seen & bit), dead)
 
-    return _straddle_tracker((0, 0, (-1,) * size), lambda s: s[2], step)
+    return _mask_tracker((0, 0, 0), lambda s: s[2], step)
 
 
 def _t_single(p, size):

@@ -171,8 +171,7 @@ def _pattern_sort_key(label: str):
     return (len(label), label)
 
 
-def wilf_classify(patterns, n_max: int, threads: int = 1,
-                  check=None) -> WilfReport:
+def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     """Group patterns by their avoider-count series on lengths 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -186,7 +185,7 @@ def wilf_classify(patterns, n_max: int, threads: int = 1,
             seen.add(label)
             labels.append(label)
     series = {label: count_avoiders(label_to_pattern(label), n_max,
-                                    threads=threads, check=check)
+                                    check=check)
               for label in labels}
     groups: dict[tuple, list[str]] = {}
     for label in labels:

@@ -6,6 +6,7 @@ import pytest
 
 from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main,
                            parse_cli_pattern, parse_n_range)
+from ascentseq.enumeration import count_avoiders
 
 
 def run_cli(capsys, *argv):
@@ -70,10 +71,21 @@ class TestCount:
         assert "normal form" in err
 
     def test_budget_refusal_marks_partial(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--pattern", "210",
-                               "--n", "1..14", "--budget-seconds", "0.3")
+        # 1302 uses the generic tracker, far too slow for length 14 in 0.3s
+        code, out, _ = run_cli(capsys, "count", "--pattern", "1302",
+                               "--n", "1..14", "--budget-seconds", "0.3",
+                               "--format", "csv")
         assert code == EXIT_BUDGET
         assert "# incomplete" in out
+        # the budget reads the clock on every 1024th check, one check per
+        # state, and lengths 0..6 have under 300 states, so lengths 1..7
+        # always finish and are kept
+        rows = {int(n): int(c) for n, c in
+                (line.split(",") for line in out.splitlines()[2:-1])}
+        assert 7 <= len(rows) < 14
+        assert list(rows) == list(range(1, len(rows) + 1))
+        want = count_avoiders((1, 3, 0, 2), 7).values
+        assert {n: rows[n] for n in want} == want
 
     def test_deterministic_across_runs_and_threads(self, capsys):
         _, first, _ = run_cli(capsys, "count", "--pattern", "0021",

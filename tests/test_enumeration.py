@@ -11,6 +11,7 @@ from ascentseq.enumeration import (avoiders, count_ascent_sequences,
                                    generate_restricted,
                                    generate_set_partitions, joint_distribution,
                                    modified_avoiders, perm_avoiders)
+from ascentseq.fixtures import expected_counts
 from ascentseq.incremental import SPECIALIZED, make_tracker
 from ascentseq.oracles import all_patterns, catalan
 
@@ -88,6 +89,18 @@ class TestAvoiders:
             slow = [sum(1 for _ in _generic_avoiders(p, n))
                     for n in range(1, 9)]
             assert fast == slow, p
+
+    def test_straddle_trackers_match_generic_at_9(self):
+        # the dead-letter masks of 201, 021 and 0021 one length past the
+        # check above
+        for label in ("201", "021", "0021"):
+            p = pat(label)
+            slow = sum(1 for _ in _generic_avoiders(p, 9))
+            assert count_avoiders(p, 9).values[9] == slow, label
+
+    def test_210_row_through_13(self):
+        assert count_avoiders(pat("210"), 13).values == \
+            expected_counts("210", 13)
 
     def test_threaded_counts_identical(self):
         for label in ("210", "0021", "101"):
