@@ -310,26 +310,35 @@ def reduce_tail(x) -> tuple[Word, int, Word]:
     return left, mid, right
 
 
-def _omega(y: Word, lo: int, hi: int) -> list[int]:
-    """Recursive writer: given a restricted sequence y and the integer
-    interval [lo, hi] of matching length, emit a permutation of it."""
-    if not y:
-        return []
-    positions, last_rep = maximal_positions(y)
-    top = max(positions)
-    i = last_rep[top]
-    repeated = i > top
-    left, right = y[:i], y[i + 1:]
-    if right:
-        right = tuple(letter - right[0] for letter in right)
-    ell = len(left)
-    if repeated:
-        head = [lo]
-        left_part = _omega(left, lo + 1, lo + ell)
-    else:
-        head = [lo + ell]
-        left_part = _omega(left, lo, lo + ell - 1)
-    return head + left_part + _omega(right, lo + ell + 1, hi)
+def _omega(x: Word) -> list[int]:
+    """Emit the permutation of 1..len(x) for a restricted sequence x.
+
+    Each piece y of x is written into the interval [lo, lo + len(y) - 1]
+    of values, starting at output position off: the head value goes
+    first, then the piece left of the split, then the renormalized piece
+    right of it.  An explicit stack keeps long inputs off the call stack.
+    """
+    out = [0] * len(x)
+    stack = [(x, 1, 0)]
+    while stack:
+        y, lo, off = stack.pop()
+        if not y:
+            continue
+        positions, last_rep = maximal_positions(y)
+        top = max(positions)
+        i = last_rep[top]
+        left, right = y[:i], y[i + 1:]
+        if right:
+            right = tuple(letter - right[0] for letter in right)
+        ell = len(left)
+        if i > top:     # the rightmost maximal letter is repeated
+            out[off] = lo
+            stack.append((left, lo + 1, off + 1))
+        else:
+            out[off] = lo + ell
+            stack.append((left, lo, off + 1))
+        stack.append((right, lo + ell + 1, off + 1 + ell))
+    return out
 
 
 def phi(x) -> tuple[int, ...]:
@@ -340,7 +349,7 @@ def phi(x) -> tuple[int, ...]:
     x = tuple(x)
     if not is_restricted(x):
         raise ValueError(f"not a restricted ascent sequence: {word_str(x)}")
-    return tuple(_omega(x, 1, len(x)))
+    return tuple(_omega(x))
 
 
 def perm231_to_ncpartition(pi) -> SetPartition:

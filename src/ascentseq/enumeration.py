@@ -242,11 +242,16 @@ def modified_avoiders(p, n: int):
 
 
 def count_modified_avoiders(p, n: int, check=None) -> int:
+    """Number of ascent sequences of length n whose modified word avoids
+    p.  ``check``, when given, is called once per ascent sequence, so a
+    budget also bounds a pattern that few or no sequences avoid."""
+    p = normalize_pattern(p)
     total = 0
-    for _ in modified_avoiders(p, n):
+    for x in generate_ascent_sequences(n):
         if check is not None:
             check()
-        total += 1
+        if not contains(bijections.modify(x), p):
+            total += 1
     return total
 
 

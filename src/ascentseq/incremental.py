@@ -12,15 +12,17 @@ answers that question from a small state carried along the prefix:
     count_allowed(state, t) number of allowed letters in 0..t
 
 The counting engine merges prefixes whose states are equal, so a state
-should keep no more than the future depends on.  The generic tracker
-keeps the whole prefix, which never merges, and re-searches on every
-query.  For the patterns that dominate the counting workload there are
-hand-derived summaries below, each a bitmask of dead letters, a
-threshold above which letters are dead, or a floor below which they
-are; every one of them is checked
-against the generic path by the enumeration test suite, which compares
-pruned enumeration with filter-everything enumeration for all patterns
-of length at most 4.
+should keep no more than the future depends on.  The canonical tracker,
+used for every pattern without a hand summary, keeps the set of partial
+embeddings of the pattern, each reduced to the values and intervals its
+remaining letters depend on; forbidding and counting are then bit
+operations on a mask of dead letters.  For the patterns that dominate
+the counting workload there are hand-derived summaries below, each a
+bitmask of dead letters, a threshold above which letters are dead, or a
+floor below which they are.  The enumeration
+test suite checks every hand summary, and the canonical tracker on every
+pattern of length at most 4, against a walk that asks the containment
+search directly.
 
 State components used repeatedly (letters are small, so sets of letters
 live in int bitmasks):
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .core import extension_completes, normalize_pattern
+from .core import normalize_pattern
 
 BIG = 1 << 60
 
@@ -55,23 +57,6 @@ def _below(c: int) -> int:
     return (1 << c) - 1
 
 
-# --- generic fallback -------------------------------------------------------
-
-
-def _generic(p, size):
-    def forbid(w, c, _p=p):
-        return extension_completes(w, c, _p)
-
-    def step(w, c):
-        return w + (c,)
-
-    def count_allowed(w, top, _p=p):
-        return sum(1 for c in range(top + 1)
-                   if not extension_completes(w, c, _p))
-
-    return Tracker((), forbid, step, count_allowed)
-
-
 # --- mask-valued trackers: forbidden letters form a bitmask -----------------
 # count_allowed subtracts the popcount of the forbidden mask below top+1.
 
@@ -84,6 +69,79 @@ def _mask_tracker(state0, forbid_mask, step):
         return top + 1 - (forbid_mask(s) & _below(top + 1)).bit_count()
 
     return Tracker(state0, forbid, step, count_allowed)
+
+
+# --- canonical fallback: the set of partial embeddings ----------------------
+# An embedding (j, vals) is a match of p[:j] in the prefix.  For each
+# pattern letter u, vals[u] is its value if u is matched and occurs again
+# in p[j:], the open interval (lo, hi) its value must fall in if u is not
+# matched yet, and None once u no longer occurs in p[j:].  That is all
+# the future of the match depends on, so prefixes with equal futures get
+# equal states.  Embeddings with j = k-1 matter only through the final
+# letters they accept, so they are folded into the dead mask instead of
+# being stored, and an embedding with an empty interval can never
+# complete and is dropped.  The root embedding (j = 0) is implicit.
+
+
+def _between(lo: int, hi: int) -> int:
+    return _below(hi) & ~_below(lo + 1)
+
+
+def _generic(p, size):
+    k = len(p)
+    # the root embedding, which a length-1 pattern has already completed
+    seed = ((0, ((-1, size),) * (max(p) + 1)),) if k > 1 else ()
+    # per position j: the letter p[j], whether it occurs again later, and
+    # the unmatched letters above and below it that a new value narrows
+    plan = []
+    for j, v in enumerate(p):
+        later = set(p[j + 1:]) - set(p[:j + 1]) if v not in p[:j] else ()
+        plan.append((v, v in p[j + 1:], tuple(u for u in later if u > v),
+                     tuple(u for u in later if u < v)))
+
+    def extend(j, vals, c):
+        v, again, above, below = plan[j]
+        a = vals[v]
+        if type(a) is int:
+            if a != c:
+                return None
+        elif not a[0] < c < a[1]:
+            return None
+        vals = list(vals)
+        vals[v] = c if again else None
+        for u in above:
+            lo, hi = vals[u]
+            if c > lo:
+                if c + 1 >= hi:
+                    return None
+                vals[u] = (c, hi)
+        for u in below:
+            lo, hi = vals[u]
+            if c < hi:
+                if lo + 1 >= c:
+                    return None
+                vals[u] = (lo, c)
+        return tuple(vals)
+
+    def step(s, c):
+        embeddings, dead = s
+        grown = []
+        for j, vals in (*embeddings, *seed):
+            w = extend(j, vals, c)
+            if w is None:
+                continue
+            if j + 1 == k - 1:
+                # the final letter's value or interval kills those letters
+                a = w[p[-1]]
+                dead |= 1 << a if type(a) is int else _between(*a)
+            else:
+                grown.append((j + 1, w))
+        if grown:
+            embeddings = embeddings.union(grown)
+        return (embeddings, dead)
+
+    dead0 = _below(size) if k == 1 else 0
+    return _mask_tracker((frozenset(), dead0), lambda s: s[1], step)
 
 
 def _t_00(p, size):
@@ -351,10 +409,6 @@ def _t_210(p, size):
 # dead letters form a bitmask that grows by _between(lo, hi) per pair.
 
 
-def _between(lo: int, hi: int) -> int:
-    return _below(hi) & ~_below(lo + 1)
-
-
 def _t_201(p, size):
     # (d, a, b): needs a descent pair d..a with a < c < d
     def step(s, c):
@@ -438,8 +492,9 @@ SPECIALIZED = frozenset(_FACTORIES)
 def make_tracker(p, size: int, generic: bool = False) -> Tracker:
     """Build a tracker for pattern p over letters 0..size-1.
 
-    ``generic=True`` forces the search-based fallback, which the tests
-    use to cross-check the specialized summaries.
+    Patterns without a hand-derived summary get the canonical
+    embedding-set tracker; ``generic=True`` forces it for every pattern,
+    which the tests use to check it against the containment search.
     """
     p = normalize_pattern(p)
     if not generic:

@@ -219,6 +219,15 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi((0, 1, 2, 0))
 
+    def test_long_input(self):
+        # phi is a bijection onto the 231-avoiders taking asc to des, and
+        # 0^n and the identity are the only words on either side with
+        # none, so the identity must come back; the walk uses no call
+        # stack depth proportional to the input
+        n = 2000
+        assert phi((0,) * n) == tuple(range(1, n + 1))
+        assert des(phi((0,) * (n - 1) + (1,))) == 1
+
 
 class TestSplitIntoBlocks:
     def test_worked_example(self):

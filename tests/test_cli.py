@@ -71,7 +71,8 @@ class TestCount:
         assert "normal form" in err
 
     def test_budget_refusal_marks_partial(self, capsys):
-        # 1302 uses the generic tracker, far too slow for length 14 in 0.3s
+        # 1302 uses the canonical tracker, which reaches length 10 in about
+        # 0.05s and length 12 in about 0.6s, far short of length 14 in 0.3s
         code, out, _ = run_cli(capsys, "count", "--pattern", "1302",
                                "--n", "1..14", "--budget-seconds", "0.3",
                                "--format", "csv")
@@ -86,6 +87,16 @@ class TestCount:
         assert list(rows) == list(range(1, len(rows) + 1))
         want = count_avoiders((1, 3, 0, 2), 7).values
         assert {n: rows[n] for n in want} == want
+
+    def test_modified_budget_counts_every_sequence(self, capsys):
+        # every sequence contains 0, so no avoider ever reaches the budget
+        # check unless it is made once per sequence generated
+        code, out, _ = run_cli(capsys, "count", "--pattern", "0",
+                               "--modified", "--n", "10",
+                               "--budget-seconds", "0.1", "--format", "jsonl")
+        assert code == EXIT_BUDGET
+        status = json.loads(out.splitlines()[-1])["status"]
+        assert status["complete"] is False
 
     def test_deterministic_across_runs_and_threads(self, capsys):
         _, first, _ = run_cli(capsys, "count", "--pattern", "0021",
@@ -151,6 +162,13 @@ class TestBijection:
         assert code == EXIT_OK
         row = json.loads(out.splitlines()[1])
         assert row["output"] == outp
+
+    def test_phi_of_a_long_input(self, capsys):
+        code, out, _ = run_cli(capsys, "bijection", "--name", "phi",
+                               "--input", "0" * 2000, "--format", "jsonl")
+        assert code == EXIT_OK
+        row = json.loads(out.splitlines()[1])
+        assert row["asc_in"] == row["des_out"] == 0
 
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "bijection", "--name", "nope",

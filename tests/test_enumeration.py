@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from ascentseq.core import contains, is_restricted
+from ascentseq import enumeration
+from ascentseq.core import contains, extension_completes, is_restricted
 from ascentseq.enumeration import (avoiders, count_ascent_sequences,
                                    count_avoiders, count_modified_avoiders,
                                    distribution, generate_ascent_sequences,
@@ -84,8 +85,6 @@ class TestAvoiders:
         # every hand-derived tracker against the search-based one
         for p in sorted(SPECIALIZED):
             fast = count_avoiders(p, 8).as_list()
-            slow_tracker = make_tracker(p, 10, generic=True)
-            assert slow_tracker.state == ()
             slow = [sum(1 for _ in _generic_avoiders(p, n))
                     for n in range(1, 9)]
             assert fast == slow, p
@@ -116,19 +115,50 @@ class TestAvoiders:
 
 
 def _generic_avoiders(p, n):
-    # independent pruned walk built on the generic tracker only
-    tr = make_tracker(p, n + 2, generic=True)
-
+    # independent pruned walk that asks the containment search directly,
+    # sharing no code with any tracker
     def extend(word, a):
         if len(word) == n:
             yield word
             return
         for c in range(a + 2):
-            if not tr.forbid(word, c):
+            if not extension_completes(word, c, p):
                 yield from extend(word + (c,), a + (1 if c > word[-1] else 0))
 
-    if not tr.forbid((), 0):
+    if not extension_completes((), 0, p):
         yield from extend((0,), 0)
+
+
+class TestCanonicalTracker:
+    """The embedding-set tracker that patterns without a hand summary use,
+    forced onto every pattern."""
+
+    @pytest.fixture
+    def canonical_only(self, monkeypatch):
+        def make(p, size, generic=False):
+            return make_tracker(p, size, generic=True)
+        monkeypatch.setattr(enumeration, "make_tracker", make)
+
+    def test_matches_search_walk_all_small_patterns(self, canonical_only):
+        for label in all_patterns(4):
+            p = pat(label)
+            slow = [sum(1 for _ in _generic_avoiders(p, n))
+                    for n in range(1, 8)]
+            assert count_avoiders(p, 7).as_list() == slow, label
+
+    def test_pins_at_10(self, canonical_only):
+        assert count_avoiders(pat("1302"), 10).values[10] == 156851
+        assert count_avoiders(pat("0312"), 10).values[10] == 156847
+
+    def test_equal_futures_merge(self):
+        # a 0 after 0 starts no new partial occurrence of 1302
+        tr = make_tracker(pat("1302"), 12, generic=True)
+        once = tr.step(tr.state, 0)
+        assert tr.step(once, 0) == once
+        # 011 and 01 leave the same partial occurrences, so they merge
+        # although the prefixes differ
+        s01 = tr.step(once, 1)
+        assert tr.step(s01, 1) == s01
 
 
 class TestStructure:
