@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bijections
-from .core import (contains, extension_completes, normalize_pattern, stat,
-                   word_str)
+from .core import (asc, contains, extension_completes, normalize_pattern,
+                   stat, word_str)
 from .incremental import make_tracker
 
 
@@ -241,18 +241,31 @@ def modified_avoiders(p, n: int):
             yield x, w
 
 
-def count_modified_avoiders(p, n: int, check=None) -> int:
-    """Number of ascent sequences of length n whose modified word avoids
-    p.  ``check``, when given, is called once per ascent sequence, so a
-    budget also bounds a pattern that few or no sequences avoid."""
-    p = normalize_pattern(p)
-    total = 0
+def modified_asc_histograms(patterns, n: int, check=None) -> list[Counter]:
+    """For each pattern, the histogram of asc(x) over the ascent sequences
+    x of length n whose modified word avoids it, in the order given.
+
+    One pass serves every pattern: each sequence is generated and
+    modified once.  ``check``, when given, is called once per ascent
+    sequence, so a budget also bounds patterns that few or no sequences
+    avoid."""
+    patterns = [normalize_pattern(p) for p in patterns]
+    hists = [Counter() for _ in patterns]
     for x in generate_ascent_sequences(n):
         if check is not None:
             check()
-        if not contains(bijections.modify(x), p):
-            total += 1
-    return total
+        w = bijections.modify(x)
+        a = asc(x)
+        for p, hist in zip(patterns, hists):
+            if not contains(w, p):
+                hist[a] += 1
+    return hists
+
+
+def count_modified_avoiders(p, n: int, check=None) -> int:
+    """Number of ascent sequences of length n whose modified word avoids
+    p; ``check`` is passed on to ``modified_asc_histograms``."""
+    return sum(modified_asc_histograms([p], n, check)[0].values())
 
 
 # ---------------------------------------------------------------------------

@@ -144,14 +144,6 @@ def _generic(p, size):
     return _mask_tracker((frozenset(), dead0), lambda s: s[1], step)
 
 
-def _t_00(p, size):
-    # occurrence (a, a): forbidden letters are those already seen
-    def step(seen, c):
-        return seen | (1 << c)
-
-    return _mask_tracker(0, lambda s: s, step)
-
-
 def _t_000(p, size):
     # (a, a, a): forbidden once a letter has appeared twice
     def step(s, c):
@@ -234,14 +226,6 @@ def _min_tracker(state0, threshold, step):
         return min(threshold(s), top) + 1
 
     return Tracker(state0, forbid, step, count_allowed)
-
-
-def _t_01(p, size):
-    # (a, b): anything above the smallest letter seen is forbidden
-    def step(mn, c):
-        return c if c < mn else mn
-
-    return _min_tracker(BIG, lambda s: s, step)
 
 
 def _t_001(p, size):
@@ -445,24 +429,7 @@ def _t_0021(p, size):
     return _mask_tracker((0, 0, 0), lambda s: s[2], step)
 
 
-def _t_single(p, size):
-    # a length-1 pattern occurs in every nonempty word
-    def forbid(s, c):
-        return True
-
-    def step(s, c):
-        return s
-
-    def count_allowed(s, top):
-        return 0
-
-    return Tracker(None, forbid, step, count_allowed)
-
-
 _FACTORIES = {
-    (0,): _t_single,
-    (0, 0): _t_00,
-    (0, 1): _t_01,
     (1, 0): _t_10,
     (0, 0, 0): _t_000,
     (0, 0, 1): _t_001,

@@ -214,6 +214,16 @@ class TestConjecturesCmd:
         assert code == EXIT_OK
         assert "holds" in out
 
+    def test_modi_budget_counts_every_sequence(self, capsys):
+        # the modi check makes one pass per length over all ascent
+        # sequences; the budget must be able to stop it inside a pass
+        code, out, _ = run_cli(capsys, "conjectures", "--name", "modi",
+                               "--n", "10", "--budget-seconds", "0.5",
+                               "--format", "jsonl")
+        assert code == EXIT_BUDGET
+        status = json.loads(out.splitlines()[-1])["status"]
+        assert status["complete"] is False
+
     def test_unknown_conjecture(self, capsys):
         code, _, err = run_cli(capsys, "conjectures", "--name", "zzz")
         assert code == EXIT_USAGE and "unknown conjecture" in err

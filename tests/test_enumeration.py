@@ -150,6 +150,12 @@ class TestCanonicalTracker:
         assert count_avoiders(pat("1302"), 10).values[10] == 156851
         assert count_avoiders(pat("0312"), 10).values[10] == 156847
 
+    def test_trivial_patterns_have_no_hand_summary(self):
+        # every word contains 0; only 0 1 2 ... avoids 00 and 0 0 0 ... 01
+        for label, want in (("0", 0), ("00", 1), ("01", 1)):
+            assert pat(label) not in SPECIALIZED
+            assert count_avoiders(pat(label), 13).as_list() == [want] * 13
+
     def test_equal_futures_merge(self):
         # a 0 after 0 starts no new partial occurrence of 1302
         tr = make_tracker(pat("1302"), 12, generic=True)

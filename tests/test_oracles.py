@@ -79,7 +79,66 @@ class TestClosedForms:
             assert total == half_power_formula(n)
 
 
+def _arcs(sp) -> list[tuple[int, int]]:
+    return [(b[i], b[i + 1]) for b in sp for i in range(len(b) - 1)]
+
+
+def _has_k_crossing(sp, k: int) -> bool:
+    """k arcs mutually cross when their openers and closers interleave as
+    a_1 < ... < a_k < b_1 < ... < b_k.  Arcs join consecutive elements of
+    a block; pairwise-crossing neighborhoods are kept as bitmasks and a
+    k-clique is searched among them."""
+    arcs = sorted(_arcs(sp))
+    m = len(arcs)
+    if m < k:
+        return False
+    cross = [0] * m
+    for i in range(m):
+        a1, b1 = arcs[i]
+        for j in range(i + 1, m):
+            a2, b2 = arcs[j]
+            if a1 < a2 < b1 < b2:
+                cross[i] |= 1 << j
+                cross[j] |= 1 << i
+
+    def clique(candidates: int, need: int) -> bool:
+        if need == 0:
+            return True
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            if clique(candidates & cross[i], need - 1):
+                return True
+        return False
+
+    return clique((1 << m) - 1, k)
+
+
 class TestNonKCrossing:
+    def test_tableau_walk_matches_brute_force(self):
+        # the arc diagrams of all Bell(n) partitions, searched for k-cliques
+        for n in range(1, 10):
+            parts = list(generate_set_partitions(n))
+            for k in (2, 3, 4):
+                brute = sum(1 for sp in parts if not _has_k_crossing(sp, k))
+                assert non_k_crossing_partition_count(n, k) == brute, (n, k)
+
+    def test_too_few_arcs_for_a_k_crossing(self):
+        # a k-crossing has 2k distinct ends, so every partition of
+        # {1..n} is non-k-crossing when 2k > n
+        for n in range(1, 11):
+            for k in range(max(2, n // 2 + 1), n + 2):
+                assert non_k_crossing_partition_count(n, k) == bell(n), (n, k)
+
+    def test_agrees_with_210_avoiders_through_14(self):
+        # the paper's link between 210-avoiding ascent sequences and
+        # non-3-crossing partitions, derived by two unrelated counts
+        series = count_avoiders((2, 1, 0), 14)
+        for n in range(1, 15):
+            assert non_k_crossing_partition_count(n, 3) == series.values[n], n
+        assert series.values[14] == 96505490
+
     def test_base_cases(self):
         assert non_k_crossing_partition_count(4, 2) == 14
         assert all(non_k_crossing_partition_count(1, k) == 1
