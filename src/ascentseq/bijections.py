@@ -324,9 +324,15 @@ def _omega(x: Word) -> list[int]:
         y, lo, off = stack.pop()
         if not y:
             continue
-        positions, last_rep = maximal_positions(y)
-        top = max(positions)
-        i = last_rep[top]
+        top = a = 0     # y is restricted, so it is scanned, not validated
+        for j in range(1, len(y)):
+            if y[j] == a + 1:
+                top = j
+            if y[j] > y[j - 1]:
+                a += 1
+        i = top
+        while i + 1 < len(y) and y[i + 1] == y[top]:
+            i += 1
         left, right = y[:i], y[i + 1:]
         if right:
             right = tuple(letter - right[0] for letter in right)

@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
+MAX_LENGTH = 10**6      # past this, one layer outlasts the default budget
 
 
 class BudgetExceeded(Exception):
@@ -36,16 +37,14 @@ class BudgetExceeded(Exception):
 
 
 class Budget:
-    """Wall-clock guard; check() is cheap enough for inner loops."""
+    """Wall-clock guard read on every check(), cheap enough for inner loops."""
 
     def __init__(self, seconds: float):
         self.seconds = seconds
         self.deadline = time.monotonic() + seconds
-        self.calls = 0
 
     def check(self):
-        self.calls += 1
-        if (self.calls & 0x3FF) == 0 and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise BudgetExceeded(f"budget of {self.seconds:g}s exceeded")
 
 
@@ -61,6 +60,8 @@ def parse_n_range(text: str) -> tuple[int, int]:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length range {text!r}")
+    if hi > MAX_LENGTH:
+        raise ValueError(f"lengths above {MAX_LENGTH} are not supported")
     return lo, hi
 
 
@@ -196,7 +197,7 @@ def cmd_dist(args) -> int:
         for n in range(lo, hi + 1):
             hist: Counter = Counter()
             if args.modified:
-                words = (w for _, w in modified_avoiders(p, n))
+                words = (w for _, w in modified_avoiders(p, n, budget.check))
             else:
                 words = avoiders(p, n)
             for w in words:
@@ -280,6 +281,7 @@ def cmd_wilf(args) -> int:
 
 
 def cmd_table(args) -> int:
+    parse_n_range(str(args.nmax))       # the same checks as every --n
     budget = Budget(args.budget_seconds)
     rows, status = [], {"complete": True}
     mismatched = False
@@ -287,8 +289,10 @@ def cmd_table(args) -> int:
         for label in table_patterns():
             p = tuple(int(ch) for ch in label)
             n_max = available_depth(label, args.nmax)
-            want = expected_counts(label, n_max)
+            # count first: only the count checks the budget, and the
+            # closed forms alone take minutes at the longest lengths
             got = count_avoiders(p, n_max, check=budget.check).values
+            want = expected_counts(label, n_max)
             diffs = [n for n in sorted(want) if n <= n_max
                      and got[n] != want[n]]
             if diffs:

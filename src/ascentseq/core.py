@@ -227,31 +227,35 @@ def is_pattern(w: Sequence[int]) -> bool:
 
 
 def _match(w: Sequence[int], p: Sequence[int], wi: int, pi: int,
-           assign: list, stop: int) -> bool:
-    """Match p[pi:stop] into w[wi:] under the partial value assignment."""
-    if pi == stop:
+           assign: list) -> bool:
+    """Match p[pi:] into w[wi:] under the partial value assignment."""
+    if pi == len(p):
         return True
     v = p[pi]
     a = assign[v]
-    if a is None:
-        lo, hi = -1, None
-        for u, letter in enumerate(assign):
-            if letter is None:
-                continue
-            if u < v:
-                if letter > lo:
-                    lo = letter
-            elif u > v and (hi is None or letter < hi):
-                hi = letter
-    else:
-        lo, hi = a - 1, a + 1
-    last = len(w) - (stop - pi) + 1
+    last = len(w) - (len(p) - pi) + 1
+    if a is not None:
+        # a later copy of the value leaves the same assignment and fewer
+        # letters, so only the first copy needs trying
+        for t in range(wi, last):
+            if w[t] == a:
+                return _match(w, p, t + 1, pi + 1, assign)
+        return False
+    lo, hi = -1, None
+    for u, letter in enumerate(assign):
+        if letter is None:
+            continue
+        if u < v:
+            if letter > lo:
+                lo = letter
+        elif u > v and (hi is None or letter < hi):
+            hi = letter
     for t in range(wi, last):
         x = w[t]
         if x <= lo or (hi is not None and x >= hi):
             continue
         assign[v] = x
-        if _match(w, p, t + 1, pi + 1, assign, stop):
+        if _match(w, p, t + 1, pi + 1, assign):
             assign[v] = a
             return True
         assign[v] = a
@@ -274,27 +278,11 @@ def contains(w: Sequence[int], p: Sequence[int]) -> bool:
     if len(p) > len(w):
         return False
     assign: list = [None] * (max(p) + 1)
-    return _match(w, p, 0, 0, assign, len(p))
+    return _match(w, p, 0, 0, assign)
 
 
 def avoids(w: Sequence[int], p: Sequence[int]) -> bool:
     return not contains(w, p)
-
-
-def extension_completes(w: Sequence[int], c: int, p: Sequence[int]) -> bool:
-    """Would appending letter c to w create an occurrence of p ending there?
-
-    This is the incremental form of containment used while growing
-    prefixes: a prefix that avoids p gains an occurrence only if the new
-    letter can serve as the final pattern letter.
-    """
-    k = len(p)
-    if len(w) + 1 < k:
-        return False
-    assign: list = [None] * (max(p) + 1)
-    v = p[k - 1]
-    assign[v] = c
-    return _match(w, p, 0, 0, assign, k - 1)
 
 
 def _count_matches(w: Sequence[int], p: Sequence[int], wi: int, pi: int,

@@ -1,13 +1,15 @@
 """Exhaustive generation of ascent sequences, avoiders and relatives.
 
-All generators stream lazily in lexicographic order and are deterministic.
-Avoider enumeration prunes: a prefix that already contains the pattern is
-never extended, which is sound because containment is monotone under
-appending letters.  Counting needs no sequences at all: it is a layered
-transfer-matrix count over (tracker state, last letter, ascents), where
-prefixes with equal keys have equal futures and are merged into one
-weighted state.  The last layer is never built; its states are summed
-through ``count_allowed``.
+Every generator is one walk (``_walk``) on an explicit stack, so no
+length meets a recursion limit; each states only its rule for the next
+letter.  All stream lazily in lexicographic order and are deterministic.
+Avoiders and pattern-avoiding permutations prune: no prefix is extended
+by a letter the pattern's tracker forbids, which is sound because
+containment is monotone under appending letters.  Counting needs no
+sequences at all: it is a layered transfer-matrix count over (tracker
+state, last letter, ascents), where prefixes with equal keys have equal
+futures and are merged into one weighted state.  The last layer is never
+built; its states are summed through ``count_allowed``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bijections
-from .core import (asc, contains, extension_completes, normalize_pattern,
-                   stat, word_str)
+from .core import asc, contains, normalize_pattern, stat, word_str
 from .incremental import make_tracker
 
 
@@ -41,6 +42,29 @@ def _check_length(n: int) -> None:
         raise ValueError("length must be at least 1")
 
 
+def _walk(n: int, state0, children):
+    """Yield every length-n word grown from state0, lexicographically.
+
+    ``children(state)`` returns an iterator of ``(letter, next_state)``
+    pairs in increasing letter order; the stack holds one partly used
+    iterator per prefix position.  Last letter, ascents and maximum start
+    at -1, so only 0 may follow the empty prefix.
+    """
+    prefix: list[int] = []
+    stack = [children(state0)]
+    while stack:
+        for c, state in stack[-1]:
+            prefix.append(c)
+            if len(prefix) < n:
+                stack.append(children(state))
+                break
+            yield tuple(prefix)
+            prefix.pop()
+        else:
+            stack.pop()
+            del prefix[-1:]     # nothing to drop once the root is done
+
+
 # ---------------------------------------------------------------------------
 # plain ascent sequences
 
@@ -49,17 +73,12 @@ def generate_ascent_sequences(n: int):
     """Yield every ascent sequence of length n, lexicographically."""
     _check_length(n)
 
-    def extend(prefix: list, a: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        last = prefix[-1]
+    def children(key):
+        last, a = key
         for c in range(a + 2):
-            prefix.append(c)
-            yield from extend(prefix, a + 1 if c > last else a)
-            prefix.pop()
+            yield c, (c, a + 1 if c > last else a)
 
-    yield from extend([0], 0)
+    yield from _walk(n, (-1, -1), children)
 
 
 def count_ascent_sequences(n: int) -> int:
@@ -89,22 +108,14 @@ def avoiders(p, n: int):
     p = normalize_pattern(p)
     tr = make_tracker(p, n + 2)
     forbid, step = tr.forbid, tr.step
-    if forbid(tr.state, 0):
-        return
 
-    def extend(prefix: list, state, a: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        last = prefix[-1]
+    def children(key):
+        state, last, a = key
         for c in range(a + 2):
-            if forbid(state, c):
-                continue
-            prefix.append(c)
-            yield from extend(prefix, step(state, c), a + 1 if c > last else a)
-            prefix.pop()
+            if not forbid(state, c):
+                yield c, (step(state, c), c, a + 1 if c > last else a)
 
-    yield from extend([0], step(tr.state, 0), 0)
+    yield from _walk(n, (tr.state, -1, -1), children)
 
 
 def avoider_counts(p, n_max: int, check=None):
@@ -161,17 +172,12 @@ def generate_restricted(n: int):
     more than one below the running maximum), lexicographically."""
     _check_length(n)
 
-    def extend(prefix: list, a: int, m: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        last = prefix[-1]
+    def children(key):
+        last, a, m = key
         for c in range(max(0, m - 1), a + 2):
-            prefix.append(c)
-            yield from extend(prefix, a + 1 if c > last else a, max(m, c))
-            prefix.pop()
+            yield c, (c, a + 1 if c > last else a, max(m, c))
 
-    yield from extend([0], 0, 0)
+    yield from _walk(n, (-1, -1, -1), children)
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +186,21 @@ def generate_restricted(n: int):
 
 def perm_avoiders(q, n: int):
     """Yield the permutations of 1..n avoiding the (distinct-letter)
-    pattern q, lexicographically, growing prefixes with pruning."""
+    pattern q, lexicographically, pruned by the pattern's tracker."""
     _check_length(n)
     q = normalize_pattern(q)
     if len(set(q)) != len(q):
         raise ValueError("permutation patterns must have distinct letters")
+    tr = make_tracker(q, n + 2)
+    forbid, step = tr.forbid, tr.step
 
-    def extend(prefix: list, used: set):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
+    def children(key):
+        state, used = key
         for v in range(1, n + 1):
-            if v in used or extension_completes(prefix, v, q):
-                continue
-            prefix.append(v)
-            used.add(v)
-            yield from extend(prefix, used)
-            used.remove(v)
-            prefix.pop()
+            if not (used >> v) & 1 and not forbid(state, v):
+                yield v, (step(state, v), used | 1 << v)
 
-    yield from extend([], set())
+    yield from _walk(n, (tr.state, 0), children)
 
 
 # ---------------------------------------------------------------------------
@@ -211,31 +212,30 @@ def generate_set_partitions(n: int):
     ascending, ordered by minima), enumerated via their growth strings."""
     _check_length(n)
 
-    def extend(labels: list, m: int):
-        if len(labels) == n:
-            blocks: list[list[int]] = [[] for _ in range(m + 1)]
-            for i, b in enumerate(labels):
-                blocks[b].append(i + 1)
-            yield tuple(tuple(b) for b in blocks)
-            return
+    def children(m):
         for b in range(m + 2):
-            labels.append(b)
-            yield from extend(labels, max(m, b))
-            labels.pop()
+            yield b, max(m, b)
 
-    yield from extend([0], 0)
+    for labels in _walk(n, -1, children):
+        blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+        for i, b in enumerate(labels):
+            blocks[b].append(i + 1)
+        yield tuple(tuple(b) for b in blocks)
 
 
 # ---------------------------------------------------------------------------
 # modified ascent sequences
 
 
-def modified_avoiders(p, n: int):
+def modified_avoiders(p, n: int, check=None):
     """Yield (x, modified(x)) for the ascent sequences x of length n whose
     modified word avoids p.  Containment is tested on the modified word,
-    which need not itself be an ascent sequence."""
+    which need not itself be an ascent sequence.  ``check``, when given,
+    is called once per ascent sequence."""
     p = normalize_pattern(p)
     for x in generate_ascent_sequences(n):
+        if check is not None:
+            check()
         w = bijections.modify(x)
         if not contains(w, p):
             yield x, w
@@ -275,34 +275,34 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
 def distribution(p, n: int, which: str) -> Counter:
     """Histogram of a statistic over the p-avoiding ascent sequences of
     length n."""
-    hist: Counter = Counter()
-    for x in avoiders(p, n):
-        hist[stat(x, which)] += 1
-    return hist
+    return Counter(stat(x, which) for x in avoiders(p, n))
 
 
-def _described_set(descriptor, n: int):
+def joint_distribution(descriptor, n: int, s1: str, s2: str,
+                       check=None) -> Counter:
+    """Joint histogram of two statistics over a described set.
+
+    The descriptor is a pair ``(kind, pattern)`` with kind one of
+    ``avoiders``, ``perm-avoiders`` or ``modified-avoiders``; statistics
+    on the modified sets are evaluated on the modified words.  ``check``,
+    when given, is called once per word, and once per ascent sequence
+    tried for the modified sets.
+    """
     try:
         kind, p = descriptor
     except (TypeError, ValueError):
         raise ValueError(f"unknown set descriptor {descriptor!r}") from None
     if kind == "avoiders":
-        return avoiders(p, n)
-    if kind == "perm-avoiders":
-        return perm_avoiders(p, n)
-    if kind == "modified-avoiders":
-        return (w for _, w in modified_avoiders(p, n))
-    raise ValueError(f"unknown set descriptor kind {kind!r}")
-
-
-def joint_distribution(descriptor, n: int, s1: str, s2: str) -> Counter:
-    """Joint histogram of two statistics over a described set.
-
-    The descriptor is a pair ``(kind, pattern)`` with kind one of
-    ``avoiders``, ``perm-avoiders`` or ``modified-avoiders``; statistics
-    on the modified sets are evaluated on the modified words.
-    """
+        words = avoiders(p, n)
+    elif kind == "perm-avoiders":
+        words = perm_avoiders(p, n)
+    elif kind == "modified-avoiders":
+        words = (w for _, w in modified_avoiders(p, n, check))
+    else:
+        raise ValueError(f"unknown set descriptor kind {kind!r}")
     hist: Counter = Counter()
-    for w in _described_set(descriptor, n):
+    for w in words:
+        if check is not None:
+            check()
         hist[(stat(w, s1), stat(w, s2))] += 1
     return hist

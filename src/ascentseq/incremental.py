@@ -138,6 +138,8 @@ def _generic(p, size):
                 grown.append((j + 1, w))
         if grown:
             embeddings = embeddings.union(grown)
+        if dead == s[1]:
+            dead = s[1]     # share an unchanged mask along a walk's stack
         return (embeddings, dead)
 
     dead0 = _below(size) if k == 1 else 0

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import comb
 
-from .core import asc, fwd, normalize_pattern, word_str, zeros
-from .enumeration import (CountSeries, avoiders, count_avoiders,
-                          joint_distribution, modified_asc_histograms)
+from .core import normalize_pattern, word_str
+from .enumeration import (CountSeries, count_avoiders, joint_distribution,
+                          modified_asc_histograms)
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -283,10 +283,9 @@ def _histogram_verdict(n, h1, h2, what) -> ConjectureVerdict:
 def _run_bi_021(n_max: int, check) -> list[ConjectureVerdict]:
     out = []
     for n in range(1, n_max + 1):
-        if check is not None:
-            check()
-        h1 = joint_distribution(("avoiders", (0, 2, 1)), n, "asc", "rlmin")
-        h2 = joint_distribution(("perm-avoiders", (0, 2, 1)), n, "asc", "rlmin")
+        h1, h2 = (joint_distribution((kind, (0, 2, 1)), n, "asc", "rlmin",
+                                     check)
+                  for kind in ("avoiders", "perm-avoiders"))
         out.append(_histogram_verdict(
             n, h1, h2, "(asc, rlmin) on 021-avoiders vs 132-avoiding perms"))
     return out
@@ -294,18 +293,17 @@ def _run_bi_021(n_max: int, check) -> list[ConjectureVerdict]:
 
 def _run_0012(n_max: int, check) -> list[ConjectureVerdict]:
     out = []
+    a0012 = ("avoiders", (0, 0, 1, 2))
     for n in range(1, n_max + 1):
-        if check is not None:
-            check()
-        words = list(avoiders((0, 0, 1, 2), n))
-        v = _verdict_counts("|A_0012|", n, len(words), catalan(n), "Catalan")
+        h_fwd = joint_distribution(a0012, n, "asc", "fwd", check)
+        v = _verdict_counts("|A_0012|", n, sum(h_fwd.values()), catalan(n),
+                            "Catalan")
         if not v.holds:
             out.append(v)
             continue
-        h_fwd = Counter((asc(w), fwd(w)) for w in words)
-        h_zeros = Counter((asc(w), zeros(w)) for w in words)
+        h_zeros = joint_distribution(a0012, n, "asc", "zeros", check)
         h_perm = joint_distribution(("perm-avoiders", (0, 2, 1)), n,
-                                    "asc", "rlmax")
+                                    "asc", "rlmax", check)
         v = _histogram_verdict(n, h_fwd, h_perm,
                                "(asc, fwd) vs (asc, rlmax) on 132-avoiders")
         if v.holds:

@@ -1,11 +1,12 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
-from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main,
-                           parse_cli_pattern, parse_n_range)
+from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, MAX_LENGTH,
+                           main, parse_cli_pattern, parse_n_range)
 from ascentseq.enumeration import count_avoiders
 
 
@@ -22,6 +23,18 @@ class TestParsing:
         for bad in ("0", "5..3", "0..4"):
             with pytest.raises(ValueError):
                 parse_n_range(bad)
+
+    def test_length_cap(self, capsys):
+        # the cap is a fixed constant; above it nothing is allocated
+        assert parse_n_range(f"1..{MAX_LENGTH}") == (1, MAX_LENGTH)
+        with pytest.raises(ValueError, match="not supported"):
+            parse_n_range(str(MAX_LENGTH + 1))
+        code, _, err = run_cli(capsys, "count", "--pattern", "01", "--n",
+                               "99999999999999999999", "--budget-seconds", "1")
+        assert code == EXIT_USAGE and "not supported" in err
+        code, _, err = run_cli(capsys, "table", "--nmax",
+                               "99999999999999999999", "--budget-seconds", "1")
+        assert code == EXIT_USAGE and "not supported" in err
 
     def test_pattern_hygiene(self):
         assert parse_cli_pattern("0101") == (0, 1, 0, 1)
@@ -78,9 +91,9 @@ class TestCount:
                                "--format", "csv")
         assert code == EXIT_BUDGET
         assert "# incomplete" in out
-        # the budget reads the clock on every 1024th check, one check per
-        # state, and lengths 0..6 have under 300 states, so lengths 1..7
-        # always finish and are kept
+        # one budget check per state, and lengths 0..6 have under 300
+        # states, which take milliseconds, so lengths 1..7 finish well
+        # inside the budget and are kept
         rows = {int(n): int(c) for n, c in
                 (line.split(",") for line in out.splitlines()[2:-1])}
         assert 7 <= len(rows) < 14
@@ -97,6 +110,28 @@ class TestCount:
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]
         assert status["complete"] is False
+
+    def test_no_recursion_limit_on_modified_words(self, capsys):
+        # 1200 letters per word, past CPython's default recursion limit;
+        # every word contains 0, so only the budget ends the run
+        code, out, err = run_cli(capsys, "count", "--pattern", "0",
+                                 "--modified", "--n", "1200",
+                                 "--budget-seconds", "2", "--format", "jsonl")
+        assert code == EXIT_BUDGET and "Traceback" not in err
+        assert json.loads(out.splitlines()[-1])["status"]["complete"] is False
+
+    @pytest.mark.parametrize("pattern,n", [("0123", "3000"), ("1110", "373")])
+    def test_budget_stops_slow_words_promptly(self, capsys, pattern, n):
+        # one modify-and-search step on these words takes 0.1 s or more:
+        # the budget must read the clock on every check (0123), and a
+        # search must not try every later copy of a letter already
+        # matched (1110 on mostly-zero words); either fault alone made
+        # these runs last a minute or more
+        start = time.monotonic()
+        code, _, _ = run_cli(capsys, "count", "--pattern", pattern,
+                             "--modified", "--n", n, "--budget-seconds", "0.3")
+        assert code == EXIT_BUDGET
+        assert time.monotonic() - start < 20
 
     def test_deterministic_across_runs_and_threads(self, capsys):
         _, first, _ = run_cli(capsys, "count", "--pattern", "0021",
@@ -120,6 +155,12 @@ class TestList:
         assert seqs == ["0000", "0001", "0010", "0011",
                         "0100", "0101", "0110", "0111"]
 
+    def test_past_the_recursion_limit(self, capsys):
+        code, out, err = run_cli(capsys, "list", "--pattern", "01",
+                                 "--n", "2000", "--format", "csv")
+        assert code == EXIT_OK and "Traceback" not in err
+        assert out.splitlines()[2:] == ["2000," + "0" * 2000]
+
 
 class TestDist:
     def test_single_statistic(self, capsys):
@@ -135,6 +176,22 @@ class TestDist:
         assert code == EXIT_OK
         rows = [json.loads(line) for line in out.splitlines()[1:-1]]
         assert sum(r["count"] for r in rows) == 5
+
+    def test_past_the_recursion_limit(self, capsys):
+        code, out, err = run_cli(capsys, "dist", "--pattern", "01",
+                                 "--n", "1500", "--stats", "asc",
+                                 "--format", "csv")
+        assert code == EXIT_OK and "Traceback" not in err
+        assert out.splitlines()[2:] == ["1500,0,1"]
+
+    def test_modified_budget_counts_every_sequence(self, capsys):
+        # every modified word contains 0, so no word reaches the histogram;
+        # the budget must be checked once per ascent sequence tried
+        code, out, _ = run_cli(capsys, "dist", "--pattern", "0",
+                               "--modified", "--n", "11", "--stats", "asc",
+                               "--budget-seconds", "0.5", "--format", "jsonl")
+        assert code == EXIT_BUDGET
+        assert json.loads(out.splitlines()[-1])["status"]["complete"] is False
 
     def test_unknown_statistic(self, capsys):
         code, _, err = run_cli(capsys, "dist", "--pattern", "021", "--n", "3",
@@ -207,6 +264,16 @@ class TestTableCmd:
         assert all(line.endswith("ok") for line in body)
 
 
+    def test_budget_counts_before_the_closed_forms(self, capsys):
+        # the reference values up to the length cap take minutes; only
+        # the count checks the budget, so it must run first
+        start = time.monotonic()
+        code, _, _ = run_cli(capsys, "table", "--nmax", "1000000",
+                             "--budget-seconds", "0.3")
+        assert code == EXIT_BUDGET
+        assert time.monotonic() - start < 20
+
+
 class TestConjecturesCmd:
     def test_single_conjecture(self, capsys):
         code, out, _ = run_cli(capsys, "conjectures", "--name", "0123",
@@ -219,6 +286,17 @@ class TestConjecturesCmd:
         # sequences; the budget must be able to stop it inside a pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", "modi",
                                "--n", "10", "--budget-seconds", "0.5",
+                               "--format", "jsonl")
+        assert code == EXIT_BUDGET
+        status = json.loads(out.splitlines()[-1])["status"]
+        assert status["complete"] is False
+
+    @pytest.mark.parametrize("name", ["0012", "bi-021"])
+    def test_budget_counts_every_word(self, capsys, name):
+        # a length-13 pass holds hundreds of thousands of words; the
+        # budget must be able to stop it inside a pass
+        code, out, _ = run_cli(capsys, "conjectures", "--name", name,
+                               "--n", "13", "--budget-seconds", "1",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]

@@ -3,8 +3,8 @@
 import pytest
 
 from ascentseq.core import (as_word, asc, contains, count_occurrences, des,
-                            extension_completes, fwd, is_ascent_sequence,
-                            is_pattern, is_restricted, is_rgf, lrmax, lrmin,
+                            fwd, is_ascent_sequence, is_pattern,
+                            is_restricted, is_rgf, lrmax, lrmin,
                             maximal_positions, normalize_pattern,
                             perm_contains, rlmax, rlmin, stat, word_str,
                             zeros)
@@ -121,16 +121,6 @@ class TestPatterns:
                     for p in subs:
                         if not contains(w, p):
                             assert not has_q, (w, p, q)
-
-    def test_extension_matches_full_recheck(self, small_ascent_sequences):
-        patterns = [pat(s) for s in all_patterns(3)]
-        for w in small_ascent_sequences[4]:
-            for c in range(5):
-                for p in patterns:
-                    grown = w + (c,)
-                    expected = contains(grown, p) and not contains(w, p)
-                    if not contains(w, p):
-                        assert extension_completes(w, c, p) == expected
 
 
 def _ascent_sequences_fast(n):

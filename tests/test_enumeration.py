@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from ascentseq import enumeration
-from ascentseq.core import contains, extension_completes, is_restricted
+from ascentseq.core import contains, is_restricted
 from ascentseq.enumeration import (avoiders, count_ascent_sequences,
                                    count_avoiders, count_modified_avoiders,
                                    distribution, generate_ascent_sequences,
@@ -116,16 +116,19 @@ class TestAvoiders:
 
 def _generic_avoiders(p, n):
     # independent pruned walk that asks the containment search directly,
-    # sharing no code with any tracker
+    # sharing no code with any tracker; every word it extends avoids p,
+    # so the grown word contains p exactly when the new letter completes
+    # an occurrence
     def extend(word, a):
         if len(word) == n:
             yield word
             return
         for c in range(a + 2):
-            if not extension_completes(word, c, p):
-                yield from extend(word + (c,), a + (1 if c > word[-1] else 0))
+            grown = word + (c,)
+            if not contains(grown, p):
+                yield from extend(grown, a + (1 if c > word[-1] else 0))
 
-    if not extension_completes((), 0, p):
+    if not contains((0,), p):
         yield from extend((0,), 0)
 
 
@@ -165,6 +168,13 @@ class TestCanonicalTracker:
         # although the prefixes differ
         s01 = tr.step(once, 1)
         assert tr.step(s01, 1) == s01
+
+    def test_unchanged_mask_is_shared(self):
+        # a walk's stack holds one state per letter, so a dead mask of
+        # `size` bits copied at every step costs O(n * size) memory
+        tr = make_tracker(pat("01"), 10**4, generic=True)
+        once = tr.step(tr.state, 0)
+        assert tr.step(once, 0)[1] is once[1]
 
 
 class TestStructure:
@@ -250,11 +260,15 @@ class TestPermAvoiders:
         assert list(perm_avoiders(pat("01"), 1)) == [(1,)]
 
     def test_against_filter(self):
+        # every distinct-letter pattern of length at most 4, so each hand
+        # tracker that applies and the canonical one prune permutations
         from itertools import permutations
         from ascentseq.core import perm_contains
-        for label in ("021", "120", "201", "0123"):
+        labels = [s for s in all_patterns(4) if len(set(s)) == len(s)]
+        assert len(labels) == 33
+        for label in labels:
             q = pat(label)
-            for n in range(1, 7):
+            for n in range(1, 8):
                 expected = [p for p in permutations(range(1, n + 1))
                             if not perm_contains(p, q)]
                 assert list(perm_avoiders(q, n)) == expected
@@ -262,6 +276,17 @@ class TestPermAvoiders:
     def test_repeated_letters_rejected(self):
         with pytest.raises(ValueError):
             next(perm_avoiders(pat("001"), 3))
+
+
+class TestNoDepthLimit:
+    def test_generators_reach_length_3000(self):
+        # one letter per stack entry, none per call frame
+        assert list(avoiders(pat("01"), 3000)) == [(0,) * 3000]
+        assert next(generate_ascent_sequences(3000)) == (0,) * 3000
+        assert next(generate_restricted(3000)) == (0,) * 3000
+        assert next(generate_set_partitions(3000)) == \
+            (tuple(range(1, 3001)),)
+        assert next(perm_avoiders(pat("10"), 1500)) == tuple(range(1, 1501))
 
 
 class TestSetPartitions:
