@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Word, check_ascent_sequence, check_permutation, contains,
-                   is_ascent_sequence, is_restricted, is_rgf,
-                   maximal_positions, perm_contains, word_str)
+                   is_ascent_sequence, is_restricted, is_rgf, perm_contains,
+                   word_str)
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -195,7 +195,6 @@ def seq102_to_ternary(x) -> Word:
     pairing the 2s up.
     """
     dec = lifted_binary_decompose(x)
-    x = dec.reassemble()
     head = dec.head
     t = []
     for i in range(1, len(head)):
@@ -292,6 +291,25 @@ def seq021_to_restricted(x) -> Word:
 # restricted sequences -> 231-avoiding permutations
 
 
+def _split(y: Word) -> tuple[int, int, Word]:
+    """(top, i, reduced R) for a restricted y, scanned, not validated:
+    top is its rightmost maximal position, i the end of the run of equal
+    letters there, and R = y[i+1:] less its first letter."""
+    top = a = 0
+    for j in range(1, len(y)):
+        if y[j] == a + 1:
+            top = j
+        if y[j] > y[j - 1]:
+            a += 1
+    i = top
+    while i + 1 < len(y) and y[i + 1] == y[top]:
+        i += 1
+    right = y[i + 1:]
+    if right:
+        right = tuple(letter - right[0] for letter in right)
+    return top, i, right
+
+
 def reduce_tail(x) -> tuple[Word, int, Word]:
     """Split x as L m R at the last repetition of its rightmost maximal
     letter and renormalize R by subtracting its first letter.
@@ -302,12 +320,8 @@ def reduce_tail(x) -> tuple[Word, int, Word]:
     x = tuple(x)
     if not is_restricted(x):
         raise ValueError(f"not a restricted ascent sequence: {word_str(x)}")
-    positions, last_rep = maximal_positions(x)
-    i = last_rep[max(positions)]
-    left, mid, right = x[:i], x[i], x[i + 1:]
-    if right:
-        right = tuple(letter - right[0] for letter in right)
-    return left, mid, right
+    _, i, right = _split(x)
+    return x[:i], x[i], right
 
 
 def _omega(x: Word) -> list[int]:
@@ -324,18 +338,8 @@ def _omega(x: Word) -> list[int]:
         y, lo, off = stack.pop()
         if not y:
             continue
-        top = a = 0     # y is restricted, so it is scanned, not validated
-        for j in range(1, len(y)):
-            if y[j] == a + 1:
-                top = j
-            if y[j] > y[j - 1]:
-                a += 1
-        i = top
-        while i + 1 < len(y) and y[i + 1] == y[top]:
-            i += 1
-        left, right = y[:i], y[i + 1:]
-        if right:
-            right = tuple(letter - right[0] for letter in right)
+        top, i, right = _split(y)
+        left = y[:i]
         ell = len(left)
         if i > top:     # the rightmost maximal letter is repeated
             out[off] = lo

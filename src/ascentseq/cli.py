@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from collections import Counter
 
-from .core import (STATISTICS, asc, des, is_pattern, normalize_pattern, stat,
-                   word_str)
+from .core import STATISTICS, asc, des, is_pattern, normalize_pattern, word_str
 from .enumeration import (avoider_counts, avoiders, count_avoiders,
-                          count_modified_avoiders, modified_avoiders)
+                          count_modified_avoiders, joint_distribution)
 from .bijections import BIJECTIONS, partition_str, standardize_partition
 from .fixtures import available_depth, expected_counts, table_patterns
 from .oracles import (CONJECTURE_IDS, all_patterns, run_conjecture,
@@ -63,6 +62,20 @@ def parse_n_range(text: str) -> tuple[int, int]:
     if hi > MAX_LENGTH:
         raise ValueError(f"lengths above {MAX_LENGTH} are not supported")
     return lo, hi
+
+
+def parse_seconds(text: str) -> float:
+    """A --budget-seconds value.  NaN is refused: no clock reading
+    exceeds a NaN deadline, so it would switch every budget guard off."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if math.isnan(seconds):
+        raise argparse.ArgumentTypeError("must be a number of seconds, "
+                                          f"not {text!r}")
+    return seconds
 
 
 def parse_cli_pattern(text: str) -> tuple[int, ...]:
@@ -195,14 +208,8 @@ def cmd_dist(args) -> int:
     kind = "modified-avoiders" if args.modified else "avoiders"
     try:
         for n in range(lo, hi + 1):
-            hist: Counter = Counter()
-            if args.modified:
-                words = (w for _, w in modified_avoiders(p, n, budget.check))
-            else:
-                words = avoiders(p, n)
-            for w in words:
-                budget.check()
-                hist[tuple(stat(w, s) for s in stats)] += 1
+            hist = joint_distribution((kind, p), n, *stats,
+                                      check=budget.check)
             for key in sorted(hist):
                 row = {"n": n}
                 row.update({s: key[i] for i, s in enumerate(stats)})
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, threads=False):
         sp.add_argument("--format", choices=("table", "csv", "jsonl"),
                         default="table", help="output format")
-        sp.add_argument("--budget-seconds", type=float, default=300.0,
+        sp.add_argument("--budget-seconds", type=parse_seconds, default=300.0,
                         help="abort enumeration after this many seconds")
         if threads:
             sp.add_argument("--threads", type=int, default=1,

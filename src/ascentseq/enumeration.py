@@ -278,9 +278,10 @@ def distribution(p, n: int, which: str) -> Counter:
     return Counter(stat(x, which) for x in avoiders(p, n))
 
 
-def joint_distribution(descriptor, n: int, s1: str, s2: str,
+def joint_distribution(descriptor, n: int, *stats: str,
                        check=None) -> Counter:
-    """Joint histogram of two statistics over a described set.
+    """Joint histogram of one or more statistics over a described set,
+    keyed by the tuple of their values in the order given.
 
     The descriptor is a pair ``(kind, pattern)`` with kind one of
     ``avoiders``, ``perm-avoiders`` or ``modified-avoiders``; statistics
@@ -288,6 +289,8 @@ def joint_distribution(descriptor, n: int, s1: str, s2: str,
     when given, is called once per word, and once per ascent sequence
     tried for the modified sets.
     """
+    if not stats:
+        raise ValueError("joint_distribution needs at least one statistic")
     try:
         kind, p = descriptor
     except (TypeError, ValueError):
@@ -304,5 +307,5 @@ def joint_distribution(descriptor, n: int, s1: str, s2: str,
     for w in words:
         if check is not None:
             check()
-        hist[(stat(w, s1), stat(w, s2))] += 1
+        hist[tuple(stat(w, s) for s in stats)] += 1
     return hist

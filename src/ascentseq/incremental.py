@@ -11,18 +11,25 @@ answers that question from a small state carried along the prefix:
     step(state, c)          state of the prefix extended by c
     count_allowed(state, t) number of allowed letters in 0..t
 
+Every state is a tuple whose last entry is the *dead mask*: bit c is set
+exactly when appending c would complete the pattern.  So ``forbid`` and
+``count_allowed`` are one bit test and one popcount, shared by every
+tracker, and each tracker only states its ``step``.  Dead letters stay
+dead as the prefix grows, so a step only ever ORs bits in.  A mask may
+be negative: ``-1 << (t + 1)`` kills every letter above t, which is how
+a summary of the form "dead above the smallest x" is kept, and
+``_below(f)`` kills every letter below f for "dead below the largest x";
+taking the min or max of such bounds is then ``dead |= ...``.
+
 The counting engine merges prefixes whose states are equal, so a state
 should keep no more than the future depends on.  The canonical tracker,
 used for every pattern without a hand summary, keeps the set of partial
 embeddings of the pattern, each reduced to the values and intervals its
-remaining letters depend on; forbidding and counting are then bit
-operations on a mask of dead letters.  For the patterns that dominate
-the counting workload there are hand-derived summaries below, each a
-bitmask of dead letters, a threshold above which letters are dead, or a
-floor below which they are.  The enumeration
-test suite checks every hand summary, and the canonical tracker on every
-pattern of length at most 4, against a walk that asks the containment
-search directly.
+remaining letters depend on.  For the patterns that dominate the
+counting workload there are hand-derived summaries below.  The
+enumeration test suite checks every hand summary, and the canonical
+tracker on every pattern of length at most 4, against a walk that asks
+the containment search directly.
 
 State components used repeatedly (letters are small, so sets of letters
 live in int bitmasks):
@@ -30,7 +37,7 @@ live in int bitmasks):
     seen     bitmask of letters present in the prefix
     rep      bitmask of letters present at least twice
     maxv     largest letter so far, -1 when empty
-    BIG      sentinel for "no constraint yet" minima
+    dead     the dead mask, always the last entry
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .core import normalize_pattern
-
-BIG = 1 << 60
 
 
 class Tracker(NamedTuple):
@@ -57,18 +62,18 @@ def _below(c: int) -> int:
     return (1 << c) - 1
 
 
-# --- mask-valued trackers: forbidden letters form a bitmask -----------------
-# count_allowed subtracts the popcount of the forbidden mask below top+1.
+def _between(lo: int, hi: int) -> int:
+    return _below(hi) & ~_below(lo + 1)
 
 
-def _mask_tracker(state0, forbid_mask, step):
-    def forbid(s, c):
-        return (forbid_mask(s) >> c) & 1
+def forbid(s, c: int) -> int:
+    """1 when appending c to a prefix in state s completes the pattern."""
+    return (s[-1] >> c) & 1
 
-    def count_allowed(s, top):
-        return top + 1 - (forbid_mask(s) & _below(top + 1)).bit_count()
 
-    return Tracker(state0, forbid, step, count_allowed)
+def count_allowed(s, top: int) -> int:
+    """Number of letters in 0..top that state s allows."""
+    return top + 1 - (s[-1] & _below(top + 1)).bit_count()
 
 
 # --- canonical fallback: the set of partial embeddings ----------------------
@@ -81,10 +86,6 @@ def _mask_tracker(state0, forbid_mask, step):
 # letters they accept, so they are folded into the dead mask instead of
 # being stored, and an embedding with an empty interval can never
 # complete and is dropped.  The root embedding (j = 0) is implicit.
-
-
-def _between(lo: int, hi: int) -> int:
-    return _below(hi) & ~_below(lo + 1)
 
 
 def _generic(p, size):
@@ -142,18 +143,40 @@ def _generic(p, size):
             dead = s[1]     # share an unchanged mask along a walk's stack
         return (embeddings, dead)
 
-    dead0 = _below(size) if k == 1 else 0
-    return _mask_tracker((frozenset(), dead0), lambda s: s[1], step)
+    return (frozenset(), -1 if k == 1 else 0), step
+
+
+# --- hand summaries ----------------------------------------------------------
+# Each returns (state0, step); the comment names what kills a letter.
+
+
+def _t_10(p, size):
+    # (b, a): dead below the maximum
+    def step(s, c):
+        return (s[0] | _below(c),)
+
+    return (0,), step
 
 
 def _t_000(p, size):
-    # (a, a, a): forbidden once a letter has appeared twice
+    # (a, a, a): dead once a letter has appeared twice
     def step(s, c):
         seen, rep = s
         bit = 1 << c
         return (seen | bit, rep | (seen & bit))
 
-    return _mask_tracker((0, 0), lambda s: s[1], step)
+    return (0, 0), step
+
+
+def _t_001(p, size):
+    # (a, a, b): dead above the smallest repeated letter
+    def step(s, c):
+        seen, dead = s
+        if (seen >> c) & 1:
+            dead |= -1 << (c + 1)
+        return (seen | (1 << c), dead)
+
+    return (0, 0), step
 
 
 def _t_010(p, size):
@@ -163,7 +186,7 @@ def _t_010(p, size):
         seen, up = s
         return (seen | (1 << c), up | (seen & _below(c)))
 
-    return _mask_tracker((0, 0), lambda s: s[1], step)
+    return (0, 0), step
 
 
 def _t_011(p, size):
@@ -176,238 +199,102 @@ def _t_011(p, size):
             at |= bit
         return (seen | bit, at)
 
-    return _mask_tracker((0, 0), lambda s: s[1], step)
+    return (0, 0), step
+
+
+def _t_012(p, size):
+    # (a, b, d): dead above the smallest top of a rising pair, as in
+    # patience sorting; mn is the smallest letter so far (size when none)
+    def step(s, c):
+        mn, dead = s
+        if c > mn:
+            dead |= -1 << (c + 1)
+        return (min(mn, c), dead)
+
+    return (size, 0), step
 
 
 def _t_100(p, size):
     # (b, a, a): letter a is dead once it occurred below an earlier max
     def step(s, c):
-        maxv, db = s
+        maxv, dead = s
         if c < maxv:
-            db |= 1 << c
-        return (max(maxv, c), db)
+            dead |= 1 << c
+        return (max(maxv, c), dead)
 
-    return _mask_tracker((-1, 0), lambda s: s[1], step)
+    return (-1, 0), step
 
 
 def _t_101(p, size):
     # (b, a, b): letter b is dead once some occurrence of it was followed
     # by a smaller letter
     def step(s, c):
-        seen, dt = s
-        dt |= seen >> (c + 1) << (c + 1)
-        return (seen | (1 << c), dt)
+        seen, dead = s
+        dead |= seen >> (c + 1) << (c + 1)
+        return (seen | (1 << c), dead)
 
-    return _mask_tracker((0, 0), lambda s: s[1], step)
-
-
-def _t_0101(p, size):
-    # (a, b, a, b): b dead once some a < b traced a..b..a; tops[a] holds
-    # the letters that have followed an occurrence of a
-    def step(s, c):
-        seen, tops, aba = s
-        aba |= tops[c]
-        bit = 1 << c
-        lower = seen & _below(c)
-        if lower:
-            tops = tuple(t | bit if (lower >> x) & 1 else t
-                         for x, t in enumerate(tops))
-        return (seen | bit, tops, aba)
-
-    return _mask_tracker((0, (0,) * size, 0), lambda s: s[2], step)
-
-
-# --- threshold trackers: forbidden iff c exceeds a tracked minimum ----------
-
-
-def _min_tracker(state0, threshold, step):
-    def forbid(s, c):
-        return c > threshold(s)
-
-    def count_allowed(s, top):
-        return min(threshold(s), top) + 1
-
-    return Tracker(state0, forbid, step, count_allowed)
-
-
-def _t_001(p, size):
-    # (a, a, b): forbidden above the smallest repeated letter
-    def step(s, c):
-        seen, mn = s
-        if (seen >> c) & 1 and c < mn:
-            mn = c
-        return (seen | (1 << c), mn)
-
-    return _min_tracker((0, BIG), lambda s: s[1], step)
-
-
-def _t_012(p, size):
-    # rising pair tail minimum, as in patience sorting
-    def step(s, c):
-        t1, t2 = s
-        if c > t1 and c < t2:
-            t2 = c
-        return (min(t1, c), t2)
-
-    return _min_tracker((BIG, BIG), lambda s: s[1], step)
-
-
-def _t_0123(p, size):
-    def step(s, c):
-        t1, t2, t3 = s
-        if c > t2 and c < t3:
-            t3 = c
-        if c > t1 and c < t2:
-            t2 = c
-        return (min(t1, c), t2, t3)
-
-    return _min_tracker((BIG, BIG, BIG), lambda s: s[2], step)
+    return (0, 0), step
 
 
 def _t_102(p, size):
-    # (b, a, d) with a < b < d: forbidden above the smallest descent top
+    # (b, a, d) with a < b < d: dead above the smallest descent top
     def step(s, c):
-        seen, mn = s
+        seen, dead = s
         higher = seen >> (c + 1)
         if higher:
-            mn = min(mn, c + 1 + _lsb(higher))
-        return (seen | (1 << c), mn)
+            dead |= -1 << (c + 2 + _lsb(higher))
+        return (seen | (1 << c), dead)
 
-    return _min_tracker((0, BIG), lambda s: s[1], step)
-
-
-def _t_0102(p, size):
-    # (a, b, a, d): forbidden above the smallest middle letter of an
-    # a..b..a trace
-    def step(s, c):
-        seen, tops, mn = s
-        m = tops[c]
-        if m:
-            mn = min(mn, _lsb(m))
-        bit = 1 << c
-        lower = seen & _below(c)
-        if lower:
-            tops = tuple(t | bit if (lower >> x) & 1 else t
-                         for x, t in enumerate(tops))
-        return (seen | bit, tops, mn)
-
-    return _min_tracker((0, (0,) * size, BIG), lambda s: s[2], step)
-
-
-def _t_0112(p, size):
-    # (a, b, b, d): forbidden above the smallest repeated ascent top
-    def step(s, c):
-        seen, at, mn = s
-        bit = 1 << c
-        if at & bit and c < mn:
-            mn = c
-        if seen & _below(c):
-            at |= bit
-        return (seen | bit, at, mn)
-
-    return _min_tracker((0, 0, BIG), lambda s: s[2], step)
-
-
-def _t_0012(p, size):
-    # (a, a, b, d): forbidden above the smallest b with a repeated a < b
-    def step(s, c):
-        seen, rep, mn = s
-        bit = 1 << c
-        if rep & _below(c) and c < mn:
-            mn = c
-        return (seen | bit, rep | (seen & bit), mn)
-
-    return _min_tracker((0, 0, BIG), lambda s: s[2], step)
-
-
-def _t_1012(p, size):
-    # (b, a, b, d): forbidden above the smallest letter with a b..a..b trace
-    def step(s, c):
-        seen, dt, mn = s
-        if (dt >> c) & 1 and c < mn:
-            mn = c
-        dt |= seen >> (c + 1) << (c + 1)
-        return (seen | (1 << c), dt, mn)
-
-    return _min_tracker((0, 0, BIG), lambda s: s[2], step)
-
-
-# --- floor trackers: forbidden iff c falls below a tracked maximum ----------
-
-
-def _max_tracker(state0, floor, step):
-    def forbid(s, c):
-        return c < floor(s)
-
-    def count_allowed(s, top):
-        f = floor(s)
-        if f <= 0:
-            return top + 1
-        return top + 1 - min(f, top + 1)
-
-    return Tracker(state0, forbid, step, count_allowed)
-
-
-def _t_10(p, size):
-    def step(maxv, c):
-        return c if c > maxv else maxv
-
-    return _max_tracker(-1, lambda s: s, step)
+    return (0, 0), step
 
 
 def _t_110(p, size):
-    # (b, b, a): forbidden below the largest repeated letter
+    # (b, b, a): dead below the largest repeated letter
     def step(s, c):
-        seen, mx = s
-        if (seen >> c) & 1 and c > mx:
-            mx = c
-        return (seen | (1 << c), mx)
+        seen, dead = s
+        if (seen >> c) & 1:
+            dead |= _below(c)
+        return (seen | (1 << c), dead)
 
-    return _max_tracker((0, -1), lambda s: s[1], step)
+    return (0, 0), step
 
 
 def _t_120(p, size):
-    # (b, d, a) with a < b < d: forbidden below the largest ascent bottom
+    # (b, d, a) with a < b < d: dead below the largest ascent bottom
     def step(s, c):
-        seen, mx = s
+        seen, dead = s
         lower = seen & _below(c)
         if lower:
-            mx = max(mx, lower.bit_length() - 1)
-        return (seen | (1 << c), mx)
+            dead |= _below(lower.bit_length() - 1)
+        return (seen | (1 << c), dead)
 
-    return _max_tracker((0, -1), lambda s: s[1], step)
+    return (0, 0), step
 
 
 def _t_210(p, size):
-    # (c, b, a): forbidden below the largest descent bottom
+    # (c, b, a): dead below the largest descent bottom
     def step(s, c):
-        maxv, mx = s
-        if c < maxv and c > mx:
-            mx = c
-        return (max(maxv, c), mx)
+        maxv, dead = s
+        if c < maxv:
+            dead |= _below(c)
+        return (max(maxv, c), dead)
 
-    return _max_tracker((-1, -1), lambda s: s[1], step)
-
-
-# --- straddle trackers: letters dead once inside a stored pair -------------
-# The final letter must fit strictly between the two legs lo < hi of a
-# stored pair; legs only accumulate, so a dead letter stays dead and the
-# dead letters form a bitmask that grows by _between(lo, hi) per pair.
+    return (-1, 0), step
 
 
 def _t_201(p, size):
-    # (d, a, b): needs a descent pair d..a with a < c < d
+    # (d, a, b): dead inside a descent pair d..a, that is a < c < d
     def step(s, c):
         maxv, dead = s
         if c < maxv:
             dead |= _between(c, maxv)
         return (max(maxv, c), dead)
 
-    return _mask_tracker((-1, 0), lambda s: s[1], step)
+    return (-1, 0), step
 
 
 def _t_021(p, size):
-    # (a, d, b): needs an ascent pair a..d with a < c < d
+    # (a, d, b): dead inside an ascent pair a..d, that is a < c < d
     def step(s, c):
         seen, dead = s
         lower = seen & _below(c)
@@ -415,7 +302,19 @@ def _t_021(p, size):
             dead |= _between(_lsb(lower), c)
         return (seen | (1 << c), dead)
 
-    return _mask_tracker((0, 0), lambda s: s[1], step)
+    return (0, 0), step
+
+
+def _t_0012(p, size):
+    # (a, a, b, d): dead above the smallest b with a repeated a < b
+    def step(s, c):
+        seen, rep, dead = s
+        bit = 1 << c
+        if rep & _below(c):
+            dead |= -1 << (c + 1)
+        return (seen | bit, rep | (seen & bit), dead)
+
+    return (0, 0, 0), step
 
 
 def _t_0021(p, size):
@@ -428,7 +327,82 @@ def _t_0021(p, size):
         bit = 1 << c
         return (seen | bit, rep | (seen & bit), dead)
 
-    return _mask_tracker((0, 0, 0), lambda s: s[2], step)
+    return (0, 0, 0), step
+
+
+def _t_0101(p, size):
+    # (a, b, a, b): b dead once some a < b traced a..b..a; tops[a] holds
+    # the letters that have followed an occurrence of a
+    def step(s, c):
+        seen, tops, dead = s
+        dead |= tops[c]
+        bit = 1 << c
+        lower = seen & _below(c)
+        if lower:
+            tops = tuple(t | bit if (lower >> x) & 1 else t
+                         for x, t in enumerate(tops))
+        return (seen | bit, tops, dead)
+
+    return (0, (0,) * size, 0), step
+
+
+def _t_0102(p, size):
+    # (a, b, a, d): dead above the smallest middle letter of an a..b..a
+    # trace; tops as in 0101
+    def step(s, c):
+        seen, tops, dead = s
+        m = tops[c]
+        if m:
+            dead |= -1 << (_lsb(m) + 1)
+        bit = 1 << c
+        lower = seen & _below(c)
+        if lower:
+            tops = tuple(t | bit if (lower >> x) & 1 else t
+                         for x, t in enumerate(tops))
+        return (seen | bit, tops, dead)
+
+    return (0, (0,) * size, 0), step
+
+
+def _t_0112(p, size):
+    # (a, b, b, d): dead above the smallest repeated ascent top
+    def step(s, c):
+        seen, at, dead = s
+        bit = 1 << c
+        if at & bit:
+            dead |= -1 << (c + 1)
+        if seen & _below(c):
+            at |= bit
+        return (seen | bit, at, dead)
+
+    return (0, 0, 0), step
+
+
+def _t_0123(p, size):
+    # (a, b, d, e): dead above the smallest top of a rising triple; mn
+    # and top2 as in 012 (size when none yet)
+    def step(s, c):
+        mn, top2, dead = s
+        if c > top2:
+            dead |= -1 << (c + 1)
+        if mn < c < top2:
+            top2 = c
+        return (min(mn, c), top2, dead)
+
+    return (size, size, 0), step
+
+
+def _t_1012(p, size):
+    # (b, a, b, d): dead above the smallest letter with a b..a..b trace;
+    # dt as in 101
+    def step(s, c):
+        seen, dt, dead = s
+        if (dt >> c) & 1:
+            dead |= -1 << (c + 1)
+        dt |= seen >> (c + 1) << (c + 1)
+        return (seen | (1 << c), dt, dead)
+
+    return (0, 0, 0), step
 
 
 _FACTORIES = {
@@ -466,8 +440,6 @@ def make_tracker(p, size: int, generic: bool = False) -> Tracker:
     which the tests use to check it against the containment search.
     """
     p = normalize_pattern(p)
-    if not generic:
-        factory = _FACTORIES.get(p)
-        if factory is not None:
-            return factory(p, size)
-    return _generic(p, size)
+    factory = None if generic else _FACTORIES.get(p)
+    state0, step = (factory or _generic)(p, size)
+    return Tracker(state0, forbid, step, count_allowed)

@@ -284,7 +284,7 @@ def _run_bi_021(n_max: int, check) -> list[ConjectureVerdict]:
     out = []
     for n in range(1, n_max + 1):
         h1, h2 = (joint_distribution((kind, (0, 2, 1)), n, "asc", "rlmin",
-                                     check)
+                                     check=check)
                   for kind in ("avoiders", "perm-avoiders"))
         out.append(_histogram_verdict(
             n, h1, h2, "(asc, rlmin) on 021-avoiders vs 132-avoiding perms"))
@@ -295,15 +295,15 @@ def _run_0012(n_max: int, check) -> list[ConjectureVerdict]:
     out = []
     a0012 = ("avoiders", (0, 0, 1, 2))
     for n in range(1, n_max + 1):
-        h_fwd = joint_distribution(a0012, n, "asc", "fwd", check)
+        h_fwd = joint_distribution(a0012, n, "asc", "fwd", check=check)
         v = _verdict_counts("|A_0012|", n, sum(h_fwd.values()), catalan(n),
                             "Catalan")
         if not v.holds:
             out.append(v)
             continue
-        h_zeros = joint_distribution(a0012, n, "asc", "zeros", check)
+        h_zeros = joint_distribution(a0012, n, "asc", "zeros", check=check)
         h_perm = joint_distribution(("perm-avoiders", (0, 2, 1)), n,
-                                    "asc", "rlmax", check)
+                                    "asc", "rlmax", check=check)
         v = _histogram_verdict(n, h_fwd, h_perm,
                                "(asc, fwd) vs (asc, rlmax) on 132-avoiders")
         if v.holds:

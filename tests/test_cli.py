@@ -36,6 +36,21 @@ class TestParsing:
                                "99999999999999999999", "--budget-seconds", "1")
         assert code == EXIT_USAGE and "not supported" in err
 
+    def test_nan_budget_refused(self, capsys):
+        # no clock reading exceeds a NaN deadline, so it would switch
+        # every budget guard off; inf stays a valid "no limit"
+        for argv in (["count", "--pattern", "01", "--n", "3"],
+                     ["bijection", "--name", "phi", "--input", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--budget-seconds", "nan"])
+            err = capsys.readouterr().err
+            assert exc.value.code == EXIT_USAGE
+            assert "error:" in err and "nan" in err
+            assert "Traceback" not in err
+        code, out, _ = run_cli(capsys, "count", "--pattern", "101", "--n",
+                               "3", "--budget-seconds", "inf")
+        assert code == EXIT_OK and out.splitlines()[-1].split() == ["3", "5"]
+
     def test_pattern_hygiene(self):
         assert parse_cli_pattern("0101") == (0, 1, 0, 1)
         with pytest.raises(ValueError, match="normal form"):

@@ -177,6 +177,39 @@ class TestCanonicalTracker:
         assert tr.step(once, 0)[1] is once[1]
 
 
+def _reached_states(tr, n):
+    # every tracker state the layered count reaches through length n
+    keys = {(tr.state, -1, -1)}
+    states = {tr.state}
+    for _ in range(n):
+        keys = {(tr.step(s, c), c, a + 1 if c > last else a)
+                for s, last, a in keys for c in range(a + 2)
+                if not tr.forbid(s, c)}
+        states.update(s for s, _, _ in keys)
+    return states
+
+
+class TestTrackerConvention:
+    """Every tracker state ends in its dead mask, and forbid and
+    count_allowed read nothing else."""
+
+    @pytest.mark.parametrize("generic", [False, True],
+                             ids=["hand", "canonical"])
+    def test_last_entry_is_the_dead_mask(self, generic):
+        patterns = ([pat(label) for label in all_patterns(4)] if generic
+                    else sorted(SPECIALIZED))
+        assert len(patterns) == (92 if generic else 21)
+        size = 9
+        for p in patterns:
+            tr = make_tracker(p, size, generic=generic)
+            for s in _reached_states(tr, 7):
+                for c in range(size):
+                    assert tr.forbid(s, c) == (s[-1] >> c) & 1, (p, s, c)
+                for t in range(size):
+                    assert tr.count_allowed(s, t) == sum(
+                        not tr.forbid(s, c) for c in range(t + 1)), (p, s, t)
+
+
 class TestStructure:
     """Shape characterizations of the avoider classes."""
 
@@ -329,6 +362,18 @@ class TestDistributions:
         for n in range(1, 6):
             h = joint_distribution(("avoiders", pat("01")), n, "asc", "zeros")
             assert h == Counter({(0, n): 1})
+        # one statistic or three: keys are tuples in the order given
+        assert joint_distribution(("avoiders", pat("101")), 5, "asc") == \
+            Counter({(a,): m for a, m in
+                     distribution(pat("101"), 5, "asc").items()})
+        h_three = joint_distribution(("avoiders", pat("0012")), 4,
+                                     "asc", "fwd", "zeros")
+        pairs: Counter = Counter()
+        for (a, f, _), m in h_three.items():
+            pairs[(a, f)] += m
+        assert pairs == h3 and len(next(iter(h_three))) == 3
+        with pytest.raises(ValueError):
+            joint_distribution(("avoiders", pat("01")), 3)
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):
