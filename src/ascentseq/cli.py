@@ -17,7 +17,7 @@ import time
 
 from .core import STATISTICS, asc, des, is_pattern, normalize_pattern, word_str
 from .enumeration import (avoider_counts, avoiders, count_avoiders,
-                          count_modified_avoiders, joint_distribution)
+                          joint_distribution, modified_asc_counts)
 from .bijections import BIJECTIONS, partition_str, standardize_partition
 from .fixtures import available_depth, expected_counts, table_patterns
 from .oracles import (CONJECTURE_IDS, all_patterns, run_conjecture,
@@ -159,8 +159,8 @@ def cmd_count(args) -> int:
     budget = Budget(args.budget_seconds)
     rows, status = [], {"complete": True}
     if args.modified:
-        counts = ((n, count_modified_avoiders(p, n, check=budget.check))
-                  for n in range(lo, hi + 1))
+        counts = ((n, sum(hist.values())) for n, hist in
+                  modified_asc_counts(p, hi, check=budget.check))
     else:
         counts = avoider_counts(p, hi, check=budget.check)
     try:
@@ -183,8 +183,7 @@ def cmd_list(args) -> int:
     rows, status = [], {"complete": True}
     try:
         for n in range(lo, hi + 1):
-            for w in avoiders(p, n):
-                budget.check()
+            for w in avoiders(p, n, budget.check):
                 rows.append({"n": n, "sequence": word_str(w)})
     except BudgetExceeded as exc:
         status = {"complete": False, "reason": str(exc)}

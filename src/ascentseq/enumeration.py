@@ -9,7 +9,17 @@ containment is monotone under appending letters.  Counting needs no
 sequences at all: it is a layered transfer-matrix count over (tracker
 state, last letter, ascents), where prefixes with equal keys have equal
 futures and are merged into one weighted state.  The last layer is never
-built; its states are summed through ``count_allowed``.
+built; its states are summed from their dead masks.
+
+Modified ascent sequences are counted the same way, on the canonical
+tracker state of the modified word.  Appending c to x appends c to
+modify(x), after raising every letter >= c by one when c is an ascent
+top; the raise keeps the order of the earlier letters, so containment
+stays monotone.  The state is kept in doubled coordinates, where value
+v is letter 2v + 1 and 2v is the gap just below it, and the raise turns
+gap 2c into a new value (``incremental.open_gap``).  Every layer is one
+pass that yields its ``asc`` histogram, with one budget check per state.
+``modified_avoiders`` still lists the words themselves.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bijections
-from .core import asc, contains, normalize_pattern, stat, word_str
-from .incremental import make_tracker
+from .core import contains, normalize_pattern, stat, word_str
+from .incremental import make_tracker, open_gap, state_reducer
 
 
 @dataclass
@@ -42,18 +52,22 @@ def _check_length(n: int) -> None:
         raise ValueError("length must be at least 1")
 
 
-def _walk(n: int, state0, children):
+def _walk(n: int, state0, children, check=None):
     """Yield every length-n word grown from state0, lexicographically.
 
     ``children(state)`` returns an iterator of ``(letter, next_state)``
     pairs in increasing letter order; the stack holds one partly used
     iterator per prefix position.  Last letter, ascents and maximum start
-    at -1, so only 0 may follow the empty prefix.
+    at -1, so only 0 may follow the empty prefix.  ``check``, when given,
+    is called once per prefix grown, so a budget can stop the walk on its
+    way to a word.
     """
     prefix: list[int] = []
     stack = [children(state0)]
     while stack:
         for c, state in stack[-1]:
+            if check is not None:
+                check()
             prefix.append(c)
             if len(prefix) < n:
                 stack.append(children(state))
@@ -102,8 +116,9 @@ def count_ascent_sequences(n: int) -> int:
 # pattern avoiders
 
 
-def avoiders(p, n: int):
-    """Yield the p-avoiding ascent sequences of length n, lexicographically."""
+def avoiders(p, n: int, check=None):
+    """Yield the p-avoiding ascent sequences of length n, lexicographically;
+    ``check`` is passed on to the walk."""
     _check_length(n)
     p = normalize_pattern(p)
     tr = make_tracker(p, n + 2)
@@ -115,7 +130,7 @@ def avoiders(p, n: int):
             if not forbid(state, c):
                 yield c, (step(state, c), c, a + 1 if c > last else a)
 
-    yield from _walk(n, (tr.state, -1, -1), children)
+    yield from _walk(n, (tr.state, -1, -1), children, check)
 
 
 def avoider_counts(p, n_max: int, check=None):
@@ -184,9 +199,10 @@ def generate_restricted(n: int):
 # pattern-avoiding permutations
 
 
-def perm_avoiders(q, n: int):
+def perm_avoiders(q, n: int, check=None):
     """Yield the permutations of 1..n avoiding the (distinct-letter)
-    pattern q, lexicographically, pruned by the pattern's tracker."""
+    pattern q, lexicographically, pruned by the pattern's tracker;
+    ``check`` is passed on to the walk."""
     _check_length(n)
     q = normalize_pattern(q)
     if len(set(q)) != len(q):
@@ -200,7 +216,7 @@ def perm_avoiders(q, n: int):
             if not (used >> v) & 1 and not forbid(state, v):
                 yield v, (step(state, v), used | 1 << v)
 
-    yield from _walk(n, (tr.state, 0), children)
+    yield from _walk(n, (tr.state, 0), children, check)
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +257,78 @@ def modified_avoiders(p, n: int, check=None):
             yield x, w
 
 
-def modified_asc_histograms(patterns, n: int, check=None) -> list[Counter]:
-    """For each pattern, the histogram of asc(x) over the ascent sequences
-    x of length n whose modified word avoids it, in the order given.
+def modified_asc_counts(p, n_max: int, check=None):
+    """Yield ``(n, histogram)`` for n = 1..n_max, where the histogram maps
+    asc(x) to the number of ascent sequences x of length n whose
+    modified word avoids p, each as soon as its layer is done.
 
-    One pass serves every pattern: each sequence is generated and
-    modified once.  ``check``, when given, is called once per ascent
-    sequence, so a budget also bounds patterns that few or no sequences
-    avoid."""
-    patterns = [normalize_pattern(p) for p in patterns]
-    hists = [Counter() for _ in patterns]
-    for x in generate_ascent_sequences(n):
+    A layered count like ``avoider_counts``, keyed by (canonical tracker
+    state of the modified word, last letter, ascents).  A letter c not
+    above the last one is appended to the modified word as it is; an
+    ascent top c first raises every letter >= c, which the state follows
+    through ``open_gap`` in doubled coordinates (value v is letter
+    2v + 1, gap 2v lies just below it).  After each step
+    ``state_reducer`` drops the embeddings that cannot change a
+    ``forbid`` answer, so that more states merge.  ``check``, when
+    given, is called once per state and may raise to abort; the
+    histograms yielded before it raised stay valid.
+    """
+    _check_length(n_max)
+    p = normalize_pattern(p)
+    size = 2 * n_max + 3
+    tr = make_tracker(p, size, generic=True)
+    forbid, step = tr.forbid, tr.step
+    reduce = state_reducer(p)
+    layer = Counter({(tr.state, -1, -1): 1})
+    for n in range(1, n_max):
+        nxt: Counter = Counter()
+        for (state, last, a), ways in layer.items():
+            if check is not None:
+                check()
+            for c in range(last + 1):
+                if not forbid(state, 2 * c + 1):
+                    s = step(state, 2 * c + 1)
+                    nxt[(reduce(s, state), c, a)] += ways
+            for c in range(last + 1, a + 2):
+                if not forbid(state, 2 * c):
+                    moved = open_gap(state, 2 * c, size)
+                    s = step(moved, 2 * c + 1)
+                    nxt[(reduce(s, moved), c, a + 1)] += ways
+        layer = nxt
+        hist: Counter = Counter()
+        for (_, _, a), ways in layer.items():
+            hist[a] += ways
+        yield n, hist
+    # the last layer is summed, not built: c <= last is allowed when value
+    # c is alive (odd bit 2c + 1), an ascent top c when gap 2c is
+    every_other = ((1 << (size + 1)) - 1) // 3     # bits 0, 2, 4, ...
+
+    def alive(dead, lo, count):
+        """How many of the bits lo, lo + 2, ..., lo + 2(count - 1) are 0."""
+        return count - ((dead >> lo) & every_other
+                        & ((1 << (2 * count)) - 1)).bit_count()
+
+    hist = Counter()
+    for (state, last, a), ways in layer.items():
         if check is not None:
             check()
-        w = bijections.modify(x)
-        a = asc(x)
-        for p, hist in zip(patterns, hists):
-            if not contains(w, p):
-                hist[a] += 1
-    return hists
+        flat = alive(state[-1], 1, last + 1)
+        rise = alive(state[-1], 2 * last + 2, a - last + 1)
+        if flat:
+            hist[a] += ways * flat
+        if rise:
+            hist[a + 1] += ways * rise
+    yield n_max, hist
 
 
 def count_modified_avoiders(p, n: int, check=None) -> int:
     """Number of ascent sequences of length n whose modified word avoids
-    p; ``check`` is passed on to ``modified_asc_histograms``."""
-    return sum(modified_asc_histograms([p], n, check)[0].values())
+    p, by the layered count of ``modified_asc_counts`` (canonical tracker
+    states in doubled coordinates, moved by ``open_gap`` before each
+    ascent top); ``check`` is called once per state."""
+    for _, hist in modified_asc_counts(p, n, check):
+        pass
+    return sum(hist.values())
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +359,9 @@ def joint_distribution(descriptor, n: int, *stats: str,
     except (TypeError, ValueError):
         raise ValueError(f"unknown set descriptor {descriptor!r}") from None
     if kind == "avoiders":
-        words = avoiders(p, n)
+        words = avoiders(p, n, check)
     elif kind == "perm-avoiders":
-        words = perm_avoiders(p, n)
+        words = perm_avoiders(p, n, check)
     elif kind == "modified-avoiders":
         words = (w for _, w in modified_avoiders(p, n, check))
     else:

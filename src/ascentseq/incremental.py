@@ -146,6 +146,113 @@ def _generic(p, size):
     return (frozenset(), -1 if k == 1 else 0), step
 
 
+# --- the canonical state of a modified word ----------------------------------
+# Appending c to an ascent sequence x appends c to its modified word, after
+# raising every letter >= c by one when c is an ascent top.  The canonical
+# tracker follows the raise in doubled coordinates: value v is letter
+# 2v + 1 and 2v is the gap just below it, so the raise turns gap 2c into
+# a new value with a gap on either side.  Letters are odd, so the
+# tracker's empty-interval test already keeps the gap between two
+# adjacent values open for such a new value, and its step is unchanged.
+
+
+def open_gap(s, g: int, size: int):
+    """Canonical state s after its live gap g becomes gap, value g + 1
+    and gap: every value, interval end and dead bit above g moves up by
+    2, except the upper sentinel ``size``.  Gap g is not dead, so neither
+    are the three letters it becomes."""
+    embeddings, dead = s
+    moved, changed = [], False
+    for e in embeddings:
+        vals = list(e[1])
+        for u, a in enumerate(vals):
+            if type(a) is int:
+                if a > g:
+                    vals[u] = a + 2
+            elif a is not None:
+                lo, hi = a
+                if lo > g or g < hi < size:
+                    vals[u] = (lo + 2 if lo > g else lo,
+                               hi + 2 if hi < size else hi)
+        vals = tuple(vals)
+        # an unmoved embedding stays the same object, shared between states
+        if vals != e[1]:
+            e, changed = (e[0], vals), True
+        moved.append(e)
+    if changed:
+        embeddings = frozenset(moved)
+    dead = dead & _below(g) | dead >> (g + 1) << (g + 3)
+    return (embeddings, dead & _below(size))
+
+
+def state_reducer(p):
+    """A function ``reduce(s, prev=None)`` that drops, from a canonical
+    state, the embeddings that can only kill letters some other part of
+    the state kills anyway:
+
+    (a) those whose final pattern letter may only take dead letters;
+    (b) an embedding (j1, v1) when another (j2 >= j1, v2) admits, on
+        every letter of p[j2:], every letter v1 admits, so that every
+        completion of v1 also completes v2.
+
+    ``forbid`` answers stay the same on every continuation, including
+    ``open_gap`` moves; only the states get fewer.  When s is a step
+    from a reduced state ``prev``, (b) only compares pairs that involve
+    an embedding the step added, and the result is the same.
+    """
+    p = normalize_pattern(p)
+    final = p[-1]
+    # the final letter first: it is in every tail and rejects most pairs
+    tails = [(final, *(set(p[j:]) - {final})) for j in range(len(p))]
+
+    def reduce(s, prev=None):
+        embeddings, dead = s
+        old, old_dead = (frozenset(), None) if prev is None else prev
+        if embeddings is old and dead == old_dead:
+            return s
+        # (a), on every embedding when the dead mask grew, else on new ones
+        live, fresh = [], []
+        for e in embeddings:
+            new = e not in old
+            if new or dead != old_dead:
+                a = e[1][final]
+                m = 1 << a if type(a) is int else _between(*a)
+                if dead & m == m:
+                    continue
+            live.append((e, new))
+            if new:
+                fresh.append(e)
+        kept = [e for e, _ in live]
+        if fresh:
+            # (b), on the pairs that involve a new embedding
+            kept = [e1 for e1, new in live
+                    if not dominated(e1, kept if new else fresh)]
+        if len(kept) == len(embeddings):
+            return s
+        return (frozenset(kept), dead)
+
+    def dominated(e1, others):
+        j1, v1 = e1
+        for e2 in others:
+            j2, v2 = e2
+            if j2 < j1 or e2 is e1:
+                continue
+            # a letter e1 has matched, e2 has matched too (j2 >= j1), so
+            # b is a value wherever a is
+            for u in tails[j2]:
+                a, b = v1[u], v2[u]
+                if type(b) is int:
+                    if a != b:
+                        break
+                elif a[0] < b[0] or b[1] < a[1]:
+                    break
+            else:
+                return True     # e2 admits every letter e1 admits
+        return False
+
+    return reduce
+
+
 # --- hand summaries ----------------------------------------------------------
 # Each returns (state0, step); the comment names what kills a letter.
 

@@ -20,7 +20,7 @@ from math import comb
 
 from .core import normalize_pattern, word_str
 from .enumeration import (CountSeries, count_avoiders, joint_distribution,
-                          modified_asc_histograms)
+                          modified_asc_counts)
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -363,10 +363,12 @@ def _run_0021_count(n_max: int, check) -> list[ConjectureVerdict]:
 
 
 def _run_modi(n_max: int, check) -> list[ConjectureVerdict]:
-    patterns = [label_to_pattern(label) for label in MODIFIED_PATTERNS]
+    # one pattern at a time, so that only one pattern's layers are alive
+    series = [list(modified_asc_counts(label_to_pattern(label), n_max, check))
+              for label in MODIFIED_PATTERNS]
     out = []
-    for n in range(1, n_max + 1):
-        hists = modified_asc_histograms(patterns, n, check)
+    for n, row in enumerate(zip(*series), 1):
+        hists = [hist for _, hist in row]
         want = {k: stirling2(n, n - k) for k in range(n)
                 if stirling2(n, n - k)}
         verdict = ConjectureVerdict(n, True)

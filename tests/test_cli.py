@@ -117,10 +117,10 @@ class TestCount:
         assert {n: rows[n] for n in want} == want
 
     def test_modified_budget_counts_every_sequence(self, capsys):
-        # every sequence contains 0, so no avoider ever reaches the budget
-        # check unless it is made once per sequence generated
-        code, out, _ = run_cli(capsys, "count", "--pattern", "0",
-                               "--modified", "--n", "10",
+        # the modified count is one layered pass to n=14, about 1 s of
+        # states for 1102; the budget must stop it inside that pass
+        code, out, _ = run_cli(capsys, "count", "--pattern", "1102",
+                               "--modified", "--n", "14",
                                "--budget-seconds", "0.1", "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]
@@ -128,12 +128,15 @@ class TestCount:
 
     def test_no_recursion_limit_on_modified_words(self, capsys):
         # 1200 letters per word, past CPython's default recursion limit;
-        # every word contains 0, so only the budget ends the run
+        # every word contains 0, so the first layer is empty and the
+        # layered count finishes at once
         code, out, err = run_cli(capsys, "count", "--pattern", "0",
                                  "--modified", "--n", "1200",
                                  "--budget-seconds", "2", "--format", "jsonl")
-        assert code == EXIT_BUDGET and "Traceback" not in err
-        assert json.loads(out.splitlines()[-1])["status"]["complete"] is False
+        assert code == EXIT_OK and "Traceback" not in err
+        lines = out.splitlines()
+        assert json.loads(lines[1]) == {"n": 1200, "count": 0}
+        assert json.loads(lines[-1])["status"]["complete"] is True
 
     @pytest.mark.parametrize("pattern,n", [("0123", "3000"), ("1110", "373")])
     def test_budget_stops_slow_words_promptly(self, capsys, pattern, n):
@@ -175,6 +178,16 @@ class TestList:
                                  "--n", "2000", "--format", "csv")
         assert code == EXIT_OK and "Traceback" not in err
         assert out.splitlines()[2:] == ["2000," + "0" * 2000]
+
+    def test_budget_stops_the_walk_to_the_first_word(self, capsys):
+        # the first 00-avoider of length 6000 is 0, 1, ..., 5999, and the
+        # walk asks forbid about every smaller letter at each position,
+        # about 4 s of work; the budget is checked once per prefix grown
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "list", "--pattern", "00",
+                               "--n", "6000", "--budget-seconds", "0.1")
+        assert code == EXIT_BUDGET and "# incomplete" in out
+        assert time.monotonic() - start < 1.5
 
 
 class TestDist:
@@ -297,10 +310,10 @@ class TestConjecturesCmd:
         assert "holds" in out
 
     def test_modi_budget_counts_every_sequence(self, capsys):
-        # the modi check makes one pass per length over all ascent
-        # sequences; the budget must be able to stop it inside a pass
+        # the modi check makes one layered pass per pattern, about 2 s of
+        # states at n=13; the budget must be able to stop it inside a pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", "modi",
-                               "--n", "10", "--budget-seconds", "0.5",
+                               "--n", "13", "--budget-seconds", "0.5",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]

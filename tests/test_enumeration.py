@@ -1,20 +1,26 @@
 """Generators, pruned counting, and statistic distributions."""
 
+import random
 from collections import Counter
 
 import pytest
 
 from ascentseq import enumeration
-from ascentseq.core import contains, is_restricted
+from ascentseq.bijections import modify
+from ascentseq.cli import main
+from ascentseq.core import asc, contains, is_restricted
 from ascentseq.enumeration import (avoiders, count_ascent_sequences,
                                    count_avoiders, count_modified_avoiders,
                                    distribution, generate_ascent_sequences,
                                    generate_restricted,
                                    generate_set_partitions, joint_distribution,
-                                   modified_avoiders, perm_avoiders)
+                                   modified_asc_counts, modified_avoiders,
+                                   perm_avoiders)
 from ascentseq.fixtures import expected_counts
-from ascentseq.incremental import SPECIALIZED, make_tracker
-from ascentseq.oracles import all_patterns, catalan
+from ascentseq.incremental import (SPECIALIZED, make_tracker, open_gap,
+                                   state_reducer)
+from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
+                               catalan, stirling2)
 
 from conftest import pat
 
@@ -391,3 +397,73 @@ class TestModified:
     def test_counts_are_bell_like(self):
         assert [count_modified_avoiders(pat("101"), n)
                 for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
+
+    @staticmethod
+    def enumerated(p, n):
+        return Counter(asc(x) for x, _ in modified_avoiders(p, n))
+
+    def test_dp_matches_enumeration_on_short_patterns(self):
+        for label in all_patterns(4):
+            p = pat(label)
+            for n, hist in modified_asc_counts(p, 7):
+                assert hist == self.enumerated(p, n), (label, n)
+
+    def test_dp_matches_enumeration_on_the_conjectured_patterns(self):
+        for label in MODIFIED_PATTERNS:
+            p = pat(label)
+            for n, hist in modified_asc_counts(p, 9):
+                assert hist == self.enumerated(p, n), (label, n)
+
+    def test_bell_and_reversed_stirling_through_10(self):
+        for label in MODIFIED_PATTERNS:
+            for n, hist in modified_asc_counts(pat(label), 10):
+                assert sum(hist.values()) == bell(n), (label, n)
+                assert hist == {k: stirling2(n, n - k) for k in range(n)
+                                if stirling2(n, n - k)}, (label, n)
+
+    def test_cli_count_is_bell_through_12(self, capsys):
+        code = main(["count", "--pattern", "101", "--modified",
+                     "--n", "1..12", "--format", "csv"])
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert code == 0
+        assert rows == [f"{n},{bell(n)}" for n in range(1, 13)]
+
+    @pytest.mark.parametrize("label", [*MODIFIED_PATTERNS, "0", "00", "10",
+                                       "0011", "0221", "1001", "2100",
+                                       "3201"])
+    def test_transported_state_is_the_modified_words_state(self, label):
+        # the DP opens gap 2c before an ascent top c and steps; that must
+        # give the state of modify(x c) grown from scratch in doubled
+        # coordinates, reduced after every step, and forbid must agree
+        # with containment in modify(x c)
+        p = pat(label)
+        n_max = 10
+        size = 2 * n_max + 3
+        tr = make_tracker(p, size, generic=True)
+        reduce = state_reducer(p)
+
+        def grown(w):
+            s = tr.state
+            for v in w:
+                s = reduce(tr.step(s, 2 * v + 1))
+            return s
+
+        rng = random.Random(label)
+        for _ in range(30):
+            x, s, last, a = (), tr.state, -1, -1
+            while len(x) < n_max:
+                allowed = []
+                for c in range(a + 2):
+                    g = 2 * c if c > last else 2 * c + 1
+                    dead = bool(tr.forbid(s, g))
+                    assert dead == contains(modify(x + (c,)), p), (x, c)
+                    if dead:
+                        continue
+                    moved = open_gap(s, g, size) if c > last else s
+                    t = reduce(tr.step(moved, 2 * c + 1), moved)
+                    assert t == grown(modify(x + (c,))), (x, c)
+                    allowed.append((c, t))
+                if not allowed:
+                    break
+                c, s = rng.choice(allowed)
+                x, last, a = x + (c,), c, a + 1 if c > last else a
