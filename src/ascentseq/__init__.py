@@ -14,8 +14,9 @@ from .enumeration import (CountSeries, avoiders, count_ascent_sequences,
                           count_avoiders, count_modified_avoiders,
                           distribution, generate_ascent_sequences,
                           generate_restricted, generate_set_partitions,
-                          joint_distribution, modified_asc_counts,
-                          modified_avoiders, perm_avoiders)
+                          joint_distribution, joint_histograms,
+                          modified_asc_counts, modified_avoiders,
+                          perm_avoiders)
 from .bijections import (BIJECTIONS, LiftedBinaryDecomposition, SetPartition,
                          is_noncrossing, lifted_binary_decompose, modify,
                          partition_str, perm231_to_ncpartition,

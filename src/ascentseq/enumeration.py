@@ -20,12 +20,21 @@ v is letter 2v + 1 and 2v is the gap just below it, and the raise turns
 gap 2c into a new value (``incremental.open_gap``).  Every layer is one
 pass that yields its ``asc`` histogram, with one budget check per state.
 ``modified_avoiders`` still lists the words themselves.
+
+Joint statistic histograms (``joint_histograms``) are layered counts
+too, with a small prefix state per statistic in the key: a count, a run
+length, an extreme and a count, or a bitmask stack of right-to-left
+records.  Pattern-avoiding permutations are grown there by inserting the
+last entry at a rank, which moves the canonical tracker state through
+``open_gap`` exactly as a modified word's ascent top does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import inf
+from operator import itemgetter
 
 from . import bijections
 from .core import contains, normalize_pattern, stat, word_str
@@ -332,13 +341,176 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# statistic distributions
+# statistic histograms
+#
+# Every statistic is read off a small state carried along the prefix, so a
+# histogram is a layered count like the ones above, with the statistics'
+# states in the key.  A rule is (start, step, value): step(s, c, last, k)
+# is the state once the k-letter prefix ending in ``last`` (-1 when empty)
+# gets the letter c, and value(s) is the statistic.  On permutations c is
+# the rank r in 0..k of the new last entry, every earlier entry of rank
+# >= r moving up by one, so r > last exactly when the new entry tops an
+# ascent; asc, fwd and rlmin read the same on letters and on ranks.  The
+# masks of rlmax and rlmin hold the letters (ranks) of the right-to-left
+# records, a stack that each new last entry pops.
+
+
+def _count(s):
+    return s
+
+
+_WORD_RULES = {
+    "asc": (-1, lambda s, c, last, k: s + (c > last), _count),
+    "des": (0, lambda s, c, last, k: s + (c < last), _count),
+    "zeros": (0, lambda s, c, last, k: s + (c == 0), _count),
+    "fwd": (0, lambda s, c, last, k: s + 1 if c <= last else 1, _count),
+    # (largest or smallest letter so far, records)
+    "lrmax": ((-1, 0), lambda s, c, last, k:
+              (c, s[1] + 1) if c > s[0] else s, itemgetter(1)),
+    "lrmin": ((inf, 0), lambda s, c, last, k:
+              (c, s[1] + 1) if c < s[0] else s, itemgetter(1)),
+    "rlmax": (0, lambda s, c, last, k: s >> (c + 1) << (c + 1) | 1 << c,
+              int.bit_count),
+    "rlmin": (0, lambda s, c, last, k: s & ((1 << c) - 1) | 1 << c,
+              int.bit_count),
+}
+
+_PERM_RULES = {
+    **_WORD_RULES,
+    "des": (0, lambda s, c, last, k: s + (c <= last), _count),
+    "zeros": (0, lambda s, c, last, k: s, _count),
+    # the new entry is the largest (smallest) so far when its rank is
+    # k (0)
+    "lrmax": (0, lambda s, c, last, k: s + (c == k), _count),
+    "lrmin": (0, lambda s, c, last, k: s + (c == 0), _count),
+    # records of rank >= c move up one; those below c are beaten
+    "rlmax": (0, lambda s, c, last, k: s >> c << (c + 1) | 1 << c,
+              int.bit_count),
+}
+
+
+def _avoider_layers(p, n_max, steps, start, check):
+    """Layers keyed by (tracker state, last letter, ascents, statistic
+    states) over the p-avoiding ascent sequences; the last layer keeps
+    only the statistic states."""
+    tr = make_tracker(p, n_max + 2)
+    forbid, step = tr.forbid, tr.step
+    layer = Counter({(tr.state, -1, -1, start): 1})
+    for n in range(1, n_max + 1):
+        nxt: Counter = Counter()
+        for (state, last, a, st), ways in layer.items():
+            if check is not None:
+                check()
+            for c in range(a + 2):
+                if not forbid(state, c):
+                    t = tuple([f(x, c, last, n - 1)
+                               for f, x in zip(steps, st)])
+                    if n == n_max:
+                        nxt[(None, None, None, t)] += ways
+                    else:
+                        nxt[(step(state, c), c, a + (c > last), t)] += ways
+        layer = nxt
+        yield n, layer
+
+
+def _perm_layers(q, n_max, steps, start, check):
+    """Layers keyed by (canonical tracker state, rank of the last entry,
+    statistic states) over the q-avoiding permutations, grown by rank
+    insertion: inserting at rank r opens gap 2r in doubled coordinates,
+    as in ``modified_asc_counts``."""
+    size = 2 * n_max + 3
+    tr = make_tracker(q, size, generic=True)
+    forbid, step = tr.forbid, tr.step
+    reduce = state_reducer(q)
+    layer = Counter({(tr.state, -1, start): 1})
+    for n in range(1, n_max + 1):
+        nxt: Counter = Counter()
+        for (state, last, st), ways in layer.items():
+            if check is not None:
+                check()
+            for r in range(n):
+                if not forbid(state, 2 * r):
+                    t = tuple([f(x, r, last, n - 1)
+                               for f, x in zip(steps, st)])
+                    if n == n_max:
+                        nxt[(None, None, t)] += ways
+                    else:
+                        moved = open_gap(state, 2 * r, size)
+                        s = reduce(step(moved, 2 * r + 1), moved)
+                        nxt[(s, r, t)] += ways
+        layer = nxt
+        yield n, layer
+
+
+def _modified_histogram(p, n, stats, check):
+    hist: Counter = Counter()
+    for _, w in modified_avoiders(p, n, check):
+        hist[tuple(stat(w, s) for s in stats)] += 1
+    return hist
+
+
+def _described(descriptor, stats):
+    """(kind, normalized pattern) of a set descriptor, with the arguments
+    checked before any work is done."""
+    try:
+        kind, p = descriptor
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown set descriptor {descriptor!r}") from None
+    if kind not in ("avoiders", "perm-avoiders", "modified-avoiders"):
+        raise ValueError(f"unknown set descriptor kind {kind!r}")
+    for s in stats:
+        if s not in _WORD_RULES:
+            raise ValueError(f"unknown statistic {s!r}")
+    p = normalize_pattern(p)
+    if kind == "perm-avoiders" and len(set(p)) != len(p):
+        raise ValueError("permutation patterns must have distinct letters")
+    return kind, p
+
+
+def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
+    """Yield ``(n, histogram)`` for n = 1..n_max, the joint histogram of
+    the statistics over the described set of length n, keyed by the tuple
+    of their values in the order given; each comes as soon as its layer
+    is done.
+
+    The descriptor is as for ``joint_distribution``.  Avoiders and
+    pattern-avoiding permutations are counted in one layered pass, with
+    the statistics' prefix states in the key; the modified sets are
+    listed length by length.  ``check``, when given, is called once per
+    state, and once per ascent sequence tried for the modified sets; the
+    histograms yielded before it raised stay valid.
+    """
+    if not stats:
+        raise ValueError("joint_histograms needs at least one statistic")
+    kind, p = _described(descriptor, stats)
+    _check_length(n_max)
+    if kind == "modified-avoiders":
+        return ((n, _modified_histogram(p, n, stats, check))
+                for n in range(1, n_max + 1))
+    if kind == "avoiders":
+        rules, layers = _WORD_RULES, _avoider_layers
+    else:
+        rules, layers = _PERM_RULES, _perm_layers
+    start, steps, values = zip(*(rules[s] for s in stats))
+    return _histograms(layers(p, n_max, steps, start, check), values)
+
+
+def _histograms(layers, values):
+    for n, layer in layers:
+        by_state: Counter = Counter()
+        for key, ways in layer.items():
+            by_state[key[-1]] += ways
+        hist: Counter = Counter()
+        for st, ways in by_state.items():
+            hist[tuple(v(s) for v, s in zip(values, st))] += ways
+        yield n, hist
 
 
 def distribution(p, n: int, which: str) -> Counter:
     """Histogram of a statistic over the p-avoiding ascent sequences of
     length n."""
-    return Counter(stat(x, which) for x in avoiders(p, n))
+    return Counter({key[0]: ways for key, ways in
+                    joint_distribution(("avoiders", p), n, which).items()})
 
 
 def joint_distribution(descriptor, n: int, *stats: str,
@@ -348,27 +520,16 @@ def joint_distribution(descriptor, n: int, *stats: str,
 
     The descriptor is a pair ``(kind, pattern)`` with kind one of
     ``avoiders``, ``perm-avoiders`` or ``modified-avoiders``; statistics
-    on the modified sets are evaluated on the modified words.  ``check``,
-    when given, is called once per word, and once per ascent sequence
-    tried for the modified sets.
+    on the modified sets are evaluated on the modified words.  The first
+    two are counted by the layered pass of ``joint_histograms``, and
+    ``check``, when given, is called once per state of it; the modified
+    sets are listed, with one check per ascent sequence tried.
     """
     if not stats:
         raise ValueError("joint_distribution needs at least one statistic")
-    try:
-        kind, p = descriptor
-    except (TypeError, ValueError):
-        raise ValueError(f"unknown set descriptor {descriptor!r}") from None
-    if kind == "avoiders":
-        words = avoiders(p, n, check)
-    elif kind == "perm-avoiders":
-        words = perm_avoiders(p, n, check)
-    elif kind == "modified-avoiders":
-        words = (w for _, w in modified_avoiders(p, n, check))
-    else:
-        raise ValueError(f"unknown set descriptor kind {kind!r}")
-    hist: Counter = Counter()
-    for w in words:
-        if check is not None:
-            check()
-        hist[tuple(stat(w, s) for s in stats)] += 1
+    kind, p = _described(descriptor, stats)
+    if kind == "modified-avoiders":
+        return _modified_histogram(p, n, stats, check)
+    for _, hist in joint_histograms((kind, p), n, *stats, check=check):
+        pass
     return hist

@@ -4,11 +4,13 @@ Everything here is exact big-integer arithmetic.  The non-k-crossing
 partitions are counted as vacillating tableaux whose shapes have fewer
 than k rows (Chen, Deng, Du, Stanley & Yan 2007, "Crossings and
 nestings of matchings and partitions"), a walk over Young shapes that
-never lists a partition.  The conjecture runners
-compare brute-force enumeration against an independent oracle for each
-length and report a per-length verdict; a failing length always carries a
-concrete witness.  Nothing in this module extrapolates limits or proves
-anything; it checks statements numerically at desk scale.
+never lists a partition.  The conjecture runners compare layered counts
+(``count_avoiders``, ``joint_histograms`` and ``modified_asc_counts``,
+each one pass for every length) against an independent oracle or a
+second set for each length and report a per-length verdict; a failing
+length always carries a concrete witness.  Nothing in this module
+extrapolates limits or proves anything; it checks statements
+numerically at desk scale.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import product
 from math import comb
 
 from .core import normalize_pattern, word_str
-from .enumeration import (CountSeries, count_avoiders, joint_distribution,
+from .enumeration import (CountSeries, count_avoiders, joint_histograms,
                           modified_asc_counts)
 
 # ---------------------------------------------------------------------------
@@ -250,8 +252,8 @@ class ConjectureResult:
 
 
 DEFAULT_CONJECTURE_NMAX = {
-    "bi-021": 10,
-    "0012": 10,
+    "bi-021": 11,
+    "0012": 11,
     "210": 12,
     "0123": 11,
     "0021-wilf": 11,
@@ -281,29 +283,30 @@ def _histogram_verdict(n, h1, h2, what) -> ConjectureVerdict:
 
 
 def _run_bi_021(n_max: int, check) -> list[ConjectureVerdict]:
-    out = []
-    for n in range(1, n_max + 1):
-        h1, h2 = (joint_distribution((kind, (0, 2, 1)), n, "asc", "rlmin",
-                                     check=check)
-                  for kind in ("avoiders", "perm-avoiders"))
-        out.append(_histogram_verdict(
-            n, h1, h2, "(asc, rlmin) on 021-avoiders vs 132-avoiding perms"))
-    return out
+    sides = (joint_histograms((kind, (0, 2, 1)), n_max, "asc", "rlmin",
+                              check=check)
+             for kind in ("avoiders", "perm-avoiders"))
+    return [_histogram_verdict(
+                n, h1, h2, "(asc, rlmin) on 021-avoiders vs 132-avoiding perms")
+            for (n, h1), (_, h2) in zip(*sides)]
 
 
 def _run_0012(n_max: int, check) -> list[ConjectureVerdict]:
     out = []
-    a0012 = ("avoiders", (0, 0, 1, 2))
-    for n in range(1, n_max + 1):
-        h_fwd = joint_distribution(a0012, n, "asc", "fwd", check=check)
+    sides = zip(joint_histograms(("avoiders", (0, 0, 1, 2)), n_max,
+                                 "asc", "fwd", "zeros", check=check),
+                joint_histograms(("perm-avoiders", (0, 2, 1)), n_max,
+                                 "asc", "rlmax", check=check))
+    for (n, h_three), (_, h_perm) in sides:
+        h_fwd, h_zeros = Counter(), Counter()
+        for (a, f, z), m in h_three.items():
+            h_fwd[(a, f)] += m
+            h_zeros[(a, z)] += m
         v = _verdict_counts("|A_0012|", n, sum(h_fwd.values()), catalan(n),
                             "Catalan")
         if not v.holds:
             out.append(v)
             continue
-        h_zeros = joint_distribution(a0012, n, "asc", "zeros", check=check)
-        h_perm = joint_distribution(("perm-avoiders", (0, 2, 1)), n,
-                                    "asc", "rlmax", check=check)
         v = _histogram_verdict(n, h_fwd, h_perm,
                                "(asc, fwd) vs (asc, rlmax) on 132-avoiders")
         if v.holds:

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascentseq.bijections import (is_noncrossing, lifted_binary_decompose,
                                   modify, partition_str,
@@ -288,3 +290,111 @@ class TestComposedPipeline:
             expected = {sp for sp in generate_set_partitions(n)
                         if is_noncrossing(sp)}
             assert image == expected
+
+
+# ---------------------------------------------------------------------------
+# round trips on random inputs up to length 300
+#
+# The strategies build their inputs from the definitions alone, letter by
+# letter, so they share no code with the maps or the enumerators.  Each
+# draws a length n and a list of n - 1 choices, and reads letter i + 1 off
+# choice i modulo the number of letters allowed there, so a failing input
+# shrinks to a short one.
+
+
+@st.composite
+def choices(draw):
+    n = draw(st.integers(1, 300))
+    return draw(st.lists(st.integers(0, 10**6), min_size=n - 1,
+                         max_size=n - 1))
+
+
+@st.composite
+def ascent_sequences(draw, restricted=False):
+    x, a, m = [0], 0, 0
+    for ch in draw(choices()):
+        lo = max(0, m - 1) if restricted else 0
+        c = lo + ch % (a + 2 - lo)
+        a += c > x[-1]
+        m = max(m, c)
+        x.append(c)
+    return tuple(x)
+
+
+@st.composite
+def avoiders_of_101(draw):
+    # b a b with a < b: once b is followed by something smaller it is
+    # dead; the fresh letter a + 1 is never dead, so a choice exists
+    x, a, seen, dead = [0], 0, {0}, set()
+    for ch in draw(choices()):
+        allowed = [v for v in range(a + 2) if v not in dead]
+        c = allowed[ch % len(allowed)]
+        dead.update(v for v in seen if v > c)
+        seen.add(c)
+        a += c > x[-1]
+        x.append(c)
+    return tuple(x)
+
+
+@st.composite
+def even_twos_ternary(draw):
+    n = draw(st.integers(1, 300))
+    t = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+    if t.count(2) % 2:
+        t[max(i for i, v in enumerate(t) if v == 2)] = draw(st.integers(0, 1))
+    return tuple(t)
+
+
+@st.composite
+def set_partitions(draw):
+    labels, m = [0], 0
+    for ch in draw(choices()):
+        b = ch % (m + 2)
+        m = max(m, b)
+        labels.append(b)
+    blocks = [[] for _ in range(m + 1)]
+    for i, b in enumerate(labels):
+        blocks[b].append(i + 1)
+    return tuple(tuple(b) for b in blocks)
+
+
+ROUND_TRIPS = {
+    "seq101_perm312": (avoiders_of_101(), seq101_to_perm312,
+                       perm312_to_seq101),
+    "seq102_ternary": (even_twos_ternary(), ternary_to_seq102,
+                       seq102_to_ternary),
+    "restricted_021": (ascent_sequences(restricted=True), restricted_to_021,
+                       seq021_to_restricted),
+    "modify_unmodify": (ascent_sequences(), modify, unmodify),
+    "rgf": (set_partitions(), rgf_encode, rgf_decode),
+}
+
+
+class TestRandomRoundTrips:
+    @pytest.mark.parametrize("pair", sorted(ROUND_TRIPS))
+    def test_inverse_undoes_the_map(self, pair):
+        inputs, forward, inverse = ROUND_TRIPS[pair]
+
+        @settings(max_examples=20, deadline=None)
+        @given(inputs)
+        def round_trip(x):
+            assert inverse(forward(x)) == x
+
+        round_trip()
+
+    @settings(max_examples=20, deadline=None)
+    @given(ascent_sequences(restricted=True))
+    def test_phi_then_split(self, x):
+        # phi has no inverse here: its image is a permutation with des =
+        # asc(x), and the split gives back its descending runs as blocks
+        y = phi(x)
+        assert sorted(y) == list(range(1, len(x) + 1))
+        assert des(y) == asc(x)
+        runs = [[y[0]]]
+        for prev, cur in zip(y, y[1:]):
+            if cur > prev:
+                runs.append([cur])
+            else:
+                runs[-1].append(cur)
+        assert set(perm231_to_ncpartition(y)) == {tuple(sorted(r))
+                                                  for r in runs}

@@ -1,13 +1,16 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import time
+from collections import Counter
 
 import pytest
 
 from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, MAX_LENGTH,
                            main, parse_cli_pattern, parse_n_range)
-from ascentseq.enumeration import count_avoiders
+from ascentseq.core import stat
+from ascentseq.enumeration import avoiders, count_avoiders
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +229,103 @@ class TestDist:
                                "--stats", "weird")
         assert code == EXIT_USAGE and "statistic" in err
 
+    def test_budget_stops_the_layered_pass(self, capsys):
+        # the (asc, rlmin) pass over 021-avoiders takes about 0.15 s to
+        # length 16 and 5 s to length 22; the budget is checked once per
+        # state, so it stops the pass inside a layer
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "dist", "--pattern", "021",
+                               "--n", "1..22", "--stats", "asc,rlmin",
+                               "--budget-seconds", "0.2", "--format", "jsonl")
+        assert code == EXIT_BUDGET
+        assert json.loads(out.splitlines()[-1])["status"]["complete"] is False
+        assert time.monotonic() - start < 1
+
+
+# sha256 of dist stdout, recorded when every dist listed the avoiders of
+# each length; the layered pass must print the same bytes
+DIST_DIGESTS = [
+    ("dist --pattern 021 --n 1..6 --stats asc",
+     "3e9101fe6484ef956e3ae8fcb5a82b08f545fc73e948e50c8cdbcb4d1af327c9"),
+    ("dist --pattern 021 --n 1..6 --stats des",
+     "a872fbddde90ea578bf8d051d72cbf7bde4525c6e5eba38e5c669f39a0a22920"),
+    ("dist --pattern 021 --n 1..6 --stats lrmax",
+     "5d385558439439aecb85e5dbd7999be0a4c4243310abcb56266fb6cb23bafc0d"),
+    ("dist --pattern 021 --n 1..6 --stats lrmin",
+     "35793423a7bd7364ba7086a2cdeec3f3fe6cfdb1265d07de040b4a452e150dd3"),
+    ("dist --pattern 021 --n 1..6 --stats rlmax",
+     "dce5bef022d2daffe1c842084cad6945397f1a1058a687ab0f3c59adff268a13"),
+    ("dist --pattern 021 --n 1..6 --stats rlmin",
+     "de9240a3d0e076451e1487369ebe71fdf9096edeb9adf664a30a00d2b5e1869a"),
+    ("dist --pattern 021 --n 1..6 --stats zeros",
+     "180c2fc52517ac182ca5dfe9e7c99c2ac4d29ab4c298f75240fdfb22414b92d9"),
+    ("dist --pattern 021 --n 1..6 --stats fwd",
+     "8a4386a1e9ac43d5d659929567de2d9868f9d410bd0ba525b7601aa9c779031f"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,asc --format csv",
+     "b0a88fe66f5f5071e3296a65bae17c7d5712c6733bc77c441d24cba43cf80679"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,des --format csv",
+     "d2ee04686757cd39c5559b516e1e0ff36bf95c6176718fe48165e72bbe4f5018"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,lrmax --format csv",
+     "f8eb93e938b3a3f16057f423cd5c5e9285aec757b97223397a88051d5da04553"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,lrmin --format csv",
+     "143ad0c83f67689447a3094d202f5f7448de4c448bc092d39281edcad5f44c7d"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,rlmax --format csv",
+     "4f36747c7647a89af2a0fe29b07b3b826e3cc05c54a10136c4a399fd8f5bfa9c"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,rlmin --format csv",
+     "a8d8e207cf5fb4fc3b5b51832b242eed6ba076a1b61115f2448a87dfa65f0ffd"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,zeros --format csv",
+     "728a60a16ac911a822365b496bad75f005150a19ae2d4695bd20879be3b63cc4"),
+    ("dist --pattern 0012 --n 3..7 --stats asc,fwd --format csv",
+     "a02807ef80763abe1c7d00acf8ed5aee9a3262c819beaaf98044898c5029db19"),
+    ("dist --pattern 1302 --n 4..6 --stats rlmin,fwd --format jsonl",
+     "09e386511cb3a46da0f32272632c34ce3f37c617c10e3e2a08dc0ef335ef5d31"),
+    ("dist --pattern 101 --n 5 --stats lrmax,des --format jsonl",
+     "b7ef3e34c1786353c64c571309a5b3c85ea0dce45379a2d6100fb0486fdebcd9"),
+    ("dist --pattern 210 --n 2..5 --stats zeros,rlmax",
+     "baf9270b57b927a5947a9e9002c8d3cd5c4ccbe9450bce72f5d8b3c56bfb0b3f"),
+    ("dist --pattern 0 --n 1..3 --stats lrmin --format csv",
+     "44411b9de7b226591413927c6d10dc2840c87bc456810129581bfac3feac8b72"),
+    ("dist --pattern 021 --n 3..5 --stats asc,rlmin --modified --format csv",
+     "14fd456be29f40377709fc636eb71d6dacd5c9bc96b3fc1385fd5a2b3e2abcdd"),
+]
+
+
+class TestDistOutput:
+    @pytest.mark.parametrize("line,digest", DIST_DIGESTS)
+    def test_stdout_is_unchanged(self, capsys, line, digest):
+        code, out, err = run_cli(capsys, *line.split())
+        assert code == EXIT_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("stats", ["asc,rlmin", "fwd,zeros", "lrmax"])
+    def test_rows_are_the_listed_histograms(self, capsys, stats):
+        names = stats.split(",")
+        code, out, _ = run_cli(capsys, "dist", "--pattern", "0021", "--n",
+                               "2..6", "--stats", stats, "--format", "jsonl")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()[1:-1]]
+        want = []
+        for n in range(2, 7):
+            hist = Counter(tuple(stat(w, s) for s in names)
+                           for w in avoiders((0, 0, 2, 1), n))
+            want += [{"n": n, **dict(zip(names, key)), "count": hist[key]}
+                     for key in sorted(hist)]
+        assert rows == want
+
+    @pytest.mark.parametrize("pattern,n,stats,message", [
+        ("021", "3", "weird", "unknown statistic 'weird'; choose from "
+         "['asc', 'des', 'fwd', 'lrmax', 'lrmin', 'rlmax', 'rlmin', 'zeros']"),
+        ("021", "3", "asc,des,fwd", "--stats takes one or two statistic "
+         "names"),
+        ("275", "3", "asc", "pattern '275' is not in normal form; its "
+         "values must be 0..k (did you mean '021'?)"),
+        ("021", "5..3", "asc", "bad length range '5..3'"),
+    ])
+    def test_error_lines(self, capsys, pattern, n, stats, message):
+        assert run_cli(capsys, "dist", "--pattern", pattern, "--n", n,
+                       "--stats", stats) == (EXIT_USAGE, "",
+                                             f"error: {message}\n")
+
 
 class TestBijection:
     @pytest.mark.parametrize("name,inp,outp", [
@@ -321,10 +421,11 @@ class TestConjecturesCmd:
 
     @pytest.mark.parametrize("name", ["0012", "bi-021"])
     def test_budget_counts_every_word(self, capsys, name):
-        # a length-13 pass holds hundreds of thousands of words; the
-        # budget must be able to stop it inside a pass
+        # one layered pass to length 14 takes about 3 s for either check
+        # (1.2-1.4 s to length 13); the budget must be able to stop it
+        # inside the pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", name,
-                               "--n", "13", "--budget-seconds", "1",
+                               "--n", "14", "--budget-seconds", "1",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]

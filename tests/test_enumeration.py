@@ -4,18 +4,20 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascentseq import enumeration
 from ascentseq.bijections import modify
 from ascentseq.cli import main
-from ascentseq.core import asc, contains, is_restricted
+from ascentseq.core import STATISTICS, asc, contains, is_restricted, stat
 from ascentseq.enumeration import (avoiders, count_ascent_sequences,
                                    count_avoiders, count_modified_avoiders,
                                    distribution, generate_ascent_sequences,
                                    generate_restricted,
                                    generate_set_partitions, joint_distribution,
-                                   modified_asc_counts, modified_avoiders,
-                                   perm_avoiders)
+                                   joint_histograms, modified_asc_counts,
+                                   modified_avoiders, perm_avoiders)
 from ascentseq.fixtures import expected_counts
 from ascentseq.incremental import (SPECIALIZED, make_tracker, open_gap,
                                    state_reducer)
@@ -23,6 +25,9 @@ from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
                                catalan, stirling2)
 
 from conftest import pat
+
+PERM_PATTERNS = [label for label in all_patterns(4)
+                 if len(set(label)) == len(label)]
 
 
 class TestGeneration:
@@ -386,6 +391,98 @@ class TestDistributions:
             joint_distribution(("nosuch", pat("01")), 3, "asc", "zeros")
         with pytest.raises(ValueError):
             joint_distribution("avoiders", 3, "asc", "zeros")
+
+
+class TestJointHistograms:
+    """The layered pass against histograms of the listed words."""
+
+    @staticmethod
+    def listed(words, stats):
+        return Counter(tuple(stat(w, s) for s in stats) for w in words)
+
+    def check_asc_with_every_statistic(self, kind, words, labels, n_max):
+        names = sorted(STATISTICS)
+        for label in labels:
+            p = pat(label)
+            # every statistic of every word, evaluated once
+            rows = {n: [tuple(stat(w, s) for s in names) for w in words(p, n)]
+                    for n in range(1, n_max + 1)}
+            for i, s in enumerate(names):
+                for n, hist in joint_histograms((kind, p), n_max, "asc", s):
+                    want = Counter((r[names.index("asc")], r[i])
+                                   for r in rows[n])
+                    assert hist == want, (label, s, n)
+
+    def test_avoiders_asc_with_every_statistic(self):
+        self.check_asc_with_every_statistic("avoiders", avoiders,
+                                            all_patterns(4), 6)
+
+    def test_perm_avoiders_asc_with_every_statistic(self):
+        # the length-1 pattern (every permutation contains it) and zeros
+        # (always 0 on permutations) included
+        assert len(PERM_PATTERNS) == 33
+        self.check_asc_with_every_statistic("perm-avoiders", perm_avoiders,
+                                            PERM_PATTERNS, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.tuples(st.just("avoiders"),
+                               st.sampled_from(all_patterns(4))),
+                     st.tuples(st.just("perm-avoiders"),
+                               st.sampled_from(PERM_PATTERNS))),
+           st.lists(st.sampled_from(sorted(STATISTICS)), min_size=1,
+                    max_size=3),
+           st.integers(1, 7))
+    def test_random_statistics_and_patterns(self, described, stats, n):
+        kind, label = described
+        p = pat(label)
+        words = avoiders if kind == "avoiders" else perm_avoiders
+        got = dict(joint_histograms((kind, p), n, *stats))
+        assert list(got) == list(range(1, n + 1))
+        for m, hist in got.items():
+            assert hist == self.listed(words(p, m), stats), (kind, label, m)
+
+    def test_yields_match_joint_distribution(self):
+        for kind, label, stats in (("avoiders", "0012", ("asc", "fwd")),
+                                   ("avoiders", "1021", ("rlmax", "lrmin")),
+                                   ("perm-avoiders", "021", ("asc", "rlmin")),
+                                   ("perm-avoiders", "1302",
+                                    ("des", "lrmax", "rlmax")),
+                                   ("modified-avoiders", "101", ("asc",))):
+            d = (kind, pat(label))
+            for n, hist in joint_histograms(d, 7, *stats):
+                assert hist == joint_distribution(d, n, *stats), (d, n)
+
+    def test_bad_arguments_raise_before_any_work(self):
+        for args in ((("avoiders", pat("01")), 3),
+                     (("nosuch", pat("01")), 3, "asc"),
+                     ("avoiders", 3, "asc"),
+                     (("avoiders", pat("01")), 3, "weird"),
+                     (("avoiders", pat("01")), 0, "asc"),
+                     (("perm-avoiders", pat("0012")), 3, "asc")):
+            with pytest.raises(ValueError):
+                joint_histograms(*args)
+            with pytest.raises(ValueError):
+                joint_distribution(*args)
+
+    def test_check_stops_the_pass(self):
+        # one check per state: a check that gives out stops the pass
+        # inside a layer, and the layers yielded before stay exact
+        calls = []
+
+        def check():
+            calls.append(1)
+            if len(calls) > 400:
+                raise RuntimeError("out of budget")
+
+        got = {}
+        with pytest.raises(RuntimeError):
+            for n, hist in joint_histograms(("perm-avoiders", pat("021")),
+                                            12, "asc", "rlmin", check=check):
+                got[n] = hist
+        assert 4 <= len(got) < 12
+        for n, hist in got.items():
+            assert hist == self.listed(perm_avoiders(pat("021"), n),
+                                       ("asc", "rlmin"))
 
 
 class TestModified:
