@@ -9,8 +9,10 @@ a pattern in a word is a subsequence whose letters compare exactly like
 the pattern letters do (equal pattern letters must be matched by equal
 word letters, strict inequalities by strict inequalities).
 
-All functions are pure and operate on immutable tuples, so values can be
-shared freely between threads.  Positions reported by functions in this
+All functions in this module are pure and operate on immutable tuples,
+so values can be shared freely between threads; that does not cover the
+canonical tracker states of ``incremental``, which share a mutable
+per-tracker book.  Positions reported by functions in this
 module are 0-based; the traditional presentation of ascent sequences is
 1-based, so examples in docstrings shift by one.
 """

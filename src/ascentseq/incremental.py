@@ -25,7 +25,13 @@ The counting engine merges prefixes whose states are equal, so a state
 should keep no more than the future depends on.  The canonical tracker,
 used for every pattern without a hand summary, keeps the set of partial
 embeddings of the pattern, each reduced to the values and intervals its
-remaining letters depend on.  For the patterns that dominate the
+remaining letters depend on.  Its state is ``(book, ids, dead)``: the
+book, one per tracker, interns every embedding to a small id and keeps
+each embedding's move on a letter once computed, and ``ids`` is the
+bitmask of the prefix's embeddings.  Unlike the hand summaries' plain
+tuples, such states share a mutable book: they compare equal only
+within one tracker, and one tracker should not be shared between
+threads.  For the patterns that dominate the
 counting workload there are hand-derived summaries below.  The
 enumeration test suite checks every hand summary, and the canonical
 tracker on every pattern of length at most 4, against a walk that asks
@@ -85,65 +91,180 @@ def count_allowed(s, top: int) -> int:
 # equal states.  Embeddings with j = k-1 matter only through the final
 # letters they accept, so they are folded into the dead mask instead of
 # being stored, and an embedding with an empty interval can never
-# complete and is dropped.  The root embedding (j = 0) is implicit.
+# complete and is dropped.  The root embedding (j = 0) is in no state:
+# every step moves it as well.
+#
+# A state is (book, ids, dead).  The book belongs to one make_tracker
+# call: it interns every embedding the tracker meets to a small id and
+# keeps, per id, each move the first time it is asked for, so a step
+# costs one table lookup per embedding, however many prefixes share it.
+# ids is the bitmask of the prefix's embeddings, so within one book equal
+# embedding sets are equal masks.  step, open_gap and the state reducer
+# read the book from the state, so a state can be stepped by any
+# canonical tracker of its pattern.
 
 
-def _generic(p, size):
-    k = len(p)
-    # the root embedding, which a length-1 pattern has already completed
-    seed = ((0, ((-1, size),) * (max(p) + 1)),) if k > 1 else ()
-    # per position j: the letter p[j], whether it occurs again later, and
-    # the unmatched letters above and below it that a new value narrows
-    plan = []
-    for j, v in enumerate(p):
-        later = set(p[j + 1:]) - set(p[:j + 1]) if v not in p[:j] else ()
-        plan.append((v, v in p[j + 1:], tuple(u for u in later if u > v),
-                     tuple(u for u in later if u < v)))
+class _Book:
+    """The embeddings one canonical tracker has met, interned to ids.
 
-    def extend(j, vals, c):
-        v, again, above, below = plan[j]
+        rows[i][c]   the move of embedding i on letter c, None until
+                     asked: the bit of the grown embedding's id, or, when
+                     i is penultimate (j = k - 2, a bit of ``penult``),
+                     the letters its completions kill; 0 when c does not
+                     fit
+        gaps[i][g]   the bit of the id of embedding i after open_gap(g)
+        kills[i]     the letters the final pattern letter may take
+        tested[i], dominators[i]
+                     the ids tested for dominating i, and those that do
+    """
+
+    __slots__ = ("p", "size", "plan", "tails", "index", "embeddings",
+                 "rows", "gaps", "kills", "tested", "dominators", "penult",
+                 "root")
+
+    def __init__(self, p, size):
+        self.p, self.size = p, size
+        # per position j: the letter p[j], whether it occurs again later,
+        # and the unmatched letters above and below it that a new value
+        # narrows
+        self.plan = []
+        for j, v in enumerate(p):
+            later = set(p[j + 1:]) - set(p[:j + 1]) if v not in p[:j] else ()
+            self.plan.append((v, v in p[j + 1:],
+                              tuple(u for u in later if u > v),
+                              tuple(u for u in later if u < v)))
+        # the letters of p[j:], the final one first: it is in every tail
+        # and rejects most dominance pairs
+        final = p[-1]
+        self.tails = [(final, *(set(p[j:]) - {final}))
+                      for j in range(len(p))]
+        self.index = {}
+        self.embeddings = []
+        self.rows, self.gaps, self.kills = [], [], []
+        self.tested, self.dominators = [], []
+        self.penult = 0
+        # the root embedding, which a length-1 pattern has already completed
+        self.root = (1 << self.intern((0, ((-1, size),) * (max(p) + 1)))
+                     if len(p) > 1 else 0)
+
+    def intern(self, e) -> int:
+        i = self.index.get(e)
+        if i is None:
+            i = self.index[e] = len(self.embeddings)
+            self.embeddings.append(e)
+            self.rows.append([None] * self.size)
+            self.gaps.append({})
+            a = e[1][self.p[-1]]
+            self.kills.append(1 << a if type(a) is int else _between(*a))
+            self.tested.append(0)
+            self.dominators.append(0)
+            if e[0] == len(self.p) - 2:
+                self.penult |= 1 << i
+        return i
+
+    def move(self, i: int, c: int) -> int:
+        """rows[i][c], computed and kept."""
+        self.rows[i][c] = m = self._grow(i, c)
+        return m
+
+    def _grow(self, i: int, c: int) -> int:
+        j, vals = self.embeddings[i]
+        v, again, above, below = self.plan[j]
         a = vals[v]
         if type(a) is int:
             if a != c:
-                return None
+                return 0
         elif not a[0] < c < a[1]:
-            return None
+            return 0
         vals = list(vals)
         vals[v] = c if again else None
         for u in above:
             lo, hi = vals[u]
             if c > lo:
                 if c + 1 >= hi:
-                    return None
+                    return 0
                 vals[u] = (c, hi)
         for u in below:
             lo, hi = vals[u]
             if c < hi:
                 if lo + 1 >= c:
-                    return None
+                    return 0
                 vals[u] = (lo, c)
-        return tuple(vals)
+        if (1 << i) & self.penult:
+            # the final letter's value or interval kills those letters
+            a = vals[self.p[-1]]
+            return 1 << a if type(a) is int else _between(*a)
+        return 1 << self.intern((j + 1, tuple(vals)))
 
-    def step(s, c):
-        embeddings, dead = s
-        grown = []
-        for j, vals in (*embeddings, *seed):
-            w = extend(j, vals, c)
-            if w is None:
-                continue
-            if j + 1 == k - 1:
-                # the final letter's value or interval kills those letters
-                a = w[p[-1]]
-                dead |= 1 << a if type(a) is int else _between(*a)
-            else:
-                grown.append((j + 1, w))
-        if grown:
-            embeddings = embeddings.union(grown)
-        if dead == s[1]:
-            dead = s[1]     # share an unchanged mask along a walk's stack
-        return (embeddings, dead)
+    def move_gap(self, i: int, g: int) -> int:
+        """gaps[i][g], computed and kept."""
+        j, vals = self.embeddings[i]
+        size = self.size
+        vals = list(vals)
+        for u, a in enumerate(vals):
+            if type(a) is int:
+                if a > g:
+                    vals[u] = a + 2
+            elif a is not None:
+                lo, hi = a
+                if lo > g or g < hi < size:
+                    vals[u] = (lo + 2 if lo > g else lo,
+                               hi + 2 if hi < size else hi)
+        m = self.gaps[i][g] = 1 << self.intern((j, tuple(vals)))
+        return m
 
-    return (frozenset(), -1 if k == 1 else 0), step
+    def dominated(self, i: int, others: int) -> int:
+        """The ids in the mask ``others``, other than i, whose embedding
+        admits, on every letter of its rest of p, every letter that
+        embedding i admits, so that every completion of i completes it."""
+        others &= ~(1 << i)
+        unknown = others & ~self.tested[i]
+        if unknown:
+            self.tested[i] |= unknown
+            j1, v1 = self.embeddings[i]
+            while unknown:
+                low = unknown & -unknown
+                unknown ^= low
+                j2, v2 = self.embeddings[low.bit_length() - 1]
+                if j2 < j1:
+                    continue
+                # a letter i has matched, the other has matched too
+                # (j2 >= j1), so b is a value wherever a is
+                for u in self.tails[j2]:
+                    a, b = v1[u], v2[u]
+                    if type(b) is int:
+                        if a != b:
+                            break
+                    elif a[0] < b[0] or b[1] < a[1]:
+                        break
+                else:
+                    self.dominators[i] |= low
+        return self.dominators[i] & others
+
+
+def _canonical_step(s, c):
+    book, ids, dead = s
+    rows, penult = book.rows, book.penult
+    grown = ids
+    rest = ids | book.root
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        m = rows[i][c]
+        if m is None:
+            m = book.move(i, c)
+        if low & penult:
+            dead |= m
+        else:
+            grown |= m
+    if dead == s[2]:
+        dead = s[2]     # share an unchanged mask along a walk's stack
+    return (book, grown, dead)
+
+
+def _generic(p, size):
+    return (_Book(p, size), 0, -1 if len(p) == 1 else 0), _canonical_step
 
 
 # --- the canonical state of a modified word ----------------------------------
@@ -159,36 +280,27 @@ def _generic(p, size):
 def open_gap(s, g: int, size: int):
     """Canonical state s after its live gap g becomes gap, value g + 1
     and gap: every value, interval end and dead bit above g moves up by
-    2, except the upper sentinel ``size``.  Gap g is not dead, so neither
-    are the three letters it becomes."""
-    embeddings, dead = s
-    moved, changed = [], False
-    for e in embeddings:
-        vals = list(e[1])
-        for u, a in enumerate(vals):
-            if type(a) is int:
-                if a > g:
-                    vals[u] = a + 2
-            elif a is not None:
-                lo, hi = a
-                if lo > g or g < hi < size:
-                    vals[u] = (lo + 2 if lo > g else lo,
-                               hi + 2 if hi < size else hi)
-        vals = tuple(vals)
-        # an unmoved embedding stays the same object, shared between states
-        if vals != e[1]:
-            e, changed = (e[0], vals), True
-        moved.append(e)
-    if changed:
-        embeddings = frozenset(moved)
+    2, except the upper sentinel ``size``, the tracker's size.  Gap g is
+    not dead, so neither are the three letters it becomes."""
+    book, ids, dead = s
+    gaps = book.gaps
+    moved = 0
+    while ids:
+        low = ids & -ids
+        ids ^= low
+        i = low.bit_length() - 1
+        m = gaps[i].get(g)
+        if m is None:
+            m = book.move_gap(i, g)
+        moved |= m
     dead = dead & _below(g) | dead >> (g + 1) << (g + 3)
-    return (embeddings, dead & _below(size))
+    return (book, moved, dead & _below(size))
 
 
 def state_reducer(p):
     """A function ``reduce(s, prev=None)`` that drops, from a canonical
-    state, the embeddings that can only kill letters some other part of
-    the state kills anyway:
+    state of pattern p, the embeddings that can only kill letters some
+    other part of the state kills anyway:
 
     (a) those whose final pattern letter may only take dead letters;
     (b) an embedding (j1, v1) when another (j2 >= j1, v2) admits, on
@@ -198,57 +310,41 @@ def state_reducer(p):
     ``forbid`` answers stay the same on every continuation, including
     ``open_gap`` moves; only the states get fewer.  When s is a step
     from a reduced state ``prev``, (b) only compares pairs that involve
-    an embedding the step added, and the result is the same.
+    an embedding the step added, and the result is the same.  Both tests
+    are read from, and kept in, the state's book.
     """
-    p = normalize_pattern(p)
-    final = p[-1]
-    # the final letter first: it is in every tail and rejects most pairs
-    tails = [(final, *(set(p[j:]) - {final})) for j in range(len(p))]
+    normalize_pattern(p)     # rejects a bad p; the book holds the rest
 
     def reduce(s, prev=None):
-        embeddings, dead = s
-        old, old_dead = (frozenset(), None) if prev is None else prev
-        if embeddings is old and dead == old_dead:
+        book, ids, dead = s
+        old, old_dead = (0, None) if prev is None else prev[1:]
+        if ids == old and dead == old_dead:
             return s
+        fresh = ids & ~old
+        live = ids
         # (a), on every embedding when the dead mask grew, else on new ones
-        live, fresh = [], []
-        for e in embeddings:
-            new = e not in old
-            if new or dead != old_dead:
-                a = e[1][final]
-                m = 1 << a if type(a) is int else _between(*a)
-                if dead & m == m:
-                    continue
-            live.append((e, new))
-            if new:
-                fresh.append(e)
-        kept = [e for e, _ in live]
+        kills = book.kills
+        rest = ids if dead != old_dead else fresh
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m = kills[low.bit_length() - 1]
+            if dead & m == m:
+                live ^= low
+        fresh &= live
+        kept = live
         if fresh:
             # (b), on the pairs that involve a new embedding
-            kept = [e1 for e1, new in live
-                    if not dominated(e1, kept if new else fresh)]
-        if len(kept) == len(embeddings):
+            rest = live
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if book.dominated(low.bit_length() - 1,
+                                  live if low & fresh else fresh):
+                    kept ^= low
+        if kept == ids:
             return s
-        return (frozenset(kept), dead)
-
-    def dominated(e1, others):
-        j1, v1 = e1
-        for e2 in others:
-            j2, v2 = e2
-            if j2 < j1 or e2 is e1:
-                continue
-            # a letter e1 has matched, e2 has matched too (j2 >= j1), so
-            # b is a value wherever a is
-            for u in tails[j2]:
-                a, b = v1[u], v2[u]
-                if type(b) is int:
-                    if a != b:
-                        break
-                elif a[0] < b[0] or b[1] < a[1]:
-                    break
-            else:
-                return True     # e2 admits every letter e1 admits
-        return False
+        return (book, kept, dead)
 
     return reduce
 

@@ -258,7 +258,7 @@ DEFAULT_CONJECTURE_NMAX = {
     "0123": 11,
     "0021-wilf": 11,
     "0021-count": 11,
-    "modi": 10,
+    "modi": 11,
 }
 
 MODIFIED_PATTERNS = ("101", "0101", "1021", "1102", "1120", "1210")

@@ -410,8 +410,9 @@ class TestConjecturesCmd:
         assert "holds" in out
 
     def test_modi_budget_counts_every_sequence(self, capsys):
-        # the modi check makes one layered pass per pattern, about 2 s of
-        # states at n=13; the budget must be able to stop it inside a pass
+        # the modi check makes one layered pass per pattern, about 1.1 s
+        # of states at n=13; the budget must be able to stop it inside a
+        # pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", "modi",
                                "--n", "13", "--budget-seconds", "0.5",
                                "--format", "jsonl")

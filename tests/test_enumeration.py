@@ -185,7 +185,43 @@ class TestCanonicalTracker:
         # `size` bits copied at every step costs O(n * size) memory
         tr = make_tracker(pat("01"), 10**4, generic=True)
         once = tr.step(tr.state, 0)
-        assert tr.step(once, 0)[1] is once[1]
+        assert tr.step(once, 0)[-1] is once[-1]
+
+    def test_fresh_tracker_steps_reached_states(self):
+        # a state carries its tracker's book, so a fresh tracker of the
+        # same pattern steps it to the state the first tracker would
+        size = 9
+        for label in all_patterns(4):
+            p = pat(label)
+            tr = make_tracker(p, size, generic=True)
+            states = _reached_states(tr, 7)
+            fresh = make_tracker(p, size, generic=True)
+            for s in states:
+                for c in range(size):
+                    assert fresh.forbid(s, c) == tr.forbid(s, c), (label, c)
+                    t, u = fresh.step(s, c), tr.step(s, c)
+                    assert t == u, (label, c)
+                    assert [fresh.forbid(t, d) for d in range(size)] == \
+                        [tr.forbid(u, d) for d in range(size)], (label, c)
+
+    def test_repeated_step_leaves_the_book_alone(self):
+        # every move is kept the first time it is made
+        for label in ("1302", "0011", "1001", "2100", "10"):
+            tr = make_tracker(pat(label), 9, generic=True)
+            states = _reached_states(tr, 6)
+            book = tr.state[0]
+            for s in states:
+                for c in range(9):
+                    once = tr.step(s, c)
+                    ids = s[1] | book.root
+                    assert all(row[c] is not None
+                               for i, row in enumerate(book.rows)
+                               if ids >> i & 1), (label, c)
+                    embeddings = len(book.embeddings)
+                    rows = [list(row) for row in book.rows]
+                    assert tr.step(s, c) == once
+                    assert len(book.embeddings) == embeddings, (label, c)
+                    assert book.rows == rows, (label, c)
 
 
 def _reached_states(tr, n):
