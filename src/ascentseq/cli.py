@@ -17,8 +17,7 @@ import time
 
 from .core import STATISTICS, asc, des, is_pattern, normalize_pattern, word_str
 from .enumeration import (avoider_counts, avoiders, count_avoiders,
-                          joint_distribution, joint_histograms,
-                          modified_asc_counts)
+                          joint_histograms, modified_asc_counts)
 from .bijections import BIJECTIONS, partition_str, standardize_partition
 from .fixtures import available_depth, expected_counts, table_patterns
 from .oracles import (CONJECTURE_IDS, all_patterns, run_conjecture,
@@ -206,12 +205,7 @@ def cmd_dist(args) -> int:
     budget = Budget(args.budget_seconds)
     rows, status = [], {"complete": True}
     kind = "modified-avoiders" if args.modified else "avoiders"
-    if args.modified:
-        hists = ((n, joint_distribution((kind, p), n, *stats,
-                                        check=budget.check))
-                 for n in range(lo, hi + 1))
-    else:
-        hists = joint_histograms((kind, p), hi, *stats, check=budget.check)
+    hists = joint_histograms((kind, p), hi, *stats, check=budget.check)
     try:
         for n, hist in hists:
             if n < lo:

@@ -1,43 +1,39 @@
 """Exhaustive generation of ascent sequences, avoiders and relatives.
 
-Every generator is one walk (``_walk``) on an explicit stack, so no
-length meets a recursion limit; each states only its rule for the next
-letter.  All stream lazily in lexicographic order and are deterministic.
-Avoiders and pattern-avoiding permutations prune: no prefix is extended
-by a letter the pattern's tracker forbids, which is sound because
-containment is monotone under appending letters.  Counting needs no
-sequences at all: it is a layered transfer-matrix count over (tracker
-state, last letter, ascents), where prefixes with equal keys have equal
-futures and are merged into one weighted state.  The last layer is never
-built; its states are summed from their dead masks.
+Each set states once its growth rule, ``children(key)``: the letters
+that may follow a prefix with that key, each with the key of the longer
+prefix.  ``_walk`` lists a rule's words on an explicit stack, so no
+length meets a recursion limit; all generators stream lazily in
+lexicographic order and are deterministic.  Avoiders prune: no prefix is
+extended by a letter the pattern's tracker forbids, which is sound
+because containment is monotone under appending letters.
 
-Modified ascent sequences are counted the same way, on the canonical
-tracker state of the modified word.  Appending c to x appends c to
-modify(x), after raising every letter >= c by one when c is an ascent
-top; the raise keeps the order of the earlier letters, so containment
-stays monotone.  The state is kept in doubled coordinates, where value
-v is letter 2v + 1 and 2v is the gap just below it, and the raise turns
-gap 2c into a new value (``incremental.open_gap``).  Every layer is one
-pass that yields its ``asc`` histogram, with one budget check per state.
-``modified_avoiders`` still lists the words themselves.
-
-Joint statistic histograms (``joint_histograms``) are layered counts
-too, with a small prefix state per statistic in the key: a count, a run
-length, an extreme and a count, or a bitmask stack of right-to-left
-records.  Pattern-avoiding permutations are grown there by inserting the
-last entry at a rank, which moves the canonical tracker state through
-``open_gap`` exactly as a modified word's ascent top does.
+Counting lists no words: ``_layers`` runs a rule as a layered
+transfer-matrix count, where prefixes with equal keys have equal futures
+and are merged into one weighted key, with one budget check per key.  A
+last layer that is only summed is never built; its sum is read off the
+layer before.  Avoiders are keyed by (tracker state, last letter,
+ascents).  Modified ascent sequences are keyed by the canonical tracker
+state of the modified word: appending c to x appends c to modify(x),
+after raising every letter >= c by one when c is an ascent top, and the
+raise keeps the order of the earlier letters, so containment stays
+monotone.  The state is kept in doubled coordinates, where value v is
+letter 2v + 1 and 2v is the gap just below it, and the raise turns gap
+2c into a new value (``incremental.open_gap``).  Pattern-avoiding
+permutations are counted by inserting the last entry at a rank, which
+opens a gap the same way.  Joint statistic histograms run the same rules
+with a small prefix state per statistic in the key.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
 
 from . import bijections
-from .core import contains, normalize_pattern, stat, word_str
+from .core import contains, normalize_pattern, word_str
 from .incremental import make_tracker, open_gap, state_reducer
 
 
@@ -88,6 +84,30 @@ def _walk(n: int, state0, children, check=None):
             del prefix[-1:]     # nothing to drop once the root is done
 
 
+def _layers(children, start, n_max: int, check=None, leaves=None):
+    """Yield ``(n, layer)`` for n = 1..n_max; layer n maps the key of each
+    length-n prefix grown from ``start`` by ``children`` to the number of
+    prefixes with it.  ``check`` is called once per key of the layer
+    before and may raise to abort.  With ``leaves``, the last layer is not grown: it
+    sums ways times weight over the ``(leaf, weight)`` pairs that
+    ``leaves(key)`` yields."""
+    layer = {start: 1}
+    for n in range(1, n_max + 1):
+        summed = leaves is not None and n == n_max
+        nxt = defaultdict(int)
+        for key, ways in layer.items():
+            if check is not None:
+                check()
+            if summed:
+                for leaf, weight in leaves(key):
+                    nxt[leaf] += ways * weight
+            else:
+                for _, child in children(key):
+                    nxt[child] += ways
+        layer = nxt
+        yield n, layer
+
+
 # ---------------------------------------------------------------------------
 # plain ascent sequences
 
@@ -125,21 +145,29 @@ def count_ascent_sequences(n: int) -> int:
 # pattern avoiders
 
 
+def _avoider_rule(p, n_max: int):
+    """``(tracker, start, children)`` of the p-avoiding ascent sequences
+    up to length n_max.  ``children(key, False)`` yields the allowed
+    letters with None for their keys, and steps no tracker."""
+    tr = make_tracker(p, n_max + 2)
+    forbid, step = tr.forbid, tr.step
+
+    def children(key, grow=True):
+        state, last, a = key
+        for c in range(a + 2):
+            if not forbid(state, c):
+                yield c, ((step(state, c), c, a + 1 if c > last else a)
+                          if grow else None)
+
+    return tr, (tr.state, -1, -1), children
+
+
 def avoiders(p, n: int, check=None):
     """Yield the p-avoiding ascent sequences of length n, lexicographically;
     ``check`` is passed on to the walk."""
     _check_length(n)
-    p = normalize_pattern(p)
-    tr = make_tracker(p, n + 2)
-    forbid, step = tr.forbid, tr.step
-
-    def children(key):
-        state, last, a = key
-        for c in range(a + 2):
-            if not forbid(state, c):
-                yield c, (step(state, c), c, a + 1 if c > last else a)
-
-    yield from _walk(n, (tr.state, -1, -1), children, check)
+    _, start, children = _avoider_rule(normalize_pattern(p), n)
+    yield from _walk(n, start, children, check)
 
 
 def avoider_counts(p, n_max: int, check=None):
@@ -147,33 +175,21 @@ def avoider_counts(p, n_max: int, check=None):
     ascent sequences of length n, each as soon as its layer is done.
 
     A layer maps (tracker state, last letter, ascents) to the number of
-    prefixes with that key.  ``check``, when given, is called once per
-    state and may raise to abort cleanly (used for CLI budget guards);
-    the counts yielded before it raised stay valid.
+    prefixes with that key; the last is summed from the dead masks.
+    ``check``, when given, is called once per state and may raise to
+    abort cleanly (used for CLI budget guards); the counts yielded
+    before it raised stay valid.
     """
     _check_length(n_max)
-    p = normalize_pattern(p)
-    tr = make_tracker(p, n_max + 2)
-    forbid, step = tr.forbid, tr.step
-    # the empty prefix: with last = a = -1, only letter 0 may follow and
-    # appending it leaves zero ascents
-    layer = Counter({(tr.state, -1, -1): 1})
-    for n in range(1, n_max):
-        nxt: Counter = Counter()
-        for (state, last, a), ways in layer.items():
-            if check is not None:
-                check()
-            for c in range(a + 2):
-                if not forbid(state, c):
-                    nxt[(step(state, c), c, a + 1 if c > last else a)] += ways
-        layer = nxt
+    tr, start, children = _avoider_rule(normalize_pattern(p), n_max)
+    count_allowed = tr.count_allowed
+
+    def leaves(key):
+        state, _, a = key
+        return ((None, count_allowed(state, a + 1)),)
+
+    for n, layer in _layers(children, start, n_max, check, leaves):
         yield n, sum(layer.values())
-    total = 0
-    for (state, _, a), ways in layer.items():
-        if check is not None:
-            check()
-        total += ways * tr.count_allowed(state, a + 1)
-    yield n_max, total
 
 
 def count_avoiders(p, n_max: int, threads: int = 1, split_depth=None,
@@ -266,68 +282,66 @@ def modified_avoiders(p, n: int, check=None):
             yield x, w
 
 
+def _raising_rule(p, n_max: int, ranks=False):
+    """As ``_avoider_rule``, for the ascent sequences whose modified word
+    avoids p, keyed by (canonical tracker state of the modified word,
+    last letter, ascents).  An ascent top c raises every letter >= c
+    before it is appended: gap 2c opens into a value.  With ``ranks``
+    every letter raises, which grows the p-avoiding permutations by
+    inserting the last entry at a rank; the last entry of the key then
+    counts the entries after the first.  ``state_reducer`` drops the
+    embeddings that cannot change a ``forbid`` answer, so more states
+    merge."""
+    size = 2 * n_max + 3
+    tr = make_tracker(p, size, generic=True)
+    forbid, step, reduce = tr.forbid, tr.step, state_reducer(p)
+
+    def appended(state, c, rise):
+        moved = open_gap(state, 2 * c, size) if rise else state
+        return reduce(step(moved, 2 * c + 1), moved)
+
+    def children(key, grow=True):
+        state, last, a = key
+        for c in range(a + 2):
+            rise = ranks or c > last
+            if not forbid(state, 2 * c + 1 - rise):
+                yield c, ((appended(state, c, rise), c, a + rise)
+                          if grow else None)
+
+    return tr, (tr.state, -1, -1), children
+
+
 def modified_asc_counts(p, n_max: int, check=None):
     """Yield ``(n, histogram)`` for n = 1..n_max, where the histogram maps
     asc(x) to the number of ascent sequences x of length n whose
     modified word avoids p, each as soon as its layer is done.
 
     A layered count like ``avoider_counts``, keyed by (canonical tracker
-    state of the modified word, last letter, ascents).  A letter c not
-    above the last one is appended to the modified word as it is; an
-    ascent top c first raises every letter >= c, which the state follows
-    through ``open_gap`` in doubled coordinates (value v is letter
-    2v + 1, gap 2v lies just below it).  After each step
-    ``state_reducer`` drops the embeddings that cannot change a
-    ``forbid`` answer, so that more states merge.  ``check``, when
+    state of the modified word, last letter, ascents).  ``check``, when
     given, is called once per state and may raise to abort; the
     histograms yielded before it raised stay valid.
     """
     _check_length(n_max)
-    p = normalize_pattern(p)
-    size = 2 * n_max + 3
-    tr = make_tracker(p, size, generic=True)
-    forbid, step = tr.forbid, tr.step
-    reduce = state_reducer(p)
-    layer = Counter({(tr.state, -1, -1): 1})
-    for n in range(1, n_max):
-        nxt: Counter = Counter()
-        for (state, last, a), ways in layer.items():
-            if check is not None:
-                check()
-            for c in range(last + 1):
-                if not forbid(state, 2 * c + 1):
-                    s = step(state, 2 * c + 1)
-                    nxt[(reduce(s, state), c, a)] += ways
-            for c in range(last + 1, a + 2):
-                if not forbid(state, 2 * c):
-                    moved = open_gap(state, 2 * c, size)
-                    s = step(moved, 2 * c + 1)
-                    nxt[(reduce(s, moved), c, a + 1)] += ways
-        layer = nxt
-        hist: Counter = Counter()
-        for (_, _, a), ways in layer.items():
-            hist[a] += ways
-        yield n, hist
-    # the last layer is summed, not built: c <= last is allowed when value
-    # c is alive (odd bit 2c + 1), an ascent top c when gap 2c is
-    every_other = ((1 << (size + 1)) - 1) // 3     # bits 0, 2, 4, ...
+    tr, start, children = _raising_rule(normalize_pattern(p), n_max)
+    # c <= last is allowed when value c is alive (odd bit 2c + 1), an
+    # ascent top c when gap 2c is
+    every_other = ((1 << (2 * n_max + 4)) - 1) // 3     # bits 0, 2, 4, ...
 
     def alive(dead, lo, count):
         """How many of the bits lo, lo + 2, ..., lo + 2(count - 1) are 0."""
         return count - ((dead >> lo) & every_other
                         & ((1 << (2 * count)) - 1)).bit_count()
 
-    hist = Counter()
-    for (state, last, a), ways in layer.items():
-        if check is not None:
-            check()
+    def leaves(key):
+        state, last, a = key
         flat = alive(state[-1], 1, last + 1)
         rise = alive(state[-1], 2 * last + 2, a - last + 1)
         if flat:
-            hist[a] += ways * flat
+            yield (a,), flat
         if rise:
-            hist[a + 1] += ways * rise
-    yield n_max, hist
+            yield (a + 1,), rise
+
+    yield from _histograms(_layers(children, start, n_max, check, leaves))
 
 
 def count_modified_avoiders(p, n: int, check=None) -> int:
@@ -344,15 +358,18 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
 # statistic histograms
 #
 # Every statistic is read off a small state carried along the prefix, so a
-# histogram is a layered count like the ones above, with the statistics'
-# states in the key.  A rule is (start, step, value): step(s, c, last, k)
-# is the state once the k-letter prefix ending in ``last`` (-1 when empty)
-# gets the letter c, and value(s) is the statistic.  On permutations c is
-# the rank r in 0..k of the new last entry, every earlier entry of rank
-# >= r moving up by one, so r > last exactly when the new entry tops an
-# ascent; asc, fwd and rlmin read the same on letters and on ranks.  The
-# masks of rlmax and rlmin hold the letters (ranks) of the right-to-left
-# records, a stack that each new last entry pops.
+# histogram is a layered count with the statistics' states in the key.  A
+# rule is (start, step, value): step(s, c, last) is the state once the
+# prefix ending in ``last`` (-1 when empty) gets the letter c, and
+# value(s) is the statistic.  On permutations c is the rank of the new
+# last entry, every earlier entry of rank >= c moving up by one, so c >
+# last exactly when the new entry tops an ascent; asc, fwd and rlmin read
+# the same on letters and on ranks.  On modified words c is appended after
+# the raise, which moves every letter >= c up by one when c > last; the
+# raise keeps the order of the earlier letters and never moves a 0, so
+# only the extreme of lrmax and the mask of rlmax follow it.  The masks of
+# rlmax and rlmin hold the letters (ranks) of the right-to-left records, a
+# stack that each new last entry pops.
 
 
 def _count(s):
@@ -360,93 +377,54 @@ def _count(s):
 
 
 _WORD_RULES = {
-    "asc": (-1, lambda s, c, last, k: s + (c > last), _count),
-    "des": (0, lambda s, c, last, k: s + (c < last), _count),
-    "zeros": (0, lambda s, c, last, k: s + (c == 0), _count),
-    "fwd": (0, lambda s, c, last, k: s + 1 if c <= last else 1, _count),
+    "asc": (-1, lambda s, c, last: s + (c > last), _count),
+    "des": (0, lambda s, c, last: s + (c < last), _count),
+    "zeros": (0, lambda s, c, last: s + (c == 0), _count),
+    "fwd": (0, lambda s, c, last: s + 1 if c <= last else 1, _count),
     # (largest or smallest letter so far, records)
-    "lrmax": ((-1, 0), lambda s, c, last, k:
+    "lrmax": ((-1, 0), lambda s, c, last:
               (c, s[1] + 1) if c > s[0] else s, itemgetter(1)),
-    "lrmin": ((inf, 0), lambda s, c, last, k:
+    "lrmin": ((inf, 0), lambda s, c, last:
               (c, s[1] + 1) if c < s[0] else s, itemgetter(1)),
-    "rlmax": (0, lambda s, c, last, k: s >> (c + 1) << (c + 1) | 1 << c,
+    "rlmax": (0, lambda s, c, last: s >> (c + 1) << (c + 1) | 1 << c,
               int.bit_count),
-    "rlmin": (0, lambda s, c, last, k: s & ((1 << c) - 1) | 1 << c,
+    "rlmin": (0, lambda s, c, last: s & ((1 << c) - 1) | 1 << c,
               int.bit_count),
 }
 
 _PERM_RULES = {
     **_WORD_RULES,
-    "des": (0, lambda s, c, last, k: s + (c <= last), _count),
-    "zeros": (0, lambda s, c, last, k: s, _count),
-    # the new entry is the largest (smallest) so far when its rank is
-    # k (0)
-    "lrmax": (0, lambda s, c, last, k: s + (c == k), _count),
-    "lrmin": (0, lambda s, c, last, k: s + (c == 0), _count),
+    "des": (0, lambda s, c, last: s + (c <= last), _count),
+    "zeros": (0, lambda s, c, last: s, _count),
+    # (records, length): the new entry is the largest so far when its
+    # rank is the length before it, the smallest when its rank is 0
+    "lrmax": ((0, 0), lambda s, c, last: (s[0] + (c == s[1]), s[1] + 1),
+              itemgetter(0)),
+    "lrmin": (0, lambda s, c, last: s + (c == 0), _count),
     # records of rank >= c move up one; those below c are beaten
-    "rlmax": (0, lambda s, c, last, k: s >> c << (c + 1) | 1 << c,
+    "rlmax": (0, lambda s, c, last: s >> c << (c + 1) | 1 << c,
               int.bit_count),
 }
 
+_MODIFIED_RULES = {
+    **_WORD_RULES,
+    # an ascent top below the largest letter raises it
+    "lrmax": ((-1, 0), lambda s, c, last:
+              (c, s[1] + 1) if c > s[0] else (s[0] + (c > last), s[1]),
+              itemgetter(1)),
+    # an ascent top raises the records >= c, as a rank does on permutations
+    "rlmax": (0, lambda s, c, last:
+              (s >> c << (c + 1) if c > last else s >> (c + 1) << (c + 1))
+              | 1 << c, int.bit_count),
+}
 
-def _avoider_layers(p, n_max, steps, start, check):
-    """Layers keyed by (tracker state, last letter, ascents, statistic
-    states) over the p-avoiding ascent sequences; the last layer keeps
-    only the statistic states."""
-    tr = make_tracker(p, n_max + 2)
-    forbid, step = tr.forbid, tr.step
-    layer = Counter({(tr.state, -1, -1, start): 1})
-    for n in range(1, n_max + 1):
-        nxt: Counter = Counter()
-        for (state, last, a, st), ways in layer.items():
-            if check is not None:
-                check()
-            for c in range(a + 2):
-                if not forbid(state, c):
-                    t = tuple([f(x, c, last, n - 1)
-                               for f, x in zip(steps, st)])
-                    if n == n_max:
-                        nxt[(None, None, None, t)] += ways
-                    else:
-                        nxt[(step(state, c), c, a + (c > last), t)] += ways
-        layer = nxt
-        yield n, layer
-
-
-def _perm_layers(q, n_max, steps, start, check):
-    """Layers keyed by (canonical tracker state, rank of the last entry,
-    statistic states) over the q-avoiding permutations, grown by rank
-    insertion: inserting at rank r opens gap 2r in doubled coordinates,
-    as in ``modified_asc_counts``."""
-    size = 2 * n_max + 3
-    tr = make_tracker(q, size, generic=True)
-    forbid, step = tr.forbid, tr.step
-    reduce = state_reducer(q)
-    layer = Counter({(tr.state, -1, start): 1})
-    for n in range(1, n_max + 1):
-        nxt: Counter = Counter()
-        for (state, last, st), ways in layer.items():
-            if check is not None:
-                check()
-            for r in range(n):
-                if not forbid(state, 2 * r):
-                    t = tuple([f(x, r, last, n - 1)
-                               for f, x in zip(steps, st)])
-                    if n == n_max:
-                        nxt[(None, None, t)] += ways
-                    else:
-                        moved = open_gap(state, 2 * r, size)
-                        s = reduce(step(moved, 2 * r + 1), moved)
-                        nxt[(s, r, t)] += ways
-        layer = nxt
-        yield n, layer
-
-
-def _modified_histogram(p, n, stats, check):
-    hist: Counter = Counter()
-    for _, w in modified_avoiders(p, n, check):
-        hist[tuple(stat(w, s) for s in stats)] += 1
-    return hist
+# per set descriptor kind: its growth rule and its statistic rules
+_SETS = {
+    "avoiders": (_avoider_rule, _WORD_RULES),
+    "perm-avoiders": (lambda q, n_max: _raising_rule(q, n_max, True),
+                      _PERM_RULES),
+    "modified-avoiders": (_raising_rule, _MODIFIED_RULES),
+}
 
 
 def _described(descriptor, stats):
@@ -456,7 +434,7 @@ def _described(descriptor, stats):
         kind, p = descriptor
     except (TypeError, ValueError):
         raise ValueError(f"unknown set descriptor {descriptor!r}") from None
-    if kind not in ("avoiders", "perm-avoiders", "modified-avoiders"):
+    if kind not in _SETS:
         raise ValueError(f"unknown set descriptor kind {kind!r}")
     for s in stats:
         if s not in _WORD_RULES:
@@ -473,36 +451,47 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
     of their values in the order given; each comes as soon as its layer
     is done.
 
-    The descriptor is as for ``joint_distribution``.  Avoiders and
-    pattern-avoiding permutations are counted in one layered pass, with
-    the statistics' prefix states in the key; the modified sets are
-    listed length by length.  ``check``, when given, is called once per
-    state, and once per ascent sequence tried for the modified sets; the
-    histograms yielded before it raised stay valid.
+    The descriptor is as for ``joint_distribution``.  Every kind is
+    counted in one layered pass over its growth rule, keyed by (set key,
+    statistic states); the last layer keeps only the statistic states
+    and steps no tracker.  ``check``, when given, is called once per
+    state; the histograms yielded before it raised stay valid.
     """
     if not stats:
         raise ValueError("joint_histograms needs at least one statistic")
     kind, p = _described(descriptor, stats)
     _check_length(n_max)
-    if kind == "modified-avoiders":
-        return ((n, _modified_histogram(p, n, stats, check))
-                for n in range(1, n_max + 1))
-    if kind == "avoiders":
-        rules, layers = _WORD_RULES, _avoider_layers
-    else:
-        rules, layers = _PERM_RULES, _perm_layers
-    start, steps, values = zip(*(rules[s] for s in stats))
-    return _histograms(layers(p, n_max, steps, start, check), values)
+    rule, rules = _SETS[kind]
+    _, start, children = rule(p, n_max)
+    starts, steps, values = zip(*(rules[s] for s in stats))
+
+    def grown(key):
+        set_key, st = key
+        last = set_key[1]
+        for c, child in children(set_key):
+            yield c, (child, tuple([f(x, c, last) for f, x in zip(steps, st)]))
+
+    def leaves(key):
+        set_key, st = key
+        last = set_key[1]
+        for c, _ in children(set_key, False):
+            yield (tuple([f(x, c, last) for f, x in zip(steps, st)]),), 1
+
+    return _histograms(_layers(grown, (start, starts), n_max, check, leaves),
+                       lambda st: tuple(v(s) for v, s in zip(values, st)))
 
 
-def _histograms(layers, values):
+def _histograms(layers, value=None):
+    """Yield ``(n, histogram)`` per layer: the ways summed by the last
+    entry of the key, mapped through ``value`` when given."""
     for n, layer in layers:
-        by_state: Counter = Counter()
-        for key, ways in layer.items():
-            by_state[key[-1]] += ways
         hist: Counter = Counter()
-        for st, ways in by_state.items():
-            hist[tuple(v(s) for v, s in zip(values, st))] += ways
+        for key, ways in layer.items():
+            hist[key[-1]] += ways
+        if value is not None:
+            by_state, hist = hist, Counter()
+            for st, ways in by_state.items():
+                hist[value(st)] += ways
         yield n, hist
 
 
@@ -520,16 +509,12 @@ def joint_distribution(descriptor, n: int, *stats: str,
 
     The descriptor is a pair ``(kind, pattern)`` with kind one of
     ``avoiders``, ``perm-avoiders`` or ``modified-avoiders``; statistics
-    on the modified sets are evaluated on the modified words.  The first
-    two are counted by the layered pass of ``joint_histograms``, and
-    ``check``, when given, is called once per state of it; the modified
-    sets are listed, with one check per ascent sequence tried.
+    on the modified sets are evaluated on the modified words.  Every
+    kind is counted by the layered pass of ``joint_histograms``, and
+    ``check``, when given, is called once per state of it.
     """
     if not stats:
         raise ValueError("joint_distribution needs at least one statistic")
-    kind, p = _described(descriptor, stats)
-    if kind == "modified-avoiders":
-        return _modified_histogram(p, n, stats, check)
-    for _, hist in joint_histograms((kind, p), n, *stats, check=check):
+    for _, hist in joint_histograms(descriptor, n, *stats, check=check):
         pass
     return hist

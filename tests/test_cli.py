@@ -216,13 +216,25 @@ class TestDist:
         assert out.splitlines()[2:] == ["1500,0,1"]
 
     def test_modified_budget_counts_every_sequence(self, capsys):
-        # every modified word contains 0, so no word reaches the histogram;
-        # the budget must be checked once per ascent sequence tried
-        code, out, _ = run_cli(capsys, "dist", "--pattern", "0",
-                               "--modified", "--n", "11", "--stats", "asc",
+        # the modified histograms are one layered pass, about 13 s of
+        # states for 1021 with (asc, rlmax) to n=16; the budget is checked
+        # once per state, so it must stop the pass inside it
+        code, out, _ = run_cli(capsys, "dist", "--pattern", "1021",
+                               "--modified", "--n", "16",
+                               "--stats", "asc,rlmax",
                                "--budget-seconds", "0.5", "--format", "jsonl")
         assert code == EXIT_BUDGET
         assert json.loads(out.splitlines()[-1])["status"]["complete"] is False
+
+    def test_modified_empty_set_finishes_at_once(self, capsys):
+        # every modified word contains 0, so the first layer is empty
+        code, out, _ = run_cli(capsys, "dist", "--pattern", "0",
+                               "--modified", "--n", "11", "--stats", "asc",
+                               "--budget-seconds", "2", "--format", "jsonl")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[-1])["status"]["complete"] is True
 
     def test_unknown_statistic(self, capsys):
         code, _, err = run_cli(capsys, "dist", "--pattern", "021", "--n", "3",
@@ -287,6 +299,26 @@ DIST_DIGESTS = [
      "44411b9de7b226591413927c6d10dc2840c87bc456810129581bfac3feac8b72"),
     ("dist --pattern 021 --n 3..5 --stats asc,rlmin --modified --format csv",
      "14fd456be29f40377709fc636eb71d6dacd5c9bc96b3fc1385fd5a2b3e2abcdd"),
+    # recorded while dist --modified listed the ascent sequences of each
+    # length; lrmax and rlmax are the statistics whose prefix states
+    # follow the raise before an ascent top
+    ("dist --pattern 1021 --n 3..8 --stats lrmax --modified",
+     "b545ac3de9c3777e9d596118fe3f102a46246ec533762350060cdedd15ce9785"),
+    ("dist --pattern 1021 --n 3..8 --stats rlmax --modified --format csv",
+     "200a6876b4153e2927bdf86e6297eb4115b1f7ca165d0131257f226067f50272"),
+    ("dist --pattern 1021 --n 3..8 --stats lrmin,rlmin --modified --format "
+     "jsonl",
+     "21a9b67c6532e9cb9014b2c1bb3f20098a99e089f404f8f011cc1929c227ef54"),
+    ("dist --pattern 1021 --n 3..8 --stats fwd,zeros --modified --format csv",
+     "575d33697f5b5941a7db66dbb94b33e63df40f3b4fd58e8052d468e875646461"),
+    ("dist --pattern 0012 --n 2..7 --stats lrmax --modified --format csv",
+     "7833b749f0efc1dd9ef61fadca0b6d6161146fb6ea5fce607164f3a912dc317a"),
+    ("dist --pattern 0012 --n 2..7 --stats rlmax --modified --format jsonl",
+     "3f2315c9811ffff4cb753efba62df9635fb1cc097df7c4e42431540b58f86854"),
+    ("dist --pattern 0012 --n 2..7 --stats lrmin,rlmin --modified",
+     "381623836cd46ff6624e0e01affaccd956a6e9f0fb607ff3d8dd8cfe29da831d"),
+    ("dist --pattern 0012 --n 2..7 --stats fwd,zeros --modified --format csv",
+     "ebe42621f7889582bb6d9c6fcc0da7d4c1edfaf30f24640bbfc241a1a8929a24"),
 ]
 
 

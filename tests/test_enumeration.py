@@ -30,6 +30,12 @@ PERM_PATTERNS = [label for label in all_patterns(4)
                  if len(set(label)) == len(label)]
 
 
+def modified_words(p, n):
+    """The modified words of the ascent sequences of length n whose
+    modified word avoids p, listed."""
+    return (w for _, w in modified_avoiders(p, n))
+
+
 class TestGeneration:
     def test_tiny(self):
         assert list(generate_ascent_sequences(1)) == [(0,)]
@@ -460,18 +466,28 @@ class TestJointHistograms:
         self.check_asc_with_every_statistic("perm-avoiders", perm_avoiders,
                                             PERM_PATTERNS, 7)
 
+    def test_modified_avoiders_asc_with_every_statistic(self):
+        # statistics are read on the modified words, whose largest letter
+        # and right-to-left maxima move with the raise before an ascent top
+        self.check_asc_with_every_statistic("modified-avoiders",
+                                            modified_words, all_patterns(4),
+                                            7)
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.tuples(st.just("avoiders"),
                                st.sampled_from(all_patterns(4))),
                      st.tuples(st.just("perm-avoiders"),
-                               st.sampled_from(PERM_PATTERNS))),
+                               st.sampled_from(PERM_PATTERNS)),
+                     st.tuples(st.just("modified-avoiders"),
+                               st.sampled_from(all_patterns(4)))),
            st.lists(st.sampled_from(sorted(STATISTICS)), min_size=1,
                     max_size=3),
            st.integers(1, 7))
     def test_random_statistics_and_patterns(self, described, stats, n):
         kind, label = described
         p = pat(label)
-        words = avoiders if kind == "avoiders" else perm_avoiders
+        words = {"avoiders": avoiders, "perm-avoiders": perm_avoiders,
+                 "modified-avoiders": modified_words}[kind]
         got = dict(joint_histograms((kind, p), n, *stats))
         assert list(got) == list(range(1, n + 1))
         for m, hist in got.items():
