@@ -34,7 +34,7 @@ from operator import itemgetter
 
 from . import bijections
 from .core import contains, normalize_pattern, word_str
-from .incremental import make_tracker, open_gap, state_reducer
+from .incremental import make_tracker, open_gap
 
 
 @dataclass
@@ -289,16 +289,14 @@ def _raising_rule(p, n_max: int, ranks=False):
     before it is appended: gap 2c opens into a value.  With ``ranks``
     every letter raises, which grows the p-avoiding permutations by
     inserting the last entry at a rank; the last entry of the key then
-    counts the entries after the first.  ``state_reducer`` drops the
-    embeddings that cannot change a ``forbid`` answer, so more states
-    merge."""
+    counts the entries after the first."""
     size = 2 * n_max + 3
     tr = make_tracker(p, size, generic=True)
-    forbid, step, reduce = tr.forbid, tr.step, state_reducer(p)
+    forbid, step = tr.forbid, tr.step
 
     def appended(state, c, rise):
         moved = open_gap(state, 2 * c, size) if rise else state
-        return reduce(step(moved, 2 * c + 1), moved)
+        return step(moved, 2 * c + 1)
 
     def children(key, grow=True):
         state, last, a = key

@@ -15,34 +15,30 @@ Every state is a tuple whose last entry is the *dead mask*: bit c is set
 exactly when appending c would complete the pattern.  So ``forbid`` and
 ``count_allowed`` are one bit test and one popcount, shared by every
 tracker, and each tracker only states its ``step``.  Dead letters stay
-dead as the prefix grows, so a step only ever ORs bits in.  A mask may
-be negative: ``-1 << (t + 1)`` kills every letter above t, which is how
-a summary of the form "dead above the smallest x" is kept, and
-``_below(f)`` kills every letter below f for "dead below the largest x";
-taking the min or max of such bounds is then ``dead |= ...``.
+dead as the prefix grows, so a step only ever ORs bits in.
 
 The counting engine merges prefixes whose states are equal, so a state
-should keep no more than the future depends on.  The canonical tracker,
-used for every pattern without a hand summary, keeps the set of partial
+should keep no more than the future depends on.  The canonical tracker
+serves every pattern without a hand summary: it keeps the set of partial
 embeddings of the pattern, each reduced to the values and intervals its
-remaining letters depend on.  Its state is ``(book, ids, dead)``: the
-book, one per tracker, interns every embedding to a small id and keeps
-each embedding's move on a letter once computed, and ``ids`` is the
-bitmask of the prefix's embeddings.  Unlike the hand summaries' plain
-tuples, such states share a mutable book: they compare equal only
+remaining letters depend on, and every step drops the embeddings that
+cannot change a ``forbid`` answer.  These sets are the labels of a
+generating tree (West 1995, "Generating trees and the Catalan and
+Schröder numbers").  Its state is ``(book, ids, dead)``: the book, one
+per tracker, interns every embedding to a small id and keeps each
+embedding's and each state's move on a letter once computed, and ``ids``
+is the bitmask of the prefix's embeddings.  Unlike the hand summaries'
+plain tuples, such states share a mutable book: they compare equal only
 within one tracker, and one tracker should not be shared between
-threads.  For the patterns that dominate the
-counting workload there are hand-derived summaries below.  The
-enumeration test suite checks every hand summary, and the canonical
-tracker on every pattern of length at most 4, against a walk that asks
-the containment search directly.
+threads.  A hand-derived summary below is kept only where it counts more
+than twice as fast at length 13.  The enumeration test suite checks
+every hand summary, and the canonical tracker on every pattern of length
+at most 4, against a walk that asks the containment search directly.
 
-State components used repeatedly (letters are small, so sets of letters
-live in int bitmasks):
+The hand summaries keep sets of letters in int bitmasks:
 
     seen     bitmask of letters present in the prefix
     rep      bitmask of letters present at least twice
-    maxv     largest letter so far, -1 when empty
     dead     the dead mask, always the last entry
 """
 
@@ -58,10 +54,6 @@ class Tracker(NamedTuple):
     forbid: Callable
     step: Callable
     count_allowed: Callable
-
-
-def _lsb(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def _below(c: int) -> int:
@@ -96,12 +88,13 @@ def count_allowed(s, top: int) -> int:
 #
 # A state is (book, ids, dead).  The book belongs to one make_tracker
 # call: it interns every embedding the tracker meets to a small id and
-# keeps, per id, each move the first time it is asked for, so a step
-# costs one table lookup per embedding, however many prefixes share it.
-# ids is the bitmask of the prefix's embeddings, so within one book equal
-# embedding sets are equal masks.  step, open_gap and the state reducer
-# read the book from the state, so a state can be stepped by any
-# canonical tracker of its pattern.
+# keeps, per id, each move the first time it is asked for, so growing a
+# state costs one table lookup per embedding, however many prefixes share
+# it.  ids is the bitmask of the prefix's embeddings, so within one book
+# equal embedding sets are equal masks.  The book also keeps each state's
+# reduced move on a letter, so a step that many prefixes share is one
+# dict lookup.  step and open_gap read the book from the state, so a
+# state can be stepped by any canonical tracker of its pattern.
 
 
 class _Book:
@@ -116,11 +109,14 @@ class _Book:
         kills[i]     the letters the final pattern letter may take
         tested[i], dominators[i]
                      the ids tested for dominating i, and those that do
+        steps[(ids, dead, c)]
+                     the reduced state that state (ids, dead) steps to on
+                     letter c
     """
 
     __slots__ = ("p", "size", "plan", "tails", "index", "embeddings",
                  "rows", "gaps", "kills", "tested", "dominators", "penult",
-                 "root")
+                 "root", "steps")
 
     def __init__(self, p, size):
         self.p, self.size = p, size
@@ -143,6 +139,7 @@ class _Book:
         self.rows, self.gaps, self.kills = [], [], []
         self.tested, self.dominators = [], []
         self.penult = 0
+        self.steps = {}
         # the root embedding, which a length-1 pattern has already completed
         self.root = (1 << self.intern((0, ((-1, size),) * (max(p) + 1)))
                      if len(p) > 1 else 0)
@@ -241,26 +238,71 @@ class _Book:
                     self.dominators[i] |= low
         return self.dominators[i] & others
 
+    def step(self, ids: int, dead: int, c: int):
+        """The state (self, ids, dead) grown by the letter c, reduced:
+        dropped are the embeddings that can only kill letters some other
+        part of the state kills anyway,
+
+        (a) those whose final pattern letter may only take dead letters;
+        (b) an embedding (j1, v1) when another (j2 >= j1, v2) admits, on
+            every letter of p[j2:], every letter v1 admits, so that every
+            completion of v1 also completes v2.
+
+        ``forbid`` answers stay the same on every continuation, including
+        ``open_gap`` moves; only the states get fewer.  The state grown
+        is reduced already, so (a) tests every embedding only when the
+        dead mask grew, else the new ones, and (b) only compares pairs
+        that involve a new embedding."""
+        rows, penult = self.rows, self.penult
+        grown, old_dead = ids, dead
+        rest = ids | self.root
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            m = rows[i][c]
+            if m is None:
+                m = self.move(i, c)
+            if low & penult:
+                dead |= m
+            else:
+                grown |= m
+        if dead == old_dead:
+            dead = old_dead     # share an unchanged mask along a walk's stack
+            if grown == ids:
+                return (self, ids, dead)
+        fresh = grown & ~ids
+        live = grown
+        # (a), on every embedding when the dead mask grew, else on new ones
+        kills = self.kills
+        rest = grown if dead != old_dead else fresh
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m = kills[low.bit_length() - 1]
+            if dead & m == m:
+                live ^= low
+        fresh &= live
+        kept = live
+        if fresh:
+            # (b), on the pairs that involve a new embedding
+            rest = live
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if self.dominated(low.bit_length() - 1,
+                                  live if low & fresh else fresh):
+                    kept ^= low
+        return (self, kept, dead)
+
 
 def _canonical_step(s, c):
     book, ids, dead = s
-    rows, penult = book.rows, book.penult
-    grown = ids
-    rest = ids | book.root
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        i = low.bit_length() - 1
-        m = rows[i][c]
-        if m is None:
-            m = book.move(i, c)
-        if low & penult:
-            dead |= m
-        else:
-            grown |= m
-    if dead == s[2]:
-        dead = s[2]     # share an unchanged mask along a walk's stack
-    return (book, grown, dead)
+    key = (ids, dead, c)
+    t = book.steps.get(key)
+    if t is None:
+        t = book.steps[key] = book.step(ids, dead, c)
+    return t
 
 
 def _generic(p, size):
@@ -297,68 +339,8 @@ def open_gap(s, g: int, size: int):
     return (book, moved, dead & _below(size))
 
 
-def state_reducer(p):
-    """A function ``reduce(s, prev=None)`` that drops, from a canonical
-    state of pattern p, the embeddings that can only kill letters some
-    other part of the state kills anyway:
-
-    (a) those whose final pattern letter may only take dead letters;
-    (b) an embedding (j1, v1) when another (j2 >= j1, v2) admits, on
-        every letter of p[j2:], every letter v1 admits, so that every
-        completion of v1 also completes v2.
-
-    ``forbid`` answers stay the same on every continuation, including
-    ``open_gap`` moves; only the states get fewer.  When s is a step
-    from a reduced state ``prev``, (b) only compares pairs that involve
-    an embedding the step added, and the result is the same.  Both tests
-    are read from, and kept in, the state's book.
-    """
-    normalize_pattern(p)     # rejects a bad p; the book holds the rest
-
-    def reduce(s, prev=None):
-        book, ids, dead = s
-        old, old_dead = (0, None) if prev is None else prev[1:]
-        if ids == old and dead == old_dead:
-            return s
-        fresh = ids & ~old
-        live = ids
-        # (a), on every embedding when the dead mask grew, else on new ones
-        kills = book.kills
-        rest = ids if dead != old_dead else fresh
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = kills[low.bit_length() - 1]
-            if dead & m == m:
-                live ^= low
-        fresh &= live
-        kept = live
-        if fresh:
-            # (b), on the pairs that involve a new embedding
-            rest = live
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if book.dominated(low.bit_length() - 1,
-                                  live if low & fresh else fresh):
-                    kept ^= low
-        if kept == ids:
-            return s
-        return (book, kept, dead)
-
-    return reduce
-
-
 # --- hand summaries ----------------------------------------------------------
 # Each returns (state0, step); the comment names what kills a letter.
-
-
-def _t_10(p, size):
-    # (b, a): dead below the maximum
-    def step(s, c):
-        return (s[0] | _below(c),)
-
-    return (0,), step
 
 
 def _t_000(p, size):
@@ -371,63 +353,6 @@ def _t_000(p, size):
     return (0, 0), step
 
 
-def _t_001(p, size):
-    # (a, a, b): dead above the smallest repeated letter
-    def step(s, c):
-        seen, dead = s
-        if (seen >> c) & 1:
-            dead |= -1 << (c + 1)
-        return (seen | (1 << c), dead)
-
-    return (0, 0), step
-
-
-def _t_010(p, size):
-    # (a, b, a) with a < b: letter a is dead once some bigger letter
-    # followed an occurrence of it
-    def step(s, c):
-        seen, up = s
-        return (seen | (1 << c), up | (seen & _below(c)))
-
-    return (0, 0), step
-
-
-def _t_011(p, size):
-    # (a, b, b): letter b is dead once it has occurred with something
-    # smaller before it
-    def step(s, c):
-        seen, at = s
-        bit = 1 << c
-        if seen & _below(c):
-            at |= bit
-        return (seen | bit, at)
-
-    return (0, 0), step
-
-
-def _t_012(p, size):
-    # (a, b, d): dead above the smallest top of a rising pair, as in
-    # patience sorting; mn is the smallest letter so far (size when none)
-    def step(s, c):
-        mn, dead = s
-        if c > mn:
-            dead |= -1 << (c + 1)
-        return (min(mn, c), dead)
-
-    return (size, 0), step
-
-
-def _t_100(p, size):
-    # (b, a, a): letter a is dead once it occurred below an earlier max
-    def step(s, c):
-        maxv, dead = s
-        if c < maxv:
-            dead |= 1 << c
-        return (max(maxv, c), dead)
-
-    return (-1, 0), step
-
-
 def _t_101(p, size):
     # (b, a, b): letter b is dead once some occurrence of it was followed
     # by a smaller letter
@@ -437,100 +362,6 @@ def _t_101(p, size):
         return (seen | (1 << c), dead)
 
     return (0, 0), step
-
-
-def _t_102(p, size):
-    # (b, a, d) with a < b < d: dead above the smallest descent top
-    def step(s, c):
-        seen, dead = s
-        higher = seen >> (c + 1)
-        if higher:
-            dead |= -1 << (c + 2 + _lsb(higher))
-        return (seen | (1 << c), dead)
-
-    return (0, 0), step
-
-
-def _t_110(p, size):
-    # (b, b, a): dead below the largest repeated letter
-    def step(s, c):
-        seen, dead = s
-        if (seen >> c) & 1:
-            dead |= _below(c)
-        return (seen | (1 << c), dead)
-
-    return (0, 0), step
-
-
-def _t_120(p, size):
-    # (b, d, a) with a < b < d: dead below the largest ascent bottom
-    def step(s, c):
-        seen, dead = s
-        lower = seen & _below(c)
-        if lower:
-            dead |= _below(lower.bit_length() - 1)
-        return (seen | (1 << c), dead)
-
-    return (0, 0), step
-
-
-def _t_210(p, size):
-    # (c, b, a): dead below the largest descent bottom
-    def step(s, c):
-        maxv, dead = s
-        if c < maxv:
-            dead |= _below(c)
-        return (max(maxv, c), dead)
-
-    return (-1, 0), step
-
-
-def _t_201(p, size):
-    # (d, a, b): dead inside a descent pair d..a, that is a < c < d
-    def step(s, c):
-        maxv, dead = s
-        if c < maxv:
-            dead |= _between(c, maxv)
-        return (max(maxv, c), dead)
-
-    return (-1, 0), step
-
-
-def _t_021(p, size):
-    # (a, d, b): dead inside an ascent pair a..d, that is a < c < d
-    def step(s, c):
-        seen, dead = s
-        lower = seen & _below(c)
-        if lower:
-            dead |= _between(_lsb(lower), c)
-        return (seen | (1 << c), dead)
-
-    return (0, 0), step
-
-
-def _t_0012(p, size):
-    # (a, a, b, d): dead above the smallest b with a repeated a < b
-    def step(s, c):
-        seen, rep, dead = s
-        bit = 1 << c
-        if rep & _below(c):
-            dead |= -1 << (c + 1)
-        return (seen | bit, rep | (seen & bit), dead)
-
-    return (0, 0, 0), step
-
-
-def _t_0021(p, size):
-    # (a, a, d, b): like 021 but the bottom leg must be repeated
-    def step(s, c):
-        seen, rep, dead = s
-        lower = rep & _below(c)
-        if lower:
-            dead |= _between(_lsb(lower), c)
-        bit = 1 << c
-        return (seen | bit, rep | (seen & bit), dead)
-
-    return (0, 0, 0), step
 
 
 def _t_0101(p, size):
@@ -549,87 +380,10 @@ def _t_0101(p, size):
     return (0, (0,) * size, 0), step
 
 
-def _t_0102(p, size):
-    # (a, b, a, d): dead above the smallest middle letter of an a..b..a
-    # trace; tops as in 0101
-    def step(s, c):
-        seen, tops, dead = s
-        m = tops[c]
-        if m:
-            dead |= -1 << (_lsb(m) + 1)
-        bit = 1 << c
-        lower = seen & _below(c)
-        if lower:
-            tops = tuple(t | bit if (lower >> x) & 1 else t
-                         for x, t in enumerate(tops))
-        return (seen | bit, tops, dead)
-
-    return (0, (0,) * size, 0), step
-
-
-def _t_0112(p, size):
-    # (a, b, b, d): dead above the smallest repeated ascent top
-    def step(s, c):
-        seen, at, dead = s
-        bit = 1 << c
-        if at & bit:
-            dead |= -1 << (c + 1)
-        if seen & _below(c):
-            at |= bit
-        return (seen | bit, at, dead)
-
-    return (0, 0, 0), step
-
-
-def _t_0123(p, size):
-    # (a, b, d, e): dead above the smallest top of a rising triple; mn
-    # and top2 as in 012 (size when none yet)
-    def step(s, c):
-        mn, top2, dead = s
-        if c > top2:
-            dead |= -1 << (c + 1)
-        if mn < c < top2:
-            top2 = c
-        return (min(mn, c), top2, dead)
-
-    return (size, size, 0), step
-
-
-def _t_1012(p, size):
-    # (b, a, b, d): dead above the smallest letter with a b..a..b trace;
-    # dt as in 101
-    def step(s, c):
-        seen, dt, dead = s
-        if (dt >> c) & 1:
-            dead |= -1 << (c + 1)
-        dt |= seen >> (c + 1) << (c + 1)
-        return (seen | (1 << c), dt, dead)
-
-    return (0, 0, 0), step
-
-
 _FACTORIES = {
-    (1, 0): _t_10,
     (0, 0, 0): _t_000,
-    (0, 0, 1): _t_001,
-    (0, 1, 0): _t_010,
-    (0, 1, 1): _t_011,
-    (0, 1, 2): _t_012,
-    (1, 0, 0): _t_100,
     (1, 0, 1): _t_101,
-    (1, 0, 2): _t_102,
-    (1, 1, 0): _t_110,
-    (1, 2, 0): _t_120,
-    (2, 0, 1): _t_201,
-    (2, 1, 0): _t_210,
-    (0, 2, 1): _t_021,
-    (0, 0, 1, 2): _t_0012,
-    (0, 0, 2, 1): _t_0021,
     (0, 1, 0, 1): _t_0101,
-    (0, 1, 0, 2): _t_0102,
-    (0, 1, 1, 2): _t_0112,
-    (0, 1, 2, 3): _t_0123,
-    (1, 0, 1, 2): _t_1012,
 }
 
 SPECIALIZED = frozenset(_FACTORIES)
@@ -638,9 +392,10 @@ SPECIALIZED = frozenset(_FACTORIES)
 def make_tracker(p, size: int, generic: bool = False) -> Tracker:
     """Build a tracker for pattern p over letters 0..size-1.
 
-    Patterns without a hand-derived summary get the canonical
-    embedding-set tracker; ``generic=True`` forces it for every pattern,
-    which the tests use to check it against the containment search.
+    Patterns without a hand-derived summary (``SPECIALIZED``) get the
+    canonical embedding-set tracker, whose step returns reduced states;
+    ``generic=True`` forces it for every pattern, which the tests use to
+    check it against the containment search.
     """
     p = normalize_pattern(p)
     factory = None if generic else _FACTORIES.get(p)

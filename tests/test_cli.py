@@ -454,11 +454,11 @@ class TestConjecturesCmd:
 
     @pytest.mark.parametrize("name", ["0012", "bi-021"])
     def test_budget_counts_every_word(self, capsys, name):
-        # one layered pass to length 14 takes about 3 s for either check
-        # (1.2-1.4 s to length 13); the budget must be able to stop it
-        # inside the pass
+        # one layered pass to length 15 takes about 2.5 s for 0012 and
+        # 5 s for bi-021 (1.2 s and 1.8 s to length 14); the budget must
+        # be able to stop it inside the pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", name,
-                               "--n", "14", "--budget-seconds", "1",
+                               "--n", "15", "--budget-seconds", "1",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]

@@ -19,12 +19,15 @@ from ascentseq.enumeration import (avoiders, count_ascent_sequences,
                                    joint_histograms, modified_asc_counts,
                                    modified_avoiders, perm_avoiders)
 from ascentseq.fixtures import expected_counts
-from ascentseq.incremental import (SPECIALIZED, make_tracker, open_gap,
-                                   state_reducer)
+from ascentseq.incremental import SPECIALIZED, make_tracker, open_gap
 from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
                                catalan, stirling2)
 
 from conftest import pat
+
+WORKLOAD_PATTERNS = ("10", "000", "001", "010", "011", "012", "100", "101",
+                     "102", "110", "120", "201", "210", "021", "0012",
+                     "0021", "0101", "0102", "0112", "0123", "1012")
 
 PERM_PATTERNS = [label for label in all_patterns(4)
                  if len(set(label)) == len(label)]
@@ -99,15 +102,19 @@ class TestAvoiders:
                 assert count_avoiders(p, n).values[n] == len(expected)
 
     def test_specialized_trackers_match_generic(self):
-        # every hand-derived tracker against the search-based one
-        for p in sorted(SPECIALIZED):
+        # the trackers of the 21 patterns that dominate the counting
+        # workload, the hand-derived ones among them, against the
+        # search-based walk
+        assert {pat(label) for label in WORKLOAD_PATTERNS} >= SPECIALIZED
+        for p in map(pat, WORKLOAD_PATTERNS):
             fast = count_avoiders(p, 8).as_list()
             slow = [sum(1 for _ in _generic_avoiders(p, n))
                     for n in range(1, 9)]
             assert fast == slow, p
 
     def test_straddle_trackers_match_generic_at_9(self):
-        # the dead-letter masks of 201, 021 and 0021 one length past the
+        # the canonical dead-letter masks of 201, 021 and 0021, whose
+        # kills straddle a descent or ascent pair, one length past the
         # check above
         for label in ("201", "021", "0021"):
             p = pat(label)
@@ -186,6 +193,22 @@ class TestCanonicalTracker:
         s01 = tr.step(once, 1)
         assert tr.step(s01, 1) == s01
 
+    def test_counting_merges_reduced_states(self, monkeypatch):
+        # the ordinary count steps reduced states: layer 11 keeps 586,
+        # 341 and 254 keys for 0021, 0012 and 210, where the unreduced
+        # embedding sets keep 8889, 3440 and 1330
+        sizes = {}
+        layers = enumeration._layers
+
+        def spy(*args, **kwargs):
+            for n, layer in layers(*args, **kwargs):
+                sizes[n] = len(layer)
+                yield n, layer
+        monkeypatch.setattr(enumeration, "_layers", spy)
+        for label, keys in (("0021", 586), ("0012", 341), ("210", 254)):
+            dict(enumeration.avoider_counts(pat(label), 12))
+            assert sizes[11] == keys, label
+
     def test_unchanged_mask_is_shared(self):
         # a walk's stack holds one state per letter, so a dead mask of
         # `size` bits copied at every step costs O(n * size) memory
@@ -251,7 +274,7 @@ class TestTrackerConvention:
     def test_last_entry_is_the_dead_mask(self, generic):
         patterns = ([pat(label) for label in all_patterns(4)] if generic
                     else sorted(SPECIALIZED))
-        assert len(patterns) == (92 if generic else 21)
+        assert len(patterns) == (92 if generic else 3)
         size = 9
         for p in patterns:
             tr = make_tracker(p, size, generic=generic)
@@ -583,18 +606,17 @@ class TestModified:
     def test_transported_state_is_the_modified_words_state(self, label):
         # the DP opens gap 2c before an ascent top c and steps; that must
         # give the state of modify(x c) grown from scratch in doubled
-        # coordinates, reduced after every step, and forbid must agree
-        # with containment in modify(x c)
+        # coordinates, and forbid must agree with containment in
+        # modify(x c)
         p = pat(label)
         n_max = 10
         size = 2 * n_max + 3
         tr = make_tracker(p, size, generic=True)
-        reduce = state_reducer(p)
 
         def grown(w):
             s = tr.state
             for v in w:
-                s = reduce(tr.step(s, 2 * v + 1))
+                s = tr.step(s, 2 * v + 1)
             return s
 
         rng = random.Random(label)
@@ -609,7 +631,7 @@ class TestModified:
                     if dead:
                         continue
                     moved = open_gap(s, g, size) if c > last else s
-                    t = reduce(tr.step(moved, 2 * c + 1), moved)
+                    t = tr.step(moved, 2 * c + 1)
                     assert t == grown(modify(x + (c,))), (x, c)
                     allowed.append((c, t))
                 if not allowed:
