@@ -15,7 +15,8 @@ import math
 import sys
 import time
 
-from .core import STATISTICS, asc, des, is_pattern, normalize_pattern, word_str
+from .core import (STATISTICS, as_word, asc, des, is_pattern,
+                   normalize_pattern, word_str)
 from .enumeration import (avoider_counts, avoiders, count_avoiders,
                           joint_histograms, modified_asc_counts)
 from .bijections import BIJECTIONS, partition_str, standardize_partition
@@ -82,7 +83,7 @@ def parse_cli_pattern(text: str) -> tuple[int, ...]:
     """Digit-string patterns only; non-normalized input is rejected."""
     if not text or not text.isdigit():
         raise ValueError(f"pattern must be a nonempty digit string: {text!r}")
-    p = tuple(int(ch) for ch in text)
+    p = as_word(text)
     if not is_pattern(p):
         suggestion = word_str(normalize_pattern(p))
         raise ValueError(
@@ -94,7 +95,7 @@ def parse_cli_pattern(text: str) -> tuple[int, ...]:
 def parse_word(text: str) -> tuple[int, ...]:
     if not text.isdigit() and text != "":
         raise ValueError(f"expected a digit string, got {text!r}")
-    return tuple(int(ch) for ch in text)
+    return as_word(text)
 
 
 def parse_partition(text: str):
@@ -102,7 +103,7 @@ def parse_partition(text: str):
     for part in text.split("-"):
         if not part.isdigit():
             raise ValueError(f"bad partition block {part!r}")
-        blocks.append(tuple(int(ch) for ch in part))
+        blocks.append(as_word(part))
     return standardize_partition(blocks)
 
 
@@ -153,43 +154,52 @@ def _plain(v) -> str:
 # subcommands
 
 
+def _run(args, command: str, params: dict, columns: list[str], rows,
+         ok=None) -> int:
+    """Drain the row iterator, emit once and pick the exit code.
+
+    A ``BudgetExceeded`` keeps the rows made before it and marks them
+    incomplete (exit 3); otherwise the run exits 4 when ``ok`` rejects a
+    row, else 0.
+    """
+    done, status = [], {"complete": True}
+    try:
+        for row in rows:
+            done.append(row)
+    except BudgetExceeded as exc:
+        status = {"complete": False, "reason": str(exc)}
+    emit(args.format, command, params, columns, done, status)
+    if not status["complete"]:
+        return EXIT_BUDGET
+    if ok is not None and not all(map(ok, done)):
+        return EXIT_VERIFY
+    return EXIT_OK
+
+
 def cmd_count(args) -> int:
     p = parse_cli_pattern(args.pattern)
     lo, hi = parse_n_range(args.n)
     budget = Budget(args.budget_seconds)
-    rows, status = [], {"complete": True}
     if args.modified:
         counts = ((n, sum(hist.values())) for n, hist in
                   modified_asc_counts(p, hi, check=budget.check))
     else:
         counts = avoider_counts(p, hi, check=budget.check)
-    try:
-        for n, c in counts:
-            if n >= lo:
-                rows.append({"n": n, "count": c})
-    except BudgetExceeded as exc:
-        status = {"complete": False, "reason": str(exc)}
-    emit(args.format, "count",
-         {"pattern": args.pattern, "n": args.n, "modified": args.modified,
-          "threads": args.threads},
-         ["n", "count"], rows, status)
-    return EXIT_BUDGET if not status["complete"] else EXIT_OK
+    return _run(args, "count",
+                {"pattern": args.pattern, "n": args.n,
+                 "modified": args.modified, "threads": args.threads},
+                ["n", "count"],
+                ({"n": n, "count": c} for n, c in counts if n >= lo))
 
 
 def cmd_list(args) -> int:
     p = parse_cli_pattern(args.pattern)
     lo, hi = parse_n_range(args.n)
     budget = Budget(args.budget_seconds)
-    rows, status = [], {"complete": True}
-    try:
-        for n in range(lo, hi + 1):
-            for w in avoiders(p, n, budget.check):
-                rows.append({"n": n, "sequence": word_str(w)})
-    except BudgetExceeded as exc:
-        status = {"complete": False, "reason": str(exc)}
-    emit(args.format, "list", {"pattern": args.pattern, "n": args.n},
-         ["n", "sequence"], rows, status)
-    return EXIT_BUDGET if not status["complete"] else EXIT_OK
+    return _run(args, "list", {"pattern": args.pattern, "n": args.n},
+                ["n", "sequence"],
+                ({"n": n, "sequence": word_str(w)} for n in range(lo, hi + 1)
+                 for w in avoiders(p, n, budget.check)))
 
 
 def cmd_dist(args) -> int:
@@ -198,30 +208,15 @@ def cmd_dist(args) -> int:
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
     if not 1 <= len(stats) <= 2:
         raise ValueError("--stats takes one or two statistic names")
-    for s in stats:
-        if s not in STATISTICS:
-            raise ValueError(f"unknown statistic {s!r}; "
-                             f"choose from {sorted(STATISTICS)}")
     budget = Budget(args.budget_seconds)
-    rows, status = [], {"complete": True}
     kind = "modified-avoiders" if args.modified else "avoiders"
     hists = joint_histograms((kind, p), hi, *stats, check=budget.check)
-    try:
-        for n, hist in hists:
-            if n < lo:
-                continue
-            for key in sorted(hist):
-                row = {"n": n}
-                row.update({s: key[i] for i, s in enumerate(stats)})
-                row["count"] = hist[key]
-                rows.append(row)
-    except BudgetExceeded as exc:
-        status = {"complete": False, "reason": str(exc)}
-    emit(args.format, "dist",
-         {"pattern": args.pattern, "n": args.n, "stats": ",".join(stats),
-          "set": kind},
-         ["n", *stats, "count"], rows, status)
-    return EXIT_BUDGET if not status["complete"] else EXIT_OK
+    return _run(args, "dist",
+                {"pattern": args.pattern, "n": args.n,
+                 "stats": ",".join(stats), "set": kind},
+                ["n", *stats, "count"],
+                ({"n": n, **dict(zip(stats, key)), "count": hist[key]}
+                 for n, hist in hists if n >= lo for key in sorted(hist)))
 
 
 _PARTITION_INPUT = {"rgf-encode"}
@@ -256,12 +251,17 @@ def cmd_bijection(args) -> int:
     src_text = partition_str(src) if args.name in _PARTITION_INPUT else word_str(src)
     row = {"name": args.name, "input": src_text, "output": render(dst)}
     row.update(_bijection_stats(args.name, src, dst))
-    emit(args.format, "bijection", {"name": args.name, "input": src_text},
-         list(row), [row], {"complete": True})
-    return EXIT_OK
+    return _run(args, "bijection", {"name": args.name, "input": src_text},
+                list(row), [row])
 
 
 def cmd_wilf(args) -> int:
+    """Classify, then print one row per class.
+
+    Only wilf catches ``BudgetExceeded`` itself, because its refusal has
+    its own shape: the header drops the ``patterns`` parameter and the
+    ``size`` column.  That output must stay byte-identical.
+    """
     if args.pattern:
         labels = [word_str(parse_cli_pattern(t.strip()))
                   for t in args.pattern.split(",")]
@@ -281,71 +281,50 @@ def cmd_wilf(args) -> int:
         rows += [{"class": "", "size": "",
                   "patterns": f"separation {a} {b} n={n}"}
                  for (a, b), n in sorted(report.separations.items())]
-    emit(args.format, "wilf",
-         {"n": args.n, "patterns": len(labels)},
-         ["class", "size", "patterns"], rows, {"complete": True})
-    return EXIT_OK
+    return _run(args, "wilf", {"n": args.n, "patterns": len(labels)},
+                ["class", "size", "patterns"], rows)
 
 
 def cmd_table(args) -> int:
     parse_n_range(str(args.nmax))       # the same checks as every --n
     budget = Budget(args.budget_seconds)
-    rows, status = [], {"complete": True}
-    mismatched = False
-    try:
+
+    def rows():
         for label in table_patterns():
-            p = tuple(int(ch) for ch in label)
             n_max = available_depth(label, args.nmax)
             # count first: only the count checks the budget, and the
             # closed forms alone take minutes at the longest lengths
-            got = count_avoiders(p, n_max, check=budget.check).values
+            got = count_avoiders(as_word(label), n_max,
+                                 check=budget.check).values
             want = expected_counts(label, n_max)
-            diffs = [n for n in sorted(want) if n <= n_max
-                     and got[n] != want[n]]
-            if diffs:
-                mismatched = True
-                n = diffs[0]
-                verdict = f"mismatch at n={n}: got {got[n]}, want {want[n]}"
-            else:
-                verdict = "ok"
-            rows.append({"pattern": label, "n_max": n_max, "status": verdict})
-    except BudgetExceeded as exc:
-        status = {"complete": False, "reason": str(exc)}
-    emit(args.format, "table", {"nmax": args.nmax},
-         ["pattern", "n_max", "status"], rows, status)
-    if not status["complete"]:
-        return EXIT_BUDGET
-    return EXIT_VERIFY if mismatched else EXIT_OK
+            n = next((n for n in sorted(want)
+                      if n <= n_max and got[n] != want[n]), None)
+            yield {"pattern": label, "n_max": n_max,
+                   "status": "ok" if n is None else
+                   f"mismatch at n={n}: got {got[n]}, want {want[n]}"}
+
+    return _run(args, "table", {"nmax": args.nmax},
+                ["pattern", "n_max", "status"], rows(),
+                ok=lambda row: row["status"] == "ok")
+
+
+def _conjecture_row(res) -> dict:
+    bad = [v for v in res.verdicts if not v.holds]
+    return {"conjecture": res.conjecture, "n_max": res.n_max,
+            "verdict": "fails" if bad else "holds",
+            "detail": f"n={bad[0].n}: {bad[0].witness}" if bad else ""}
 
 
 def cmd_conjectures(args) -> int:
-    ids = [args.name] if args.name else list(CONJECTURE_IDS)
-    for cid in ids:
-        if cid not in CONJECTURE_IDS:
-            raise ValueError(f"unknown conjecture {cid!r}; choose from "
-                             f"{list(CONJECTURE_IDS)}")
+    ids = [args.name] if args.name else CONJECTURE_IDS
     n_max = parse_n_range(args.n)[1] if args.n else None
     budget = Budget(args.budget_seconds)
-    rows, status = [], {"complete": True}
-    failed = False
-    try:
-        for cid in ids:
-            res = run_conjecture(cid, n_max, check=budget.check)
-            bad = [v for v in res.verdicts if not v.holds]
-            failed = failed or bool(bad)
-            rows.append({
-                "conjecture": cid,
-                "n_max": res.n_max,
-                "verdict": "holds" if not bad else "fails",
-                "detail": "" if not bad else f"n={bad[0].n}: {bad[0].witness}",
-            })
-    except BudgetExceeded as exc:
-        status = {"complete": False, "reason": str(exc)}
-    emit(args.format, "conjectures", {"n": args.n or "default"},
-         ["conjecture", "n_max", "verdict", "detail"], rows, status)
-    if not status["complete"]:
-        return EXIT_BUDGET
-    return EXIT_VERIFY if failed else EXIT_OK
+    return _run(args, "conjectures", {"n": args.n or "default"},
+                ["conjecture", "n_max", "verdict", "detail"],
+                (_conjecture_row(run_conjecture(cid, n_max,
+                                                check=budget.check))
+                 for cid in ids),
+                ok=lambda row: row["verdict"] == "holds")
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dist", help="statistic distribution over avoiders")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--n", required=True)
-    sp.add_argument("--stats", required=True, help="one or two of "
-                    "asc,des,lrmax,lrmin,rlmax,rlmin,zeros,fwd")
+    sp.add_argument("--stats", required=True,
+                    help=f"one or two of {','.join(STATISTICS)}")
     sp.add_argument("--modified", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_dist)

@@ -33,7 +33,8 @@ from math import inf
 from operator import itemgetter
 
 from . import bijections
-from .core import contains, normalize_pattern, word_str
+from .core import (check_perm_pattern, contains, normalize_pattern,
+                   word_str)
 from .incremental import make_tracker, open_gap
 
 
@@ -229,9 +230,7 @@ def perm_avoiders(q, n: int, check=None):
     pattern q, lexicographically, pruned by the pattern's tracker;
     ``check`` is passed on to the walk."""
     _check_length(n)
-    q = normalize_pattern(q)
-    if len(set(q)) != len(q):
-        raise ValueError("permutation patterns must have distinct letters")
+    q = check_perm_pattern(q)
     tr = make_tracker(q, n + 2)
     forbid, step = tr.forbid, tr.step
 
@@ -436,11 +435,11 @@ def _described(descriptor, stats):
         raise ValueError(f"unknown set descriptor kind {kind!r}")
     for s in stats:
         if s not in _WORD_RULES:
-            raise ValueError(f"unknown statistic {s!r}")
-    p = normalize_pattern(p)
-    if kind == "perm-avoiders" and len(set(p)) != len(p):
-        raise ValueError("permutation patterns must have distinct letters")
-    return kind, p
+            raise ValueError(f"unknown statistic {s!r}; "
+                             f"choose from {sorted(_WORD_RULES)}")
+    if kind == "perm-avoiders":
+        return kind, check_perm_pattern(p)
+    return kind, normalize_pattern(p)
 
 
 def joint_histograms(descriptor, n_max: int, *stats: str, check=None):

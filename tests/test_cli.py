@@ -7,10 +7,12 @@ from collections import Counter
 
 import pytest
 
-from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, MAX_LENGTH,
-                           main, parse_cli_pattern, parse_n_range)
+from ascentseq import cli
+from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
+                           MAX_LENGTH, main, parse_cli_pattern, parse_n_range)
 from ascentseq.core import stat
 from ascentseq.enumeration import avoiders, count_avoiders
+from ascentseq.oracles import ConjectureVerdict
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +361,58 @@ class TestDistOutput:
                                              f"error: {message}\n")
 
 
+# sha256 of stdout when the deadline is already past: the first budget
+# check raises, so each run prints its header, no rows and the
+# incomplete status, whatever the speed of the host
+BUDGET_DIGESTS = [
+    ("count --pattern 0021 --n 1..8 --format table",
+     "3b64400e0d34561c3459991cd9ff0b45ddcf8ea90ebc6ac5b4a18b7c8c2e46f4"),
+    ("count --pattern 0021 --n 1..8 --format csv",
+     "6ab52c6269d16fee36a1b4db23e336668da0ce3f2c9f486502d529dc31e22e13"),
+    ("count --pattern 0021 --n 1..8 --format jsonl",
+     "751dbfc4f2ba20af062dd3b60104e17c1cb407104dbabfcc8d96df18e2328efb"),
+    ("list --pattern 012 --n 1..4 --format table",
+     "9479b130bff66fe3e078d810f88a45a35e93deeedc87d40074edba3054c1d8e6"),
+    ("list --pattern 012 --n 1..4 --format csv",
+     "6fb60b5989543c90f1d1af62fe373c770f79b621ae925f28a7338c9bf912cdc0"),
+    ("list --pattern 012 --n 1..4 --format jsonl",
+     "44abf15a5f3cee367df525304d3b4487f9e3d6af1abcffa152dc0b38f547cffb"),
+    ("dist --pattern 0012 --n 2..6 --stats asc,fwd --format table",
+     "2ef9d6b932bc4239a725a293e50cce919d3ad2f8bed276f2f64b09a2530bf508"),
+    ("dist --pattern 0012 --n 2..6 --stats asc,fwd --format csv",
+     "4a27ecd6798674bec925ea60766d109f3635afba4759aa77bad28442d9128d40"),
+    ("dist --pattern 0012 --n 2..6 --stats asc,fwd --format jsonl",
+     "340425048d0b91bd45d894b75809de083e0cadf4d612b5eaf2c0cad583d76c6a"),
+    ("wilf --pattern 101,021 --n 7 --format table",
+     "6157f5555c880fcaae069d93268b56eea9ecdf9b74a8df6285210c67bd030f31"),
+    ("wilf --pattern 101,021 --n 7 --format csv",
+     "29bb49bb95d4a16a09c4a36bed3cbcf8f672aa8219215f55e00e4c60c495daae"),
+    ("wilf --pattern 101,021 --n 7 --format jsonl",
+     "89ec72a768781c7a557ab15efcdf24b44bda9bf1d8d4739e10184567df895029"),
+    ("table --nmax 7 --format table",
+     "46d4dea8974a1b881d7a5abbd21aad5d17944c8574354de75ee343bf9ab71709"),
+    ("table --nmax 7 --format csv",
+     "28123ffc2b67b54bd1fce778da2c9c60231aee633085371b75971ccd06236236"),
+    ("table --nmax 7 --format jsonl",
+     "f891b1c6384c7cd8a0e93747ca7e1f418bb4afe295410bf13ae1bf770588b0e6"),
+    ("conjectures --format table",
+     "99a93476eb77f303fea886a99d606a899880e76eb6a3a034985348a3d30b209a"),
+    ("conjectures --format csv",
+     "f0211e52d2f544b7f47473fdb10720897ed0d9a36295ea65e4bea8833d931c52"),
+    ("conjectures --format jsonl",
+     "fd3177e027da18559768d9b42b691d2f1f48ad9f9b6d121b622984561033f687")
+]
+
+
+class TestBudgetOutput:
+    @pytest.mark.parametrize("line,digest", BUDGET_DIGESTS)
+    def test_stdout_is_unchanged(self, capsys, line, digest):
+        code, out, err = run_cli(capsys, *line.split(), "--budget-seconds",
+                                 "-1")
+        assert code == EXIT_BUDGET and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestBijection:
     @pytest.mark.parametrize("name,inp,outp", [
         ("seq101-to-perm312", "01023200", "45378621"),
@@ -433,6 +487,24 @@ class TestTableCmd:
         assert code == EXIT_BUDGET
         assert time.monotonic() - start < 20
 
+    def test_mismatch_exits_4(self, capsys, monkeypatch):
+        real = cli.expected_counts
+
+        def wrong(label, n_max):
+            want = dict(real(label, n_max))
+            if label == "101":
+                want[5] += 1
+            return want
+
+        monkeypatch.setattr(cli, "expected_counts", wrong)
+        code, out, _ = run_cli(capsys, "table", "--nmax", "7", "--format",
+                               "csv")
+        assert code == EXIT_VERIFY
+        body = out.splitlines()[2:]
+        assert len(body) == 19
+        assert "101,7,mismatch at n=5: got 42, want 43" in body
+        assert sum(not line.endswith(",ok") for line in body) == 1
+
 
 class TestConjecturesCmd:
     def test_single_conjecture(self, capsys):
@@ -467,3 +539,24 @@ class TestConjecturesCmd:
     def test_unknown_conjecture(self, capsys):
         code, _, err = run_cli(capsys, "conjectures", "--name", "zzz")
         assert code == EXIT_USAGE and "unknown conjecture" in err
+
+    def test_failure_exits_4(self, capsys, monkeypatch):
+        real = cli.run_conjecture
+
+        def failing(cid, n_max=None, check=None):
+            res = real(cid, n_max, check)
+            if cid == "210":
+                res.verdicts[3] = ConjectureVerdict(4, False, "planted")
+            return res
+
+        monkeypatch.setattr(cli, "run_conjecture", failing)
+        code, out, _ = run_cli(capsys, "conjectures", "--n", "6", "--format",
+                               "jsonl")
+        assert code == EXIT_VERIFY
+        rows = [json.loads(line) for line in out.splitlines()[1:-1]]
+        assert [r["verdict"] for r in rows] == [
+            "fails" if r["conjecture"] == "210" else "holds" for r in rows]
+        assert {"conjecture": "210", "n_max": 6, "verdict": "fails",
+                "detail": "n=4: planted"} in rows
+        assert json.loads(out.splitlines()[-1]) == {
+            "status": {"complete": True}}

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from ascentseq import oracles
 from ascentseq.bijections import is_noncrossing
 from ascentseq.enumeration import (CountSeries, count_avoiders,
                                    generate_set_partitions)
@@ -223,6 +224,15 @@ class TestGrowth:
         with pytest.raises(ValueError):
             growth_rate_estimates(CountSeries("0", {1: 0}))
 
+    def test_counts_past_the_float_range(self):
+        # 2^(n-1) passes the largest float at n = 1025; the roots
+        # 2^((n-1)/n) still climb toward 2
+        cs = CountSeries("001", {n: 2 ** (n - 1) for n in range(1, 1100)})
+        roots = [r for _, r in growth_rate_estimates(cs)]
+        assert roots[0] == 1.0
+        assert roots == sorted(roots)
+        assert 0 < 2 - roots[-1] < 0.002
+
 
 class TestConjectures:
     @pytest.mark.parametrize("cid,nmax", [
@@ -235,12 +245,42 @@ class TestConjectures:
         assert [v.n for v in res.verdicts] == list(range(1, nmax + 1))
 
     def test_unknown_id(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown conjecture 'nope'; "
+                           r"choose from \['bi-021', "):
             run_conjecture("nope", 3)
 
     def test_defaults_exist(self):
         res = run_conjecture("0123")
         assert res.n_max == 11 and res.holds
+
+    @pytest.mark.parametrize("cid,bumped,witness", [
+        ("210", (2, 1, 0), "|A_210|: got 6, non-3-crossing partitions "
+         "gives 5"),
+        ("0123", (0, 1, 2, 3), "|A_0123|: got 6, height-5 Dyck recurrence "
+         "gives 5"),
+        ("0021-wilf", (0, 0, 2, 1), "|A_0021|: got 6, |A_1012| gives 5"),
+        ("0021-wilf", (1, 0, 1, 2), "|A_0021|: got 5, |A_1012| gives 6"),
+        ("0021-count", (0, 0, 2, 1), "|A_0021|: got 6, binomial transform "
+         "of Catalan gives 5"),
+        ("0021-count", (1, 0, 1, 2), "|A_1012|: got 6, binomial transform "
+         "of Catalan gives 5"),
+    ])
+    def test_count_witness(self, monkeypatch, cid, bumped, witness):
+        # one count off by one at n=3 fails that length alone
+        real = oracles.count_avoiders
+
+        def off_by_one(p, n_max, check=None):
+            series = real(p, n_max, check=check)
+            if tuple(p) != bumped:
+                return series
+            return CountSeries(series.label,
+                               {**series.values, 3: series.values[3] + 1})
+
+        monkeypatch.setattr(oracles, "count_avoiders", off_by_one)
+        res = run_conjecture(cid, 4)
+        assert [v.holds for v in res.verdicts] == [True, True, False, True]
+        assert res.verdicts[2].n == 3
+        assert res.verdicts[2].witness == witness
 
 
 class TestFixtures:
