@@ -208,6 +208,9 @@ def cmd_dist(args) -> int:
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
     if not 1 <= len(stats) <= 2:
         raise ValueError("--stats takes one or two statistic names")
+    if len(set(stats)) < len(stats):
+        # a jsonl row would hold one key for both columns
+        raise ValueError("--stats takes distinct statistic names")
     budget = Budget(args.budget_seconds)
     kind = "modified-avoiders" if args.modified else "avoiders"
     hists = joint_histograms((kind, p), hi, *stats, check=budget.check)
@@ -256,12 +259,8 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_wilf(args) -> int:
-    """Classify, then print one row per class.
-
-    Only wilf catches ``BudgetExceeded`` itself, because its refusal has
-    its own shape: the header drops the ``patterns`` parameter and the
-    ``size`` column.  That output must stay byte-identical.
-    """
+    """Classify, then print one row per class and, in jsonl, one per
+    separation."""
     if args.pattern:
         labels = [word_str(parse_cli_pattern(t.strip()))
                   for t in args.pattern.split(",")]
@@ -269,20 +268,18 @@ def cmd_wilf(args) -> int:
         labels = all_patterns(4)
     lo, hi = parse_n_range(args.n)
     budget = Budget(args.budget_seconds)
-    try:
+
+    def rows():
         report = wilf_classify(labels, hi, check=budget.check)
-    except BudgetExceeded as exc:
-        emit(args.format, "wilf", {"n": args.n}, ["class", "patterns"], [],
-             {"complete": False, "reason": str(exc)})
-        return EXIT_BUDGET
-    rows = [{"class": i + 1, "size": len(g), "patterns": " ".join(g)}
-            for i, g in enumerate(report.classes)]
-    if args.format == "jsonl":
-        rows += [{"class": "", "size": "",
-                  "patterns": f"separation {a} {b} n={n}"}
-                 for (a, b), n in sorted(report.separations.items())]
+        for i, g in enumerate(report.classes):
+            yield {"class": i + 1, "size": len(g), "patterns": " ".join(g)}
+        if args.format == "jsonl":
+            for (a, b), n in sorted(report.separations.items()):
+                yield {"class": "", "size": "",
+                       "patterns": f"separation {a} {b} n={n}"}
+
     return _run(args, "wilf", {"n": args.n, "patterns": len(labels)},
-                ["class", "size", "patterns"], rows)
+                ["class", "size", "patterns"], rows())
 
 
 def cmd_table(args) -> int:
@@ -367,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--n", required=True)
     sp.add_argument("--stats", required=True,
-                    help=f"one or two of {','.join(STATISTICS)}")
+                    help="one or two distinct names of "
+                         f"{','.join(STATISTICS)}")
     sp.add_argument("--modified", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_dist)

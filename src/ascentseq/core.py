@@ -279,6 +279,8 @@ def contains(w: Sequence[int], p: Sequence[int]) -> bool:
     False
     """
     p = normalize_pattern(p)
+    if w and min(w) < 0:    # _match takes -1 for the bound below every letter
+        raise ValueError("letters must be nonnegative")
     if len(p) > len(w):
         return False
     assign: list = [None] * (max(p) + 1)
@@ -326,6 +328,8 @@ def count_occurrences(w: Sequence[int], p: Sequence[int]) -> int:
     112, 113 and 223.
     """
     p = normalize_pattern(p)
+    if w and min(w) < 0:
+        raise ValueError("letters must be nonnegative")
     if len(p) > len(w):
         return 0
     assign: list = [None] * (max(p) + 1)

@@ -13,16 +13,18 @@ transfer-matrix count, where prefixes with equal keys have equal futures
 and are merged into one weighted key, with one budget check per key.  A
 last layer that is only summed is never built; its sum is read off the
 layer before.  Avoiders are keyed by (tracker state, last letter,
-ascents).  Modified ascent sequences are keyed by the canonical tracker
-state of the modified word: appending c to x appends c to modify(x),
-after raising every letter >= c by one when c is an ascent top, and the
-raise keeps the order of the earlier letters, so containment stays
-monotone.  The state is kept in doubled coordinates, where value v is
-letter 2v + 1 and 2v is the gap just below it, and the raise turns gap
-2c into a new value (``incremental.open_gap``).  Pattern-avoiding
-permutations are counted by inserting the last entry at a rank, which
-opens a gap the same way.  Joint statistic histograms run the same rules
-with a small prefix state per statistic in the key.
+ascents).  Modified ascent sequences and pattern-avoiding permutations
+grow by the raise: before some letters c are appended, every earlier
+letter >= c moves up by one.  Appending c to x appends c to modify(x)
+after a raise when c is an ascent top, and a permutation grows by
+inserting its last entry at rank c, a raise every time.  The raise keeps
+the order of the earlier letters, so containment stays monotone.  These
+sets are keyed by the canonical tracker state of the raised word, kept
+in doubled coordinates, where value v is letter 2v + 1 and 2v is the gap
+just below it, so the raise turns gap 2c into a new value
+(``incremental.open_gap``).  Joint statistic histograms run the same
+rules with a small prefix state per statistic in the key, each stepped
+once per letter with the set's raise.
 """
 
 from __future__ import annotations
@@ -281,26 +283,25 @@ def modified_avoiders(p, n: int, check=None):
             yield x, w
 
 
-def _raising_rule(p, n_max: int, ranks=False):
-    """As ``_avoider_rule``, for the ascent sequences whose modified word
-    avoids p, keyed by (canonical tracker state of the modified word,
-    last letter, ascents).  An ascent top c raises every letter >= c
-    before it is appended: gap 2c opens into a value.  With ``ranks``
-    every letter raises, which grows the p-avoiding permutations by
-    inserting the last entry at a rank; the last entry of the key then
-    counts the entries after the first."""
-    size = 2 * n_max + 3
-    tr = make_tracker(p, size, generic=True)
+def _raising_rule(p, n_max: int, raises):
+    """As ``_avoider_rule``, for the p-avoiding words grown by appending
+    a letter c after ``last``, where first every letter >= c moves up by
+    one when ``raises(c, last)``: gap 2c opens into a value.  Keyed by
+    (canonical tracker state of the word, last letter, a), where a counts
+    the raises after the first letter and the next letter is at most
+    a + 1.  Raising on ascent tops grows the modified words of ascent
+    sequences, raising always the permutations, by inserting the last
+    entry at a rank."""
+    tr = make_tracker(p, 2 * n_max + 3, generic=True)
     forbid, step = tr.forbid, tr.step
 
     def appended(state, c, rise):
-        moved = open_gap(state, 2 * c, size) if rise else state
-        return step(moved, 2 * c + 1)
+        return step(open_gap(state, 2 * c) if rise else state, 2 * c + 1)
 
     def children(key, grow=True):
         state, last, a = key
         for c in range(a + 2):
-            rise = ranks or c > last
+            rise = raises(c, last)
             if not forbid(state, 2 * c + 1 - rise):
                 yield c, ((appended(state, c, rise), c, a + rise)
                           if grow else None)
@@ -319,7 +320,8 @@ def modified_asc_counts(p, n_max: int, check=None):
     histograms yielded before it raised stay valid.
     """
     _check_length(n_max)
-    tr, start, children = _raising_rule(normalize_pattern(p), n_max)
+    tr, start, children = _raising_rule(normalize_pattern(p), n_max,
+                                        _ascent_top)
     # c <= last is allowed when value c is alive (odd bit 2c + 1), an
     # ascent top c when gap 2c is
     every_other = ((1 << (2 * n_max + 4)) - 1) // 3     # bits 0, 2, 4, ...
@@ -356,71 +358,62 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
 #
 # Every statistic is read off a small state carried along the prefix, so a
 # histogram is a layered count with the statistics' states in the key.  A
-# rule is (start, step, value): step(s, c, last) is the state once the
+# rule is (start, step, value): step(s, c, last, r) is the state once the
 # prefix ending in ``last`` (-1 when empty) gets the letter c, and
-# value(s) is the statistic.  On permutations c is the rank of the new
-# last entry, every earlier entry of rank >= c moving up by one, so c >
-# last exactly when the new entry tops an ascent; asc, fwd and rlmin read
-# the same on letters and on ranks.  On modified words c is appended after
-# the raise, which moves every letter >= c up by one when c > last; the
-# raise keeps the order of the earlier letters and never moves a 0, so
-# only the extreme of lrmax and the mask of rlmax follow it.  The masks of
-# rlmax and rlmin hold the letters (ranks) of the right-to-left records, a
-# stack that each new last entry pops.
+# value(s) is the statistic.  With r set, every earlier letter >= c first
+# moves up by one: never on avoiders, before an ascent top c > last on
+# modified words, and always on permutations, where c is the rank of the
+# new last entry.  The raise keeps the order of the earlier letters and
+# moves no 0 on words, so asc, fwd, rlmin and zeros read the same either
+# way.  A last or smallest letter equal to c moves above it, so des and
+# lrmin count it; the largest letter of lrmax moves up unless c beats it,
+# and so do the records >= c in the mask of rlmax.  The masks of rlmax
+# and rlmin hold the letters of the right-to-left records, a stack that
+# each new last letter pops.
+
+
+def _never(c, last):
+    return False
+
+
+def _ascent_top(c, last):
+    return c > last
+
+
+def _always(c, last):
+    return True
 
 
 def _count(s):
     return s
 
 
-_WORD_RULES = {
-    "asc": (-1, lambda s, c, last: s + (c > last), _count),
-    "des": (0, lambda s, c, last: s + (c < last), _count),
-    "zeros": (0, lambda s, c, last: s + (c == 0), _count),
-    "fwd": (0, lambda s, c, last: s + 1 if c <= last else 1, _count),
+_RULES = {
+    "asc": (-1, lambda s, c, last, r: s + (c > last), _count),
+    "des": (0, lambda s, c, last, r: s + (c < last + (r and last >= c)),
+            _count),
+    "zeros": (0, lambda s, c, last, r: s + (c == 0), _count),
+    "fwd": (0, lambda s, c, last, r: s + 1 if c <= last else 1, _count),
     # (largest or smallest letter so far, records)
-    "lrmax": ((-1, 0), lambda s, c, last:
-              (c, s[1] + 1) if c > s[0] else s, itemgetter(1)),
-    "lrmin": ((inf, 0), lambda s, c, last:
-              (c, s[1] + 1) if c < s[0] else s, itemgetter(1)),
-    "rlmax": (0, lambda s, c, last: s >> (c + 1) << (c + 1) | 1 << c,
-              int.bit_count),
-    "rlmin": (0, lambda s, c, last: s & ((1 << c) - 1) | 1 << c,
-              int.bit_count),
-}
-
-_PERM_RULES = {
-    **_WORD_RULES,
-    "des": (0, lambda s, c, last: s + (c <= last), _count),
-    "zeros": (0, lambda s, c, last: s, _count),
-    # (records, length): the new entry is the largest so far when its
-    # rank is the length before it, the smallest when its rank is 0
-    "lrmax": ((0, 0), lambda s, c, last: (s[0] + (c == s[1]), s[1] + 1),
-              itemgetter(0)),
-    "lrmin": (0, lambda s, c, last: s + (c == 0), _count),
-    # records of rank >= c move up one; those below c are beaten
-    "rlmax": (0, lambda s, c, last: s >> c << (c + 1) | 1 << c,
-              int.bit_count),
-}
-
-_MODIFIED_RULES = {
-    **_WORD_RULES,
-    # an ascent top below the largest letter raises it
-    "lrmax": ((-1, 0), lambda s, c, last:
-              (c, s[1] + 1) if c > s[0] else (s[0] + (c > last), s[1]),
+    "lrmax": ((-1, 0), lambda s, c, last, r:
+              (c, s[1] + 1) if c > s[0] else (s[0] + r, s[1]),
               itemgetter(1)),
-    # an ascent top raises the records >= c, as a rank does on permutations
-    "rlmax": (0, lambda s, c, last:
-              (s >> c << (c + 1) if c > last else s >> (c + 1) << (c + 1))
-              | 1 << c, int.bit_count),
+    "lrmin": ((inf, 0), lambda s, c, last, r:
+              (c, s[1] + 1) if c < s[0] + (r and s[0] >= c) else s,
+              itemgetter(1)),
+    "rlmax": (0, lambda s, c, last, r: s >> (c + 1 - r) << (c + 1) | 1 << c,
+              int.bit_count),
+    "rlmin": (0, lambda s, c, last, r: s & ((1 << c) - 1) | 1 << c,
+              int.bit_count),
 }
 
-# per set descriptor kind: its growth rule and its statistic rules
+# per set descriptor kind: when it raises, and its statistic rules
 _SETS = {
-    "avoiders": (_avoider_rule, _WORD_RULES),
-    "perm-avoiders": (lambda q, n_max: _raising_rule(q, n_max, True),
-                      _PERM_RULES),
-    "modified-avoiders": (_raising_rule, _MODIFIED_RULES),
+    "avoiders": (_never, _RULES),
+    "modified-avoiders": (_ascent_top, _RULES),
+    # a permutation of 1..n has no zeros
+    "perm-avoiders": (_always, {**_RULES, "zeros":
+                                (0, lambda s, c, last, r: 0, _count)}),
 }
 
 
@@ -434,9 +427,9 @@ def _described(descriptor, stats):
     if kind not in _SETS:
         raise ValueError(f"unknown set descriptor kind {kind!r}")
     for s in stats:
-        if s not in _WORD_RULES:
+        if s not in _RULES:
             raise ValueError(f"unknown statistic {s!r}; "
-                             f"choose from {sorted(_WORD_RULES)}")
+                             f"choose from {sorted(_RULES)}")
     if kind == "perm-avoiders":
         return kind, check_perm_pattern(p)
     return kind, normalize_pattern(p)
@@ -450,29 +443,37 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
 
     The descriptor is as for ``joint_distribution``.  Every kind is
     counted in one layered pass over its growth rule, keyed by (set key,
-    statistic states); the last layer keeps only the statistic states
-    and steps no tracker.  ``check``, when given, is called once per
-    state; the histograms yielded before it raised stay valid.
+    statistic states); a kind that never raises grows on the pattern's
+    own tracker, the others on the canonical one in doubled coordinates,
+    and every kind steps the statistics with its raise.  The last layer
+    keeps only the statistic states and steps no tracker.  ``check``,
+    when given, is called once per state; the histograms yielded before
+    it raised stay valid.
     """
     if not stats:
         raise ValueError("joint_histograms needs at least one statistic")
     kind, p = _described(descriptor, stats)
     _check_length(n_max)
-    rule, rules = _SETS[kind]
-    _, start, children = rule(p, n_max)
+    raises, rules = _SETS[kind]
+    _, start, children = (_avoider_rule(p, n_max) if raises is _never
+                          else _raising_rule(p, n_max, raises))
     starts, steps, values = zip(*(rules[s] for s in stats))
+
+    def stepped(st, c, last):
+        r = raises(c, last)
+        return tuple([f(x, c, last, r) for f, x in zip(steps, st)])
 
     def grown(key):
         set_key, st = key
         last = set_key[1]
         for c, child in children(set_key):
-            yield c, (child, tuple([f(x, c, last) for f, x in zip(steps, st)]))
+            yield c, (child, stepped(st, c, last))
 
     def leaves(key):
         set_key, st = key
         last = set_key[1]
         for c, _ in children(set_key, False):
-            yield (tuple([f(x, c, last) for f, x in zip(steps, st)]),), 1
+            yield (stepped(st, c, last),), 1
 
     return _histograms(_layers(grown, (start, starts), n_max, check, leaves),
                        lambda st: tuple(v(s) for v, s in zip(values, st)))

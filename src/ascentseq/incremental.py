@@ -319,11 +319,11 @@ def _generic(p, size):
 # adjacent values open for such a new value, and its step is unchanged.
 
 
-def open_gap(s, g: int, size: int):
+def open_gap(s, g: int):
     """Canonical state s after its live gap g becomes gap, value g + 1
     and gap: every value, interval end and dead bit above g moves up by
-    2, except the upper sentinel ``size``, the tracker's size.  Gap g is
-    not dead, so neither are the three letters it becomes."""
+    2, except the upper sentinel, the size kept in the state's book.
+    Gap g is not dead, so neither are the three letters it becomes."""
     book, ids, dead = s
     gaps = book.gaps
     moved = 0
@@ -336,7 +336,7 @@ def open_gap(s, g: int, size: int):
             m = book.move_gap(i, g)
         moved |= m
     dead = dead & _below(g) | dead >> (g + 1) << (g + 3)
-    return (book, moved, dead & _below(size))
+    return (book, moved, dead & _below(book.size))
 
 
 # --- hand summaries ----------------------------------------------------------

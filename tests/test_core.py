@@ -87,6 +87,13 @@ class TestPatterns:
         assert count_occurrences(as_word("012321"), pat("001")) == 0
         assert count_occurrences((0, 0, 0), (0, 0)) == 3
 
+    @pytest.mark.parametrize("w", [(-1, 0), (0, -2, 1), (-1,)])
+    def test_negative_letters_raise(self, w):
+        # (-1, 0) holds an occurrence of 01 in the order of its letters
+        for search in (contains, count_occurrences):
+            with pytest.raises(ValueError, match="nonnegative"):
+                search(w, (0, 1))
+
     def test_against_naive(self, small_ascent_sequences):
         patterns = [pat(s) for s in all_patterns(4)]
         for n in (3, 4, 5):

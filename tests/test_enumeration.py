@@ -1,5 +1,6 @@
 """Generators, pruned counting, and statistic distributions."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -516,6 +517,25 @@ class TestJointHistograms:
         for m, hist in got.items():
             assert hist == self.listed(words(p, m), stats), (kind, label, m)
 
+    def test_record_and_descent_groups_are_pinned(self):
+        # sha256 of the joint histograms to length 7 of every pattern of
+        # length <= 4 (the distinct-letter ones as permutations), recorded
+        # when each kind kept its own statistic rules
+        groups = (("lrmax", "lrmin", "rlmax", "rlmin"),
+                  ("des", "fwd", "zeros"))
+        digest = hashlib.sha256()
+        for kind, labels in (("avoiders", all_patterns(4)),
+                             ("perm-avoiders", PERM_PATTERNS),
+                             ("modified-avoiders", all_patterns(4))):
+            for label in labels:
+                for stats in groups:
+                    for n, hist in joint_histograms((kind, pat(label)), 7,
+                                                    *stats):
+                        digest.update(repr((kind, label, stats, n,
+                                            sorted(hist.items()))).encode())
+        assert digest.hexdigest() == ("cc19626d052effe207f75d04991e8e05"
+                                      "0481cedb6f8b088b4d5050b483699dcb")
+
     def test_yields_match_joint_distribution(self):
         for kind, label, stats in (("avoiders", "0012", ("asc", "fwd")),
                                    ("avoiders", "1021", ("rlmax", "lrmin")),
@@ -610,8 +630,7 @@ class TestModified:
         # modify(x c)
         p = pat(label)
         n_max = 10
-        size = 2 * n_max + 3
-        tr = make_tracker(p, size, generic=True)
+        tr = make_tracker(p, 2 * n_max + 3, generic=True)
 
         def grown(w):
             s = tr.state
@@ -630,7 +649,7 @@ class TestModified:
                     assert dead == contains(modify(x + (c,)), p), (x, c)
                     if dead:
                         continue
-                    moved = open_gap(s, g, size) if c > last else s
+                    moved = open_gap(s, g) if c > last else s
                     t = tr.step(moved, 2 * c + 1)
                     assert t == grown(modify(x + (c,))), (x, c)
                     allowed.append((c, t))
