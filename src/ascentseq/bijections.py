@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Word, check_ascent_sequence, check_permutation, contains,
-                   is_ascent_sequence, is_restricted, is_rgf, perm_contains,
-                   word_str)
+from .core import (Word, check_ascent_sequence, check_permutation,
+                   check_restricted, contains, is_ascent_sequence,
+                   is_restricted, is_rgf, perm_contains, word_str)
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -104,14 +104,10 @@ def seq101_to_perm312(x) -> tuple[int, ...]:
     x = check_ascent_sequence(x)
     if contains(x, (1, 0, 1)):
         raise ValueError(f"input contains 101: {word_str(x)}")
+    order = sorted(range(len(x)), key=lambda i: (x[i], -i))
     out = [0] * len(x)
-    next_low = 1
-    for v in range(max(x) + 1):
-        places = [i for i, letter in enumerate(x) if letter == v]
-        next_high = next_low + len(places) - 1
-        for rank, i in enumerate(places):
-            out[i] = next_high - rank
-        next_low = next_high + 1
+    for rank, i in enumerate(order, 1):
+        out[i] = rank
     return tuple(out)
 
 
@@ -270,9 +266,7 @@ def restricted_to_021(x) -> Word:
     """Ascent-preserving bijection from restricted ascent sequences to
     021-avoiders: between successive left-to-right maxima the only letters
     are m-1 and m, and m-1 is traded for 0."""
-    x = tuple(x)
-    if not is_restricted(x):
-        raise ValueError(f"not a restricted ascent sequence: {word_str(x)}")
+    x = check_restricted(x)
     return _swap_between_lrmaxima(x)
 
 
@@ -317,9 +311,7 @@ def reduce_tail(x) -> tuple[Word, int, Word]:
     Returns (L, m, reduced R); when R is nonempty its first letter equals
     m - 1 and the reduced tail is again a restricted ascent sequence.
     """
-    x = tuple(x)
-    if not is_restricted(x):
-        raise ValueError(f"not a restricted ascent sequence: {word_str(x)}")
+    x = check_restricted(x)
     _, i, right = _split(x)
     return x[:i], x[i], right
 
@@ -356,9 +348,7 @@ def phi(x) -> tuple[int, ...]:
     permutations turning ascents into descents; 011213232 maps to
     641325879.
     """
-    x = tuple(x)
-    if not is_restricted(x):
-        raise ValueError(f"not a restricted ascent sequence: {word_str(x)}")
+    x = check_restricted(x)
     return tuple(_omega(x))
 
 

@@ -19,6 +19,8 @@ module are 0-based; the traditional presentation of ascent sequences is
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import inf
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -95,6 +97,13 @@ def is_restricted(w: Sequence[int]) -> bool:
         if w[i] > m:
             m = w[i]
     return True
+
+
+def check_restricted(w: Sequence[int]) -> Word:
+    w = tuple(w)
+    if not is_restricted(w):
+        raise ValueError(f"not a restricted ascent sequence: {word_str(w)}")
+    return w
 
 
 def is_rgf(w: Sequence[int]) -> bool:
@@ -228,112 +237,103 @@ def is_pattern(w: Sequence[int]) -> bool:
     return bool(w) and sorted(set(w)) == list(range(len(set(w))))
 
 
-def _match(w: Sequence[int], p: Sequence[int], wi: int, pi: int,
-           assign: list) -> bool:
-    """Match p[pi:] into w[wi:] under the partial value assignment."""
-    if pi == len(p):
-        return True
-    v = p[pi]
-    a = assign[v]
-    last = len(w) - (len(p) - pi) + 1
-    if a is not None:
-        # a later copy of the value leaves the same assignment and fewer
-        # letters, so only the first copy needs trying
-        for t in range(wi, last):
-            if w[t] == a:
-                return _match(w, p, t + 1, pi + 1, assign)
-        return False
-    lo, hi = -1, None
-    for u, letter in enumerate(assign):
-        if letter is None:
-            continue
-        if u < v:
-            if letter > lo:
-                lo = letter
-        elif u > v and (hi is None or letter < hi):
-            hi = letter
-    for t in range(wi, last):
-        x = w[t]
-        if x <= lo or (hi is not None and x >= hi):
-            continue
-        assign[v] = x
-        if _match(w, p, t + 1, pi + 1, assign):
-            assign[v] = a
-            return True
-        assign[v] = a
-    return False
+@lru_cache(maxsize=256)
+def _plan(p: Word) -> tuple[tuple[int, bool, int, int], ...]:
+    """Per position of the normalized pattern p: its letter, whether an
+    earlier position has the same letter, and the slots of the nearest
+    earlier letters below and above it.  Slots -2 and -1 of the search's
+    value list hold the sentinels -1 and inf."""
+    plan = []
+    for i, v in enumerate(p):
+        before = set(p[:i])
+        plan.append((v, v in before,
+                     max((u for u in before if u < v), default=-2),
+                     min((u for u in before if u > v), default=-1)))
+    return tuple(plan)
+
+
+def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
+    """Number of occurrences of the pattern p in the word w; with first,
+    1 at the first occurrence found and 0 if there is none.
+
+    start[i] is the next word index that pattern position i tries.  The
+    value of a pattern letter is read only at positions after the one
+    that sets it, so backtracking needs no reset.  When only existence
+    matters, a letter already matched tries only its first later copy: a
+    later copy leaves the same values and fewer letters.
+    """
+    p = normalize_pattern(p)
+    w = tuple(w)
+    if w and min(w) < 0:    # the search bounds every letter below by -1
+        raise ValueError("letters must be nonnegative")
+    if len(p) > len(w):
+        return 0
+    plan = _plan(p)
+    k = len(p)
+    stop = len(w) - k + 1           # position i tries indices below stop + i
+    val = [0] * (max(p) + 1) + [-1, inf]
+    start = [0] * k
+    found = i = 0
+    while i >= 0:
+        v, seen, lo, hi = plan[i]
+        end = stop + i
+        if seen:
+            try:
+                t = w.index(val[v], start[i], end)
+            except ValueError:
+                i -= 1
+                continue
+        else:
+            a, b = val[lo], val[hi]
+            for t in range(start[i], end):
+                if a < w[t] < b:
+                    break
+            else:
+                i -= 1
+                continue
+            val[v] = w[t]
+        start[i] = end if first and seen else t + 1
+        if i + 1 < k:
+            i += 1
+            start[i] = t + 1
+        elif first:
+            return 1
+        else:
+            found += 1
+    return found
 
 
 def contains(w: Sequence[int], p: Sequence[int]) -> bool:
     """True iff the word w has an occurrence of the pattern p.
 
-    Non-normalized patterns are normalized silently.  Backtracking over
-    pattern positions with remaining-length pruning.  The search may try
-    a letter again for every partial match, so its cost grows quickly
-    with the word: on words of a hundred letters or more it is most of
-    the time of the bijection input checks.
+    Non-normalized patterns are normalized silently.  A backtracking
+    search over pattern positions, driven by a loop, with remaining-length
+    pruning; each position reads its bounds from a plan of the pattern.
+    A position may scan the rest of the word again for every partial
+    match, so the cost can grow with a power of the word length: the 101
+    check of 01 followed by n zeros is quadratic in n.
 
     >>> contains((0, 1, 2, 3, 1, 2, 3), (0, 0, 1))
     True
     >>> contains((0, 1, 2, 3, 2, 1), (0, 0, 1))
     False
     """
-    p = normalize_pattern(p)
-    if w and min(w) < 0:    # _match takes -1 for the bound below every letter
-        raise ValueError("letters must be nonnegative")
-    if len(p) > len(w):
-        return False
-    assign: list = [None] * (max(p) + 1)
-    return _match(w, p, 0, 0, assign)
+    return _search(w, p, True) > 0
 
 
 def avoids(w: Sequence[int], p: Sequence[int]) -> bool:
     return not contains(w, p)
 
 
-def _count_matches(w: Sequence[int], p: Sequence[int], wi: int, pi: int,
-                   assign: list) -> int:
-    if pi == len(p):
-        return 1
-    v = p[pi]
-    a = assign[v]
-    if a is None:
-        lo, hi = -1, None
-        for u, letter in enumerate(assign):
-            if letter is None:
-                continue
-            if u < v:
-                if letter > lo:
-                    lo = letter
-            elif u > v and (hi is None or letter < hi):
-                hi = letter
-    else:
-        lo, hi = a - 1, a + 1
-    total = 0
-    last = len(w) - (len(p) - pi) + 1
-    for t in range(wi, last):
-        x = w[t]
-        if x <= lo or (hi is not None and x >= hi):
-            continue
-        assign[v] = x
-        total += _count_matches(w, p, t + 1, pi + 1, assign)
-        assign[v] = a
-    return total
-
-
 def count_occurrences(w: Sequence[int], p: Sequence[int]) -> int:
     """Number of index subsequences of w order-isomorphic to p.
 
-    count_occurrences((0,1,2,3,1,2,3), (0,0,1)) == 3: the subsequences
-    112, 113 and 223.
+    The subsequences 112, 113 and 223 are the occurrences of 001 here:
+
+    >>> count_occurrences((0, 1, 2, 3, 1, 2, 3), (0, 0, 1))
+    3
     """
-    p = normalize_pattern(p)
-    if w and min(w) < 0:
-        raise ValueError("letters must be nonnegative")
-    if len(p) > len(w):
-        return 0
-    assign: list = [None] * (max(p) + 1)
-    return _count_matches(w, p, 0, 0, assign)
+    return _search(w, p, False)
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,23 @@ def table_patterns() -> list[str]:
     return [p for row in load_table() for p in row["patterns"]]
 
 
+def _row(pattern: str) -> dict:
+    for row in load_table():
+        if pattern in row["patterns"]:
+            return row
+    raise ValueError(f"pattern {pattern!r} not in the reference table")
+
+
 def available_depth(pattern: str, wanted: int) -> int:
     """Largest n <= wanted for which reference counts exist.
 
     Rows with a closed form extend arbitrarily far; raw rows stop at
     their stored length.
     """
-    for row in load_table():
-        if pattern in row["patterns"]:
-            if row["formula"]:
-                return wanted
-            return min(wanted, len(row["values"]))
-    raise ValueError(f"pattern {pattern!r} not in the reference table")
+    row = _row(pattern)
+    if row["formula"]:
+        return wanted
+    return min(wanted, len(row["values"]))
 
 
 def expected_counts(pattern: str, n_max: int) -> dict[int, int]:
@@ -48,11 +53,7 @@ def expected_counts(pattern: str, n_max: int) -> dict[int, int]:
     (the stored prefix is always checked against the formula on load);
     other rows raise when asked past their stored range.
     """
-    for row in load_table():
-        if pattern in row["patterns"]:
-            break
-    else:
-        raise ValueError(f"pattern {pattern!r} not in the reference table")
+    row = _row(pattern)
     values = {n + 1: v for n, v in enumerate(row["values"])}
     formula = _FORMULAS.get(row["formula"]) if row["formula"] else None
     if formula is not None:

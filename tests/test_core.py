@@ -1,6 +1,8 @@
 """Word semantics: membership, statistics, containment, maximal letters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascentseq.core import (as_word, asc, contains, count_occurrences, des,
                             fwd, is_ascent_sequence, is_pattern,
@@ -102,6 +104,25 @@ class TestPatterns:
                     assert contains(w, p) == naive_contains(w, p)
                     assert (count_occurrences(w, p)
                             == naive_count_occurrences(w, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=9),
+           st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    def test_against_naive_on_any_word(self, w, p):
+        # any word, and patterns given in any order-isomorphic form
+        assert contains(w, p) == naive_contains(w, p)
+        assert count_occurrences(w, p) == naive_count_occurrences(w, p)
+
+    @pytest.mark.parametrize("search, w, p, want", [
+        (contains, (0,) * 3000, (0,) * 2500, True),
+        (count_occurrences, (0,) * 30, (0,) * 28, 435),
+        (count_occurrences, (0,) * 1100, (0,) * 1100, 1),
+        (contains, tuple(range(1200)), tuple(range(1100)), True),
+    ])
+    def test_long_patterns(self, search, w, p, want):
+        # all but the 435 case hold more pattern letters than the default
+        # recursion limit of 1000
+        assert search(w, p) == want
 
     def test_contains_iff_positive_count(self, small_ascent_sequences):
         patterns = [pat(s) for s in all_patterns(3)]
