@@ -17,8 +17,9 @@ import time
 
 from .core import (STATISTICS, as_word, asc, des, is_pattern,
                    normalize_pattern, word_str)
-from .enumeration import (avoider_counts, avoiders, count_avoiders,
-                          joint_histograms, modified_asc_counts)
+from .enumeration import (_check_length, avoider_counts, avoiders,
+                          count_avoiders, joint_histograms,
+                          modified_asc_counts)
 from .bijections import BIJECTIONS, partition_str, standardize_partition
 from .fixtures import available_depth, expected_counts, table_patterns
 from .oracles import (CONJECTURE_IDS, all_patterns, run_conjecture,
@@ -29,7 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
-MAX_LENGTH = 10**6      # past this, one layer outlasts the default budget
 
 
 class BudgetExceeded(Exception):
@@ -60,8 +60,7 @@ def parse_n_range(text: str) -> tuple[int, int]:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length range {text!r}")
-    if hi > MAX_LENGTH:
-        raise ValueError(f"lengths above {MAX_LENGTH} are not supported")
+    _check_length(hi)                   # refuses lengths above MAX_LENGTH
     return lo, hi
 
 

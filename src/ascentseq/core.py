@@ -237,30 +237,67 @@ def is_pattern(w: Sequence[int]) -> bool:
     return bool(w) and sorted(set(w)) == list(range(len(set(w))))
 
 
+# What a failure of the deeper search rules out at a position, keyed by
+# (later positions read its value as a window's lower end, as an upper
+# end): values from the failed one up, values from it down, the failed
+# value alone, or every later candidate.
+_CUTS = {(True, False): ">=", (False, True): "<=", (True, True): "==",
+         (False, False): "all"}
+
+
 @lru_cache(maxsize=256)
-def _plan(p: Word) -> tuple[tuple[int, bool, int, int], ...]:
+def _plan(p: Word) -> tuple[tuple[int, bool, int, int, str], ...]:
     """Per position of the normalized pattern p: its letter, whether an
-    earlier position has the same letter, and the slots of the nearest
-    earlier letters below and above it.  Slots -2 and -1 of the search's
-    value list hold the sentinels -1 and inf."""
-    plan = []
+    earlier position has the same letter, the slots of the nearest
+    earlier letters below and above it, and the part of the range that a
+    failure rules out (``_CUTS``).  Slots -2 and -1 of the search's value
+    list hold the sentinels -1 and inf.  A repeated letter sets no value,
+    so nothing later reads its choice: a failure there rules out all."""
+    rows = []
+    low_end, high_end = set(), set()    # slots read as a window's ends
     for i, v in enumerate(p):
         before = set(p[:i])
-        plan.append((v, v in before,
-                     max((u for u in before if u < v), default=-2),
-                     min((u for u in before if u > v), default=-1)))
-    return tuple(plan)
+        seen = v in before
+        lo = max((u for u in before if u < v), default=-2)
+        hi = min((u for u in before if u > v), default=-1)
+        rows.append((v, seen, lo, hi))
+        if seen:                        # w[t] == val[v] reads both ends
+            low_end.add(v)
+            high_end.add(v)
+        else:
+            low_end.add(lo)
+            high_end.add(hi)
+    return tuple((v, seen, lo, hi,
+                  "all" if seen else _CUTS[v in low_end, v in high_end])
+                 for v, seen, lo, hi in rows)
 
 
 def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
     """Number of occurrences of the pattern p in the word w; with first,
     1 at the first occurrence found and 0 if there is none.
 
-    start[i] is the next word index that pattern position i tries.  The
-    value of a pattern letter is read only at positions after the one
-    that sets it, so backtracking needs no reset.  When only existence
-    matters, a letter already matched tries only its first later copy: a
-    later copy leaves the same values and fewer letters.
+    start[i] is the next word index that pattern position i tries, and
+    (low[i], high[i]) the open window its letter must fall in, set from
+    the earlier letters when the search enters the position.  The value
+    of a pattern letter is read only at positions after the one that sets
+    it, so backtracking needs no reset.
+
+    When only existence matters, coming back to position i means that the
+    deeper search failed with the letter x at index t, and the plan's cut
+    drops the later candidates that cannot do better.  Say a later index
+    t' > t with value x' led to an occurrence, completed by later indices
+    J.  Every index in J exceeds t, so J was open to the failed search.
+    Substitute x for x' and reuse J: x passed every check up to position
+    i; a later check that does not read the letter is unchanged; one that
+    reads it as a window's lower end (x' < w[j]) still holds if x <= x',
+    and one that reads it as an upper end still holds if x >= x'.  So
+    that search would have succeeded, since by induction from the last
+    position it dropped nothing that could succeed.  Hence, if later
+    positions read the letter only as a lower end, no x' >= x can
+    succeed; only as an upper end, no x' <= x; never, no x' at all; and
+    in every other case x' = x cannot.  A repeated letter sets no value
+    and so gives up at once: a later copy leaves the same values and
+    fewer letters.
     """
     p = normalize_pattern(p)
     w = tuple(w)
@@ -273,9 +310,12 @@ def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
     stop = len(w) - k + 1           # position i tries indices below stop + i
     val = [0] * (max(p) + 1) + [-1, inf]
     start = [0] * k
+    low = [-1] * k
+    high = [inf] * k
+    tried = [set() for _ in range(k)]   # values ruled out one by one
     found = i = 0
     while i >= 0:
-        v, seen, lo, hi = plan[i]
+        v, seen, lo, hi, cut = plan[i]
         end = stop + i
         if seen:
             try:
@@ -284,18 +324,31 @@ def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
                 i -= 1
                 continue
         else:
-            a, b = val[lo], val[hi]
+            a, b, skip = low[i], high[i], tried[i]
             for t in range(start[i], end):
-                if a < w[t] < b:
+                x = w[t]
+                if a < x < b and x not in skip:
                     break
             else:
                 i -= 1
                 continue
-            val[v] = w[t]
-        start[i] = end if first and seen else t + 1
+            val[v] = x
+        start[i] = t + 1
+        if first:                   # back here only if the rest failed
+            if cut == "all":
+                start[i] = end
+            elif cut == ">=":
+                high[i] = x
+            elif cut == "<=":
+                low[i] = x
+            else:
+                skip.add(x)
         if i + 1 < k:
             i += 1
             start[i] = t + 1
+            _, _, lo, hi, _ = plan[i]
+            low[i], high[i] = val[lo], val[hi]
+            tried[i].clear()
         elif first:
             return 1
         else:
@@ -308,10 +361,12 @@ def contains(w: Sequence[int], p: Sequence[int]) -> bool:
 
     Non-normalized patterns are normalized silently.  A backtracking
     search over pattern positions, driven by a loop, with remaining-length
-    pruning; each position reads its bounds from a plan of the pattern.
-    A position may scan the rest of the word again for every partial
-    match, so the cost can grow with a power of the word length: the 101
-    check of 01 followed by n zeros is quadratic in n.
+    pruning; each position reads its bounds from a plan of the pattern,
+    and a failure drops the later candidates it rules out.  A position
+    may still scan the rest of the word again for every partial match:
+    the 231 and 312 checks of a permutation of length n (patterns 120
+    and 201) are quadratic in n on the identity and its reverse, about
+    2 s at n = 8000 (2 cores, CPython 3.11).
 
     >>> contains((0, 1, 2, 3, 1, 2, 3), (0, 0, 1))
     True

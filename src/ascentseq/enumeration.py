@@ -55,9 +55,14 @@ class CountSeries:
         return max(self.values)
 
 
+MAX_LENGTH = 10**6      # past this, one layer outlasts the default budget
+
+
 def _check_length(n: int) -> None:
     if n < 1:
         raise ValueError("length must be at least 1")
+    if n > MAX_LENGTH:
+        raise ValueError(f"lengths above {MAX_LENGTH} are not supported")
 
 
 def _walk(n: int, state0, children, check=None):

@@ -9,9 +9,9 @@ import pytest
 
 from ascentseq import cli
 from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
-                           MAX_LENGTH, main, parse_cli_pattern, parse_n_range)
+                           main, parse_cli_pattern, parse_n_range)
 from ascentseq.core import stat
-from ascentseq.enumeration import avoiders, count_avoiders
+from ascentseq.enumeration import MAX_LENGTH, avoiders, count_avoiders
 from ascentseq.oracles import ConjectureVerdict
 
 

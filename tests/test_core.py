@@ -1,11 +1,13 @@
 """Word semantics: membership, statistics, containment, maximal letters."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascentseq.core import (as_word, asc, contains, count_occurrences, des,
-                            fwd, is_ascent_sequence, is_pattern,
+from ascentseq.core import (_plan, as_word, asc, contains, count_occurrences,
+                            des, fwd, is_ascent_sequence, is_pattern,
                             is_restricted, is_rgf, lrmax, lrmin,
                             maximal_positions, normalize_pattern,
                             perm_contains, rlmax, rlmin, stat, word_str,
@@ -123,6 +125,45 @@ class TestPatterns:
         # all but the 435 case hold more pattern letters than the default
         # recursion limit of 1000
         assert search(w, p) == want
+
+    @pytest.mark.parametrize("w, p", [
+        ((0, 1) + (0,) * 8000, (1, 0, 1)),
+        (tuple(i % 2 for i in range(2000)), (0, 2, 1)),
+        (tuple(range(1, 1001)), (1, 2, 0)),
+        (tuple(range(1000, 0, -1)), (2, 0, 1)),
+    ])
+    def test_words_that_made_the_search_slow(self, w, p):
+        # each took seconds or more before a failure pruned the values it
+        # rules out; the first is the seq101-to-perm312 input check
+        t0 = time.perf_counter()
+        assert not contains(w, p)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("p, cuts", [
+        # 0 is read only as the lower end of later windows, 2 only as
+        # an upper end, and nothing reads the last letter
+        ((0, 2, 1), (">=", "<=", "all")),
+        # 1 is a lower end for 2 and an upper end for 0
+        ((1, 2, 0), ("==", "all", "all")),
+        # the repeated 1 sets no value, and equality reads both ends
+        ((1, 0, 1), ("==", "all", "all")),
+    ])
+    def test_plan_cuts(self, p, cuts):
+        assert tuple(row[4] for row in _plan(p)) == cuts
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=16),
+           st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_existence_agrees_with_counting(self, w, p):
+        # counting mode runs the same loop without any of the pruning
+        assert contains(w, p) == (count_occurrences(w, p) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+               lambda n: st.permutations(range(1, n + 1))),
+           st.integers(1, 5).flatmap(lambda k: st.permutations(range(k))))
+    def test_existence_agrees_with_counting_on_permutations(self, pi, p):
+        assert perm_contains(pi, p) == (count_occurrences(pi, p) > 0)
 
     def test_contains_iff_positive_count(self, small_ascent_sequences):
         patterns = [pat(s) for s in all_patterns(3)]

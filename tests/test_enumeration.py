@@ -22,7 +22,7 @@ from ascentseq.enumeration import (avoiders, count_ascent_sequences,
 from ascentseq.fixtures import expected_counts
 from ascentseq.incremental import SPECIALIZED, make_tracker, open_gap
 from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
-                               catalan, stirling2)
+                               catalan, run_conjecture, stirling2)
 
 from conftest import pat
 
@@ -137,6 +137,18 @@ class TestAvoiders:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             count_avoiders(pat("101"), 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda n: count_avoiders(pat("01"), n),
+        lambda n: next(avoiders(pat("01"), n)),
+        lambda n: count_modified_avoiders(pat("01"), n),
+        lambda n: run_conjecture("210", n),
+    ])
+    @pytest.mark.parametrize("n", [enumeration.MAX_LENGTH + 1, 10**30])
+    def test_length_cap(self, call, n):
+        # the CLI's cap, refused before any tracker sizes its rows by n
+        with pytest.raises(ValueError, match="lengths above 1000000"):
+            call(n)
 
 
 def _generic_avoiders(p, n):
