@@ -12,8 +12,10 @@ Counting lists no words: ``_layers`` runs a rule as a layered
 transfer-matrix count, where prefixes with equal keys have equal futures
 and are merged into one weighted key, with one budget check per key.  A
 last layer that is only summed is never built; its sum is read off the
-layer before.  Avoiders are keyed by (tracker state, last letter,
-ascents).  Modified ascent sequences and pattern-avoiding permutations
+layer before.  Avoiders are counted on the canonical tracker, keyed by
+(state, last letter, a) with every dead letter up to the bound a + 1
+deleted, so prefixes that differ only in where their dead letters sit
+merge.  Modified ascent sequences and pattern-avoiding permutations
 grow by the raise: before some letters c are appended, every earlier
 letter >= c moves up by one.  Appending c to x appends c to modify(x)
 after a raise when c is an ascent top, and a permutation grows by
@@ -37,7 +39,7 @@ from operator import itemgetter
 from . import bijections
 from .core import (check_perm_pattern, contains, normalize_pattern,
                    word_str)
-from .incremental import make_tracker, open_gap
+from .incremental import delete_dead, make_tracker, open_gap
 
 
 @dataclass
@@ -154,9 +156,9 @@ def count_ascent_sequences(n: int) -> int:
 
 
 def _avoider_rule(p, n_max: int):
-    """``(tracker, start, children)`` of the p-avoiding ascent sequences
-    up to length n_max.  ``children(key, False)`` yields the allowed
-    letters with None for their keys, and steps no tracker."""
+    """``(start, children)`` of the p-avoiding ascent sequences up to
+    length n_max.  ``children(key, False)`` yields the allowed letters
+    with None for their keys, and steps no tracker."""
     tr = make_tracker(p, n_max + 2)
     forbid, step = tr.forbid, tr.step
 
@@ -167,14 +169,14 @@ def _avoider_rule(p, n_max: int):
                 yield c, ((step(state, c), c, a + 1 if c > last else a)
                           if grow else None)
 
-    return tr, (tr.state, -1, -1), children
+    return (tr.state, -1, -1), children
 
 
 def avoiders(p, n: int, check=None):
     """Yield the p-avoiding ascent sequences of length n, lexicographically;
     ``check`` is passed on to the walk."""
     _check_length(n)
-    _, start, children = _avoider_rule(normalize_pattern(p), n)
+    start, children = _avoider_rule(normalize_pattern(p), n)
     yield from _walk(n, start, children, check)
 
 
@@ -182,21 +184,66 @@ def avoider_counts(p, n_max: int, check=None):
     """Yield ``(n, count)`` for n = 1..n_max, the number of p-avoiding
     ascent sequences of length n, each as soon as its layer is done.
 
-    A layer maps (tracker state, last letter, ascents) to the number of
-    prefixes with that key; the last is summed from the dead masks.
-    ``check``, when given, is called once per state and may raise to
-    abort cleanly (used for CLI budget guards); the counts yielded
-    before it raised stay valid.
+    A layer maps (canonical tracker state, last letter, a) to the number
+    of prefixes with that key, where the next letter is at most a + 1.
+    Every key is made live: the dead letters in 0..a + 1 are deleted
+    from its state (``incremental.delete_dead``), ``last`` falls by the
+    number deleted at or below it and ``a`` by the number deleted.  So
+    every letter 0..a + 1 of a key is allowed: a key grows on each with
+    no ``forbid`` test, and the last layer is summed as a + 2 per key.
+    ``check``, when given, is called once per key and may raise to abort
+    cleanly (used for CLI budget guards); the counts yielded before it
+    raised stay valid.
+
+    The deletion keeps every count.  Take a prefix with key (s, last, a),
+    a letter x <= a + 1 that s kills, and the key (s', last', a') with x
+    deleted.  x stays dead however the prefix grows, so the prefix's
+    continuations are words over the other letters, and renaming each
+    letter y > x to y - 1 maps them one to one onto words.  The renaming
+    keeps the order of letters, and a continuation's letter c is never
+    x, so the rule allows a continuation from (s, last, a) exactly when
+    it allows the renamed one from (s', last', a'):
+
+    - the bound: c <= a + 1 exactly when the renamed c is at most
+      a' + 1 = a, and each ascent raises both bounds by one;
+    - ascents: c > last exactly when the renamed c exceeds last', which
+      is last, or last - 1 when last >= x;
+    - containment, which compares letters only: s keeps per partial
+      embedding the values and open intervals its future letters must
+      meet, and the dead mask of letters that complete one.  Renamed,
+      each value and interval end above x moves down by one, so does a
+      lower end at x, and so do the dead bits above x.  An embedding
+      that must match x again, or whose interval held x alone, can
+      never complete and is dropped.  The interval end ``size`` stands
+      for no bound and stays, and so does the dead bit size - 1, a
+      letter no prefix of length n_max reaches.
+
+    Deleting several letters deletes one at a time, the highest first.
+    The deleted key is a function of the key, so keys that were equal
+    stay equal: the count merges more prefixes, never fewer.
     """
     _check_length(n_max)
-    tr, start, children = _avoider_rule(normalize_pattern(p), n_max)
-    count_allowed = tr.count_allowed
+    tr = make_tracker(normalize_pattern(p), n_max + 2, generic=True)
+    step = tr.step
+
+    def live(state, last, a):
+        gone = state[-1] & ((1 << (a + 2)) - 1)
+        if gone:
+            state = delete_dead(state, gone)
+            last -= (gone & ((1 << (last + 1)) - 1)).bit_count()
+            a -= gone.bit_count()
+        return state, last, a
+
+    def children(key):
+        state, last, a = key
+        for c in range(a + 2):
+            yield c, live(step(state, c), c, a + 1 if c > last else a)
 
     def leaves(key):
-        state, _, a = key
-        return ((None, count_allowed(state, a + 1)),)
+        return ((None, key[2] + 2),)
 
-    for n, layer in _layers(children, start, n_max, check, leaves):
+    for n, layer in _layers(children, live(tr.state, -1, -1), n_max,
+                            check, leaves):
         yield n, sum(layer.values())
 
 
@@ -311,7 +358,7 @@ def _raising_rule(p, n_max: int, raises):
                 yield c, ((appended(state, c, rise), c, a + rise)
                           if grow else None)
 
-    return tr, (tr.state, -1, -1), children
+    return (tr.state, -1, -1), children
 
 
 def modified_asc_counts(p, n_max: int, check=None):
@@ -325,8 +372,8 @@ def modified_asc_counts(p, n_max: int, check=None):
     histograms yielded before it raised stay valid.
     """
     _check_length(n_max)
-    tr, start, children = _raising_rule(normalize_pattern(p), n_max,
-                                        _ascent_top)
+    start, children = _raising_rule(normalize_pattern(p), n_max,
+                                    _ascent_top)
     # c <= last is allowed when value c is alive (odd bit 2c + 1), an
     # ascent top c when gap 2c is
     every_other = ((1 << (2 * n_max + 4)) - 1) // 3     # bits 0, 2, 4, ...
@@ -460,8 +507,8 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
     kind, p = _described(descriptor, stats)
     _check_length(n_max)
     raises, rules = _SETS[kind]
-    _, start, children = (_avoider_rule(p, n_max) if raises is _never
-                          else _raising_rule(p, n_max, raises))
+    start, children = (_avoider_rule(p, n_max) if raises is _never
+                       else _raising_rule(p, n_max, raises))
     starts, steps, values = zip(*(rules[s] for s in stats))
 
     def stepped(st, c, last):

@@ -30,10 +30,13 @@ embedding's and each state's move on a letter once computed, and ``ids``
 is the bitmask of the prefix's embeddings.  Unlike the hand summaries'
 plain tuples, such states share a mutable book: they compare equal only
 within one tracker, and one tracker should not be shared between
-threads.  A hand-derived summary below is kept only where it counts more
-than twice as fast at length 13.  The enumeration test suite checks
-every hand summary, and the canonical tracker on every pattern of length
-at most 4, against a walk that asks the containment search directly.
+threads.  A state can also lose a dead letter (``delete_dead``), which
+renames the letters above it, as the layered count of avoiders does up
+to each key's bound; so that count runs the canonical tracker for every
+pattern, and the hand-derived summaries below serve the walks and the
+statistic histograms.  The enumeration test suite checks every hand
+summary, and the canonical tracker on every pattern of length at most 4,
+against a walk that asks the containment search directly.
 
 The hand summaries keep sets of letters in int bitmasks:
 
@@ -106,17 +109,22 @@ class _Book:
                      the letters its completions kill; 0 when c does not
                      fit
         gaps[i][g]   the bit of the id of embedding i after open_gap(g)
+        drops[i][x]  the bit of the id of embedding i after its dead letter
+                     x is deleted, 0 when that leaves it no completion
         kills[i]     the letters the final pattern letter may take
         tested[i], dominators[i]
                      the ids tested for dominating i, and those that do
         steps[(ids, dead, c)]
                      the reduced state that state (ids, dead) steps to on
                      letter c
+        deleted[(ids, dead, mask)]
+                     the state (ids, dead) with the dead letters of mask
+                     deleted
     """
 
     __slots__ = ("p", "size", "plan", "tails", "index", "embeddings",
-                 "rows", "gaps", "kills", "tested", "dominators", "penult",
-                 "root", "steps")
+                 "rows", "gaps", "drops", "kills", "tested", "dominators",
+                 "penult", "root", "steps", "deleted")
 
     def __init__(self, p, size):
         self.p, self.size = p, size
@@ -136,10 +144,10 @@ class _Book:
                       for j in range(len(p))]
         self.index = {}
         self.embeddings = []
-        self.rows, self.gaps, self.kills = [], [], []
+        self.rows, self.gaps, self.drops, self.kills = [], [], [], []
         self.tested, self.dominators = [], []
         self.penult = 0
-        self.steps = {}
+        self.steps, self.deleted = {}, {}
         # the root embedding, which a length-1 pattern has already completed
         self.root = (1 << self.intern((0, ((-1, size),) * (max(p) + 1)))
                      if len(p) > 1 else 0)
@@ -151,6 +159,7 @@ class _Book:
             self.embeddings.append(e)
             self.rows.append([None] * self.size)
             self.gaps.append({})
+            self.drops.append({})
             a = e[1][self.p[-1]]
             self.kills.append(1 << a if type(a) is int else _between(*a))
             self.tested.append(0)
@@ -209,6 +218,52 @@ class _Book:
                                hi + 2 if hi < size else hi)
         m = self.gaps[i][g] = 1 << self.intern((j, tuple(vals)))
         return m
+
+    def move_drop(self, i: int, x: int) -> int:
+        """drops[i][x], computed and kept."""
+        j, vals = self.embeddings[i]
+        size = self.size
+        vals = list(vals)
+        m = 0
+        for u, a in enumerate(vals):
+            if type(a) is int:
+                if a == x:
+                    break
+                if a > x:
+                    vals[u] = a - 1
+            elif a is not None:
+                lo, hi = a
+                if lo >= x:
+                    lo -= 1
+                if x < hi < size:
+                    hi -= 1
+                if lo + 1 >= hi:
+                    break
+                vals[u] = (lo, hi)
+        else:
+            m = 1 << self.intern((j, tuple(vals)))
+        self.drops[i][x] = m
+        return m
+
+    def delete(self, ids: int, dead: int, mask: int):
+        """The state (self, ids, dead) with the dead letters of mask
+        deleted, the highest first, so each is still at its place."""
+        drops, top = self.drops, 1 << (self.size - 1)
+        while mask:
+            x = mask.bit_length() - 1
+            mask ^= 1 << x
+            moved = 0
+            while ids:
+                low = ids & -ids
+                ids ^= low
+                i = low.bit_length() - 1
+                m = drops[i].get(x)
+                if m is None:
+                    m = self.move_drop(i, x)
+                moved |= m
+            ids = moved
+            dead = dead & _below(x) | dead >> (x + 1) << x | dead & top
+        return (self, ids, dead)
 
     def dominated(self, i: int, others: int) -> int:
         """The ids in the mask ``others``, other than i, whose embedding
@@ -337,6 +392,23 @@ def open_gap(s, g: int):
         moved |= m
     dead = dead & _below(g) | dead >> (g + 1) << (g + 3)
     return (book, moved, dead & _below(book.size))
+
+
+def delete_dead(s, mask: int):
+    """Canonical state s with the letters of mask, each dead in s,
+    deleted: open_gap run backwards.  Every value, interval end and dead
+    bit above a deleted letter x moves down by one, and so does a lower
+    end at x, but not the upper sentinel, the size kept in the state's
+    book, nor the dead bit just below it.  An embedding that must match
+    x again, or is left an empty interval, can never complete and is
+    dropped.  ``enumeration.avoider_counts`` argues why the futures of
+    the state stay the same, renamed."""
+    book, ids, dead = s
+    key = (ids, dead, mask)
+    t = book.deleted.get(key)
+    if t is None:
+        t = book.deleted[key] = book.delete(ids, dead, mask)
+    return t
 
 
 # --- hand summaries ----------------------------------------------------------

@@ -104,9 +104,10 @@ class TestCount:
         assert "normal form" in err
 
     def test_budget_refusal_marks_partial(self, capsys):
-        # 1302 uses the canonical tracker, which reaches length 10 in about
-        # 0.05s and length 12 in about 0.6s, far short of length 14 in 0.3s
-        code, out, _ = run_cli(capsys, "count", "--pattern", "1302",
+        # 1001 keeps the most keys of the patterns of length 4: its count
+        # reaches length 10 in about 0.1s and length 12 in about 5s, far
+        # short of length 14 in 0.3s
+        code, out, _ = run_cli(capsys, "count", "--pattern", "1001",
                                "--n", "1..14", "--budget-seconds", "0.3",
                                "--format", "csv")
         assert code == EXIT_BUDGET
@@ -118,7 +119,7 @@ class TestCount:
                 (line.split(",") for line in out.splitlines()[2:-1])}
         assert 7 <= len(rows) < 14
         assert list(rows) == list(range(1, len(rows) + 1))
-        want = count_avoiders((1, 3, 0, 2), 7).values
+        want = count_avoiders((1, 0, 0, 1), 7).values
         assert {n: rows[n] for n in want} == want
 
     def test_modified_budget_counts_every_sequence(self, capsys):
@@ -514,11 +515,10 @@ class TestConjecturesCmd:
         assert "holds" in out
 
     def test_modi_budget_counts_every_sequence(self, capsys):
-        # the modi check makes one layered pass per pattern, about 1.1 s
-        # of states at n=13; the budget must be able to stop it inside a
-        # pass
+        # the modi check makes one layered pass per pattern, about 9 s of
+        # states at n=16; the budget must be able to stop it inside a pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", "modi",
-                               "--n", "13", "--budget-seconds", "0.5",
+                               "--n", "16", "--budget-seconds", "0.5",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]

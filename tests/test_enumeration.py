@@ -3,6 +3,8 @@
 import hashlib
 import random
 from collections import Counter
+from functools import cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from ascentseq import enumeration
 from ascentseq.bijections import modify
 from ascentseq.cli import main
-from ascentseq.core import STATISTICS, asc, contains, is_restricted, stat
-from ascentseq.enumeration import (avoiders, count_ascent_sequences,
+from ascentseq.core import (STATISTICS, asc, contains, is_restricted,
+                            normalize_pattern, stat)
+from ascentseq.enumeration import (avoider_counts, avoiders,
+                                   count_ascent_sequences,
                                    count_avoiders, count_modified_avoiders,
                                    distribution, generate_ascent_sequences,
                                    generate_restricted,
@@ -112,6 +116,9 @@ class TestAvoiders:
             slow = [sum(1 for _ in _generic_avoiders(p, n))
                     for n in range(1, 9)]
             assert fast == slow, p
+            # the count runs the canonical tracker; the walk that lists
+            # avoiders runs the hand ones
+            assert sum(1 for _ in avoiders(p, 8)) == slow[-1], p
 
     def test_straddle_trackers_match_generic_at_9(self):
         # the canonical dead-letter masks of 201, 021 and 0021, whose
@@ -207,20 +214,26 @@ class TestCanonicalTracker:
         assert tr.step(s01, 1) == s01
 
     def test_counting_merges_reduced_states(self, monkeypatch):
-        # the ordinary count steps reduced states: layer 11 keeps 586,
-        # 341 and 254 keys for 0021, 0012 and 210, where the unreduced
-        # embedding sets keep 8889, 3440 and 1330
-        sizes = {}
-        layers = enumeration._layers
+        # the count steps reduced states and deletes the dead letters up
+        # to each key's bound: layer 11 keeps 101, 137 and 56 keys for
+        # 0021, 0012 and 210; without the deletion the reduced states
+        # keep 586, 341 and 254, and the unreduced embedding sets 8889,
+        # 3440 and 1330
+        layers = {}
+        run = enumeration._layers
 
         def spy(*args, **kwargs):
-            for n, layer in layers(*args, **kwargs):
-                sizes[n] = len(layer)
+            for n, layer in run(*args, **kwargs):
+                layers[n] = layer
                 yield n, layer
         monkeypatch.setattr(enumeration, "_layers", spy)
-        for label, keys in (("0021", 586), ("0012", 341), ("210", 254)):
+        for label, keys in (("0021", 101), ("0012", 137), ("210", 56)):
             dict(enumeration.avoider_counts(pat(label), 12))
-            assert sizes[11] == keys, label
+            assert len(layers[11]) == keys, label
+            # no letter up to a key's bound a + 1 is dead
+            for n in range(1, 12):
+                for state, _, a in layers[n]:
+                    assert state[-1] & ((1 << (a + 2)) - 1) == 0, (label, n)
 
     def test_unchanged_mask_is_shared(self):
         # a walk's stack holds one state per letter, so a dead mask of
@@ -264,6 +277,51 @@ class TestCanonicalTracker:
                     assert tr.step(s, c) == once
                     assert len(book.embeddings) == embeddings, (label, c)
                     assert book.rows == rows, (label, c)
+
+
+@cache
+def _listed(kind, n):
+    """Every word of length n of the set kind, before any pattern."""
+    if kind == "perm-avoiders":
+        return tuple(permutations(range(1, n + 1)))
+    words = tuple(generate_ascent_sequences(n))
+    return tuple(map(modify, words)) if kind == "modified-avoiders" \
+        else words
+
+
+# patterns of length 5 and 6, repeated letters included
+LONG_PATTERNS = st.lists(st.integers(0, 5), min_size=5,
+                         max_size=6).map(normalize_pattern)
+
+
+class TestLongPatterns:
+    """The layered counts against filtering every word by the containment
+    search, on patterns longer than the exhaustive checks reach: that is
+    where a reduction or a deletion that holds only for short patterns
+    would break first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(LONG_PATTERNS)
+    def test_avoider_counts(self, p):
+        want = {n: sum(not contains(w, p) for w in _listed("avoiders", n))
+                for n in range(1, 8)}
+        assert dict(avoider_counts(p, 7)) == want, p
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+               st.tuples(st.sampled_from(["avoiders", "modified-avoiders"]),
+                         LONG_PATTERNS),
+               st.tuples(st.just("perm-avoiders"), st.integers(5, 6).flatmap(
+                   lambda k: st.permutations(range(k))))),
+           st.lists(st.sampled_from(sorted(STATISTICS)), min_size=1,
+                    max_size=3))
+    def test_joint_histograms(self, described, stats):
+        kind, p = described
+        p = tuple(p)
+        for n, hist in joint_histograms((kind, p), 7, *stats):
+            want = Counter(tuple(stat(w, s) for s in stats)
+                           for w in _listed(kind, n) if not contains(w, p))
+            assert hist == want, (kind, p, n)
 
 
 def _reached_states(tr, n):

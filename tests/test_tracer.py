@@ -28,7 +28,8 @@ def test_trace_patches_and_counts(capsys):
     tracer = load_tracer()(ascentseq)
     tracer.install()
     try:
-        assert cli.main(["count", "--pattern", "101", "--n", "1..7"]) == 0
+        assert cli.main(["dist", "--pattern", "101", "--n", "7",
+                         "--stats", "asc"]) == 0
         assert cli.main(["conjectures", "--name", "bi-021", "--n", "6"]) == 0
     finally:
         tracer.uninstall()
@@ -36,7 +37,7 @@ def test_trace_patches_and_counts(capsys):
             oracles.count_avoiders) == bound
     assert "bi-021      6      holds" in capsys.readouterr().out
     assert EXPECTED <= set(tracer.patched)
-    # 101 has a hand tracker; bi-021 runs the canonical one
+    # dist walks 101 on its hand tracker; bi-021 runs the canonical one
     for family in ("hand", "generic"):
         forbid, _, step, _ = tracer.family[family]
         assert forbid > 0 and step > 0, family
