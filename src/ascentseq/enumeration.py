@@ -155,11 +155,11 @@ def count_ascent_sequences(n: int) -> int:
 # pattern avoiders
 
 
-def _avoider_rule(p, n_max: int):
-    """``(start, children)`` of the p-avoiding ascent sequences up to
-    length n_max.  ``children(key, False)`` yields the allowed letters
-    with None for their keys, and steps no tracker."""
-    tr = make_tracker(p, n_max + 2)
+def _avoider_rule(p):
+    """``(start, children)`` of the p-avoiding ascent sequences.
+    ``children(key, False)`` yields the allowed letters with None for
+    their keys, and steps no tracker."""
+    tr = make_tracker(p, None)
     forbid, step = tr.forbid, tr.step
 
     def children(key, grow=True):
@@ -176,7 +176,7 @@ def avoiders(p, n: int, check=None):
     """Yield the p-avoiding ascent sequences of length n, lexicographically;
     ``check`` is passed on to the walk."""
     _check_length(n)
-    start, children = _avoider_rule(normalize_pattern(p), n)
+    start, children = _avoider_rule(normalize_pattern(p))
     yield from _walk(n, start, children, check)
 
 
@@ -214,16 +214,15 @@ def avoider_counts(p, n_max: int, check=None):
       each value and interval end above x moves down by one, so does a
       lower end at x, and so do the dead bits above x.  An embedding
       that must match x again, or whose interval held x alone, can
-      never complete and is dropped.  The interval end ``size`` stands
-      for no bound and stays, and so does the dead bit size - 1, a
-      letter no prefix of length n_max reaches.
+      never complete and is dropped.  An interval open above has the end
+      ``inf``, which stays.
 
     Deleting several letters deletes one at a time, the highest first.
     The deleted key is a function of the key, so keys that were equal
     stay equal: the count merges more prefixes, never fewer.
     """
     _check_length(n_max)
-    tr = make_tracker(normalize_pattern(p), n_max + 2, generic=True)
+    tr = make_tracker(normalize_pattern(p), None, generic=True)
     step = tr.step
 
     def live(state, last, a):
@@ -285,7 +284,7 @@ def perm_avoiders(q, n: int, check=None):
     ``check`` is passed on to the walk."""
     _check_length(n)
     q = check_perm_pattern(q)
-    tr = make_tracker(q, n + 2)
+    tr = make_tracker(q, None)
     forbid, step = tr.forbid, tr.step
 
     def children(key):
@@ -335,7 +334,7 @@ def modified_avoiders(p, n: int, check=None):
             yield x, w
 
 
-def _raising_rule(p, n_max: int, raises):
+def _raising_rule(p, raises):
     """As ``_avoider_rule``, for the p-avoiding words grown by appending
     a letter c after ``last``, where first every letter >= c moves up by
     one when ``raises(c, last)``: gap 2c opens into a value.  Keyed by
@@ -344,7 +343,7 @@ def _raising_rule(p, n_max: int, raises):
     a + 1.  Raising on ascent tops grows the modified words of ascent
     sequences, raising always the permutations, by inserting the last
     entry at a rank."""
-    tr = make_tracker(p, 2 * n_max + 3, generic=True)
+    tr = make_tracker(p, None, generic=True)
     forbid, step = tr.forbid, tr.step
 
     def appended(state, c, rise):
@@ -372,19 +371,17 @@ def modified_asc_counts(p, n_max: int, check=None):
     histograms yielded before it raised stay valid.
     """
     _check_length(n_max)
-    start, children = _raising_rule(normalize_pattern(p), n_max,
-                                    _ascent_top)
-    # c <= last is allowed when value c is alive (odd bit 2c + 1), an
-    # ascent top c when gap 2c is
-    every_other = ((1 << (2 * n_max + 4)) - 1) // 3     # bits 0, 2, 4, ...
+    start, children = _raising_rule(normalize_pattern(p), _ascent_top)
 
     def alive(dead, lo, count):
         """How many of the bits lo, lo + 2, ..., lo + 2(count - 1) are 0."""
-        return count - ((dead >> lo) & every_other
-                        & ((1 << (2 * count)) - 1)).bit_count()
+        every_other = ((1 << (2 * count)) - 1) // 3     # bits 0, 2, 4, ...
+        return count - ((dead >> lo) & every_other).bit_count()
 
     def leaves(key):
         state, last, a = key
+        # c <= last is allowed when value c is alive (odd bit 2c + 1), an
+        # ascent top c when gap 2c is
         flat = alive(state[-1], 1, last + 1)
         rise = alive(state[-1], 2 * last + 2, a - last + 1)
         if flat:
@@ -507,8 +504,8 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
     kind, p = _described(descriptor, stats)
     _check_length(n_max)
     raises, rules = _SETS[kind]
-    start, children = (_avoider_rule(p, n_max) if raises is _never
-                       else _raising_rule(p, n_max, raises))
+    start, children = (_avoider_rule(p) if raises is _never
+                       else _raising_rule(p, raises))
     starts, steps, values = zip(*(rules[s] for s in stats))
 
     def stepped(st, c, last):

@@ -47,6 +47,7 @@ The hand summaries keep sets of letters in int bitmasks:
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, NamedTuple
 
 from .core import normalize_pattern
@@ -63,7 +64,13 @@ def _below(c: int) -> int:
     return (1 << c) - 1
 
 
-def _between(lo: int, hi: int) -> int:
+def _kills(a) -> int:
+    """The letters a value, or an open interval (lo, hi), admits."""
+    if type(a) is int:
+        return 1 << a
+    lo, hi = a
+    if hi == inf:
+        return ~_below(lo + 1)
     return _below(hi) & ~_below(lo + 1)
 
 
@@ -81,13 +88,14 @@ def count_allowed(s, top: int) -> int:
 # An embedding (j, vals) is a match of p[:j] in the prefix.  For each
 # pattern letter u, vals[u] is its value if u is matched and occurs again
 # in p[j:], the open interval (lo, hi) its value must fall in if u is not
-# matched yet, and None once u no longer occurs in p[j:].  That is all
-# the future of the match depends on, so prefixes with equal futures get
-# equal states.  Embeddings with j = k-1 matter only through the final
-# letters they accept, so they are folded into the dead mask instead of
-# being stored, and an embedding with an empty interval can never
-# complete and is dropped.  The root embedding (j = 0) is in no state:
-# every step moves it as well.
+# matched yet (hi is inf while no letter bounds it above), and None once u
+# no longer occurs in p[j:].  That is all the future of the match depends
+# on, so prefixes with equal futures get equal states.  Embeddings with
+# j = k-1 matter only through the final letters they accept, so they are
+# folded into the dead mask instead of being stored (a negative mask when
+# an interval open above kills every letter past its lower end), and an
+# embedding with an empty interval can never complete and is dropped.
+# The root embedding (j = 0) is in no state: every step moves it as well.
 #
 # A state is (book, ids, dead).  The book belongs to one make_tracker
 # call: it interns every embedding the tracker meets to a small id and
@@ -103,11 +111,10 @@ def count_allowed(s, top: int) -> int:
 class _Book:
     """The embeddings one canonical tracker has met, interned to ids.
 
-        rows[i][c]   the move of embedding i on letter c, None until
-                     asked: the bit of the grown embedding's id, or, when
-                     i is penultimate (j = k - 2, a bit of ``penult``),
-                     the letters its completions kill; 0 when c does not
-                     fit
+        rows[i][c]   the move of embedding i on letter c, once asked: the
+                     bit of the grown embedding's id, or, when i is
+                     penultimate (j = k - 2, a bit of ``penult``), the
+                     letters its completions kill; 0 when c does not fit
         gaps[i][g]   the bit of the id of embedding i after open_gap(g)
         drops[i][x]  the bit of the id of embedding i after its dead letter
                      x is deleted, 0 when that leaves it no completion
@@ -122,12 +129,12 @@ class _Book:
                      deleted
     """
 
-    __slots__ = ("p", "size", "plan", "tails", "index", "embeddings",
+    __slots__ = ("p", "plan", "tails", "index", "embeddings",
                  "rows", "gaps", "drops", "kills", "tested", "dominators",
                  "penult", "root", "steps", "deleted")
 
-    def __init__(self, p, size):
-        self.p, self.size = p, size
+    def __init__(self, p):
+        self.p = p
         # per position j: the letter p[j], whether it occurs again later,
         # and the unmatched letters above and below it that a new value
         # narrows
@@ -149,7 +156,7 @@ class _Book:
         self.penult = 0
         self.steps, self.deleted = {}, {}
         # the root embedding, which a length-1 pattern has already completed
-        self.root = (1 << self.intern((0, ((-1, size),) * (max(p) + 1)))
+        self.root = (1 << self.intern((0, ((-1, inf),) * (max(p) + 1)))
                      if len(p) > 1 else 0)
 
     def intern(self, e) -> int:
@@ -157,11 +164,10 @@ class _Book:
         if i is None:
             i = self.index[e] = len(self.embeddings)
             self.embeddings.append(e)
-            self.rows.append([None] * self.size)
+            self.rows.append({})
             self.gaps.append({})
             self.drops.append({})
-            a = e[1][self.p[-1]]
-            self.kills.append(1 << a if type(a) is int else _between(*a))
+            self.kills.append(_kills(e[1][self.p[-1]]))
             self.tested.append(0)
             self.dominators.append(0)
             if e[0] == len(self.p) - 2:
@@ -198,14 +204,12 @@ class _Book:
                 vals[u] = (lo, c)
         if (1 << i) & self.penult:
             # the final letter's value or interval kills those letters
-            a = vals[self.p[-1]]
-            return 1 << a if type(a) is int else _between(*a)
+            return _kills(vals[self.p[-1]])
         return 1 << self.intern((j + 1, tuple(vals)))
 
     def move_gap(self, i: int, g: int) -> int:
         """gaps[i][g], computed and kept."""
         j, vals = self.embeddings[i]
-        size = self.size
         vals = list(vals)
         for u, a in enumerate(vals):
             if type(a) is int:
@@ -213,16 +217,14 @@ class _Book:
                     vals[u] = a + 2
             elif a is not None:
                 lo, hi = a
-                if lo > g or g < hi < size:
-                    vals[u] = (lo + 2 if lo > g else lo,
-                               hi + 2 if hi < size else hi)
+                if hi > g:
+                    vals[u] = (lo + 2 if lo > g else lo, hi + 2)
         m = self.gaps[i][g] = 1 << self.intern((j, tuple(vals)))
         return m
 
     def move_drop(self, i: int, x: int) -> int:
         """drops[i][x], computed and kept."""
         j, vals = self.embeddings[i]
-        size = self.size
         vals = list(vals)
         m = 0
         for u, a in enumerate(vals):
@@ -235,7 +237,7 @@ class _Book:
                 lo, hi = a
                 if lo >= x:
                     lo -= 1
-                if x < hi < size:
+                if hi > x:
                     hi -= 1
                 if lo + 1 >= hi:
                     break
@@ -245,24 +247,28 @@ class _Book:
         self.drops[i][x] = m
         return m
 
+    def moved(self, ids: int, table, move, key) -> int:
+        """The union of table[i][key] over the ids i in the mask ids, each
+        computed by move(i, key) and kept the first time."""
+        out = 0
+        while ids:
+            low = ids & -ids
+            ids ^= low
+            i = low.bit_length() - 1
+            m = table[i].get(key)
+            if m is None:
+                m = move(i, key)
+            out |= m
+        return out
+
     def delete(self, ids: int, dead: int, mask: int):
         """The state (self, ids, dead) with the dead letters of mask
         deleted, the highest first, so each is still at its place."""
-        drops, top = self.drops, 1 << (self.size - 1)
         while mask:
             x = mask.bit_length() - 1
             mask ^= 1 << x
-            moved = 0
-            while ids:
-                low = ids & -ids
-                ids ^= low
-                i = low.bit_length() - 1
-                m = drops[i].get(x)
-                if m is None:
-                    m = self.move_drop(i, x)
-                moved |= m
-            ids = moved
-            dead = dead & _below(x) | dead >> (x + 1) << x | dead & top
+            ids = self.moved(ids, self.drops, self.move_drop, x)
+            dead = dead & _below(x) | dead >> (x + 1) << x
         return (self, ids, dead)
 
     def dominated(self, i: int, others: int) -> int:
@@ -315,7 +321,7 @@ class _Book:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
-            m = rows[i][c]
+            m = rows[i].get(c)
             if m is None:
                 m = self.move(i, c)
             if low & penult:
@@ -360,8 +366,8 @@ def _canonical_step(s, c):
     return t
 
 
-def _generic(p, size):
-    return (_Book(p, size), 0, -1 if len(p) == 1 else 0), _canonical_step
+def _generic(p):
+    return (_Book(p), 0, -1 if len(p) == 1 else 0), _canonical_step
 
 
 # --- the canonical state of a modified word ----------------------------------
@@ -377,32 +383,20 @@ def _generic(p, size):
 def open_gap(s, g: int):
     """Canonical state s after its live gap g becomes gap, value g + 1
     and gap: every value, interval end and dead bit above g moves up by
-    2, except the upper sentinel, the size kept in the state's book.
-    Gap g is not dead, so neither are the three letters it becomes."""
+    2.  Gap g is not dead, so neither are the three letters it becomes."""
     book, ids, dead = s
-    gaps = book.gaps
-    moved = 0
-    while ids:
-        low = ids & -ids
-        ids ^= low
-        i = low.bit_length() - 1
-        m = gaps[i].get(g)
-        if m is None:
-            m = book.move_gap(i, g)
-        moved |= m
-    dead = dead & _below(g) | dead >> (g + 1) << (g + 3)
-    return (book, moved, dead & _below(book.size))
+    return (book, book.moved(ids, book.gaps, book.move_gap, g),
+            dead & _below(g) | dead >> (g + 1) << (g + 3))
 
 
 def delete_dead(s, mask: int):
     """Canonical state s with the letters of mask, each dead in s,
     deleted: open_gap run backwards.  Every value, interval end and dead
     bit above a deleted letter x moves down by one, and so does a lower
-    end at x, but not the upper sentinel, the size kept in the state's
-    book, nor the dead bit just below it.  An embedding that must match
-    x again, or is left an empty interval, can never complete and is
-    dropped.  ``enumeration.avoider_counts`` argues why the futures of
-    the state stay the same, renamed."""
+    end at x.  An embedding that must match x again, or is left an empty
+    interval, can never complete and is dropped.
+    ``enumeration.avoider_counts`` argues why the futures of the state
+    stay the same, renamed."""
     book, ids, dead = s
     key = (ids, dead, mask)
     t = book.deleted.get(key)
@@ -415,7 +409,7 @@ def delete_dead(s, mask: int):
 # Each returns (state0, step); the comment names what kills a letter.
 
 
-def _t_000(p, size):
+def _t_000(p):
     # (a, a, a): dead once a letter has appeared twice
     def step(s, c):
         seen, rep = s
@@ -425,7 +419,7 @@ def _t_000(p, size):
     return (0, 0), step
 
 
-def _t_101(p, size):
+def _t_101(p):
     # (b, a, b): letter b is dead once some occurrence of it was followed
     # by a smaller letter
     def step(s, c):
@@ -436,11 +430,13 @@ def _t_101(p, size):
     return (0, 0), step
 
 
-def _t_0101(p, size):
+def _t_0101(p):
     # (a, b, a, b): b dead once some a < b traced a..b..a; tops[a] holds
-    # the letters that have followed an occurrence of a
+    # the letters that have followed an occurrence of a, one entry per
+    # letter up to the largest seen
     def step(s, c):
         seen, tops, dead = s
+        tops += (0,) * (c + 1 - len(tops))
         dead |= tops[c]
         bit = 1 << c
         lower = seen & _below(c)
@@ -449,7 +445,7 @@ def _t_0101(p, size):
                          for x, t in enumerate(tops))
         return (seen | bit, tops, dead)
 
-    return (0, (0,) * size, 0), step
+    return (0, (), 0), step
 
 
 _FACTORIES = {
@@ -461,15 +457,20 @@ _FACTORIES = {
 SPECIALIZED = frozenset(_FACTORIES)
 
 
-def make_tracker(p, size: int, generic: bool = False) -> Tracker:
-    """Build a tracker for pattern p over letters 0..size-1.
+def make_tracker(p, size: int | None, generic: bool = False) -> Tracker:
+    """Build a tracker for pattern p over the nonnegative letters.
 
     Patterns without a hand-derived summary (``SPECIALIZED``) get the
     canonical embedding-set tracker, whose step returns reduced states;
     ``generic=True`` forces it for every pattern, which the tests use to
     check it against the containment search.
+
+    ``size`` is unused: no tracker bounds its letters, and every state
+    grows only with the letters it meets.  It stays in the signature
+    because callers, the benchmark's tracer among them, pass it
+    positionally.
     """
     p = normalize_pattern(p)
     factory = None if generic else _FACTORIES.get(p)
-    state0, step = (factory or _generic)(p, size)
+    state0, step = (factory or _generic)(p)
     return Tracker(state0, forbid, step, count_allowed)

@@ -172,18 +172,16 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     """Group patterns by their avoider-count series on lengths 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    labels = []
-    seen = set()
+    # label -> normalized pattern; a label with letters past 9 is
+    # comma-separated, which as_word does not parse back
+    words = {}
     for p in patterns:
-        label = word_str(normalize_pattern(
-            as_word(p) if isinstance(p, str) else p))
-        if label not in seen:
-            seen.add(label)
-            labels.append(label)
-    series = {label: count_avoiders(as_word(label), n_max, check=check)
-              for label in labels}
+        w = normalize_pattern(as_word(p) if isinstance(p, str) else p)
+        words.setdefault(word_str(w), w)
+    series = {label: count_avoiders(w, n_max, check=check)
+              for label, w in words.items()}
     groups: dict[tuple, list[str]] = {}
-    for label in labels:
+    for label in series:
         groups.setdefault(tuple(series[label].as_list()), []).append(label)
     classes = sorted((sorted(g, key=_pattern_sort_key) for g in groups.values()),
                      key=lambda g: _pattern_sort_key(g[0]))

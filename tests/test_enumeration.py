@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import permutations
@@ -153,9 +154,42 @@ class TestAvoiders:
     ])
     @pytest.mark.parametrize("n", [enumeration.MAX_LENGTH + 1, 10**30])
     def test_length_cap(self, call, n):
-        # the CLI's cap, refused before any tracker sizes its rows by n
+        # the CLI's cap, refused before any work is done
         with pytest.raises(ValueError, match="lengths above 1000000"):
             call(n)
+
+    @pytest.mark.parametrize("call", [
+        lambda check: dict(avoider_counts(
+            pat("1302"), enumeration.MAX_LENGTH, check)),
+        lambda check: dict(modified_asc_counts(
+            pat("1302"), enumeration.MAX_LENGTH, check)),
+        lambda check: dict(joint_histograms(
+            ("avoiders", pat("1302")), enumeration.MAX_LENGTH, "asc",
+            check=check)),
+        lambda check: dict(joint_histograms(
+            ("avoiders", pat("0101")), 10**4, "asc", check=check)),
+    ])
+    def test_memory_does_not_grow_with_the_length_bound(self, call):
+        # no tracker state is sized by the length bound, so the first 300
+        # keys of a count at the cap take little memory
+        checks = iter(range(300))
+
+        def check():
+            if next(checks, None) is None:
+                raise _Stop
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Stop):
+                call(check)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class _Stop(Exception):
+    pass
 
 
 def _generic_avoiders(p, n):
@@ -236,11 +270,14 @@ class TestCanonicalTracker:
                     assert state[-1] & ((1 << (a + 2)) - 1) == 0, (label, n)
 
     def test_unchanged_mask_is_shared(self):
-        # a walk's stack holds one state per letter, so a dead mask of
-        # `size` bits copied at every step costs O(n * size) memory
-        tr = make_tracker(pat("01"), 10**4, generic=True)
-        once = tr.step(tr.state, 0)
-        assert tr.step(once, 0)[-1] is once[-1]
+        # a walk's stack holds one state per letter, so a dead mask as
+        # long as the largest letter met, copied at every step, would
+        # cost memory quadratic in the length; after letter 10^4 every
+        # letter above it is dead, a mask of about 10^4 bits
+        tr = make_tracker(pat("01"), None, generic=True)
+        once = tr.step(tr.state, 10**4)
+        assert once[-1] == ~((1 << (10**4 + 1)) - 1)
+        assert tr.step(once, 10**4)[-1] is once[-1]
 
     def test_fresh_tracker_steps_reached_states(self):
         # a state carries its tracker's book, so a fresh tracker of the
@@ -269,11 +306,11 @@ class TestCanonicalTracker:
                 for c in range(9):
                     once = tr.step(s, c)
                     ids = s[1] | book.root
-                    assert all(row[c] is not None
+                    assert all(c in row
                                for i, row in enumerate(book.rows)
                                if ids >> i & 1), (label, c)
                     embeddings = len(book.embeddings)
-                    rows = [list(row) for row in book.rows]
+                    rows = [dict(row) for row in book.rows]
                     assert tr.step(s, c) == once
                     assert len(book.embeddings) == embeddings, (label, c)
                     assert book.rows == rows, (label, c)

@@ -12,13 +12,16 @@ import ascentseq
 SRC = str(Path(ascentseq.__file__).resolve().parent.parent)
 
 
-def run_module(*argv):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, "-m", "ascentseq", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_module(*argv):
+    return run_python("-m", "ascentseq", *argv)
 
 
 @pytest.mark.parametrize("argv,code,err", [
@@ -41,3 +44,26 @@ def test_exit_codes(argv, code, err):
     if code == 3:
         assert proc.stdout.splitlines()[-1] == (
             "# incomplete: budget of -1s exceeded")
+
+
+def test_count_at_the_length_cap_stays_small(tmp_path):
+    # the longest count the CLI takes, cut by its budget: no tracker
+    # state grows with the length bound, so the process stays small.
+    # The child writes its own peak RSS in MiB as it exits.
+    rss = tmp_path / "maxrss"
+    code = (
+        "import atexit, resource, runpy, sys\n"
+        "def report():\n"
+        "    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    if sys.platform == 'darwin':\n"
+        "        kib //= 1024\n"
+        f"    open({str(rss)!r}, 'w').write(str(kib // 1024))\n"
+        "atexit.register(report)\n"
+        "runpy.run_module('ascentseq', run_name='__main__')\n")
+    proc = run_python("-c", code, "count", "--pattern", "1302", "--n",
+                      "1000000", "--budget-seconds", "0.5")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == (
+        "# incomplete: budget of 0.5s exceeded")
+    assert int(rss.read_text()) < 150

@@ -182,6 +182,13 @@ class TestWilf:
         report = wilf_classify(["101", (1, 0, 1), "212"], 6)
         assert report.classes == [["101"]]
 
+    def test_patterns_with_ten_or_more_values(self):
+        # the label of such a pattern is comma-separated
+        report = wilf_classify([tuple(range(11)), (0, 1)], 5)
+        assert report.series["0,1,2,3,4,5,6,7,8,9,10"].as_list() == \
+            count_avoiders(tuple(range(11)), 5).as_list()
+        assert report.classes == [["01"], ["0,1,2,3,4,5,6,7,8,9,10"]]
+
     def test_all_patterns_universe(self):
         pats = all_patterns(4)
         assert len(pats) == 92
