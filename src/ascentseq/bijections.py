@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Word, check_ascent_sequence, check_permutation,
-                   check_restricted, contains, is_ascent_sequence,
-                   is_restricted, is_rgf, perm_contains, word_str)
+from .core import (Word, check_ascent_sequence, check_letters,
+                   check_permutation, check_restricted, contains,
+                   is_ascent_sequence, is_restricted, is_rgf, perm_contains,
+                   word_str)
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -27,7 +28,8 @@ def standardize_partition(blocks) -> SetPartition:
     Standard form sorts each block ascending and orders blocks by their
     minima; the blocks must be disjoint, nonempty, and cover 1..n.
     """
-    cleaned = sorted((tuple(sorted(b)) for b in blocks if b),
+    cleaned = sorted((tuple(sorted(b)) for b in map(check_letters, blocks)
+                      if b),
                      key=lambda b: b[0])
     if not cleaned:
         raise ValueError("a set partition needs at least one block")
@@ -60,7 +62,7 @@ def rgf_encode(sp) -> Word:
 
 def rgf_decode(w) -> SetPartition:
     """Rebuild the set partition encoded by a restricted growth string."""
-    w = tuple(w)
+    w = check_letters(w)
     if not is_rgf(w):
         raise ValueError(f"not a restricted growth string: {word_str(w)}")
     blocks: list[list[int]] = [[] for _ in range(max(w) + 1)]
@@ -218,7 +220,7 @@ def ternary_to_seq102(t) -> Word:
     below the head letter at the (k-q+1)-th 2, and the 0/1 letters after
     it stay at the base and base+1 respectively.
     """
-    t = tuple(t)
+    t = check_letters(t)
     if any(letter not in (0, 1, 2) for letter in t):
         raise ValueError(f"not a ternary word: {word_str(t)}")
     twos = [i for i, letter in enumerate(t) if letter == 2]
@@ -397,7 +399,7 @@ def unmodify(w) -> Word:
     positions survive the transform, so they can be read off w itself),
     then verifies the round trip.
     """
-    w = tuple(w)
+    w = check_letters(w)
     cur = list(w)
     tops = [j + 1 for j in range(len(w) - 1) if w[j] < w[j + 1]]
     for j in reversed(tops):

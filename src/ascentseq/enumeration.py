@@ -61,6 +61,8 @@ MAX_LENGTH = 10**6      # past this, one layer outlasts the default budget
 
 
 def _check_length(n: int) -> None:
+    if type(n) is not int:
+        raise ValueError(f"length must be an int, not {n!r}")
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > MAX_LENGTH:
@@ -222,7 +224,7 @@ def avoider_counts(p, n_max: int, check=None):
     stay equal: the count merges more prefixes, never fewer.
     """
     _check_length(n_max)
-    tr = make_tracker(normalize_pattern(p), None, generic=True)
+    tr = make_tracker(normalize_pattern(p), None)
     step = tr.step
 
     def live(state, last, a):
@@ -343,7 +345,7 @@ def _raising_rule(p, raises):
     a + 1.  Raising on ascent tops grows the modified words of ascent
     sequences, raising always the permutations, by inserting the last
     entry at a rank."""
-    tr = make_tracker(p, None, generic=True)
+    tr = make_tracker(p, None)
     forbid, step = tr.forbid, tr.step
 
     def appended(state, c, rise):
@@ -492,8 +494,8 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
 
     The descriptor is as for ``joint_distribution``.  Every kind is
     counted in one layered pass over its growth rule, keyed by (set key,
-    statistic states); a kind that never raises grows on the pattern's
-    own tracker, the others on the canonical one in doubled coordinates,
+    statistic states); a kind that never raises keeps the pattern's
+    tracker state of the word itself, the others in doubled coordinates,
     and every kind steps the statistics with its raise.  The last layer
     keeps only the statistic states and steps no tracker.  ``check``,
     when given, is called once per state; the histograms yielded before

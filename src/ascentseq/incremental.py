@@ -1,4 +1,4 @@
-"""Incremental forbidden-letter trackers for prefix-pruned enumeration.
+"""The incremental forbidden-letter tracker for prefix-pruned enumeration.
 
 Growing an avoider prefix letter by letter only ever creates a pattern
 occurrence that ends at the newly appended letter, so pruning needs one
@@ -13,36 +13,28 @@ answers that question from a small state carried along the prefix:
 
 Every state is a tuple whose last entry is the *dead mask*: bit c is set
 exactly when appending c would complete the pattern.  So ``forbid`` and
-``count_allowed`` are one bit test and one popcount, shared by every
-tracker, and each tracker only states its ``step``.  Dead letters stay
+``count_allowed`` are one bit test and one popcount.  Dead letters stay
 dead as the prefix grows, so a step only ever ORs bits in.
 
 The counting engine merges prefixes whose states are equal, so a state
-should keep no more than the future depends on.  The canonical tracker
-serves every pattern without a hand summary: it keeps the set of partial
-embeddings of the pattern, each reduced to the values and intervals its
-remaining letters depend on, and every step drops the embeddings that
-cannot change a ``forbid`` answer.  These sets are the labels of a
-generating tree (West 1995, "Generating trees and the Catalan and
-Schröder numbers").  Its state is ``(book, ids, dead)``: the book, one
-per tracker, interns every embedding to a small id and keeps each
-embedding's and each state's move on a letter once computed, and ``ids``
-is the bitmask of the prefix's embeddings.  Unlike the hand summaries'
-plain tuples, such states share a mutable book: they compare equal only
-within one tracker, and one tracker should not be shared between
-threads.  A state can also lose a dead letter (``delete_dead``), which
-renames the letters above it, as the layered count of avoiders does up
-to each key's bound; so that count runs the canonical tracker for every
-pattern, and the hand-derived summaries below serve the walks and the
-statistic histograms.  The enumeration test suite checks every hand
-summary, and the canonical tracker on every pattern of length at most 4,
-against a walk that asks the containment search directly.
+should keep no more than the future depends on.  The tracker keeps the
+set of partial embeddings of the pattern, each reduced to the values and
+intervals its remaining letters depend on, and every step drops the
+embeddings that cannot change a ``forbid`` answer.  These sets are the
+labels of a generating tree (West 1995, "Generating trees and the
+Catalan and Schröder numbers").  A state is ``(book, ids, dead)``: the
+book, one per tracker, interns every embedding to a small id and keeps
+each embedding's and each state's move on a letter once computed, and
+``ids`` is the bitmask of the prefix's embeddings.  States share a
+mutable book: they compare equal only within one tracker, and one
+tracker should not be shared between threads.
 
-The hand summaries keep sets of letters in int bitmasks:
-
-    seen     bitmask of letters present in the prefix
-    rep      bitmask of letters present at least twice
-    dead     the dead mask, always the last entry
+Two more moves rename letters.  ``delete_dead`` deletes dead letters,
+as the layered count of avoiders does up to each key's bound, and
+``open_gap`` opens a gap into a new value, as modified words and
+permutations grow.  The enumeration test suite checks the tracker on
+every pattern of length at most 4 against a walk that asks the
+containment search directly.
 """
 
 from __future__ import annotations
@@ -84,7 +76,7 @@ def count_allowed(s, top: int) -> int:
     return top + 1 - (s[-1] & _below(top + 1)).bit_count()
 
 
-# --- canonical fallback: the set of partial embeddings ----------------------
+# --- the set of partial embeddings -------------------------------------------
 # An embedding (j, vals) is a match of p[:j] in the prefix.  For each
 # pattern letter u, vals[u] is its value if u is matched and occurs again
 # in p[j:], the open interval (lo, hi) its value must fall in if u is not
@@ -105,11 +97,11 @@ def count_allowed(s, top: int) -> int:
 # equal embedding sets are equal masks.  The book also keeps each state's
 # reduced move on a letter, so a step that many prefixes share is one
 # dict lookup.  step and open_gap read the book from the state, so a
-# state can be stepped by any canonical tracker of its pattern.
+# state can be stepped by any tracker of its pattern.
 
 
 class _Book:
-    """The embeddings one canonical tracker has met, interned to ids.
+    """The embeddings one tracker has met, interned to ids.
 
         rows[i][c]   the move of embedding i on letter c, once asked: the
                      bit of the grown embedding's id, or, when i is
@@ -366,10 +358,6 @@ def _canonical_step(s, c):
     return t
 
 
-def _generic(p):
-    return (_Book(p), 0, -1 if len(p) == 1 else 0), _canonical_step
-
-
 # --- the canonical state of a modified word ----------------------------------
 # Appending c to an ascent sequence x appends c to its modified word, after
 # raising every letter >= c by one when c is an ascent top.  The canonical
@@ -405,72 +393,19 @@ def delete_dead(s, mask: int):
     return t
 
 
-# --- hand summaries ----------------------------------------------------------
-# Each returns (state0, step); the comment names what kills a letter.
+# read by perfbench/tracer.py; goes with ROADMAP item 1's tracer change
+SPECIALIZED = frozenset()
 
 
-def _t_000(p):
-    # (a, a, a): dead once a letter has appeared twice
-    def step(s, c):
-        seen, rep = s
-        bit = 1 << c
-        return (seen | bit, rep | (seen & bit))
+def make_tracker(p, size=None, generic=None) -> Tracker:
+    """The tracker of pattern p over the nonnegative letters, whose step
+    returns reduced states.
 
-    return (0, 0), step
-
-
-def _t_101(p):
-    # (b, a, b): letter b is dead once some occurrence of it was followed
-    # by a smaller letter
-    def step(s, c):
-        seen, dead = s
-        dead |= seen >> (c + 1) << (c + 1)
-        return (seen | (1 << c), dead)
-
-    return (0, 0), step
-
-
-def _t_0101(p):
-    # (a, b, a, b): b dead once some a < b traced a..b..a; tops[a] holds
-    # the letters that have followed an occurrence of a, one entry per
-    # letter up to the largest seen
-    def step(s, c):
-        seen, tops, dead = s
-        tops += (0,) * (c + 1 - len(tops))
-        dead |= tops[c]
-        bit = 1 << c
-        lower = seen & _below(c)
-        if lower:
-            tops = tuple(t | bit if (lower >> x) & 1 else t
-                         for x, t in enumerate(tops))
-        return (seen | bit, tops, dead)
-
-    return (0, (), 0), step
-
-
-_FACTORIES = {
-    (0, 0, 0): _t_000,
-    (1, 0, 1): _t_101,
-    (0, 1, 0, 1): _t_0101,
-}
-
-SPECIALIZED = frozenset(_FACTORIES)
-
-
-def make_tracker(p, size: int | None, generic: bool = False) -> Tracker:
-    """Build a tracker for pattern p over the nonnegative letters.
-
-    Patterns without a hand-derived summary (``SPECIALIZED``) get the
-    canonical embedding-set tracker, whose step returns reduced states;
-    ``generic=True`` forces it for every pattern, which the tests use to
-    check it against the containment search.
-
-    ``size`` is unused: no tracker bounds its letters, and every state
-    grows only with the letters it meets.  It stays in the signature
-    because callers, the benchmark's tracer among them, pass it
-    positionally.
+    ``size`` and ``generic`` are ignored: every state grows only with the
+    letters it meets.  perfbench/tracer.py wraps this call with ``size``
+    positional, so callers pass None; both go with ROADMAP item 1's
+    tracer change.
     """
     p = normalize_pattern(p)
-    factory = None if generic else _FACTORIES.get(p)
-    state0, step = (factory or _generic)(p)
-    return Tracker(state0, forbid, step, count_allowed)
+    state0 = (_Book(p), 0, -1 if len(p) == 1 else 0)
+    return Tracker(state0, forbid, _canonical_step, count_allowed)

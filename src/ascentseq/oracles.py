@@ -21,8 +21,8 @@ from itertools import product
 from math import comb, exp, log
 
 from .core import as_word, normalize_pattern, word_str
-from .enumeration import (CountSeries, count_avoiders, joint_histograms,
-                          modified_asc_counts)
+from .enumeration import (CountSeries, _check_length, count_avoiders,
+                          joint_histograms, modified_asc_counts)
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -170,8 +170,7 @@ def _pattern_sort_key(label: str):
 
 def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     """Group patterns by their avoider-count series on lengths 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_length(n_max)
     # label -> normalized pattern; a label with letters past 9 is
     # comma-separated, which as_word does not parse back
     words = {}
@@ -409,6 +408,5 @@ def run_conjecture(conjecture_id: str, n_max: int | None = None,
         raise ValueError(f"unknown conjecture {conjecture_id!r}; choose from "
                          f"{list(CONJECTURE_IDS)}") from None
     n_max = default if n_max is None else n_max
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_length(n_max)
     return ConjectureResult(conjecture_id, n_max, runner(n_max, check))

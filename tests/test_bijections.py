@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascentseq.bijections import (is_noncrossing, lifted_binary_decompose,
-                                  modify, partition_str,
-                                  perm231_to_ncpartition, perm312_to_seq101,
-                                  phi, reduce_tail, restricted_to_021,
-                                  rgf_decode, rgf_encode,
+from ascentseq.bijections import (BIJECTIONS, is_noncrossing,
+                                  lifted_binary_decompose, modify,
+                                  partition_str, perm231_to_ncpartition,
+                                  perm312_to_seq101, phi, reduce_tail,
+                                  restricted_to_021, rgf_decode, rgf_encode,
                                   seq021_to_restricted, seq101_to_perm312,
                                   seq102_to_ternary, standardize_partition,
                                   ternary_to_seq102, unmodify)
@@ -398,3 +398,11 @@ class TestRandomRoundTrips:
                 runs[-1].append(cur)
         assert set(perm231_to_ncpartition(y)) == {tuple(sorted(r))
                                                   for r in runs}
+
+
+@pytest.mark.parametrize("bad", ["01", (0, None), ((1,), "a"), (0, 1.5)])
+@pytest.mark.parametrize("name", sorted(BIJECTIONS))
+def test_letters_that_are_not_ints_are_refused(name, bad):
+    # refused before any comparison of letters could raise TypeError
+    with pytest.raises(ValueError):
+        BIJECTIONS[name](bad)

@@ -25,9 +25,10 @@ from ascentseq.enumeration import (avoider_counts, avoiders,
                                    joint_histograms, modified_asc_counts,
                                    modified_avoiders, perm_avoiders)
 from ascentseq.fixtures import expected_counts
-from ascentseq.incremental import SPECIALIZED, make_tracker, open_gap
+from ascentseq.incremental import make_tracker, open_gap
 from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
-                               catalan, run_conjecture, stirling2)
+                               catalan, run_conjecture, stirling2,
+                               wilf_classify)
 
 from conftest import pat
 
@@ -108,17 +109,15 @@ class TestAvoiders:
                 assert count_avoiders(p, n).values[n] == len(expected)
 
     def test_specialized_trackers_match_generic(self):
-        # the trackers of the 21 patterns that dominate the counting
-        # workload, the hand-derived ones among them, against the
-        # search-based walk
-        assert {pat(label) for label in WORKLOAD_PATTERNS} >= SPECIALIZED
+        # the tracker on the 21 patterns that dominate the counting
+        # workload, against the search-based walk
         for p in map(pat, WORKLOAD_PATTERNS):
             fast = count_avoiders(p, 8).as_list()
             slow = [sum(1 for _ in _generic_avoiders(p, n))
                     for n in range(1, 9)]
             assert fast == slow, p
-            # the count runs the canonical tracker; the walk that lists
-            # avoiders runs the hand ones
+            # the count deletes dead letters from its keys; the walk that
+            # lists avoiders keeps them
             assert sum(1 for _ in avoiders(p, 8)) == slow[-1], p
 
     def test_straddle_trackers_match_generic_at_9(self):
@@ -151,11 +150,21 @@ class TestAvoiders:
         lambda n: next(avoiders(pat("01"), n)),
         lambda n: count_modified_avoiders(pat("01"), n),
         lambda n: run_conjecture("210", n),
+        lambda n: next(generate_ascent_sequences(n)),
+        lambda n: count_ascent_sequences(n),
+        lambda n: next(generate_restricted(n)),
+        lambda n: next(perm_avoiders(pat("01"), n)),
+        lambda n: next(generate_set_partitions(n)),
+        lambda n: next(joint_histograms(("avoiders", pat("01")), n, "asc")),
+        lambda n: wilf_classify(["01"], n),
     ])
-    @pytest.mark.parametrize("n", [enumeration.MAX_LENGTH + 1, 10**30])
+    @pytest.mark.parametrize("n", [enumeration.MAX_LENGTH + 1, 10**30,
+                                   2.5, 3.0, "3"])
     def test_length_cap(self, call, n):
-        # the CLI's cap, refused before any work is done
-        with pytest.raises(ValueError, match="lengths above 1000000"):
+        # the CLI's cap, and a length that is not an int, refused before
+        # any work is done
+        match = "lengths above 1000000" if type(n) is int else "must be an int"
+        with pytest.raises(ValueError, match=match):
             call(n)
 
     @pytest.mark.parametrize("call", [
@@ -211,35 +220,27 @@ def _generic_avoiders(p, n):
 
 
 class TestCanonicalTracker:
-    """The embedding-set tracker that patterns without a hand summary use,
-    forced onto every pattern."""
+    """The embedding-set tracker that every pattern uses."""
 
-    @pytest.fixture
-    def canonical_only(self, monkeypatch):
-        def make(p, size, generic=False):
-            return make_tracker(p, size, generic=True)
-        monkeypatch.setattr(enumeration, "make_tracker", make)
-
-    def test_matches_search_walk_all_small_patterns(self, canonical_only):
+    def test_matches_search_walk_all_small_patterns(self):
         for label in all_patterns(4):
             p = pat(label)
             slow = [sum(1 for _ in _generic_avoiders(p, n))
                     for n in range(1, 8)]
             assert count_avoiders(p, 7).as_list() == slow, label
 
-    def test_pins_at_10(self, canonical_only):
+    def test_pins_at_10(self):
         assert count_avoiders(pat("1302"), 10).values[10] == 156851
         assert count_avoiders(pat("0312"), 10).values[10] == 156847
 
     def test_trivial_patterns_have_no_hand_summary(self):
         # every word contains 0; only 0 1 2 ... avoids 00 and 0 0 0 ... 01
         for label, want in (("0", 0), ("00", 1), ("01", 1)):
-            assert pat(label) not in SPECIALIZED
             assert count_avoiders(pat(label), 13).as_list() == [want] * 13
 
     def test_equal_futures_merge(self):
         # a 0 after 0 starts no new partial occurrence of 1302
-        tr = make_tracker(pat("1302"), 12, generic=True)
+        tr = make_tracker(pat("1302"))
         once = tr.step(tr.state, 0)
         assert tr.step(once, 0) == once
         # 011 and 01 leave the same partial occurrences, so they merge
@@ -274,7 +275,7 @@ class TestCanonicalTracker:
         # long as the largest letter met, copied at every step, would
         # cost memory quadratic in the length; after letter 10^4 every
         # letter above it is dead, a mask of about 10^4 bits
-        tr = make_tracker(pat("01"), None, generic=True)
+        tr = make_tracker(pat("01"))
         once = tr.step(tr.state, 10**4)
         assert once[-1] == ~((1 << (10**4 + 1)) - 1)
         assert tr.step(once, 10**4)[-1] is once[-1]
@@ -285,9 +286,9 @@ class TestCanonicalTracker:
         size = 9
         for label in all_patterns(4):
             p = pat(label)
-            tr = make_tracker(p, size, generic=True)
+            tr = make_tracker(p)
             states = _reached_states(tr, 7)
-            fresh = make_tracker(p, size, generic=True)
+            fresh = make_tracker(p)
             for s in states:
                 for c in range(size):
                     assert fresh.forbid(s, c) == tr.forbid(s, c), (label, c)
@@ -299,7 +300,7 @@ class TestCanonicalTracker:
     def test_repeated_step_leaves_the_book_alone(self):
         # every move is kept the first time it is made
         for label in ("1302", "0011", "1001", "2100", "10"):
-            tr = make_tracker(pat(label), 9, generic=True)
+            tr = make_tracker(pat(label))
             states = _reached_states(tr, 6)
             book = tr.state[0]
             for s in states:
@@ -377,15 +378,12 @@ class TestTrackerConvention:
     """Every tracker state ends in its dead mask, and forbid and
     count_allowed read nothing else."""
 
-    @pytest.mark.parametrize("generic", [False, True],
-                             ids=["hand", "canonical"])
-    def test_last_entry_is_the_dead_mask(self, generic):
-        patterns = ([pat(label) for label in all_patterns(4)] if generic
-                    else sorted(SPECIALIZED))
-        assert len(patterns) == (92 if generic else 3)
+    def test_last_entry_is_the_dead_mask(self):
+        patterns = [pat(label) for label in all_patterns(4)]
+        assert len(patterns) == 92
         size = 9
         for p in patterns:
-            tr = make_tracker(p, size, generic=generic)
+            tr = make_tracker(p)
             for s in _reached_states(tr, 7):
                 for c in range(size):
                     assert tr.forbid(s, c) == (s[-1] >> c) & 1, (p, s, c)
@@ -477,8 +475,8 @@ class TestPermAvoiders:
         assert list(perm_avoiders(pat("01"), 1)) == [(1,)]
 
     def test_against_filter(self):
-        # every distinct-letter pattern of length at most 4, so each hand
-        # tracker that applies and the canonical one prune permutations
+        # every distinct-letter pattern of length at most 4 prunes
+        # permutations on its tracker
         from itertools import permutations
         from ascentseq.core import perm_contains
         labels = [s for s in all_patterns(4) if len(set(s)) == len(s)]
@@ -737,7 +735,7 @@ class TestModified:
         # modify(x c)
         p = pat(label)
         n_max = 10
-        tr = make_tracker(p, 2 * n_max + 3, generic=True)
+        tr = make_tracker(p)
 
         def grown(w):
             s = tr.state
