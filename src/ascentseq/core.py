@@ -27,7 +27,9 @@ Word = tuple[int, ...]
 
 
 def as_word(letters: Iterable[int] | str) -> Word:
-    """Coerce a digit string or an iterable of ints to a word tuple.
+    """Coerce a digit string or an iterable of ints to a word tuple; an
+    iterable with a letter that is not an int is refused, as by
+    ``check_letters``.
 
     >>> as_word("0101312052")
     (0, 1, 0, 1, 3, 1, 2, 0, 5, 2)
@@ -35,7 +37,7 @@ def as_word(letters: Iterable[int] | str) -> Word:
     if isinstance(letters, str):
         w = tuple(int(ch) for ch in letters)
     else:
-        w = tuple(int(x) for x in letters)
+        w = tuple(int(x) for x in check_letters(letters))
     if any(x < 0 for x in w):
         raise ValueError("letters must be nonnegative")
     return w
@@ -240,8 +242,10 @@ def normalize_pattern(w: Sequence[int]) -> Word:
 
     Words that induce the same relative order describe the same pattern;
     for instance 01013 and 01012 normalize identically, and 275 becomes
-    021.  Idempotent on already normalized patterns.
+    021.  Idempotent on already normalized patterns.  Letters that are
+    not ints are refused, as by ``check_letters``.
     """
+    w = check_letters(w)
     if not w:
         raise ValueError("empty pattern")
     ranks = {v: i for i, v in enumerate(sorted(set(w)))}
@@ -316,7 +320,7 @@ def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
     fewer letters.
     """
     p = normalize_pattern(p)
-    w = tuple(w)
+    w = check_letters(w)
     if w and min(w) < 0:    # the search bounds every letter below by -1
         raise ValueError("letters must be nonnegative")
     if len(p) > len(w):

@@ -4,13 +4,14 @@ Everything here is exact big-integer arithmetic.  The non-k-crossing
 partitions are counted as vacillating tableaux whose shapes have fewer
 than k rows (Chen, Deng, Du, Stanley & Yan 2007, "Crossings and
 nestings of matchings and partitions"), a walk over Young shapes that
-never lists a partition.  The conjecture runners compare layered counts
-(``count_avoiders``, ``joint_histograms`` and ``modified_asc_counts``,
-each one pass for every length) against an independent oracle or a
-second set for each length and report a per-length verdict; a failing
-length always carries a concrete witness.  Nothing in this module
-extrapolates limits or proves anything; it checks statements
-numerically at desk scale.
+never lists a partition.  Each conjecture runner yields, per length,
+a list of checks that compare layered counts (``count_avoiders``,
+``joint_histograms`` and ``modified_asc_counts``, each one pass for
+every length) with an independent oracle or a second set.  One function,
+``_verdict``, turns each length's checks into its verdict: the first
+check whose sides differ gives the failing length's concrete witness.
+Nothing in this module extrapolates limits or proves anything; it checks
+statements numerically at desk scale.
 """
 
 from __future__ import annotations
@@ -250,136 +251,112 @@ class ConjectureResult:
 MODIFIED_PATTERNS = ("101", "0101", "1021", "1102", "1120", "1210")
 
 
-def _verdict_counts(name: str, n: int, got: int, want: int,
-                    source: str) -> ConjectureVerdict:
-    if got == want:
-        return ConjectureVerdict(n, True)
-    return ConjectureVerdict(
-        n, False, f"{name}: got {got}, {source} gives {want}")
+def _verdict(n: int, checks) -> ConjectureVerdict:
+    """The verdict at length n: the first check whose sides differ gives
+    the witness.
+
+    A check is ``(what, got, want, source)``.  A count names the source
+    of ``want``; a histogram has source None, and its witness is the
+    smallest key at which the sides differ."""
+    for what, got, want, source in checks:
+        if got == want:
+            continue
+        if source is not None:
+            witness = f"{what}: got {got}, {source} gives {want}"
+        else:
+            k = min(k for k in set(got) | set(want)
+                    if got.get(k, 0) != want.get(k, 0))
+            witness = (f"{what} differ at key {k}: "
+                       f"{got.get(k, 0)} vs {want.get(k, 0)}")
+        return ConjectureVerdict(n, False, witness)
+    return ConjectureVerdict(n, True)
 
 
-def _histogram_verdict(n, h1, h2, what) -> ConjectureVerdict:
-    if h1 == h2:
-        return ConjectureVerdict(n, True)
-    keys = sorted(set(h1) | set(h2))
-    diff = next(k for k in keys if h1.get(k, 0) != h2.get(k, 0))
-    return ConjectureVerdict(
-        n, False,
-        f"{what} differ at key {diff}: {h1.get(diff, 0)} vs {h2.get(diff, 0)}")
-
-
-def _run_bi_021(n_max: int, check) -> list[ConjectureVerdict]:
+def _run_bi_021(n_max: int, check):
     sides = (joint_histograms((kind, (0, 2, 1)), n_max, "asc", "rlmin",
                               check=check)
              for kind in ("avoiders", "perm-avoiders"))
-    return [_histogram_verdict(
-                n, h1, h2, "(asc, rlmin) on 021-avoiders vs 132-avoiding perms")
-            for (n, h1), (_, h2) in zip(*sides)]
+    for (n, h_seq), (_, h_perm) in zip(*sides):
+        yield n, [("(asc, rlmin) on 021-avoiders vs 132-avoiding perms",
+                   h_seq, h_perm, None)]
 
 
-def _run_0012(n_max: int, check) -> list[ConjectureVerdict]:
-    out = []
+def _run_0012(n_max: int, check):
     sides = zip(joint_histograms(("avoiders", (0, 0, 1, 2)), n_max,
                                  "asc", "fwd", "zeros", check=check),
                 joint_histograms(("perm-avoiders", (0, 2, 1)), n_max,
                                  "asc", "rlmax", check=check))
     for (n, h_three), (_, h_perm) in sides:
-        h_fwd, h_zeros = Counter(), Counter()
+        h_fwd, h_zeros, h_asc = Counter(), Counter(), Counter()
         for (a, f, z), m in h_three.items():
             h_fwd[(a, f)] += m
             h_zeros[(a, z)] += m
-        v = _verdict_counts("|A_0012|", n, sum(h_fwd.values()), catalan(n),
-                            "Catalan")
-        if not v.holds:
-            out.append(v)
-            continue
-        v = _histogram_verdict(n, h_fwd, h_perm,
-                               "(asc, fwd) vs (asc, rlmax) on 132-avoiders")
-        if v.holds:
-            v = _histogram_verdict(n, h_fwd, h_zeros,
-                                   "(asc, fwd) vs (asc, zeros)")
-        if v.holds:
-            h_asc = Counter()
-            for (a, _), m in h_fwd.items():
-                h_asc[a] += m
-            want = {k - 1: narayana(n, k) for k in range(1, n + 1)}
-            want = {k: v2 for k, v2 in want.items() if v2}
-            v = _histogram_verdict(n, dict(h_asc), want,
-                                   "asc distribution vs Narayana")
-        out.append(v)
-    return out
+            h_asc[a] += m
+        yield n, [
+            ("|A_0012|", sum(h_fwd.values()), catalan(n), "Catalan"),
+            ("(asc, fwd) vs (asc, rlmax) on 132-avoiders", h_fwd, h_perm,
+             None),
+            ("(asc, fwd) vs (asc, zeros)", h_fwd, h_zeros, None),
+            ("asc distribution vs Narayana", h_asc,
+             {k - 1: narayana(n, k) for k in range(1, n + 1)}, None),
+        ]
 
 
-def _count_verdicts(n_max: int, check, labels, reference,
-                    source: str) -> list[ConjectureVerdict]:
+def _count_checks(n_max: int, check, labels, reference, source: str):
     """Per length n, the avoider count of each pattern label against
-    ``reference(n)``; the first label that differs gives the witness."""
+    ``reference(n)``."""
     series = [(f"|A_{label}|",
                count_avoiders(as_word(label), n_max, check=check).values)
               for label in labels]
-    out = []
     for n in range(1, n_max + 1):
         if check is not None:
             check()
         want = reference(n)
-        v = ConjectureVerdict(n, True)
-        for name, got in series:
-            v = _verdict_counts(name, n, got[n], want, source)
-            if not v.holds:
-                break
-        out.append(v)
-    return out
+        yield n, [(what, got[n], want, source) for what, got in series]
 
 
-def _run_210(n_max: int, check) -> list[ConjectureVerdict]:
-    return _count_verdicts(n_max, check, ["210"],
-                           lambda n: non_k_crossing_partition_count(n, 3),
-                           "non-3-crossing partitions")
+def _run_210(n_max: int, check):
+    return _count_checks(n_max, check, ["210"],
+                         lambda n: non_k_crossing_partition_count(n, 3),
+                         "non-3-crossing partitions")
 
 
-def _run_0123(n_max: int, check) -> list[ConjectureVerdict]:
-    return _count_verdicts(n_max, check, ["0123"], dyck_height5_count,
-                           "height-5 Dyck recurrence")
+def _run_0123(n_max: int, check):
+    return _count_checks(n_max, check, ["0123"], dyck_height5_count,
+                         "height-5 Dyck recurrence")
 
 
-def _run_0021_wilf(n_max: int, check) -> list[ConjectureVerdict]:
+def _run_0021_wilf(n_max: int, check):
     want = count_avoiders((1, 0, 1, 2), n_max, check=check).values
-    return _count_verdicts(n_max, check, ["0021"], want.__getitem__,
-                           "|A_1012|")
+    return _count_checks(n_max, check, ["0021"], want.__getitem__,
+                         "|A_1012|")
 
 
-def _run_0021_count(n_max: int, check) -> list[ConjectureVerdict]:
-    return _count_verdicts(n_max, check, ["0021", "1012"],
-                           binomial_transform_catalan,
-                           "binomial transform of Catalan")
+def _run_0021_count(n_max: int, check):
+    return _count_checks(n_max, check, ["0021", "1012"],
+                         binomial_transform_catalan,
+                         "binomial transform of Catalan")
 
 
-def _run_modi(n_max: int, check) -> list[ConjectureVerdict]:
+def _run_modi(n_max: int, check):
     # one pattern at a time, so that only one pattern's layers are alive
     series = [list(modified_asc_counts(as_word(label), n_max, check))
               for label in MODIFIED_PATTERNS]
-    out = []
     for n, row in enumerate(zip(*series), 1):
-        hists = [hist for _, hist in row]
-        want = {k: stirling2(n, n - k) for k in range(n)
-                if stirling2(n, n - k)}
-        verdict = ConjectureVerdict(n, True)
-        for label, hist in zip(MODIFIED_PATTERNS, hists):
-            v = _verdict_counts(f"modified {label}-avoiders", n,
-                                sum(hist.values()), bell(n), "Bell")
-            if v.holds:
-                v = _histogram_verdict(
-                    n, dict(hist), want,
-                    f"asc distribution on modified {label}-avoiders vs "
-                    "blocks-reversed Stirling")
-            if not v.holds:
-                verdict = v
-                break
-        out.append(verdict)
-    return out
+        total = bell(n)
+        want = {k: stirling2(n, n - k) for k in range(n)}
+        checks = []
+        for label, (_, hist) in zip(MODIFIED_PATTERNS, row):
+            checks += [
+                (f"modified {label}-avoiders", sum(hist.values()), total,
+                 "Bell"),
+                (f"asc distribution on modified {label}-avoiders vs "
+                 "blocks-reversed Stirling", hist, want, None),
+            ]
+        yield n, checks
 
 
-# id: (runner, default n_max)
+# id: (runner yielding (n, checks) per length, default n_max)
 _CONJECTURES = {
     "bi-021": (_run_bi_021, 11),
     "0012": (_run_0012, 11),
@@ -409,4 +386,6 @@ def run_conjecture(conjecture_id: str, n_max: int | None = None,
                          f"{list(CONJECTURE_IDS)}") from None
     n_max = default if n_max is None else n_max
     _check_length(n_max)
-    return ConjectureResult(conjecture_id, n_max, runner(n_max, check))
+    return ConjectureResult(conjecture_id, n_max,
+                            [_verdict(n, checks)
+                             for n, checks in runner(n_max, check)])

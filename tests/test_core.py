@@ -12,7 +12,8 @@ from ascentseq.core import (_plan, as_word, asc, contains, count_occurrences,
                             maximal_positions, normalize_pattern,
                             perm_contains, rlmax, rlmin, stat, word_str,
                             zeros)
-from ascentseq.oracles import all_patterns
+from ascentseq.enumeration import avoiders, count_avoiders
+from ascentseq.oracles import all_patterns, wilf_classify
 
 from conftest import (naive_ascent_sequences, naive_contains,
                       naive_count_occurrences, pat)
@@ -73,6 +74,10 @@ class TestPatterns:
         with pytest.raises(ValueError):
             normalize_pattern(())
 
+    def test_empty_iterator_is_an_empty_pattern(self):
+        with pytest.raises(ValueError, match="empty pattern"):
+            normalize_pattern(iter(()))
+
     def test_normalize_idempotent_and_pattern_shape(self):
         for label in all_patterns(4):
             p = pat(label)
@@ -97,6 +102,25 @@ class TestPatterns:
         for search in (contains, count_occurrences):
             with pytest.raises(ValueError, match="nonnegative"):
                 search(w, (0, 1))
+
+    @pytest.mark.parametrize("bad", [(0, 1.5), "01", (0, None)],
+                             ids=["float", "str", "None"])
+    @pytest.mark.parametrize("call", [
+        lambda w: count_avoiders(w, 3),
+        lambda w: list(avoiders(w, 2)),
+        lambda w: perm_contains((1, 2), w),
+        lambda w: contains((0, 1), w),
+        lambda w: contains(w, (0, 1)),
+        lambda w: count_occurrences(w, (0, 1)),
+        # these two read a string as digits, so they get a list of letters
+        lambda w: wilf_classify([list(w)], 3),
+        lambda w: as_word(list(w)),
+    ], ids=["count_avoiders", "avoiders", "perm_contains", "contains-pattern",
+            "contains-word", "count_occurrences", "wilf_classify", "as_word"])
+    def test_letters_that_are_not_ints_are_refused(self, call, bad):
+        # neither ranked, truncated nor left to raise TypeError
+        with pytest.raises(ValueError, match="letters must be ints"):
+            call(bad)
 
     def test_against_naive(self, small_ascent_sequences):
         patterns = [pat(s) for s in all_patterns(4)]

@@ -1,5 +1,6 @@
 """Closed forms, Wilf classification, growth roots, conjecture runners."""
 
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -284,6 +285,36 @@ class TestConjectures:
                                {**series.values, 3: series.values[3] + 1})
 
         monkeypatch.setattr(oracles, "count_avoiders", off_by_one)
+        res = run_conjecture(cid, 4)
+        assert [v.holds for v in res.verdicts] == [True, True, False, True]
+        assert res.verdicts[2].n == 3
+        assert res.verdicts[2].witness == witness
+
+    @pytest.mark.parametrize("cid,layered,bumped,witness", [
+        ("bi-021", "joint_histograms", ("perm-avoiders", (0, 2, 1)),
+         "(asc, rlmin) on 021-avoiders vs 132-avoiding perms differ at key "
+         "(0, 1): 1 vs 2"),
+        ("0012", "joint_histograms", ("avoiders", (0, 0, 1, 2)),
+         "|A_0012|: got 6, Catalan gives 5"),
+        ("0012", "joint_histograms", ("perm-avoiders", (0, 2, 1)),
+         "(asc, fwd) vs (asc, rlmax) on 132-avoiders differ at key (0, 3): "
+         "1 vs 2"),
+        ("modi", "modified_asc_counts", (1, 0, 2, 1),
+         "modified 1021-avoiders: got 6, Bell gives 5"),
+    ])
+    def test_histogram_witness(self, monkeypatch, cid, layered, bumped,
+                               witness):
+        # one histogram at n=3 gains 1 at its smallest key
+        real = getattr(oracles, layered)
+
+        def off_by_one(first, *args, **kwargs):
+            for n, hist in real(first, *args, **kwargs):
+                if n == 3 and first == bumped:
+                    hist = Counter(hist)
+                    hist[min(hist)] += 1
+                yield n, hist
+
+        monkeypatch.setattr(oracles, layered, off_by_one)
         res = run_conjecture(cid, 4)
         assert [v.holds for v in res.verdicts] == [True, True, False, True]
         assert res.verdicts[2].n == 3
