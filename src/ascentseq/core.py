@@ -19,6 +19,7 @@ module are 0-based; the traditional presentation of ascent sequences is
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
@@ -45,7 +46,9 @@ def as_word(letters: Iterable[int] | str) -> Word:
 
 def check_letters(w: Iterable[int]) -> Word:
     """w as a tuple, refused with ValueError unless every letter is an
-    int, before any comparison of letters could raise TypeError."""
+    int, before any comparison of letters could raise TypeError.  The
+    message shows w abridged by ``reprlib``, so a long word gives a
+    short message."""
     try:
         w = tuple(w)
         # one pass in C, about 3x cheaper than collecting the letters'
@@ -55,7 +58,7 @@ def check_letters(w: Iterable[int]) -> Word:
     except TypeError:
         ints = False
     if not ints:
-        raise ValueError(f"letters must be ints: {w!r}")
+        raise ValueError(f"letters must be ints: {reprlib.repr(w)}")
     return w
 
 
@@ -72,11 +75,13 @@ def word_str(w: Sequence[int]) -> str:
 
 def asc(w: Sequence[int]) -> int:
     """Number of positions j with w[j] < w[j+1]."""
+    w = check_letters(w)
     return sum(1 for j in range(len(w) - 1) if w[j] < w[j + 1])
 
 
 def des(w: Sequence[int]) -> int:
     """Number of positions j with w[j] > w[j+1]."""
+    w = check_letters(w)
     return sum(1 for j in range(len(w) - 1) if w[j] > w[j + 1])
 
 
@@ -147,14 +152,17 @@ def is_rgf(w: Sequence[int]) -> bool:
 # statistics on nonempty words
 
 
-def _require_nonempty(w: Sequence[int]) -> None:
+def _require_nonempty(w: Sequence[int]) -> Word:
+    """w as a tuple of ints, as by ``check_letters``, and nonempty."""
+    w = check_letters(w)
     if not w:
         raise ValueError("statistic undefined on the empty word")
+    return w
 
 
 def lrmax(w: Sequence[int]) -> int:
     """Number of letters strictly greater than everything before them."""
-    _require_nonempty(w)
+    w = _require_nonempty(w)
     count, best = 0, -1
     for x in w:
         if x > best:
@@ -164,7 +172,7 @@ def lrmax(w: Sequence[int]) -> int:
 
 
 def lrmin(w: Sequence[int]) -> int:
-    _require_nonempty(w)
+    w = _require_nonempty(w)
     count, best = 0, None
     for x in w:
         if best is None or x < best:
@@ -175,7 +183,7 @@ def lrmin(w: Sequence[int]) -> int:
 
 def rlmax(w: Sequence[int]) -> int:
     """Number of letters strictly greater than everything after them."""
-    _require_nonempty(w)
+    w = _require_nonempty(w)
     count, best = 0, -1
     for x in reversed(w):
         if x > best:
@@ -185,7 +193,7 @@ def rlmax(w: Sequence[int]) -> int:
 
 
 def rlmin(w: Sequence[int]) -> int:
-    _require_nonempty(w)
+    w = _require_nonempty(w)
     count, best = 0, None
     for x in reversed(w):
         if best is None or x < best:
@@ -196,7 +204,7 @@ def rlmin(w: Sequence[int]) -> int:
 
 def zeros(w: Sequence[int]) -> int:
     """Number of 0 letters."""
-    _require_nonempty(w)
+    w = _require_nonempty(w)
     return sum(1 for x in w if x == 0)
 
 
@@ -205,7 +213,7 @@ def fwd(w: Sequence[int]) -> int:
 
     fwd(01123035523220) = 4, the length of the final 3220.
     """
-    _require_nonempty(w)
+    w = _require_nonempty(w)
     i = len(w) - 1
     while i > 0 and w[i - 1] >= w[i]:
         i -= 1

@@ -10,23 +10,24 @@ because containment is monotone under appending letters.
 
 Counting lists no words: ``_layers`` runs a rule as a layered
 transfer-matrix count, where prefixes with equal keys have equal futures
-and are merged into one weighted key, with one budget check per key.  A
-last layer that is only summed is never built; its sum is read off the
-layer before.  Avoiders are counted on the canonical tracker, keyed by
-(state, last letter, a) with every dead letter up to the bound a + 1
-deleted, so prefixes that differ only in where their dead letters sit
-merge.  Modified ascent sequences and pattern-avoiding permutations
-grow by the raise: before some letters c are appended, every earlier
-letter >= c moves up by one.  Appending c to x appends c to modify(x)
-after a raise when c is an ascent top, and a permutation grows by
-inserting its last entry at rank c, a raise every time.  The raise keeps
-the order of the earlier letters, so containment stays monotone.  These
-sets are keyed by the canonical tracker state of the raised word, kept
-in doubled coordinates, where value v is letter 2v + 1 and 2v is the gap
-just below it, so the raise turns gap 2c into a new value
-(``incremental.open_gap``).  Joint statistic histograms run the same
-rules with a small prefix state per statistic in the key, each stepped
-once per letter with the set's raise.
+and are merged into one weighted key, with one budget check per key.
+A count of avoiders is read off the layer before its length, and a
+layer is built only when the next count is asked for, so a caller that
+stops taking counts stops the work.  Avoiders are counted on the
+canonical tracker, keyed by (state, last letter, a) with every dead
+letter up to the bound a + 1 deleted, so prefixes that differ only in
+where their dead letters sit merge.  Modified ascent sequences and
+pattern-avoiding permutations grow by the raise: before some letters c
+are appended, every earlier letter >= c moves up by one.  Appending c to
+x appends c to modify(x) after a raise when c is an ascent top, and a
+permutation grows by inserting its last entry at rank c, a raise every
+time.  The raise keeps the order of the earlier letters, so containment
+stays monotone.  These sets are keyed by the canonical tracker state of
+the raised word, kept in doubled coordinates, where value v is letter
+2v + 1 and 2v is the gap just below it, so the raise turns gap 2c into a
+new value (``incremental.open_gap``).  Joint statistic histograms run
+the same rules with a small prefix state per statistic in the key, each
+stepped once per letter with the set's raise.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from operator import itemgetter
 from . import bijections
 from .core import (check_perm_pattern, contains, normalize_pattern,
                    word_str)
-from .incremental import delete_dead, make_tracker, open_gap
+from .incremental import delete_dead, forget, make_tracker, open_gap
 
 
 @dataclass
@@ -184,7 +185,11 @@ def avoiders(p, n: int, check=None):
 
 def avoider_counts(p, n_max: int, check=None):
     """Yield ``(n, count)`` for n = 1..n_max, the number of p-avoiding
-    ascent sequences of length n, each as soon as its layer is done.
+    ascent sequences of length n.  Count n is read off layer n - 1, and
+    layer n is built only when count n + 1 is asked for, so taking the
+    first k counts does the work of draining ``avoider_counts(p, k)``.
+    The tracker is freed as soon as the counts end or are dropped
+    (``incremental.forget``).
 
     A layer maps (canonical tracker state, last letter, a) to the number
     of prefixes with that key, where the next letter is at most a + 1.
@@ -192,10 +197,10 @@ def avoider_counts(p, n_max: int, check=None):
     from its state (``incremental.delete_dead``), ``last`` falls by the
     number deleted at or below it and ``a`` by the number deleted.  So
     every letter 0..a + 1 of a key is allowed: a key grows on each with
-    no ``forbid`` test, and the last layer is summed as a + 2 per key.
-    ``check``, when given, is called once per key and may raise to abort
-    cleanly (used for CLI budget guards); the counts yielded before it
-    raised stay valid.
+    no ``forbid`` test, and count n is the sum of ways * (a + 2) over
+    layer n - 1.  ``check``, when given, is called once before count 1
+    and once per key grown, and may raise to abort cleanly (used for CLI
+    budget guards); the counts yielded before it raised stay valid.
 
     The deletion keeps every count.  Take a prefix with key (s, last, a),
     a letter x <= a + 1 that s kills, and the key (s', last', a') with x
@@ -240,12 +245,19 @@ def avoider_counts(p, n_max: int, check=None):
         for c in range(a + 2):
             yield c, live(step(state, c), c, a + 1 if c > last else a)
 
-    def leaves(key):
-        return ((None, key[2] + 2),)
+    def total(layer):
+        return sum(ways * (key[2] + 2) for key, ways in layer.items())
 
-    for n, layer in _layers(children, live(tr.state, -1, -1), n_max,
-                            check, leaves):
-        yield n, sum(layer.values())
+    start = live(tr.state, -1, -1)
+    try:
+        if check is not None:
+            check()             # a spent budget refuses before count 1
+        yield 1, total({start: 1})
+        for n, layer in _layers(children, start, n_max - 1, check):
+            yield n + 1, total(layer)
+    finally:
+        # frees the book as soon as the counts end or are dropped
+        forget(tr.state)
 
 
 def count_avoiders(p, n_max: int, threads: int = 1, split_depth=None,

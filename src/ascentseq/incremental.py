@@ -393,6 +393,15 @@ def delete_dead(s, mask: int):
     return t
 
 
+def forget(s) -> None:
+    """Empty the step and deletion memos of canonical state s's book.
+    The states they keep refer back to the book, so until then a book
+    that nothing else holds waits for the cyclic garbage collector."""
+    book = s[0]
+    book.steps.clear()
+    book.deleted.clear()
+
+
 # read by perfbench/tracer.py; goes with ROADMAP item 1's tracer change
 SPECIALIZED = frozenset()
 

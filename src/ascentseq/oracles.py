@@ -16,21 +16,34 @@ statements numerically at desk scale.
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb, exp, log
 
 from .core import as_word, normalize_pattern, word_str
-from .enumeration import (CountSeries, _check_length, count_avoiders,
-                          joint_histograms, modified_asc_counts)
+from .enumeration import (CountSeries, _check_length, avoider_counts,
+                          count_avoiders, joint_histograms,
+                          modified_asc_counts)
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
+def _check_ints(*args) -> None:
+    """Refuse, with a short ValueError, an argument that is not an int
+    (a bool included), before arithmetic could raise TypeError or return
+    a float."""
+    for x in args:
+        if type(x) is not int:
+            raise ValueError(f"arguments must be ints, not {reprlib.repr(x)}")
+
+
 def catalan(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1)."""
+    _check_ints(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return comb(2 * n, n) // (n + 1)
@@ -42,6 +55,7 @@ def narayana(n: int, k: int) -> int:
     The Narayana numbers refine the Catalan numbers: summing a row gives
     C_n.
     """
+    _check_ints(n, k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return comb(n, k) * comb(n, k - 1) // n
@@ -49,6 +63,7 @@ def narayana(n: int, k: int) -> int:
 
 def half_power_formula(n: int) -> int:
     """(3^(n-1) + 1) / 2, the 102-avoider count at length n."""
+    _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return (3 ** (n - 1) + 1) // 2
@@ -56,6 +71,7 @@ def half_power_formula(n: int) -> int:
 
 def ternary_even_twos_count(n: int) -> int:
     """Number of ternary words of length n with an even number of 2s."""
+    _check_ints(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return (3 ** n + 1) // 2
@@ -64,6 +80,7 @@ def ternary_even_twos_count(n: int) -> int:
 def dyck_height5_count(n: int) -> int:
     """Dyck paths of semilength n and height at most 5, via the linear
     recurrence a(n) = 5a(n-1) - 6a(n-2) + a(n-3) seeded with 1, 2, 5."""
+    _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     seeds = [1, 2, 5]
@@ -78,6 +95,7 @@ def dyck_height5_count(n: int) -> int:
 def binomial_transform_catalan(n: int) -> int:
     """Binomial transform of the Catalan numbers, offset so that the
     values start 1, 2, 5, 15, 51 at n = 1."""
+    _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return sum(comb(n - 1, k) * catalan(k) for k in range(n))
@@ -85,6 +103,7 @@ def binomial_transform_catalan(n: int) -> int:
 
 def bell(n: int) -> int:
     """Number of set partitions of an n-element set, by the Bell triangle."""
+    _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     row = [1]
@@ -98,6 +117,7 @@ def bell(n: int) -> int:
 
 def stirling2(n: int, k: int) -> int:
     """Number of set partitions of an n-element set into k blocks."""
+    _check_ints(n, k)
     if n < 0 or k < 0:
         raise ValueError("need nonnegative arguments")
     if k > n:
@@ -128,6 +148,7 @@ def non_k_crossing_partition_count(n: int, k: int) -> int:
     keep fewer than k rows.  Walks are counted layer by layer, merging
     equal shapes.
     """
+    _check_ints(n, k)
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     layer = Counter({(): 1})
@@ -161,8 +182,33 @@ class WilfReport:
 
     n_max: int
     classes: list[list[str]]
-    series: dict[str, CountSeries]
+    series: Mapping[str, CountSeries]
     separations: dict[tuple[str, str], int] = field(default_factory=dict)
+
+
+class _FullSeries(Mapping):
+    """Label -> ``CountSeries`` on 1..n_max.  A series left short when
+    its pattern settled is counted again, in full, the first time it is
+    read."""
+
+    def __init__(self, words, known, n_max: int, check):
+        self._words, self._known = words, known
+        self._n_max, self._check = n_max, check
+
+    def __getitem__(self, label: str) -> CountSeries:
+        if label not in self._known:
+            self._known[label] = count_avoiders(
+                self._words[label], self._n_max, check=self._check)
+        return self._known[label]
+
+    def __contains__(self, label) -> bool:
+        return label in self._words     # without counting it
+
+    def __iter__(self):
+        return iter(self._words)
+
+    def __len__(self) -> int:
+        return len(self._words)
 
 
 def _pattern_sort_key(label: str):
@@ -170,7 +216,18 @@ def _pattern_sort_key(label: str):
 
 
 def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
-    """Group patterns by their avoider-count series on lengths 1..n_max."""
+    """Group patterns by their avoider-count series on lengths 1..n_max.
+
+    The patterns' ``avoider_counts`` advance in lockstep, one length at a
+    time.  After each length the live patterns are grouped by series
+    prefix, and a pattern alone in its group is settled: its counting
+    stops and its layers are freed.  Classes only split as n grows, so a
+    pattern alone at length d stays alone at every later length, and
+    every separation that involves it is at most d; the settled prefixes
+    therefore give the classes and separations exactly.  ``series``
+    counts a settled pattern again, in full, when it is first read.
+    ``check`` is passed on to every count.
+    """
     _check_length(n_max)
     # label -> normalized pattern; a label with letters past 9 is
     # comma-separated, which as_word does not parse back
@@ -178,21 +235,33 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     for p in patterns:
         w = normalize_pattern(as_word(p) if isinstance(p, str) else p)
         words.setdefault(word_str(w), w)
-    series = {label: count_avoiders(w, n_max, check=check)
-              for label, w in words.items()}
-    groups: dict[tuple, list[str]] = {}
-    for label in series:
-        groups.setdefault(tuple(series[label].as_list()), []).append(label)
-    classes = sorted((sorted(g, key=_pattern_sort_key) for g in groups.values()),
+    prefixes = {label: [] for label in words}
+    live = {label: avoider_counts(w, n_max, check)
+            for label, w in words.items()}
+    for _ in range(n_max):
+        for label, counts in live.items():
+            prefixes[label].append(next(counts)[1])
+        groups: dict[tuple, list[str]] = {}
+        for label in live:
+            groups.setdefault(tuple(prefixes[label]), []).append(label)
+        for g in groups.values():
+            if len(g) == 1:
+                del live[g[0]]      # frees the pattern's book and layer
+    classes = [[label] for label in words if label not in live]
+    classes += [g for g in groups.values() if len(g) > 1]
+    classes = sorted((sorted(g, key=_pattern_sort_key) for g in classes),
                      key=lambda g: _pattern_sort_key(g[0]))
     separations: dict[tuple[str, str], int] = {}
     for i, g1 in enumerate(classes):
         for g2 in classes[i + 1:]:
             a, b = g1[0], g2[0]
-            va, vb = series[a].values, series[b].values
-            n = next(m for m in range(1, n_max + 1) if va[m] != vb[m])
-            separations[(a, b)] = n
-    return WilfReport(n_max, classes, series, separations)
+            separations[(a, b)] = next(
+                m for m, (x, y) in enumerate(zip(prefixes[a], prefixes[b]), 1)
+                if x != y)
+    known = {label: CountSeries(label, dict(enumerate(prefixes[label], 1)))
+             for label in live}
+    return WilfReport(n_max, classes,
+                      _FullSeries(words, known, n_max, check), separations)
 
 
 def all_patterns(max_len: int) -> list[str]:

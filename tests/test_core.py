@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascentseq.core import (_plan, as_word, asc, contains, count_occurrences,
-                            des, fwd, is_ascent_sequence, is_pattern,
+from ascentseq.core import (STATISTICS, _plan, as_word, asc, check_letters,
+                            contains, count_occurrences, des, fwd,
+                            is_ascent_sequence, is_pattern,
                             is_restricted, is_rgf, lrmax, lrmin,
                             maximal_positions, normalize_pattern,
                             perm_contains, rlmax, rlmin, stat, word_str,
@@ -57,6 +58,15 @@ class TestStatistics:
         assert rlmax((0, 1, 0)) == 2
         assert lrmin((0, 1, 0)) == 1
         assert stat((0, 1), "asc") == 1
+
+    @pytest.mark.parametrize("name", sorted(STATISTICS))
+    @pytest.mark.parametrize("w", [(0, 1.5), "ab", (0, None), (1.5,)],
+                             ids=["float", "str", "None", "float-alone"])
+    def test_letters_that_are_not_ints_are_refused(self, name, w):
+        # asc((0, 1.5)) and stat("ab", "asc") used to give 1
+        for call in (STATISTICS[name], lambda w: stat(w, name)):
+            with pytest.raises(ValueError, match="letters must be ints"):
+                call(w)
 
     def test_empty_word_is_a_domain_error(self):
         for name in ("lrmax", "lrmin", "rlmax", "rlmin", "zeros", "fwd"):
@@ -121,6 +131,12 @@ class TestPatterns:
         # neither ranked, truncated nor left to raise TypeError
         with pytest.raises(ValueError, match="letters must be ints"):
             call(bad)
+
+    def test_refusal_of_a_long_word_is_short(self):
+        w = (0,) * 10**6 + (1.5,)
+        with pytest.raises(ValueError, match="letters must be ints") as info:
+            check_letters(w)
+        assert len(str(info.value)) < 300
 
     def test_against_naive(self, small_ascent_sequences):
         patterns = [pat(s) for s in all_patterns(4)]

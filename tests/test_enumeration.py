@@ -1,11 +1,12 @@
 """Generators, pruned counting, and statistic distributions."""
 
+import gc
 import hashlib
 import random
 import tracemalloc
 from collections import Counter
 from functools import cache
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,43 @@ class TestAvoiders:
             [1, 2, 4, 10, 27, 83, 277, 1015, 4007, 17047]
         assert count_avoiders(pat("210"), 9).as_list() == \
             [1, 2, 5, 15, 52, 202, 859, 3930, 19095]
+
+    @pytest.mark.parametrize("label", ["1021", "000", "0"])
+    def test_counts_are_lazy(self, label):
+        # the first k counts of a deep run cost exactly what a run to k
+        # costs: no layer is built before its count is asked for
+        def checks(n_max, k):
+            calls = [0]
+
+            def check():
+                calls[0] += 1
+            list(islice(avoider_counts(pat(label), n_max, check), k))
+            return calls[0]
+
+        for k in (1, 2, 5, 9):
+            assert checks(12, k) == checks(k, k), k
+
+    @pytest.mark.parametrize("taken", [8, 12])
+    def test_counts_leave_no_cycles(self, taken):
+        # a count dropped midway or drained frees its tracker by
+        # reference counting alone: nothing waits for the cyclic
+        # collector
+        gc.collect()
+        gc.disable()
+        try:
+            counts = avoider_counts(pat("1001"), 12)
+            list(islice(counts, taken))
+            del counts
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_spent_budget_refuses_before_the_first_count(self):
+        def check():
+            raise _Stop
+
+        with pytest.raises(_Stop):
+            next(avoider_counts(pat("0021"), 5, check))
 
     def test_lexicographic_order(self):
         for label in ("101", "0021", "110"):

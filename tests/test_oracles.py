@@ -1,5 +1,6 @@
 """Closed forms, Wilf classification, growth roots, conjecture runners."""
 
+import random
 from collections import Counter
 from itertools import product
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 
 from ascentseq import oracles
 from ascentseq.bijections import is_noncrossing
+from ascentseq.core import as_word
 from ascentseq.enumeration import (CountSeries, count_avoiders,
                                    generate_set_partitions)
 from ascentseq.fixtures import available_depth, expected_counts, table_patterns
@@ -37,6 +39,35 @@ class TestClosedForms:
 
     def test_half_power(self):
         assert [half_power_formula(n) for n in (1, 5, 10)] == [1, 41, 9842]
+
+    # the last column is what each call did before the closed forms
+    # checked their arguments' types; the two that raised ValueError then
+    # did so by a range check, with another message
+    @pytest.mark.parametrize("f,args,before", [
+        (catalan, (2.5,), "TypeError"),
+        (catalan, ("3",), "TypeError"),
+        (catalan, (True,), "returned 1"),
+        (catalan, (-1.5,), "ValueError"),
+        (catalan, ("x" * 10**6,), "TypeError"),
+        (narayana, (4, 2.5), "TypeError"),
+        (narayana, (4.0, 2), "TypeError"),
+        (half_power_formula, (2.5,), "returned 3.0"),
+        (half_power_formula, (0.5,), "ValueError"),
+        (ternary_even_twos_count, (2.5,), "returned 8.0"),
+        (dyck_height5_count, (2.5,), "TypeError"),
+        (dyck_height5_count, (4.0,), "TypeError"),
+        (binomial_transform_catalan, (2.5,), "TypeError"),
+        (bell, (2.5,), "TypeError"),
+        (bell, (None,), "TypeError"),
+        (stirling2, (3, 2.5), "TypeError"),
+        (stirling2, (3.0, 2), "TypeError"),
+        (non_k_crossing_partition_count, (4, 2.5), "TypeError"),
+        (non_k_crossing_partition_count, ("4", 3), "TypeError"),
+    ])
+    def test_arguments_that_are_not_ints_are_refused(self, f, args, before):
+        with pytest.raises(ValueError, match="must be ints") as info:
+            f(*args)
+        assert len(str(info.value)) < 100
 
     def test_ternary_even_twos_vs_brute_force(self):
         assert ternary_even_twos_count(0) == 1
@@ -215,6 +246,55 @@ class TestWilf:
                         if len(g) > 1 and g not in multi),
                        key=lambda g: (len(g[0]), g[0]))
         assert extra == [["0312", "1302"], ["1021", "1230"], ["2021", "2310"]]
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_settled_classification_matches_full_series(self, seed):
+        rng = random.Random(seed)
+        labels = rng.sample(all_patterns(4), rng.randint(2, 30))
+        n_max = rng.randint(5, 9)
+        report = wilf_classify(labels, n_max)
+        # the old way: count every pattern to full depth, then group
+        full = {label: count_avoiders(as_word(label), n_max).as_list()
+                for label in labels}
+        groups: dict[tuple, list[str]] = {}
+        for label in labels:
+            groups.setdefault(tuple(full[label]), []).append(label)
+
+        def order(label):
+            return len(label), label
+        classes = sorted((sorted(g, key=order) for g in groups.values()),
+                         key=lambda g: order(g[0]))
+        separations = {
+            (g1[0], g2[0]): next(m + 1 for m in range(n_max)
+                                 if full[g1[0]][m] != full[g2[0]][m])
+            for i, g1 in enumerate(classes) for g2 in classes[i + 1:]}
+        assert report.classes == classes
+        assert report.separations == separations
+        assert sorted(report.series) == sorted(labels)
+        for label in labels:
+            assert report.series[label].as_list() == full[label], label
+
+    def test_settled_patterns_stop_counting(self):
+        # counting every pattern to length 12 checks every key of its
+        # layers up to 11, and 1001's layer 11 alone has 45575 keys;
+        # 1001's series is unique from length 8 on
+        calls = [0]
+
+        def check():
+            calls[0] += 1
+        report = wilf_classify(all_patterns(4), 12, check=check)
+        assert calls[0] < 45575
+        assert len(report.classes) == 81
+
+    def test_series_is_read_only(self):
+        report = wilf_classify(["000", "100"], 5)
+        with pytest.raises(TypeError):
+            report.series["000"] = count_avoiders((0, 0, 0), 5)
+        with pytest.raises(KeyError):
+            report.series["011"]
+        assert len(report.series) == 2
+        assert "000" in report.series and "011" not in report.series
 
 
 class TestGrowth:
