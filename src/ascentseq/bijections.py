@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Word, check_ascent_sequence, check_letters,
-                   check_permutation, check_restricted, contains,
-                   is_ascent_sequence, is_restricted, is_rgf, perm_contains,
+                   check_permutation, check_restricted, check_rgf, contains,
+                   is_ascent_sequence, is_restricted, perm_contains,
                    word_str)
 
 SetPartition = tuple[tuple[int, ...], ...]
@@ -62,9 +62,7 @@ def rgf_encode(sp) -> Word:
 
 def rgf_decode(w) -> SetPartition:
     """Rebuild the set partition encoded by a restricted growth string."""
-    w = check_letters(w)
-    if not is_rgf(w):
-        raise ValueError(f"not a restricted growth string: {word_str(w)}")
+    w = check_rgf(w)
     blocks: list[list[int]] = [[] for _ in range(max(w) + 1)]
     for i, k in enumerate(w):
         blocks[k].append(i + 1)

@@ -71,6 +71,10 @@ def word_str(w: Sequence[int]) -> str:
 
 # ---------------------------------------------------------------------------
 # ascent / descent counts and membership tests
+#
+# Each membership test refuses letters that are not ints, as
+# ``check_letters`` does; the matching check_* helper checks the letters
+# once and then runs the test's unchecked body.
 
 
 def asc(w: Sequence[int]) -> int:
@@ -91,6 +95,10 @@ def is_ascent_sequence(w: Sequence[int]) -> bool:
     The empty word is not an ascent sequence.  0101312052 is one;
     0012143 is not, because the 4 exceeds asc(00121) + 1 = 3.
     """
+    return _ascent_sequence(check_letters(w))
+
+
+def _ascent_sequence(w: Word) -> bool:
     if not w or w[0] != 0:
         return False
     a = 0
@@ -104,14 +112,18 @@ def is_ascent_sequence(w: Sequence[int]) -> bool:
 
 def check_ascent_sequence(w: Sequence[int]) -> Word:
     w = check_letters(w)
-    if not is_ascent_sequence(w):
+    if not _ascent_sequence(w):
         raise ValueError(f"not an ascent sequence: {word_str(w)}")
     return w
 
 
 def is_restricted(w: Sequence[int]) -> bool:
     """True iff w is an ascent sequence with every letter >= running max - 1."""
-    if not is_ascent_sequence(w):
+    return _restricted(check_letters(w))
+
+
+def _restricted(w: Word) -> bool:
+    if not _ascent_sequence(w):
         return False
     m = w[0]
     for i in range(1, len(w)):
@@ -124,7 +136,7 @@ def is_restricted(w: Sequence[int]) -> bool:
 
 def check_restricted(w: Sequence[int]) -> Word:
     w = check_letters(w)
-    if not is_restricted(w):
+    if not _restricted(w):
         raise ValueError(f"not a restricted ascent sequence: {word_str(w)}")
     return w
 
@@ -137,6 +149,10 @@ def is_rgf(w: Sequence[int]) -> bool:
     the canonical encodings of set partitions.  001021 is an RGF while
     01013 is not (no 2 before the 3).
     """
+    return _rgf(check_letters(w))
+
+
+def _rgf(w: Word) -> bool:
     if not w or w[0] != 0:
         return False
     m = 0
@@ -146,6 +162,13 @@ def is_rgf(w: Sequence[int]) -> bool:
                 return False
             m = x
     return True
+
+
+def check_rgf(w: Sequence[int]) -> Word:
+    w = check_letters(w)
+    if not _rgf(w):
+        raise ValueError(f"not a restricted growth string: {word_str(w)}")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +284,10 @@ def normalize_pattern(w: Sequence[int]) -> Word:
 
 
 def is_pattern(w: Sequence[int]) -> bool:
-    """True iff the distinct values of w are exactly 0..k for some k."""
-    return bool(w) and sorted(set(w)) == list(range(len(set(w))))
+    """True iff the distinct values of w are exactly 0..k for some k;
+    letters that are not ints are refused, as by ``check_letters``."""
+    values = set(check_letters(w))
+    return bool(values) and sorted(values) == list(range(len(values)))
 
 
 # What a failure of the deeper search rules out at a position, keyed by
@@ -300,9 +325,17 @@ def _plan(p: Word) -> tuple[tuple[int, bool, int, int, str], ...]:
                  for v, seen, lo, hi in rows)
 
 
-def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
-    """Number of occurrences of the pattern p in the word w; with first,
-    1 at the first occurrence found and 0 if there is none.
+def _checked_word(w: Sequence[int]) -> Word:
+    """w as by ``check_letters``, with every letter nonnegative: the
+    searches bound every letter below by -1."""
+    w = check_letters(w)
+    if w and min(w) < 0:
+        raise ValueError("letters must be nonnegative")
+    return w
+
+
+def _search(w: Sequence[int], p: Sequence[int]) -> bool:
+    """True iff the pattern p occurs in the word w.
 
     start[i] is the next word index that pattern position i tries, and
     (low[i], high[i]) the open window its letter must fall in, set from
@@ -310,9 +343,9 @@ def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
     of a pattern letter is read only at positions after the one that sets
     it, so backtracking needs no reset.
 
-    When only existence matters, coming back to position i means that the
-    deeper search failed with the letter x at index t, and the plan's cut
-    drops the later candidates that cannot do better.  Say a later index
+    Coming back to position i means that the deeper search failed with
+    the letter x at index t, and the plan's cut drops the later
+    candidates that cannot do better.  Say a later index
     t' > t with value x' led to an occurrence, completed by later indices
     J.  Every index in J exceeds t, so J was open to the failed search.
     Substitute x for x' and reuse J: x passed every check up to position
@@ -328,11 +361,9 @@ def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
     fewer letters.
     """
     p = normalize_pattern(p)
-    w = check_letters(w)
-    if w and min(w) < 0:    # the search bounds every letter below by -1
-        raise ValueError("letters must be nonnegative")
+    w = _checked_word(w)
     if len(p) > len(w):
-        return 0
+        return False
     plan = _plan(p)
     k = len(p)
     stop = len(w) - k + 1           # position i tries indices below stop + i
@@ -341,7 +372,7 @@ def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
     low = [-1] * k
     high = [inf] * k
     tried = [set() for _ in range(k)]   # values ruled out one by one
-    found = i = 0
+    i = 0
     while i >= 0:
         v, seen, lo, hi, cut = plan[i]
         end = stop + i
@@ -361,27 +392,24 @@ def _search(w: Sequence[int], p: Sequence[int], first: bool) -> int:
                 i -= 1
                 continue
             val[v] = x
+        if i + 1 == k:
+            return True
+        # back here only if the rest failed
         start[i] = t + 1
-        if first:                   # back here only if the rest failed
-            if cut == "all":
-                start[i] = end
-            elif cut == ">=":
-                high[i] = x
-            elif cut == "<=":
-                low[i] = x
-            else:
-                skip.add(x)
-        if i + 1 < k:
-            i += 1
-            start[i] = t + 1
-            _, _, lo, hi, _ = plan[i]
-            low[i], high[i] = val[lo], val[hi]
-            tried[i].clear()
-        elif first:
-            return 1
+        if cut == "all":
+            start[i] = end
+        elif cut == ">=":
+            high[i] = x
+        elif cut == "<=":
+            low[i] = x
         else:
-            found += 1
-    return found
+            skip.add(x)
+        i += 1
+        start[i] = t + 1
+        _, _, lo, hi, _ = plan[i]
+        low[i], high[i] = val[lo], val[hi]
+        tried[i].clear()
+    return False
 
 
 def contains(w: Sequence[int], p: Sequence[int]) -> bool:
@@ -401,7 +429,7 @@ def contains(w: Sequence[int], p: Sequence[int]) -> bool:
     >>> contains((0, 1, 2, 3, 2, 1), (0, 0, 1))
     False
     """
-    return _search(w, p, True) > 0
+    return _search(w, p)
 
 
 def avoids(w: Sequence[int], p: Sequence[int]) -> bool:
@@ -415,8 +443,44 @@ def count_occurrences(w: Sequence[int], p: Sequence[int]) -> int:
 
     >>> count_occurrences((0, 1, 2, 3, 1, 2, 3), (0, 0, 1))
     3
+
+    One pass over w: a partial occurrence is a match of p[:j], kept as
+    (j, the values of the pattern letters it has matched), and each maps
+    to its number of ways.  Each letter of w may extend every partial
+    occurrence by one position, so the count takes time proportional to
+    the length of w times the number of distinct partial occurrences,
+    not to the number of occurrences.
     """
-    return _search(w, p, False)
+    p = normalize_pattern(p)
+    w = _checked_word(w)
+    k = len(p)
+    # per position: its letter, whether an earlier position has it, and
+    # the slots of the nearest earlier letters below and above it; slots
+    # -2 and -1 hold the sentinels -1 and inf
+    rows = []
+    for j, v in enumerate(p):
+        before = p[:j]
+        rows.append((v, v in before,
+                     max((u for u in before if u < v), default=-2),
+                     min((u for u in before if u > v), default=-1)))
+    ways = {(0, (None,) * (max(p) + 1) + (-1, inf)): 1}
+    found = 0
+    for x in w:
+        for (j, val), n in list(ways.items()):
+            v, seen, lo, hi = rows[j]
+            if seen:
+                if val[v] != x:
+                    continue
+            elif val[lo] < x < val[hi]:
+                val = val[:v] + (x,) + val[v + 1:]
+            else:
+                continue
+            if j + 1 == k:
+                found += n
+                continue
+            key = (j + 1, val)
+            ways[key] = ways.get(key, 0) + n
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +488,19 @@ def count_occurrences(w: Sequence[int], p: Sequence[int]) -> int:
 
 
 def is_permutation(entries: Sequence[int]) -> bool:
-    """True iff entries is an arrangement of 1..n."""
+    """True iff entries is an arrangement of 1..n; letters that are not
+    ints are refused, as by ``check_letters``."""
+    return _permutation(check_letters(entries))
+
+
+def _permutation(entries: Word) -> bool:
     n = len(entries)
     return n > 0 and sorted(entries) == list(range(1, n + 1))
 
 
 def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
     entries = check_letters(entries)
-    if not is_permutation(entries):
+    if not _permutation(entries):
         raise ValueError(f"not a permutation of 1..n: {entries}")
     return entries
 

@@ -25,9 +25,12 @@ time.  The raise keeps the order of the earlier letters, so containment
 stays monotone.  These sets are keyed by the canonical tracker state of
 the raised word, kept in doubled coordinates, where value v is letter
 2v + 1 and 2v is the gap just below it, so the raise turns gap 2c into a
-new value (``incremental.open_gap``).  Joint statistic histograms run
-the same rules with a small prefix state per statistic in the key, each
-stepped once per letter with the set's raise.
+new value (``incremental.open_gap``).  A permutation's later entries go
+only into its live gaps, so its key also deletes the dead gaps and
+merges the values between two live gaps (``incremental.merge_live``).
+Joint statistic histograms run the same rules with a small prefix state
+per statistic in the key, each stepped once per letter with the set's
+raise.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from operator import itemgetter
 from . import bijections
 from .core import (check_perm_pattern, contains, normalize_pattern,
                    word_str)
-from .incremental import delete_dead, forget, make_tracker, open_gap
+from .incremental import (delete_dead, forget, make_tracker, merge_live,
+                          open_gap)
 
 
 @dataclass
@@ -121,6 +125,16 @@ def _layers(children, start, n_max: int, check=None, leaves=None):
         yield n, layer
 
 
+def _freeing(items, state):
+    """Yield from items, then empty the book of tracker state ``state``
+    (``incremental.forget``), also when items raises or the caller drops
+    the generator, so no book is left to the cyclic garbage collector."""
+    try:
+        yield from items
+    finally:
+        forget(state)
+
+
 # ---------------------------------------------------------------------------
 # plain ascent sequences
 
@@ -180,7 +194,7 @@ def avoiders(p, n: int, check=None):
     ``check`` is passed on to the walk."""
     _check_length(n)
     start, children = _avoider_rule(normalize_pattern(p))
-    yield from _walk(n, start, children, check)
+    yield from _freeing(_walk(n, start, children, check), start[0])
 
 
 def avoider_counts(p, n_max: int, check=None):
@@ -248,16 +262,15 @@ def avoider_counts(p, n_max: int, check=None):
     def total(layer):
         return sum(ways * (key[2] + 2) for key, ways in layer.items())
 
-    start = live(tr.state, -1, -1)
-    try:
+    def counts():
         if check is not None:
             check()             # a spent budget refuses before count 1
         yield 1, total({start: 1})
         for n, layer in _layers(children, start, n_max - 1, check):
             yield n + 1, total(layer)
-    finally:
-        # frees the book as soon as the counts end or are dropped
-        forget(tr.state)
+
+    start = live(tr.state, -1, -1)
+    yield from _freeing(counts(), tr.state)
 
 
 def count_avoiders(p, n_max: int, threads: int = 1, split_depth=None,
@@ -307,7 +320,67 @@ def perm_avoiders(q, n: int, check=None):
             if not (used >> v) & 1 and not forbid(state, v):
                 yield v, (step(state, v), used | 1 << v)
 
-    yield from _walk(n, (tr.state, 0), children, check)
+    yield from _freeing(_walk(n, (tr.state, 0), children, check), tr.state)
+
+
+def _perm_rule(q):
+    """``(start, children)`` of the q-avoiding permutations, grown by
+    inserting the last entry at a rank c: every earlier entry of rank
+    >= c moves up by one, so gap 2c of the canonical tracker state, in
+    doubled coordinates, opens into the new value (``open_gap``).
+    ``children(key)`` yields each rank c with ``(child, groups)``, where
+    groups is the rank-to-group map of ``incremental.merge_live`` that
+    the statistic states are relabelled through; ``children(key,
+    False)`` yields None for it and steps no tracker.
+
+    A key is (state, last, a), keyed by live gaps: every dead gap is
+    deleted from the state and each run of values between two live gaps
+    is merged into one value (``merge_live``), ``last`` is the group of
+    the last entry, and a + 2 is the number of live gaps.  Every gap
+    0..a + 1 of a key is live, so a key grows into each with no
+    ``forbid`` test.
+
+    The merge keeps every histogram.  A dead gap stays dead however the
+    permutation grows, so every later entry goes into a live gap, and
+    numbering the live gaps 0, 1, ... maps the continuations of the raw
+    state one to one onto those of the merged one.  A later entry lies
+    above a value exactly when its live gap does, which is the same for
+    every value of one run, so the merge keeps what each continuation
+    compares:
+
+    - containment: q has distinct letters, so no partial embedding waits
+      to match a value again.  It keeps, per unmatched letter, an open
+      interval whose ends are values, -1 or ``inf``, and a later entry
+      falls in it exactly when its live gap lies between the ends.
+      Replacing each end by its run's value, -1 for the run below the
+      first live gap and ``inf`` for the one above the last, keeps which
+      live gaps lie between.  An embedding whose interval holds no live
+      gap can never complete and is dropped.  No gap left is dead, so
+      the dead mask is 0.
+    - statistics: each compares the new entry with earlier values only,
+      ``last`` and the extremes of ``lrmax`` and ``lrmin`` by one value,
+      ``rlmax`` and ``rlmin`` by their records, which it pops.  So each
+      is kept by group: the records as a count per group, since records
+      merged into one group are popped together but each still counts.
+
+    The merged key is a function of the raw one, so keys that were equal
+    stay equal: the layers merge more permutations, never fewer.
+    """
+    tr = make_tracker(q, None)
+    step = tr.step
+
+    def children(key, grow=True):
+        state, last, a = key
+        for c in range(a + 2):
+            if not grow:
+                yield c, None
+                continue
+            child, groups = merge_live(
+                step(open_gap(state, 2 * c), 2 * c + 1), a + 2)
+            yield c, ((child, groups[c + 1], groups[-1] - 1), groups)
+
+    state, groups = merge_live(tr.state, 0)
+    return (state, -1, groups[-1] - 1), children
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +421,12 @@ def modified_avoiders(p, n: int, check=None):
             yield x, w
 
 
-def _raising_rule(p, raises):
-    """As ``_avoider_rule``, for the p-avoiding words grown by appending
-    a letter c after ``last``, where first every letter >= c moves up by
-    one when ``raises(c, last)``: gap 2c opens into a value.  Keyed by
-    (canonical tracker state of the word, last letter, a), where a counts
-    the raises after the first letter and the next letter is at most
-    a + 1.  Raising on ascent tops grows the modified words of ascent
-    sequences, raising always the permutations, by inserting the last
-    entry at a rank."""
+def _modified_rule(p):
+    """As ``_avoider_rule``, for the ascent sequences whose modified word
+    avoids p: appending c after ``last`` appends c to the modified word,
+    where first, when c is an ascent top, every letter >= c moves up by
+    one: gap 2c opens into a value.  Keyed by (canonical tracker state
+    of the modified word, last letter, ascents)."""
     tr = make_tracker(p, None)
     forbid, step = tr.forbid, tr.step
 
@@ -366,7 +436,7 @@ def _raising_rule(p, raises):
     def children(key, grow=True):
         state, last, a = key
         for c in range(a + 2):
-            rise = raises(c, last)
+            rise = c > last
             if not forbid(state, 2 * c + 1 - rise):
                 yield c, ((appended(state, c, rise), c, a + rise)
                           if grow else None)
@@ -385,7 +455,7 @@ def modified_asc_counts(p, n_max: int, check=None):
     histograms yielded before it raised stay valid.
     """
     _check_length(n_max)
-    start, children = _raising_rule(normalize_pattern(p), _ascent_top)
+    start, children = _modified_rule(normalize_pattern(p))
 
     def alive(dead, lo, count):
         """How many of the bits lo, lo + 2, ..., lo + 2(count - 1) are 0."""
@@ -403,7 +473,8 @@ def modified_asc_counts(p, n_max: int, check=None):
         if rise:
             yield (a + 1,), rise
 
-    yield from _histograms(_layers(children, start, n_max, check, leaves))
+    yield from _freeing(
+        _histograms(_layers(children, start, n_max, check, leaves)), start[0])
 
 
 def count_modified_avoiders(p, n: int, check=None) -> int:
@@ -433,6 +504,13 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
 # and so do the records >= c in the mask of rlmax.  The masks of rlmax
 # and rlmin hold the letters of the right-to-left records, a stack that
 # each new last letter pops.
+#
+# Permutations are keyed by live gaps (``_perm_rule``), so their ranks
+# are groups of merged values, and each of their rules has a fourth
+# entry, relabel(s, groups), which maps a stepped state through the
+# rank-to-group map.  Their rlmax and rlmin keep, at index r + 1, the
+# number of records of rank r, from r = -1, the run below every live
+# gap: records merged into one group each still count.
 
 
 def _never(c, last):
@@ -470,13 +548,40 @@ _RULES = {
               int.bit_count),
 }
 
-# per set descriptor kind: when it raises, and its statistic rules
-_SETS = {
-    "avoiders": (_never, _RULES),
-    "modified-avoiders": (_ascent_top, _RULES),
+
+def _same(s, groups):
+    return s
+
+
+def _extreme_by_group(s, groups):
+    return groups[s[0] + 1], s[1]
+
+
+def _records_by_group(s, groups):
+    out = [0] * (groups[-1] + 2)
+    for g, k in zip(groups, s):
+        out[g + 1] += k
+    return tuple(out)
+
+
+_PERM_RULES = {
+    **{name: (*rule, _same) for name, rule in _RULES.items()},
     # a permutation of 1..n has no zeros
-    "perm-avoiders": (_always, {**_RULES, "zeros":
-                                (0, lambda s, c, last, r: 0, _count)}),
+    "zeros": (0, lambda s, c, last, r: 0, _count, _same),
+    "lrmax": (*_RULES["lrmax"], _extreme_by_group),
+    "lrmin": (*_RULES["lrmin"], _extreme_by_group),
+    "rlmax": ((0,), lambda s, c, last, r: (0,) * (c + 1) + (1,) + s[c + 1:],
+              sum, _records_by_group),
+    "rlmin": ((0,), lambda s, c, last, r: s[:c + 1] + (1,), sum,
+              _records_by_group),
+}
+
+# per set descriptor kind: when it raises, its statistic rules and its
+# growth rule
+_SETS = {
+    "avoiders": (_never, _RULES, _avoider_rule),
+    "modified-avoiders": (_ascent_top, _RULES, _modified_rule),
+    "perm-avoiders": (_always, _PERM_RULES, _perm_rule),
 }
 
 
@@ -508,29 +613,45 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
     counted in one layered pass over its growth rule, keyed by (set key,
     statistic states); a kind that never raises keeps the pattern's
     tracker state of the word itself, the others in doubled coordinates,
-    and every kind steps the statistics with its raise.  The last layer
-    keeps only the statistic states and steps no tracker.  ``check``,
-    when given, is called once per state; the histograms yielded before
-    it raised stay valid.
+    and every kind steps the statistics with its raise.  Permutations
+    are keyed by live gaps, and their statistic states are relabelled
+    with their key (``_perm_rule``).  The last layer keeps only the
+    statistic states and steps no tracker.  ``check``, when given, is
+    called once per state; the histograms yielded before it raised stay
+    valid.  The arguments are checked at once, and the pass starts with
+    the first histogram asked for.
     """
     if not stats:
         raise ValueError("joint_histograms needs at least one statistic")
     kind, p = _described(descriptor, stats)
     _check_length(n_max)
-    raises, rules = _SETS[kind]
-    start, children = (_avoider_rule(p) if raises is _never
-                       else _raising_rule(p, raises))
-    starts, steps, values = zip(*(rules[s] for s in stats))
+    return _joint_histograms(kind, p, n_max, stats, check)
+
+
+def _joint_histograms(kind, p, n_max, stats, check):
+    raises, rules, rule = _SETS[kind]
+    start, children = rule(p)
+    starts, steps, values = zip(*(rules[s][:3] for s in stats))
 
     def stepped(st, c, last):
         r = raises(c, last)
         return tuple([f(x, c, last, r) for f, x in zip(steps, st)])
 
-    def grown(key):
-        set_key, st = key
-        last = set_key[1]
-        for c, child in children(set_key):
-            yield c, (child, stepped(st, c, last))
+    if kind == "perm-avoiders":
+        relabels = [rules[s][3] for s in stats]
+
+        def grown(key):
+            set_key, st = key
+            last = set_key[1]
+            for c, (child, groups) in children(set_key):
+                yield c, (child, tuple([f(x, groups) for f, x in
+                                        zip(relabels, stepped(st, c, last))]))
+    else:
+        def grown(key):
+            set_key, st = key
+            last = set_key[1]
+            for c, child in children(set_key):
+                yield c, (child, stepped(st, c, last))
 
     def leaves(key):
         set_key, st = key
@@ -538,8 +659,10 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
         for c, _ in children(set_key, False):
             yield (stepped(st, c, last),), 1
 
-    return _histograms(_layers(grown, (start, starts), n_max, check, leaves),
-                       lambda st: tuple(v(s) for v, s in zip(values, st)))
+    yield from _freeing(
+        _histograms(_layers(grown, (start, starts), n_max, check, leaves),
+                    lambda st: tuple(v(s) for v, s in zip(values, st))),
+        start[0])
 
 
 def _histograms(layers, value=None):

@@ -29,12 +29,13 @@ each embedding's and each state's move on a letter once computed, and
 mutable book: they compare equal only within one tracker, and one
 tracker should not be shared between threads.
 
-Two more moves rename letters.  ``delete_dead`` deletes dead letters,
-as the layered count of avoiders does up to each key's bound, and
+Three more moves rename letters.  ``delete_dead`` deletes dead letters,
+as the layered count of avoiders does up to each key's bound,
 ``open_gap`` opens a gap into a new value, as modified words and
-permutations grow.  The enumeration test suite checks the tracker on
-every pattern of length at most 4 against a walk that asks the
-containment search directly.
+permutations grow, and ``merge_live`` deletes a permutation's dead gaps
+and merges the values between two live gaps into one.  The enumeration
+test suite checks the tracker on every pattern of length at most 4
+against a walk that asks the containment search directly.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ class _Book:
         gaps[i][g]   the bit of the id of embedding i after open_gap(g)
         drops[i][x]  the bit of the id of embedding i after its dead letter
                      x is deleted, 0 when that leaves it no completion
+        merges[i][groups]
+                     the bit of the id of embedding i after merge_live with
+                     that rank-to-group map, 0 when it can never complete
         kills[i]     the letters the final pattern letter may take
         tested[i], dominators[i]
                      the ids tested for dominating i, and those that do
@@ -119,11 +123,14 @@ class _Book:
         deleted[(ids, dead, mask)]
                      the state (ids, dead) with the dead letters of mask
                      deleted
+        merged[(ids, dead, top)]
+                     merge_live of the state (ids, dead) with gaps 0..top
     """
 
     __slots__ = ("p", "plan", "tails", "index", "embeddings",
-                 "rows", "gaps", "drops", "kills", "tested", "dominators",
-                 "penult", "root", "steps", "deleted")
+                 "rows", "gaps", "drops", "merges", "kills", "tested",
+                 "dominators", "penult", "root", "steps", "deleted",
+                 "merged")
 
     def __init__(self, p):
         self.p = p
@@ -143,10 +150,11 @@ class _Book:
                       for j in range(len(p))]
         self.index = {}
         self.embeddings = []
-        self.rows, self.gaps, self.drops, self.kills = [], [], [], []
+        self.rows, self.gaps, self.drops, self.merges = [], [], [], []
+        self.kills = []
         self.tested, self.dominators = [], []
         self.penult = 0
-        self.steps, self.deleted = {}, {}
+        self.steps, self.deleted, self.merged = {}, {}, {}
         # the root embedding, which a length-1 pattern has already completed
         self.root = (1 << self.intern((0, ((-1, inf),) * (max(p) + 1)))
                      if len(p) > 1 else 0)
@@ -159,6 +167,7 @@ class _Book:
             self.rows.append({})
             self.gaps.append({})
             self.drops.append({})
+            self.merges.append({})
             self.kills.append(_kills(e[1][self.p[-1]]))
             self.tested.append(0)
             self.dominators.append(0)
@@ -237,6 +246,34 @@ class _Book:
         else:
             m = 1 << self.intern((j, tuple(vals)))
         self.drops[i][x] = m
+        return m
+
+    def move_merge(self, i: int, groups: tuple) -> int:
+        """merges[i][groups], computed and kept.  groups[r + 1] is the
+        group of rank r (value letter 2r + 1); the last entry is the
+        group of the top run, whose letters become ``inf``."""
+        j, vals = self.embeddings[i]
+        vals = list(vals)
+        top = groups[-1]
+        m = 0
+        for u, a in enumerate(vals):
+            if type(a) is int:
+                break           # a permutation never repeats a value
+            if a is not None:
+                lo, hi = a
+                g = groups[(lo + 1) // 2]
+                if g == top:
+                    break       # no live gap above the interval's lower end
+                lo = 2 * g + 1
+                if hi != inf:
+                    g = groups[(hi + 1) // 2]
+                    hi = inf if g == top else 2 * g + 1
+                    if lo + 1 >= hi:
+                        break   # no live gap between the interval's ends
+                vals[u] = (lo, hi)
+        else:
+            m = 1 << self.intern((j, tuple(vals)))
+        self.merges[i][groups] = m
         return m
 
     def moved(self, ids: int, table, move, key) -> int:
@@ -393,13 +430,45 @@ def delete_dead(s, mask: int):
     return t
 
 
+def merge_live(s, top: int):
+    """``(state, groups)``: canonical state s of a permutation in doubled
+    coordinates, with gaps 0, 2, ..., 2 top, after its dead gaps are
+    deleted and each run of values between two live gaps is merged into
+    one value.  Live gap k becomes gap 2k, the run above it value 2k + 1.
+    groups[r + 1] is the group of rank r, the number of live gaps below
+    it less one, for r = -1, ..., top; the run below the first live gap
+    is group -1, the run above the last is the last group.
+
+    An interval end in the bottom run becomes -1, and one in the top run
+    ``inf``.  An embedding whose interval holds no live gap, or that must
+    match a value again, can never complete and is dropped.  Every gap
+    left is live, so the dead mask is 0.  Only for distinct-letter
+    patterns; ``enumeration._perm_rule`` argues why the futures stay the
+    same, renamed."""
+    book, ids, dead = s
+    key = (ids, dead, top)
+    t = book.merged.get(key)
+    if t is None:
+        groups, g = [-1], -1
+        for k in range(top + 1):
+            g += not (dead >> 2 * k) & 1
+            groups.append(g)
+        groups = tuple(groups)
+        t = book.merged[key] = (
+            (book, book.moved(ids, book.merges, book.move_merge, groups), 0),
+            groups)
+    return t
+
+
 def forget(s) -> None:
-    """Empty the step and deletion memos of canonical state s's book.
-    The states they keep refer back to the book, so until then a book
-    that nothing else holds waits for the cyclic garbage collector."""
+    """Empty the step, deletion and merge memos of canonical state s's
+    book.  The states they keep refer back to the book, so until then a
+    book that nothing else holds waits for the cyclic garbage
+    collector."""
     book = s[0]
     book.steps.clear()
     book.deleted.clear()
+    book.merged.clear()
 
 
 # read by perfbench/tracer.py; goes with ROADMAP item 1's tracer change

@@ -526,11 +526,12 @@ class TestConjecturesCmd:
 
     @pytest.mark.parametrize("name", ["0012", "bi-021"])
     def test_budget_counts_every_word(self, capsys, name):
-        # one layered pass to length 15 takes about 2.5 s for 0012 and
-        # 5 s for bi-021 (1.2 s and 1.8 s to length 14); the budget must
-        # be able to stop it inside the pass
+        # one layered pass to length 22 takes about 2.6 s for 0012 and
+        # 2.7 s for bi-021 (1.6 s and 0.9 s to length 20; 2 cores,
+        # CPython 3.11); the budget must be able to stop it inside the
+        # pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", name,
-                               "--n", "15", "--budget-seconds", "1",
+                               "--n", "24", "--budget-seconds", "1",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]

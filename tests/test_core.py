@@ -1,6 +1,9 @@
 """Word semantics: membership, statistics, containment, maximal letters."""
 
+import random
 import time
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from ascentseq.core import (STATISTICS, _plan, as_word, asc, check_letters,
                             contains, count_occurrences, des, fwd,
-                            is_ascent_sequence, is_pattern,
+                            is_ascent_sequence, is_pattern, is_permutation,
                             is_restricted, is_rgf, lrmax, lrmin,
                             maximal_positions, normalize_pattern,
                             perm_contains, rlmax, rlmin, stat, word_str,
@@ -41,6 +44,21 @@ class TestMembership:
         assert is_restricted((0, 1, 0))
         # a letter two below the running maximum breaks it
         assert not is_restricted((0, 1, 2, 0))
+
+    @pytest.mark.parametrize("test, w", [
+        (is_ascent_sequence, (0, 1.0)),
+        (is_restricted, (0, 1.0)),
+        (is_rgf, (0, 1.0)),
+        (is_permutation, (1, 2.0)),
+        (is_pattern, (0, 1.0)),
+        (is_ascent_sequence, (0, None)),
+        (is_permutation, "12"),
+    ])
+    def test_letters_that_are_not_ints_are_refused(self, test, w):
+        # a float letter used to be read as its int (True), None to
+        # raise TypeError, and a string to give False
+        with pytest.raises(ValueError, match="letters must be ints"):
+            test(w)
 
 
 class TestStatistics:
@@ -105,6 +123,22 @@ class TestPatterns:
         assert count_occurrences(as_word("0123123"), pat("001")) == 3
         assert count_occurrences(as_word("012321"), pat("001")) == 0
         assert count_occurrences((0, 0, 0), (0, 0)) == 3
+
+    def test_counting_is_not_one_occurrence_at_a_time(self):
+        # about 1.2e17 occurrences
+        t0 = time.perf_counter()
+        assert count_occurrences((0,) * 60, (0,) * 30) == comb(60, 30)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_count_against_every_subsequence(self):
+        rng = random.Random(2011)
+        for _ in range(3000):
+            w = tuple(rng.randrange(5) for _ in range(rng.randrange(11)))
+            p = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 5)))
+            q = normalize_pattern(p)
+            want = sum(normalize_pattern(sub) == q
+                       for sub in combinations(w, len(p)))
+            assert count_occurrences(w, p) == want, (w, p)
 
     @pytest.mark.parametrize("w", [(-1, 0), (0, -2, 1), (-1,)])
     def test_negative_letters_raise(self, w):
@@ -195,7 +229,7 @@ class TestPatterns:
     @given(st.lists(st.integers(0, 6), max_size=16),
            st.lists(st.integers(0, 5), min_size=1, max_size=6))
     def test_existence_agrees_with_counting(self, w, p):
-        # counting mode runs the same loop without any of the pruning
+        # counting shares no code with the pruned search
         assert contains(w, p) == (count_occurrences(w, p) > 0)
 
     @settings(max_examples=300, deadline=None)

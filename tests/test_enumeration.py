@@ -125,6 +125,35 @@ class TestAvoiders:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("drain", [
+        lambda: joint_histograms(("avoiders", pat("1001")), 9, "asc"),
+        lambda: joint_histograms(("perm-avoiders", pat("021")), 9, "asc",
+                                 "rlmin"),
+        lambda: joint_histograms(("modified-avoiders", pat("1021")), 8,
+                                 "asc", "rlmax"),
+        lambda: modified_asc_counts(pat("1021"), 9),
+        lambda: avoiders(pat("1001"), 8),
+        lambda: perm_avoiders(pat("021"), 7),
+    ], ids=["avoider-histograms", "perm-histograms", "modified-histograms",
+            "modified_asc_counts", "avoiders", "perm_avoiders"])
+    def test_every_pass_leaves_no_cycles(self, drain):
+        # each empties its tracker's memos when it ends or is dropped;
+        # the first three, the fourth and the fifth left 2386, 908 and
+        # 2386 objects to the cyclic collector when they did not
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in drain():
+                pass
+            assert gc.collect() == 0
+            items = drain()
+            next(items)
+            next(items)
+            del items
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_a_spent_budget_refuses_before_the_first_count(self):
         def check():
             raise _Stop
@@ -678,6 +707,44 @@ class TestJointHistograms:
                                             sorted(hist.items()))).encode())
         assert digest.hexdigest() == ("cc19626d052effe207f75d04991e8e05"
                                       "0481cedb6f8b088b4d5050b483699dcb")
+
+    def test_permutation_histograms_are_pinned(self):
+        # sha256 of the permutation histograms to length 9 of every
+        # distinct-letter pattern of length <= 4, each statistic alone and
+        # beside asc, recorded while the permutations kept every raw value
+        names = sorted(STATISTICS)
+        groups = [(s,) for s in names] + [("asc", s) for s in names
+                                          if s != "asc"]
+        digest = hashlib.sha256()
+        for label in PERM_PATTERNS:
+            for stats in groups:
+                for n, hist in joint_histograms(("perm-avoiders", pat(label)),
+                                                9, *stats):
+                    digest.update(repr((label, stats, n,
+                                        sorted(hist.items()))).encode())
+        assert digest.hexdigest() == ("92d6a0f8be215f32469b752fac8b69b7"
+                                      "9bcf6a7b60561aedbfba5ab43b49026d")
+
+    def test_permutation_layers_are_keyed_by_live_gaps(self, monkeypatch):
+        # 132-avoiders kept 640 and 8960 (asc, rlmin) keys at layers 8 and
+        # 11, and 320 and 3328 (asc, rlmax) keys, when every dead gap and
+        # raw value stayed in the key
+        sizes = []
+        layers = enumeration._layers
+
+        def counted(*args, **kwargs):
+            for n, layer in layers(*args, **kwargs):
+                sizes.append(len(layer))
+                yield n, layer
+
+        monkeypatch.setattr(enumeration, "_layers", counted)
+        for stats, at_8, at_11 in ((("asc", "rlmin"), 100, 257),
+                                   (("asc", "rlmax"), 29, 56)):
+            sizes.clear()
+            for _ in joint_histograms(("perm-avoiders", pat("021")), 12,
+                                      *stats):
+                pass
+            assert sizes[7] <= at_8 and sizes[10] <= at_11, (stats, sizes)
 
     def test_yields_match_joint_distribution(self):
         for kind, label, stats in (("avoiders", "0012", ("asc", "fwd")),
