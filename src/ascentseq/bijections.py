@@ -126,12 +126,12 @@ def perm312_to_seq101(pi) -> Word:
     place = {v: i for i, v in enumerate(pi)}
     used_top = 0
     value = 0
-    while used_top < n:
-        top = next(v for v in pi if v > used_top)
-        for v in range(used_top + 1, top + 1):
-            out[place[v]] = value
-        used_top = top
-        value += 1
+    for top in pi:
+        if top > used_top:
+            for v in range(used_top + 1, top + 1):
+                out[place[v]] = value
+            used_top = top
+            value += 1
     return check_ascent_sequence(out)
 
 

@@ -260,9 +260,10 @@ def cmd_bijection(args) -> int:
 def cmd_wilf(args) -> int:
     """Classify, then print one row per class and, in jsonl, one per
     separation."""
-    if args.pattern:
-        labels = [word_str(parse_cli_pattern(t.strip()))
-                  for t in args.pattern.split(",")]
+    if args.pattern is not None:
+        # a repeated label is classified once
+        labels = list(dict.fromkeys(word_str(parse_cli_pattern(t.strip()))
+                                    for t in args.pattern.split(",")))
     else:
         labels = all_patterns(4)
     lo, hi = parse_n_range(args.n)

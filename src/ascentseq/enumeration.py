@@ -229,16 +229,10 @@ def avoider_counts(p, n_max: int, check=None):
       a' + 1 = a, and each ascent raises both bounds by one;
     - ascents: c > last exactly when the renamed c exceeds last', which
       is last, or last - 1 when last >= x;
-    - containment, which compares letters only: s keeps per partial
-      embedding the values and open intervals its future letters must
-      meet, and the dead mask of letters that complete one.  Renamed,
-      each value and interval end above x moves down by one, so does a
-      lower end at x, and so do the dead bits above x.  An embedding
-      that must match x again, or whose interval held x alone, can
-      never complete and is dropped.  An interval open above has the end
-      ``inf``, which stays.
+    - containment: ``delete_dead`` renames the state's values, interval
+      ends and dead bits with the letters (the rule is in
+      ``incremental._Book.rename``).
 
-    Deleting several letters deletes one at a time, the highest first.
     The deleted key is a function of the key, so keys that were equal
     stay equal: the count merges more prefixes, never fewer.
     """
@@ -348,15 +342,9 @@ def _perm_rule(q):
     every value of one run, so the merge keeps what each continuation
     compares:
 
-    - containment: q has distinct letters, so no partial embedding waits
-      to match a value again.  It keeps, per unmatched letter, an open
-      interval whose ends are values, -1 or ``inf``, and a later entry
-      falls in it exactly when its live gap lies between the ends.
-      Replacing each end by its run's value, -1 for the run below the
-      first live gap and ``inf`` for the one above the last, keeps which
-      live gaps lie between.  An embedding whose interval holds no live
-      gap can never complete and is dropped.  No gap left is dead, so
-      the dead mask is 0.
+    - containment: ``merge_live`` moves each interval end to its run's
+      value (the rule is in ``incremental._Book.rename``); q has
+      distinct letters, so no embedding waits to match a value again.
     - statistics: each compares the new entry with earlier values only,
       ``last`` and the extremes of ``lrmax`` and ``lrmin`` by one value,
       ``rlmax`` and ``rlmin`` by their records, which it pops.  So each

@@ -29,8 +29,8 @@ each embedding's and each state's move on a letter once computed, and
 mutable book: they compare equal only within one tracker, and one
 tracker should not be shared between threads.
 
-Three more moves rename letters.  ``delete_dead`` deletes dead letters,
-as the layered count of avoiders does up to each key's bound,
+Three more moves rename letters, through one loop (``_Book.rename``).
+``delete_dead`` deletes dead letters, as avoider counts do up to a bound,
 ``open_gap`` opens a gap into a new value, as modified words and
 permutations grow, and ``merge_live`` deletes a permutation's dead gaps
 and merges the values between two live gaps into one.  The enumeration
@@ -175,11 +175,6 @@ class _Book:
                 self.penult |= 1 << i
         return i
 
-    def move(self, i: int, c: int) -> int:
-        """rows[i][c], computed and kept."""
-        self.rows[i][c] = m = self._grow(i, c)
-        return m
-
     def _grow(self, i: int, c: int) -> int:
         j, vals = self.embeddings[i]
         v, again, above, below = self.plan[j]
@@ -208,73 +203,70 @@ class _Book:
             return _kills(vals[self.p[-1]])
         return 1 << self.intern((j + 1, tuple(vals)))
 
-    def move_gap(self, i: int, g: int) -> int:
-        """gaps[i][g], computed and kept."""
+    def rename(self, i: int, table, key, value, low, high) -> int:
+        """table[i][key], computed and kept: the bit of the id of embedding
+        i after each value a becomes value(a) and each open interval
+        (lo, hi) becomes (low(lo), high(hi)); 0 when a value or a lower
+        end maps to None or an interval is left empty.
+
+        Every move renames, in order, the letters a continuation of the
+        prefix may still take, and maps each value and end so that such
+        a letter compares with it as the letter's old name did with the
+        old one.  A deleted letter is dead, and the letters g, g + 1 and
+        g + 2 of ``move_gap`` compare as gap g did, where no value or end
+        sits.  Containment compares letters only, so the renamed
+        embedding completes on exactly the renamed continuations of the
+        old one.  An embedding that must match a value no continuation
+        takes, or whose interval holds no such letter, never completes
+        and is dropped.  The result is a function of the old state, so
+        equal states stay equal."""
         j, vals = self.embeddings[i]
         vals = list(vals)
+        m = 0
         for u, a in enumerate(vals):
             if type(a) is int:
-                if a > g:
-                    vals[u] = a + 2
+                a = value(a)
+                if a is None:
+                    break
+                vals[u] = a
             elif a is not None:
-                lo, hi = a
-                if hi > g:
-                    vals[u] = (lo + 2 if lo > g else lo, hi + 2)
-        m = self.gaps[i][g] = 1 << self.intern((j, tuple(vals)))
+                lo, hi = low(a[0]), high(a[1])
+                if lo is None or lo + 1 >= hi:
+                    break
+                vals[u] = (lo, hi)
+        else:
+            m = 1 << self.intern((j, tuple(vals)))
+        table[i][key] = m
         return m
+
+    def move_gap(self, i: int, g: int) -> int:
+        """gaps[i][g]: every value and end above g moves up by 2."""
+        def up(a):
+            return a + 2 if a > g else a
+        return self.rename(i, self.gaps, g, up, up, up)
 
     def move_drop(self, i: int, x: int) -> int:
-        """drops[i][x], computed and kept."""
-        j, vals = self.embeddings[i]
-        vals = list(vals)
-        m = 0
-        for u, a in enumerate(vals):
-            if type(a) is int:
-                if a == x:
-                    break
-                if a > x:
-                    vals[u] = a - 1
-            elif a is not None:
-                lo, hi = a
-                if lo >= x:
-                    lo -= 1
-                if hi > x:
-                    hi -= 1
-                if lo + 1 >= hi:
-                    break
-                vals[u] = (lo, hi)
-        else:
-            m = 1 << self.intern((j, tuple(vals)))
-        self.drops[i][x] = m
-        return m
+        """drops[i][x]: the value x is gone, and values and upper ends
+        above x, and lower ends at or above x, move down by 1."""
+        return self.rename(i, self.drops, x,
+                           lambda a: None if a == x else a - (a > x),
+                           lambda lo: lo - (lo >= x),
+                           lambda hi: hi - (hi > x))
 
     def move_merge(self, i: int, groups: tuple) -> int:
-        """merges[i][groups], computed and kept.  groups[r + 1] is the
-        group of rank r (value letter 2r + 1); the last entry is the
-        group of the top run, whose letters become ``inf``."""
-        j, vals = self.embeddings[i]
-        vals = list(vals)
+        """merges[i][groups]: a value is gone (a permutation never repeats
+        one), and an interval end goes to its group, a lower end in the
+        top run to None and an upper one to ``inf``.  groups[r + 1] is the
+        group of rank r (value letter 2r + 1); the last entry is the group
+        of the top run."""
         top = groups[-1]
-        m = 0
-        for u, a in enumerate(vals):
-            if type(a) is int:
-                break           # a permutation never repeats a value
-            if a is not None:
-                lo, hi = a
-                g = groups[(lo + 1) // 2]
-                if g == top:
-                    break       # no live gap above the interval's lower end
-                lo = 2 * g + 1
-                if hi != inf:
-                    g = groups[(hi + 1) // 2]
-                    hi = inf if g == top else 2 * g + 1
-                    if lo + 1 >= hi:
-                        break   # no live gap between the interval's ends
-                vals[u] = (lo, hi)
-        else:
-            m = 1 << self.intern((j, tuple(vals)))
-        self.merges[i][groups] = m
-        return m
+
+        def end(a, in_top):
+            g = top if a == inf else groups[(a + 1) // 2]
+            return in_top if g == top else 2 * g + 1
+        return self.rename(i, self.merges, groups, lambda a: None,
+                           lambda lo: end(lo, None),
+                           lambda hi: end(hi, inf))
 
     def moved(self, ids: int, table, move, key) -> int:
         """The union of table[i][key] over the ids i in the mask ids, each
@@ -352,7 +344,7 @@ class _Book:
             i = low.bit_length() - 1
             m = rows[i].get(c)
             if m is None:
-                m = self.move(i, c)
+                m = rows[i][c] = self._grow(i, c)
             if low & penult:
                 dead |= m
             else:
@@ -416,12 +408,8 @@ def open_gap(s, g: int):
 
 def delete_dead(s, mask: int):
     """Canonical state s with the letters of mask, each dead in s,
-    deleted: open_gap run backwards.  Every value, interval end and dead
-    bit above a deleted letter x moves down by one, and so does a lower
-    end at x.  An embedding that must match x again, or is left an empty
-    interval, can never complete and is dropped.
-    ``enumeration.avoider_counts`` argues why the futures of the state
-    stay the same, renamed."""
+    deleted (``_Book.move_drop``): open_gap run backwards.  The dead
+    bits above a deleted letter move down by one."""
     book, ids, dead = s
     key = (ids, dead, mask)
     t = book.deleted.get(key)
@@ -440,11 +428,8 @@ def merge_live(s, top: int):
     is group -1, the run above the last is the last group.
 
     An interval end in the bottom run becomes -1, and one in the top run
-    ``inf``.  An embedding whose interval holds no live gap, or that must
-    match a value again, can never complete and is dropped.  Every gap
-    left is live, so the dead mask is 0.  Only for distinct-letter
-    patterns; ``enumeration._perm_rule`` argues why the futures stay the
-    same, renamed."""
+    ``inf`` (``_Book.move_merge``).  Every gap left is live, so the dead
+    mask is 0.  Only for distinct-letter patterns."""
     book, ids, dead = s
     key = (ids, dead, top)
     t = book.merged.get(key)

@@ -89,6 +89,14 @@ class Test101To312:
                 image.add(p)
             assert image == set(perm_avoiders(pat("201"), n))
 
+    def test_identity_maps_to_the_staircase(self):
+        # one left-to-right pass: each entry above the used range starts
+        # the next value
+        identity = tuple(range(1, 2001))
+        x = perm312_to_seq101(identity)
+        assert x == tuple(range(2000))
+        assert seq101_to_perm312(x) == identity
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             seq101_to_perm312(as_word("0101"))

@@ -469,6 +469,21 @@ class TestWilfCmd:
         assert any("separation 000 100 n=3" in line
                    for line in out.splitlines())
 
+    def test_repeated_pattern_counts_once(self, capsys):
+        code, out, _ = run_cli(capsys, "wilf", "--pattern", "01,01",
+                               "--n", "3")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0].endswith("patterns=1")
+        assert lines[2:] == ["1      1     01"]
+
+    @pytest.mark.parametrize("labels", ["", ","])
+    def test_empty_pattern_is_refused(self, capsys, labels):
+        code, out, err = run_cli(capsys, "wilf", "--pattern", labels,
+                                 "--n", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "nonempty digit string" in err
+
 
 class TestTableCmd:
     def test_small_diff_ok(self, capsys):

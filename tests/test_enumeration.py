@@ -26,7 +26,8 @@ from ascentseq.enumeration import (avoider_counts, avoiders,
                                    joint_histograms, modified_asc_counts,
                                    modified_avoiders, perm_avoiders)
 from ascentseq.fixtures import expected_counts
-from ascentseq.incremental import make_tracker, open_gap
+from ascentseq.incremental import (delete_dead, make_tracker, merge_live,
+                                   open_gap)
 from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
                                catalan, run_conjecture, stirling2,
                                wilf_classify)
@@ -867,3 +868,79 @@ class TestModified:
                     break
                 c, s = rng.choice(allowed)
                 x, last, a = x + (c,), c, a + 1 if c > last else a
+
+    @staticmethod
+    def agree(tr, raw, key, names, gap=1):
+        # the letters (gaps, when gap is 2) that the raw state forbids are
+        # those deleted from the key or forbidden by it under their names
+        assert [bool(tr.forbid(raw, gap * r)) for r in range(len(names))
+                ] == [y is None or bool(tr.forbid(key, gap * y))
+                      for y in names]
+
+    def walk_deletions(self, p, rng):
+        # step the raw state and the key that delete_dead renames along
+        # random continuations, and check every next letter's states too
+        tr = make_tracker(p)
+        for _ in range(20):
+            raw = key = tr.state
+            names = list(range(8))      # raw letter -> its name in the key
+            for _ in range(10):
+                self.agree(tr, raw, key, names)
+                mask = sum(1 << y for y in names if y is not None
+                           and tr.forbid(key, y) and rng.random() < 0.7)
+                key = delete_dead(key, mask)
+                names = [None if y is None or (mask >> y) & 1
+                         else y - (mask & ((1 << y) - 1)).bit_count()
+                         for y in names]
+                allowed = [x for x in range(8) if not tr.forbid(raw, x)]
+                for x in allowed:
+                    self.agree(tr, tr.step(raw, x), tr.step(key, names[x]),
+                               names)
+                if not allowed:
+                    break
+                c = rng.choice(allowed)
+                raw, key = tr.step(raw, c), tr.step(key, names[c])
+
+    def walk_merges(self, q, rng):
+        # insert random runs of ranks into the raw permutation state and
+        # into the key that merge_live renames; a live gap's new name is
+        # read off the rank-to-group map
+        tr = make_tracker(q)
+        for _ in range(20):
+            raw = tr.state
+            key, groups = merge_live(raw, 0)
+            names = [None if tr.forbid(raw, 0) else 0]  # raw gap -> key gap
+            for _ in range(10):
+                self.agree(tr, raw, key, names, 2)
+                allowed = [r for r, y in enumerate(names) if y is not None]
+                if not allowed:
+                    break
+                c = rng.choice(allowed)
+                g = names[c]
+                raw = tr.step(open_gap(raw, 2 * c), 2 * c + 1)
+                grown = tr.step(open_gap(key, 2 * g), 2 * g + 1)
+                names = [None if y is None else y + (r > c)
+                         for r, y in enumerate(names[:c + 1] + names[c:])]
+                self.agree(tr, raw, grown, names, 2)
+                key, groups = merge_live(grown, groups[-1] + 1)
+                names = [None if y is None or tr.forbid(grown, 2 * y)
+                         else groups[y] + 1 for y in names]
+
+    def test_deleted_state_forbids_the_renamed_letters(self):
+        for label in all_patterns(4):
+            self.walk_deletions(pat(label), random.Random(label))
+
+    @settings(max_examples=40, deadline=None)
+    @given(LONG_PATTERNS, st.integers(0, 2 ** 32))
+    def test_deleted_state_on_long_patterns(self, p, seed):
+        self.walk_deletions(p, random.Random(seed))
+
+    def test_merged_state_forbids_the_renamed_gaps(self):
+        for label in PERM_PATTERNS:
+            self.walk_merges(pat(label), random.Random(label))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(5, 6).flatmap(lambda k: st.permutations(range(k))),
+           st.integers(0, 2 ** 32))
+    def test_merged_state_on_long_patterns(self, q, seed):
+        self.walk_merges(tuple(q), random.Random(seed))

@@ -226,6 +226,11 @@ class TestWilf:
         assert len(pats) == 92
         assert pats[0] == "0" and "0123" in pats and "2102" in pats
 
+    @pytest.mark.parametrize("bad", [2.5, "3", True])
+    def test_all_patterns_refuses_a_length_that_is_not_an_int(self, bad):
+        with pytest.raises(ValueError, match="must be ints"):
+            all_patterns(bad)
+
     def test_full_length4_classification_needs_depth_10(self):
         # at depth 9 three extra pairs coincide; at depth 10 exactly the
         # known equivalences survive, all other patterns separate
