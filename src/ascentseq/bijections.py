@@ -157,28 +157,24 @@ class LiftedBinaryDecomposition:
 
 def lifted_binary_decompose(x) -> LiftedBinaryDecomposition:
     x = check_ascent_sequence(x)
-    if contains(x, (1, 0, 2)):
-        raise ValueError(f"input contains 102: {word_str(x)}")
     k = 1
     while k < len(x) and x[k] >= x[k - 1]:
         k += 1
-    head, tail = x[:k], x[k:]
-    blocks: list[tuple[int, Word]] = []
-    for letter in tail:
-        if blocks:
-            base, letters = blocks[-1]
-            if letter in (base, base + 1):
-                blocks[-1] = (base, letters + (letter,))
+    # a tail letter below the current base starts a block, so the bases
+    # decrease from below the head's last letter; x avoids 102 exactly
+    # when no tail letter lies above its block's base + 1
+    starts = []
+    for t in range(k, len(x)):
+        if starts:
+            base = x[starts[-1]]
+            if x[t] > base + 1:
+                raise ValueError(f"input contains 102: {word_str(x)}")
+            if x[t] >= base:
                 continue
-            if letter >= base:
-                raise ValueError(f"not in lifted binary form: {word_str(x)}")
-        blocks.append((letter, (letter,)))
-    for (b1, _), (b2, _) in zip(blocks, blocks[1:]):
-        if b2 >= b1:
-            raise ValueError(f"block bases not decreasing: {word_str(x)}")
-    if blocks and blocks[0][0] >= head[-1]:
-        raise ValueError(f"first base not below head: {word_str(x)}")
-    return LiftedBinaryDecomposition(head, blocks)
+        starts.append(t)
+    ends = starts[1:] + [len(x)]
+    return LiftedBinaryDecomposition(
+        x[:k], [(x[a], x[a:b]) for a, b in zip(starts, ends)])
 
 
 def seq102_to_ternary(x) -> Word:
@@ -273,11 +269,9 @@ def restricted_to_021(x) -> Word:
 def seq021_to_restricted(x) -> Word:
     """Inverse of restricted_to_021 (the same letter swap)."""
     x = check_ascent_sequence(x)
-    if contains(x, (0, 2, 1)):
-        raise ValueError(f"input contains 021: {word_str(x)}")
     out = _swap_between_lrmaxima(x)
     if not is_restricted(out):
-        raise AssertionError(f"swap left the restricted class: {word_str(x)}")
+        raise ValueError(f"input contains 021: {word_str(x)}")
     return out
 
 

@@ -111,8 +111,8 @@ def parse_partition(text: str):
 
 
 def emit(fmt: str, command: str, params: dict, columns: list[str],
-         rows: list[dict], status: dict, out=None) -> None:
-    out = out or sys.stdout
+         rows: list[dict], status: dict) -> None:
+    out = sys.stdout
     if fmt == "jsonl":
         header = {"format": FORMAT_TAG, "command": command, **params}
         print(json.dumps(header, separators=(", ", ": ")), file=out)

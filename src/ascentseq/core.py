@@ -334,8 +334,17 @@ def _checked_word(w: Sequence[int]) -> Word:
     return w
 
 
-def _search(w: Sequence[int], p: Sequence[int]) -> bool:
-    """True iff the pattern p occurs in the word w.
+def contains(w: Sequence[int], p: Sequence[int]) -> bool:
+    """True iff the word w has an occurrence of the pattern p.
+
+    Non-normalized patterns are normalized silently.  A backtracking
+    search over pattern positions, driven by a loop, with remaining-length
+    pruning; each position reads its bounds from a plan of the pattern,
+    and a failure drops the later candidates it rules out.  A position
+    may still scan the rest of the word again for every partial match:
+    the 231 and 312 checks of a permutation of length n (patterns 120
+    and 201) are quadratic in n on the identity and its reverse, about
+    2 s at n = 8000 (2 cores, CPython 3.11).
 
     start[i] is the next word index that pattern position i tries, and
     (low[i], high[i]) the open window its letter must fall in, set from
@@ -359,6 +368,11 @@ def _search(w: Sequence[int], p: Sequence[int]) -> bool:
     in every other case x' = x cannot.  A repeated letter sets no value
     and so gives up at once: a later copy leaves the same values and
     fewer letters.
+
+    >>> contains((0, 1, 2, 3, 1, 2, 3), (0, 0, 1))
+    True
+    >>> contains((0, 1, 2, 3, 2, 1), (0, 0, 1))
+    False
     """
     p = normalize_pattern(p)
     w = _checked_word(w)
@@ -410,26 +424,6 @@ def _search(w: Sequence[int], p: Sequence[int]) -> bool:
         low[i], high[i] = val[lo], val[hi]
         tried[i].clear()
     return False
-
-
-def contains(w: Sequence[int], p: Sequence[int]) -> bool:
-    """True iff the word w has an occurrence of the pattern p.
-
-    Non-normalized patterns are normalized silently.  A backtracking
-    search over pattern positions, driven by a loop, with remaining-length
-    pruning; each position reads its bounds from a plan of the pattern,
-    and a failure drops the later candidates it rules out.  A position
-    may still scan the rest of the word again for every partial match:
-    the 231 and 312 checks of a permutation of length n (patterns 120
-    and 201) are quadratic in n on the identity and its reverse, about
-    2 s at n = 8000 (2 cores, CPython 3.11).
-
-    >>> contains((0, 1, 2, 3, 1, 2, 3), (0, 0, 1))
-    True
-    >>> contains((0, 1, 2, 3, 2, 1), (0, 0, 1))
-    False
-    """
-    return _search(w, p)
 
 
 def avoids(w: Sequence[int], p: Sequence[int]) -> bool:

@@ -19,8 +19,9 @@ dead as the prefix grows, so a step only ever ORs bits in.
 The counting engine merges prefixes whose states are equal, so a state
 should keep no more than the future depends on.  The tracker keeps the
 set of partial embeddings of the pattern, each reduced to the values and
-intervals its remaining letters depend on, and every step drops the
-embeddings that cannot change a ``forbid`` answer.  These sets are the
+intervals its remaining letters depend on, and every state the book
+returns is reduced: it holds no embedding that cannot change a
+``forbid`` answer (``_Book.reduced``).  These sets are the
 labels of a generating tree (West 1995, "Generating trees and the
 Catalan and Schröder numbers").  A state is ``(book, ids, dead)``: the
 book, one per tracker, interns every embedding to a small id and keeps
@@ -115,8 +116,9 @@ class _Book:
                      the bit of the id of embedding i after merge_live with
                      that rank-to-group map, 0 when it can never complete
         kills[i]     the letters the final pattern letter may take
-        tested[i], dominators[i]
-                     the ids tested for dominating i, and those that do
+        dominators[i]
+                     the ids whose embeddings cover embedding i, filled
+                     as each embedding is interned
         steps[(ids, dead, c)]
                      the reduced state that state (ids, dead) steps to on
                      letter c
@@ -128,9 +130,8 @@ class _Book:
     """
 
     __slots__ = ("p", "plan", "tails", "index", "embeddings",
-                 "rows", "gaps", "drops", "merges", "kills", "tested",
-                 "dominators", "penult", "root", "steps", "deleted",
-                 "merged")
+                 "rows", "gaps", "drops", "merges", "kills", "dominators",
+                 "penult", "root", "steps", "deleted", "merged")
 
     def __init__(self, p):
         self.p = p
@@ -144,15 +145,14 @@ class _Book:
                               tuple(u for u in later if u > v),
                               tuple(u for u in later if u < v)))
         # the letters of p[j:], the final one first: it is in every tail
-        # and rejects most dominance pairs
+        # and rejects most cover pairs
         final = p[-1]
         self.tails = [(final, *(set(p[j:]) - {final}))
                       for j in range(len(p))]
         self.index = {}
         self.embeddings = []
         self.rows, self.gaps, self.drops, self.merges = [], [], [], []
-        self.kills = []
-        self.tested, self.dominators = [], []
+        self.kills, self.dominators = [], []
         self.penult = 0
         self.steps, self.deleted, self.merged = {}, {}, {}
         # the root embedding, which a length-1 pattern has already completed
@@ -169,11 +169,33 @@ class _Book:
             self.drops.append({})
             self.merges.append({})
             self.kills.append(_kills(e[1][self.p[-1]]))
-            self.tested.append(0)
             self.dominators.append(0)
+            for k, f in enumerate(self.embeddings[:i]):
+                if self.covers(f, e):
+                    self.dominators[i] |= 1 << k
+                elif self.covers(e, f):
+                    self.dominators[k] |= 1 << i
             if e[0] == len(self.p) - 2:
                 self.penult |= 1 << i
         return i
+
+    def covers(self, e2, e1) -> bool:
+        """Whether embedding e2 admits, on every letter of its rest of p,
+        every letter that embedding e1 admits, so that every completion
+        of e1 completes e2."""
+        (j1, v1), (j2, v2) = e1, e2
+        if j2 < j1:
+            return False
+        # a letter e1 has matched, e2 has matched too (j2 >= j1), so b is
+        # a value wherever a is
+        for u in self.tails[j2]:
+            a, b = v1[u], v2[u]
+            if type(b) is int:
+                if a != b:
+                    return False
+            elif a[0] < b[0] or b[1] < a[1]:
+                return False
+        return True
 
     def _grow(self, i: int, c: int) -> int:
         j, vals = self.embeddings[i]
@@ -290,51 +312,42 @@ class _Book:
             mask ^= 1 << x
             ids = self.moved(ids, self.drops, self.move_drop, x)
             dead = dead & _below(x) | dead >> (x + 1) << x
-        return (self, ids, dead)
+        return self.reduced(ids, dead)
 
-    def dominated(self, i: int, others: int) -> int:
-        """The ids in the mask ``others``, other than i, whose embedding
-        admits, on every letter of its rest of p, every letter that
-        embedding i admits, so that every completion of i completes it."""
-        others &= ~(1 << i)
-        unknown = others & ~self.tested[i]
-        if unknown:
-            self.tested[i] |= unknown
-            j1, v1 = self.embeddings[i]
-            while unknown:
-                low = unknown & -unknown
-                unknown ^= low
-                j2, v2 = self.embeddings[low.bit_length() - 1]
-                if j2 < j1:
-                    continue
-                # a letter i has matched, the other has matched too
-                # (j2 >= j1), so b is a value wherever a is
-                for u in self.tails[j2]:
-                    a, b = v1[u], v2[u]
-                    if type(b) is int:
-                        if a != b:
-                            break
-                    elif a[0] < b[0] or b[1] < a[1]:
-                        break
-                else:
-                    self.dominators[i] |= low
-        return self.dominators[i] & others
-
-    def step(self, ids: int, dead: int, c: int):
-        """The state (self, ids, dead) grown by the letter c, reduced:
-        dropped are the embeddings that can only kill letters some other
-        part of the state kills anyway,
+    def reduced(self, ids: int, dead: int):
+        """The state (self, ids, dead) reduced: dropped are the embeddings
+        that can only kill letters some other part of the state kills
+        anyway,
 
         (a) those whose final pattern letter may only take dead letters;
-        (b) an embedding (j1, v1) when another (j2 >= j1, v2) admits, on
-            every letter of p[j2:], every letter v1 admits, so that every
-            completion of v1 also completes v2.
+        (b) then every embedding that another one left by (a) covers: one
+            (j2 >= j1, v2) that admits, on every letter of p[j2:], every
+            letter (j1, v1) admits, so that every completion of v1 also
+            completes v2.
 
-        ``forbid`` answers stay the same on every continuation, including
-        ``open_gap`` moves; only the states get fewer.  The state grown
-        is reduced already, so (a) tests every embedding only when the
-        dead mask grew, else the new ones, and (b) only compares pairs
-        that involve a new embedding."""
+        ``forbid`` answers stay the same on every continuation and every
+        move of the book; only the states get fewer.  Dropping every
+        covered embedding at once is sound: covering is transitive, and
+        two distinct embeddings never cover each other (they would be
+        equal, and share one id), so each has a kept dominator."""
+        kills, dominators = self.kills, self.dominators
+        live = rest = ids
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m = kills[low.bit_length() - 1]
+            if dead & m == m:
+                live ^= low
+        kept = rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if dominators[low.bit_length() - 1] & live:
+                kept ^= low
+        return (self, kept, dead)
+
+    def step(self, ids: int, dead: int, c: int):
+        """The state (self, ids, dead) grown by the letter c, reduced."""
         rows, penult = self.rows, self.penult
         grown, old_dead = ids, dead
         rest = ids | self.root
@@ -353,29 +366,7 @@ class _Book:
             dead = old_dead     # share an unchanged mask along a walk's stack
             if grown == ids:
                 return (self, ids, dead)
-        fresh = grown & ~ids
-        live = grown
-        # (a), on every embedding when the dead mask grew, else on new ones
-        kills = self.kills
-        rest = grown if dead != old_dead else fresh
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = kills[low.bit_length() - 1]
-            if dead & m == m:
-                live ^= low
-        fresh &= live
-        kept = live
-        if fresh:
-            # (b), on the pairs that involve a new embedding
-            rest = live
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if self.dominated(low.bit_length() - 1,
-                                  live if low & fresh else fresh):
-                    kept ^= low
-        return (self, kept, dead)
+        return self.reduced(grown, dead)
 
 
 def _canonical_step(s, c):
@@ -440,8 +431,8 @@ def merge_live(s, top: int):
             groups.append(g)
         groups = tuple(groups)
         t = book.merged[key] = (
-            (book, book.moved(ids, book.merges, book.move_merge, groups), 0),
-            groups)
+            book.reduced(book.moved(ids, book.merges, book.move_merge,
+                                    groups), 0), groups)
     return t
 
 

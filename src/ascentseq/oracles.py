@@ -218,6 +218,10 @@ def _pattern_sort_key(label: str):
 def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     """Group patterns by their avoider-count series on lengths 1..n_max.
 
+    Patterns are labelled by their normalized form, and repeated ones
+    (equal after normalization) are classified once, so the classes can
+    hold fewer labels than patterns were passed.
+
     The patterns' ``avoider_counts`` advance in lockstep, one length at a
     time.  After each length the live patterns are grouped by series
     prefix, and a pattern alone in its group is settled: its counting

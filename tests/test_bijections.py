@@ -14,7 +14,7 @@ from ascentseq.bijections import (BIJECTIONS, is_noncrossing,
                                   seq021_to_restricted, seq101_to_perm312,
                                   seq102_to_ternary, standardize_partition,
                                   ternary_to_seq102, unmodify)
-from ascentseq.core import as_word, asc, des, is_restricted
+from ascentseq.core import as_word, asc, contains, des, is_restricted
 from ascentseq.enumeration import (avoiders, generate_ascent_sequences,
                                    generate_restricted,
                                    generate_set_partitions, perm_avoiders)
@@ -181,10 +181,27 @@ class TestRestricted021:
         with pytest.raises(ValueError):
             restricted_to_021((0, 1, 2, 0))
         with pytest.raises(ValueError):
-            seq021_to_restricted((0, 1, 1, 2, 1))  # contains 021? no...
-        # 01121 avoids 021 but is fine; use a genuine 021 container
+            seq021_to_restricted((0, 1, 1, 2, 1))   # 0, 2, 1 is a 021
         with pytest.raises(ValueError):
-            seq021_to_restricted((0, 2, 1))
+            seq021_to_restricted((0, 2, 1))         # not an ascent sequence
+
+
+@pytest.mark.parametrize("convert, p", [
+    (lifted_binary_decompose, (1, 0, 2)),
+    (seq021_to_restricted, (0, 2, 1)),
+])
+def test_structure_decides_the_domain(convert, p):
+    # each map refuses its input by its own structure, not by the
+    # containment search: exactly the ascent sequences that contain p
+    for n in range(1, 10):
+        for x in generate_ascent_sequences(n):
+            try:
+                convert(x)
+            except ValueError as e:
+                assert contains(x, p), (x, e)
+                assert str(e).startswith("input contains"), (x, e)
+            else:
+                assert not contains(x, p), x
 
 
 class TestReduceTail:

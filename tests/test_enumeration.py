@@ -41,6 +41,10 @@ WORKLOAD_PATTERNS = ("10", "000", "001", "010", "011", "012", "100", "101",
 PERM_PATTERNS = [label for label in all_patterns(4)
                  if len(set(label)) == len(label)]
 
+# patterns of length 5 and 6, repeated letters included
+LONG_PATTERNS = st.lists(st.integers(0, 5), min_size=5,
+                         max_size=6).map(normalize_pattern)
+
 
 def modified_words(p, n):
     """The modified words of the ascent sequences of length n whose
@@ -287,6 +291,20 @@ def _generic_avoiders(p, n):
         yield from extend((0,), 0)
 
 
+def _spied_layers(monkeypatch):
+    # the dict that keeps, for each n, the last layer n that the layered
+    # counts built
+    layers = {}
+    run = enumeration._layers
+
+    def spy(*args, **kwargs):
+        for n, layer in run(*args, **kwargs):
+            layers[n] = layer
+            yield n, layer
+    monkeypatch.setattr(enumeration, "_layers", spy)
+    return layers
+
+
 class TestCanonicalTracker:
     """The embedding-set tracker that every pattern uses."""
 
@@ -322,14 +340,7 @@ class TestCanonicalTracker:
         # 0021, 0012 and 210; without the deletion the reduced states
         # keep 586, 341 and 254, and the unreduced embedding sets 8889,
         # 3440 and 1330
-        layers = {}
-        run = enumeration._layers
-
-        def spy(*args, **kwargs):
-            for n, layer in run(*args, **kwargs):
-                layers[n] = layer
-                yield n, layer
-        monkeypatch.setattr(enumeration, "_layers", spy)
+        layers = _spied_layers(monkeypatch)
         for label, keys in (("0021", 101), ("0012", 137), ("210", 56)):
             dict(enumeration.avoider_counts(pat(label), 12))
             assert len(layers[11]) == keys, label
@@ -384,6 +395,93 @@ class TestCanonicalTracker:
                     assert len(book.embeddings) == embeddings, (label, c)
                     assert book.rows == rows, (label, c)
 
+    @staticmethod
+    def assert_reduced(s):
+        # no embedding of the state kills only dead letters, and none is
+        # covered by another: (j2 >= j1, v2) admits, on every letter of
+        # p[j2:], every letter (j1, v1) admits
+        book, ids, dead = s
+        p = book.p
+        held = [i for i in range(len(book.embeddings)) if ids >> i & 1]
+        for i in held:
+            assert dead & book.kills[i] != book.kills[i], (p, i)
+        for i1 in held:
+            j1, v1 = book.embeddings[i1]
+            for i2 in held:
+                j2, v2 = book.embeddings[i2]
+                assert i1 == i2 or j2 < j1 or not all(
+                    v2[u] == v1[u] if type(v2[u]) is int
+                    else v2[u][0] <= v1[u][0] and v1[u][1] <= v2[u][1]
+                    for u in set(p[j2:])), (p, i1, i2)
+
+    def walk_reduced(self, p, rng, perm):
+        # grow random prefixes as the layered counts grow their keys, and
+        # check every state that step, delete_dead and merge_live return
+        tr = make_tracker(p)
+        for _ in range(20):
+            if perm:
+                s, groups = merge_live(tr.state, 0)
+                a = groups[-1] - 1
+            else:
+                s, last, a = tr.state, -1, -1
+                gone = s[-1] & 1
+                s, a = delete_dead(s, gone), a - gone.bit_count()
+            self.assert_reduced(s)
+            for _ in range(8):
+                if a < -1:
+                    break               # no letter or gap is live
+                c = rng.randrange(a + 2)
+                if perm:
+                    s = tr.step(open_gap(s, 2 * c), 2 * c + 1)
+                    self.assert_reduced(s)
+                    s, groups = merge_live(s, a + 2)
+                    a = groups[-1] - 1
+                else:
+                    s, last, a = tr.step(s, c), c, a + (c > last)
+                    self.assert_reduced(s)
+                    gone = s[-1] & ((1 << (a + 2)) - 1)
+                    s = delete_dead(s, gone)
+                    last -= (gone & ((1 << (last + 1)) - 1)).bit_count()
+                    a -= gone.bit_count()
+                self.assert_reduced(s)
+
+    def test_every_returned_state_is_reduced(self):
+        for label in all_patterns(4):
+            self.walk_reduced(pat(label), random.Random(label), False)
+        for label in PERM_PATTERNS:
+            self.walk_reduced(pat(label), random.Random(label), True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(
+               st.tuples(LONG_PATTERNS, st.just(False)),
+               st.tuples(st.integers(5, 6).flatmap(
+                   lambda k: st.permutations(range(k))).map(tuple),
+                   st.just(True))),
+           st.integers(0, 2 ** 32))
+    def test_every_returned_state_is_reduced_on_long_patterns(self, case,
+                                                              seed):
+        p, perm = case
+        self.walk_reduced(p, random.Random(seed), perm)
+
+    def test_reduction_merges_keys(self, monkeypatch):
+        # summed over the patterns of length <= 4, the last layer of the
+        # perm-avoiders (asc) histograms to n = 9 keeps 21272 keys and of
+        # the avoider counts to n = 11 keeps 64886; states that
+        # delete_dead and merge_live left unreduced kept 22100 and 65212
+        # (59542 and 172183 against 61984 and 173320 at n = 10 and 12)
+        layers = _spied_layers(monkeypatch)
+        perm_keys = 0
+        for label in PERM_PATTERNS:
+            for _ in joint_histograms(("perm-avoiders", pat(label)), 9,
+                                      "asc"):
+                pass
+            perm_keys += len(layers[8])
+        avoider_keys = 0
+        for label in all_patterns(4):
+            dict(avoider_counts(pat(label), 11))
+            avoider_keys += len(layers[10])
+        assert (perm_keys, avoider_keys) == (21272, 64886)
+
 
 @cache
 def _listed(kind, n):
@@ -393,11 +491,6 @@ def _listed(kind, n):
     words = tuple(generate_ascent_sequences(n))
     return tuple(map(modify, words)) if kind == "modified-avoiders" \
         else words
-
-
-# patterns of length 5 and 6, repeated letters included
-LONG_PATTERNS = st.lists(st.integers(0, 5), min_size=5,
-                         max_size=6).map(normalize_pattern)
 
 
 class TestLongPatterns:
