@@ -13,32 +13,29 @@ transfer-matrix count, where prefixes with equal keys have equal futures
 and are merged into one weighted key, with one budget check per key.
 A count of avoiders is read off the layer before its length, and a
 layer is built only when the next count is asked for, so a caller that
-stops taking counts stops the work.  Avoiders are counted on the
-canonical tracker, keyed by (state, last letter, a) with every dead
-letter up to the bound a + 1 deleted, so prefixes that differ only in
-where their dead letters sit merge.  Modified ascent sequences and
-pattern-avoiding permutations grow by the raise: before some letters c
-are appended, every earlier letter >= c moves up by one.  Appending c to
-x appends c to modify(x) after a raise when c is an ascent top, and a
-permutation grows by inserting its last entry at rank c, a raise every
-time.  The raise keeps the order of the earlier letters, so containment
-stays monotone.  These sets are keyed by the canonical tracker state of
-the raised word, kept in doubled coordinates, where value v is letter
-2v + 1 and 2v is the gap just below it, so the raise turns gap 2c into a
-new value (``incremental.open_gap``).  A permutation's later entries go
-only into its live gaps, so its key also deletes the dead gaps and
-merges the values between two live gaps (``incremental.merge_live``).
+stops taking counts stops the work.  The layered rules key the
+canonical tracker state in places: letter c is place 2c + 1 and place
+2c is the gap just below it.  Each rule yields, per child, the place of
+the new letter and the move that renamed the key's places on the way,
+or None.  Avoiders are keyed by live letters: every dead letter up to
+the bound a + 1 is deleted (``incremental.delete_dead``), so prefixes
+that differ only in where their dead letters sit merge.  Modified ascent
+sequences append c to the modified word after a raise when c is an
+ascent top, which opens gap 2c into a new value
+(``incremental.open_gap``).  Permutations insert their last entry into
+gap 2c, and are keyed by live gaps: every dead gap is deleted and the
+values between two live gaps are merged (``incremental.merge_live``).
 Joint statistic histograms run the same rules with a small prefix state
-per statistic in the key, each stepped once per letter with the set's
-raise.
+per statistic in the key, whose places each set's one rename moves with
+the key.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from math import inf
-from operator import itemgetter
 
 from . import bijections
 from .core import (check_perm_pattern, contains, normalize_pattern,
@@ -103,11 +100,12 @@ def _walk(n: int, state0, children, check=None):
 
 def _layers(children, start, n_max: int, check=None, leaves=None):
     """Yield ``(n, layer)`` for n = 1..n_max; layer n maps the key of each
-    length-n prefix grown from ``start`` by ``children`` to the number of
-    prefixes with it.  ``check`` is called once per key of the layer
-    before and may raise to abort.  With ``leaves``, the last layer is not grown: it
-    sums ways times weight over the ``(leaf, weight)`` pairs that
-    ``leaves(key)`` yields."""
+    length-n prefix grown from ``start`` to the number of prefixes with
+    it, where ``children(key)`` yields ``(place, child, move)``.
+    ``check`` is called once per key of the layer before and may raise
+    to abort.  With ``leaves``, the last layer is not grown: it sums ways
+    times weight over the ``(leaf, weight)`` pairs that ``leaves(key)``
+    yields."""
     layer = {start: 1}
     for n in range(1, n_max + 1):
         summed = leaves is not None and n == n_max
@@ -119,7 +117,7 @@ def _layers(children, start, n_max: int, check=None, leaves=None):
                 for leaf, weight in leaves(key):
                     nxt[leaf] += ways * weight
             else:
-                for _, child in children(key):
+                for _, child, _ in children(key):
                     nxt[child] += ways
         layer = nxt
         yield n, layer
@@ -173,48 +171,19 @@ def count_ascent_sequences(n: int) -> int:
 
 
 def _avoider_rule(p):
-    """``(start, children)`` of the p-avoiding ascent sequences.
-    ``children(key, False)`` yields the allowed letters with None for
-    their keys, and steps no tracker."""
-    tr = make_tracker(p, None)
-    forbid, step = tr.forbid, tr.step
+    """``(start, children)`` of the p-avoiding ascent sequences, keyed by
+    live letters.  ``children(key)`` yields ``(2c + 1, child, gone)`` for
+    each letter c of the key: the place of c, the key of the longer
+    prefix, and the mask of the letters deleted from it, or None when
+    none was; ``children(key, False)`` yields ``(2c + 1, None, None)``
+    and steps no tracker.
 
-    def children(key, grow=True):
-        state, last, a = key
-        for c in range(a + 2):
-            if not forbid(state, c):
-                yield c, ((step(state, c), c, a + 1 if c > last else a)
-                          if grow else None)
-
-    return (tr.state, -1, -1), children
-
-
-def avoiders(p, n: int, check=None):
-    """Yield the p-avoiding ascent sequences of length n, lexicographically;
-    ``check`` is passed on to the walk."""
-    _check_length(n)
-    start, children = _avoider_rule(normalize_pattern(p))
-    yield from _freeing(_walk(n, start, children, check), start[0])
-
-
-def avoider_counts(p, n_max: int, check=None):
-    """Yield ``(n, count)`` for n = 1..n_max, the number of p-avoiding
-    ascent sequences of length n.  Count n is read off layer n - 1, and
-    layer n is built only when count n + 1 is asked for, so taking the
-    first k counts does the work of draining ``avoider_counts(p, k)``.
-    The tracker is freed as soon as the counts end or are dropped
-    (``incremental.forget``).
-
-    A layer maps (canonical tracker state, last letter, a) to the number
-    of prefixes with that key, where the next letter is at most a + 1.
-    Every key is made live: the dead letters in 0..a + 1 are deleted
-    from its state (``incremental.delete_dead``), ``last`` falls by the
-    number deleted at or below it and ``a`` by the number deleted.  So
-    every letter 0..a + 1 of a key is allowed: a key grows on each with
-    no ``forbid`` test, and count n is the sum of ways * (a + 2) over
-    layer n - 1.  ``check``, when given, is called once before count 1
-    and once per key grown, and may raise to abort cleanly (used for CLI
-    budget guards); the counts yielded before it raised stay valid.
+    A key is (canonical tracker state, last letter, a), where the next
+    letter is at most a + 1.  Every key is made live: the dead letters
+    in 0..a + 1 are deleted from its state (``incremental.delete_dead``),
+    ``last`` falls by the number deleted at or below it and ``a`` by the
+    number deleted.  So every letter 0..a + 1 of a key is allowed: a key
+    grows on each with no ``forbid`` test.
 
     The deletion keeps every count.  Take a prefix with key (s, last, a),
     a letter x <= a + 1 that s kills, and the key (s', last', a') with x
@@ -236,22 +205,61 @@ def avoider_counts(p, n_max: int, check=None):
     The deleted key is a function of the key, so keys that were equal
     stay equal: the count merges more prefixes, never fewer.
     """
-    _check_length(n_max)
-    tr = make_tracker(normalize_pattern(p), None)
+    tr = make_tracker(p, None)
     step = tr.step
 
-    def live(state, last, a):
+    def live(c, state, a):
+        # the place of c, and the live key of the prefix ending in c
         gone = state[-1] & ((1 << (a + 2)) - 1)
-        if gone:
-            state = delete_dead(state, gone)
-            last -= (gone & ((1 << (last + 1)) - 1)).bit_count()
-            a -= gone.bit_count()
-        return state, last, a
+        if not gone:
+            return 2 * c + 1, (state, c, a), None
+        return 2 * c + 1, (delete_dead(state, gone),
+                           c - (gone & ((1 << (c + 1)) - 1)).bit_count(),
+                           a - gone.bit_count()), gone
+
+    def children(key, grow=True):
+        state, last, a = key
+        for c in range(a + 2):
+            yield (live(c, step(state, c), a + 1 if c > last else a)
+                   if grow else (2 * c + 1, None, None))
+
+    return live(-1, tr.state, -1)[1], children
+
+
+def avoiders(p, n: int, check=None):
+    """Yield the p-avoiding ascent sequences of length n, lexicographically,
+    pruned by the pattern's tracker; ``check`` is passed on to the walk."""
+    _check_length(n)
+    tr = make_tracker(normalize_pattern(p), None)
+    forbid, step = tr.forbid, tr.step
 
     def children(key):
         state, last, a = key
         for c in range(a + 2):
-            yield c, live(step(state, c), c, a + 1 if c > last else a)
+            if not forbid(state, c):
+                yield c, (step(state, c), c, a + 1 if c > last else a)
+
+    yield from _freeing(_walk(n, (tr.state, -1, -1), children, check),
+                        tr.state)
+
+
+def avoider_counts(p, n_max: int, check=None):
+    """Yield ``(n, count)`` for n = 1..n_max, the number of p-avoiding
+    ascent sequences of length n.  Count n is read off layer n - 1, and
+    layer n is built only when count n + 1 is asked for, so taking the
+    first k counts does the work of draining ``avoider_counts(p, k)``.
+    The tracker is freed as soon as the counts end or are dropped
+    (``incremental.forget``).
+
+    A layer maps the live keys of ``_avoider_rule`` to the number of
+    prefixes with each.  Every letter 0..a + 1 of a key is allowed, so
+    count n is the sum of ways * (a + 2) over layer n - 1.  ``check``,
+    when given, is called once before count 1 and once per key grown,
+    and may raise to abort cleanly (used for CLI budget guards); the
+    counts yielded before it raised stay valid.
+    """
+    _check_length(n_max)
+    start, children = _avoider_rule(normalize_pattern(p))
 
     def total(layer):
         return sum(ways * (key[2] + 2) for key, ways in layer.items())
@@ -263,8 +271,7 @@ def avoider_counts(p, n_max: int, check=None):
         for n, layer in _layers(children, start, n_max - 1, check):
             yield n + 1, total(layer)
 
-    start = live(tr.state, -1, -1)
-    yield from _freeing(counts(), tr.state)
+    yield from _freeing(counts(), start[0])
 
 
 def count_avoiders(p, n_max: int, threads: int = 1, split_depth=None,
@@ -320,12 +327,11 @@ def perm_avoiders(q, n: int, check=None):
 def _perm_rule(q):
     """``(start, children)`` of the q-avoiding permutations, grown by
     inserting the last entry at a rank c: every earlier entry of rank
-    >= c moves up by one, so gap 2c of the canonical tracker state, in
-    doubled coordinates, opens into the new value (``open_gap``).
-    ``children(key)`` yields each rank c with ``(child, groups)``, where
-    groups is the rank-to-group map of ``incremental.merge_live`` that
-    the statistic states are relabelled through; ``children(key,
-    False)`` yields None for it and steps no tracker.
+    >= c moves up by one, so gap 2c of the canonical tracker state opens
+    into the new value (``open_gap``).  ``children(key)`` yields
+    ``(2c, child, (2c, groups))`` for each rank c, where groups is the
+    rank-to-group map of ``incremental.merge_live``; ``children(key,
+    False)`` yields ``(2c, None, None)`` and steps no tracker.
 
     A key is (state, last, a), keyed by live gaps: every dead gap is
     deleted from the state and each run of values between two live gaps
@@ -340,32 +346,24 @@ def _perm_rule(q):
     state one to one onto those of the merged one.  A later entry lies
     above a value exactly when its live gap does, which is the same for
     every value of one run, so the merge keeps what each continuation
-    compares:
-
-    - containment: ``merge_live`` moves each interval end to its run's
-      value (the rule is in ``incremental._Book.rename``); q has
-      distinct letters, so no embedding waits to match a value again.
-    - statistics: each compares the new entry with earlier values only,
-      ``last`` and the extremes of ``lrmax`` and ``lrmin`` by one value,
-      ``rlmax`` and ``rlmin`` by their records, which it pops.  So each
-      is kept by group: the records as a count per group, since records
-      merged into one group are popped together but each still counts.
-
-    The merged key is a function of the raw one, so keys that were equal
-    stay equal: the layers merge more permutations, never fewer.
+    compares: ``merge_live`` moves each interval end to its run's value
+    (the rule is in ``incremental._Book.rename``), and q has distinct
+    letters, so no embedding waits to match a value again.  The merged
+    key is a function of the raw one, so keys that were equal stay
+    equal: the layers merge more permutations, never fewer.
     """
     tr = make_tracker(q, None)
     step = tr.step
 
+    def inserted(state, g, top):
+        child, groups = merge_live(step(open_gap(state, g), g + 1), top)
+        return g, (child, groups[g // 2 + 1], groups[-1] - 1), (g, groups)
+
     def children(key, grow=True):
         state, last, a = key
         for c in range(a + 2):
-            if not grow:
-                yield c, None
-                continue
-            child, groups = merge_live(
-                step(open_gap(state, 2 * c), 2 * c + 1), a + 2)
-            yield c, ((child, groups[c + 1], groups[-1] - 1), groups)
+            yield (inserted(state, 2 * c, a + 2) if grow
+                   else (2 * c, None, None))
 
     state, groups = merge_live(tr.state, 0)
     return (state, -1, groups[-1] - 1), children
@@ -410,24 +408,29 @@ def modified_avoiders(p, n: int, check=None):
 
 
 def _modified_rule(p):
-    """As ``_avoider_rule``, for the ascent sequences whose modified word
+    """``(start, children)`` of the ascent sequences whose modified word
     avoids p: appending c after ``last`` appends c to the modified word,
     where first, when c is an ascent top, every letter >= c moves up by
     one: gap 2c opens into a value.  Keyed by (canonical tracker state
-    of the modified word, last letter, ascents)."""
+    of the modified word, last letter, ascents).  ``children(key)``
+    yields ``(place, child, gap)`` for each allowed letter c: the place
+    2c + 1 and no gap, or for an ascent top the gap 2c as both;
+    ``children(key, False)`` yields ``(place, None, None)`` and steps no
+    tracker."""
     tr = make_tracker(p, None)
     forbid, step = tr.forbid, tr.step
 
-    def appended(state, c, rise):
-        return step(open_gap(state, 2 * c) if rise else state, 2 * c + 1)
+    def appended(state, x, c, a):
+        if x & 1:
+            return x, (step(state, x), c, a), None
+        return x, (step(open_gap(state, x), x + 1), c, a + 1), x
 
     def children(key, grow=True):
         state, last, a = key
         for c in range(a + 2):
-            rise = c > last
-            if not forbid(state, 2 * c + 1 - rise):
-                yield c, ((appended(state, c, rise), c, a + rise)
-                          if grow else None)
+            x = 2 * c + 1 - (c > last)
+            if not forbid(state, x):
+                yield appended(state, x, c, a) if grow else (x, None, None)
 
     return (tr.state, -1, -1), children
 
@@ -479,97 +482,84 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
 # statistic histograms
 #
 # Every statistic is read off a small state carried along the prefix, so a
-# histogram is a layered count with the statistics' states in the key.  A
-# rule is (start, step, value): step(s, c, last, r) is the state once the
-# prefix ending in ``last`` (-1 when empty) gets the letter c, and
-# value(s) is the statistic.  With r set, every earlier letter >= c first
-# moves up by one: never on avoiders, before an ascent top c > last on
-# modified words, and always on permutations, where c is the rank of the
-# new last entry.  The raise keeps the order of the earlier letters and
-# moves no 0 on words, so asc, fwd, rlmin and zeros read the same either
-# way.  A last or smallest letter equal to c moves above it, so des and
-# lrmin count it; the largest letter of lrmax moves up unless c beats it,
-# and so do the records >= c in the mask of rlmax.  The masks of rlmax
-# and rlmin hold the letters of the right-to-left records, a stack that
-# each new last letter pops.
-#
-# Permutations are keyed by live gaps (``_perm_rule``), so their ranks
-# are groups of merged values, and each of their rules has a fourth
-# entry, relabel(s, groups), which maps a stepped state through the
-# rank-to-group map.  Their rlmax and rlmin keep, at index r + 1, the
-# number of records of rank r, from r = -1, the run below every live
-# gap: records merged into one group each still count.
+# histogram is a layered count with the statistics' states in the key.
+# States hold places, as the set keys do: letter c is place 2c + 1 and
+# place 2c is the gap below it.  A rule is (start, step): step(s, x, last)
+# is the state once the letter at place x follows a prefix whose key has
+# the last letter ``last`` (-1 when empty).  x is read in the key's places
+# before the child's move, and the set's one rename then moves every
+# place of the state with the key (``_SETS``).  asc and fwd are counts
+# that compare x with the key's last letter, place 2 last + 1.  The other
+# states are (statistic, places ...): des keeps the place of the last
+# letter, lrmax and lrmin that of the extreme so far, zeros that of the
+# smallest letter (0 is the first letter of every ascent sequence), and
+# rlmax and rlmin the sorted places of the right-to-left records, a stack
+# that each new letter pops.  des needs its own place: when the last
+# letter is deleted, the key's last falls to the live letter below, which
+# still answers > and <= for every later letter but not <.
 
 
-def _never(c, last):
-    return False
+def _delete(y, gone):
+    """Place y of an avoider key once the letters of the mask gone are
+    deleted (``_avoider_rule``): with k letters below v gone, a live
+    letter v goes to 2(v - k) + 1, and a deleted letter v, like the gap
+    below v, to the gap 2(v - k) it leaves.  A deleted letter never
+    occurs again, so it compares with every later letter as that gap
+    does."""
+    if y < 0 or y == inf:
+        return y
+    v = y >> 1
+    gap = 2 * (v - (gone & ((1 << v) - 1)).bit_count())
+    return gap + 1 if y & 1 and not (gone >> v) & 1 else gap
 
 
-def _ascent_top(c, last):
-    return c > last
+def _open(y, g):
+    """Place y once gap g opens into a value (``open_gap``): places above
+    g move up by 2, and the new letter in gap g becomes g + 1."""
+    return y + 2 if y > g else g + 1 if y == g else y
 
 
-def _always(c, last):
-    return True
+def _merge(y, move):
+    """Place y of a permutation key once the entry in gap g is inserted
+    and the live gaps are merged (``_perm_rule``), where move is (g,
+    groups): ``_open``, then value 2r + 1 goes to its group's value
+    2 groups[r + 1] + 1."""
+    g, groups = move
+    y = _open(y, g)
+    return y if y == inf else 2 * groups[(y + 1) // 2] + 1
 
 
-def _count(s):
-    return s
+def _rlmax(s, x, last):
+    i = bisect_right(s, x, 1)
+    return (len(s) - i + 1, x) + s[i:]
+
+
+def _rlmin(s, x, last):
+    i = bisect_left(s, x, 1)
+    return (i,) + s[1:i] + (x,)
 
 
 _RULES = {
-    "asc": (-1, lambda s, c, last, r: s + (c > last), _count),
-    "des": (0, lambda s, c, last, r: s + (c < last + (r and last >= c)),
-            _count),
-    "zeros": (0, lambda s, c, last, r: s + (c == 0), _count),
-    "fwd": (0, lambda s, c, last, r: s + 1 if c <= last else 1, _count),
-    # (largest or smallest letter so far, records)
-    "lrmax": ((-1, 0), lambda s, c, last, r:
-              (c, s[1] + 1) if c > s[0] else (s[0] + r, s[1]),
-              itemgetter(1)),
-    "lrmin": ((inf, 0), lambda s, c, last, r:
-              (c, s[1] + 1) if c < s[0] + (r and s[0] >= c) else s,
-              itemgetter(1)),
-    "rlmax": (0, lambda s, c, last, r: s >> (c + 1 - r) << (c + 1) | 1 << c,
-              int.bit_count),
-    "rlmin": (0, lambda s, c, last, r: s & ((1 << c) - 1) | 1 << c,
-              int.bit_count),
+    "asc": (-1, lambda s, x, last: s + (x > 2 * last + 1)),
+    "fwd": (0, lambda s, x, last: s + 1 if x <= 2 * last + 1 else 1),
+    "des": ((0, -1), lambda s, x, last: (s[0] + (x < s[1]), x)),
+    "zeros": ((0, inf), lambda s, x, last:
+              (s[0] + 1, x) if x <= s[1] else s),
+    "lrmax": ((0, -1), lambda s, x, last: (s[0] + 1, x) if x > s[1] else s),
+    "lrmin": ((0, inf), lambda s, x, last: (s[0] + 1, x) if x < s[1] else s),
+    "rlmax": ((0,), _rlmax),
+    "rlmin": ((0,), _rlmin),
 }
 
+# a permutation of 1..n has no zeros
+_PERM_RULES = {**_RULES, "zeros": (0, lambda s, x, last: 0)}
 
-def _same(s, groups):
-    return s
-
-
-def _extreme_by_group(s, groups):
-    return groups[s[0] + 1], s[1]
-
-
-def _records_by_group(s, groups):
-    out = [0] * (groups[-1] + 2)
-    for g, k in zip(groups, s):
-        out[g + 1] += k
-    return tuple(out)
-
-
-_PERM_RULES = {
-    **{name: (*rule, _same) for name, rule in _RULES.items()},
-    # a permutation of 1..n has no zeros
-    "zeros": (0, lambda s, c, last, r: 0, _count, _same),
-    "lrmax": (*_RULES["lrmax"], _extreme_by_group),
-    "lrmin": (*_RULES["lrmin"], _extreme_by_group),
-    "rlmax": ((0,), lambda s, c, last, r: (0,) * (c + 1) + (1,) + s[c + 1:],
-              sum, _records_by_group),
-    "rlmin": ((0,), lambda s, c, last, r: s[:c + 1] + (1,), sum,
-              _records_by_group),
-}
-
-# per set descriptor kind: when it raises, its statistic rules and its
-# growth rule
+# per set descriptor kind: its statistic rules, its growth rule and the
+# rename of a place by one of its moves
 _SETS = {
-    "avoiders": (_never, _RULES, _avoider_rule),
-    "modified-avoiders": (_ascent_top, _RULES, _modified_rule),
-    "perm-avoiders": (_always, _PERM_RULES, _perm_rule),
+    "avoiders": (_RULES, _avoider_rule, _delete),
+    "modified-avoiders": (_RULES, _modified_rule, _open),
+    "perm-avoiders": (_PERM_RULES, _perm_rule, _merge),
 }
 
 
@@ -599,15 +589,12 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
 
     The descriptor is as for ``joint_distribution``.  Every kind is
     counted in one layered pass over its growth rule, keyed by (set key,
-    statistic states); a kind that never raises keeps the pattern's
-    tracker state of the word itself, the others in doubled coordinates,
-    and every kind steps the statistics with its raise.  Permutations
-    are keyed by live gaps, and their statistic states are relabelled
-    with their key (``_perm_rule``).  The last layer keeps only the
-    statistic states and steps no tracker.  ``check``, when given, is
-    called once per state; the histograms yielded before it raised stay
-    valid.  The arguments are checked at once, and the pass starts with
-    the first histogram asked for.
+    statistic states), where the places in the statistic states are
+    renamed with the set key by each child's move.  The last layer keeps
+    only the statistic states and steps no tracker.  ``check``, when
+    given, is called once per state; the histograms yielded before it
+    raised stay valid.  The arguments are checked at once, and the pass
+    starts with the first histogram asked for.
     """
     if not stats:
         raise ValueError("joint_histograms needs at least one statistic")
@@ -617,39 +604,38 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
 
 
 def _joint_histograms(kind, p, n_max, stats, check):
-    raises, rules, rule = _SETS[kind]
+    rules, rule, rename = _SETS[kind]
     start, children = rule(p)
-    starts, steps, values = zip(*(rules[s][:3] for s in stats))
+    starts, steps = zip(*(rules[s] for s in stats))
+    renamed = {}    # many keys step to one (states, move) pair
 
-    def stepped(st, c, last):
-        r = raises(c, last)
-        return tuple([f(x, c, last, r) for f, x in zip(steps, st)])
+    def stepped(st, x, last):
+        return tuple([f(s, x, last) for f, s in zip(steps, st)])
 
-    if kind == "perm-avoiders":
-        relabels = [rules[s][3] for s in stats]
+    def moved(st, move):
+        return tuple([s if type(s) is int else
+                      (s[0], *[rename(y, move) for y in s[1:]]) for s in st])
 
-        def grown(key):
-            set_key, st = key
-            last = set_key[1]
-            for c, (child, groups) in children(set_key):
-                yield c, (child, tuple([f(x, groups) for f, x in
-                                        zip(relabels, stepped(st, c, last))]))
-    else:
-        def grown(key):
-            set_key, st = key
-            last = set_key[1]
-            for c, child in children(set_key):
-                yield c, (child, stepped(st, c, last))
+    def grown(key):
+        set_key, st = key
+        last = set_key[1]
+        for x, child, move in children(set_key):
+            st_child = stepped(st, x, last)
+            if move is not None:
+                k = st_child, move
+                st_child = renamed.get(k) or renamed.setdefault(k, moved(*k))
+            yield x, (child, st_child), move
 
     def leaves(key):
         set_key, st = key
         last = set_key[1]
-        for c, _ in children(set_key, False):
-            yield (stepped(st, c, last),), 1
+        for x, _, _ in children(set_key, False):
+            yield (stepped(st, x, last),), 1
 
     yield from _freeing(
         _histograms(_layers(grown, (start, starts), n_max, check, leaves),
-                    lambda st: tuple(v(s) for v, s in zip(values, st))),
+                    lambda st: tuple([s if type(s) is int else s[0]
+                                      for s in st])),
         start[0])
 
 

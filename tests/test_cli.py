@@ -123,10 +123,11 @@ class TestCount:
         assert {n: rows[n] for n in want} == want
 
     def test_modified_budget_counts_every_sequence(self, capsys):
-        # the modified count is one layered pass to n=14, about 1 s of
-        # states for 1102; the budget must stop it inside that pass
+        # the modified count is one layered pass, about 0.08 s to n=14
+        # and 0.9 s to n=18 for 1102 (2 cores, CPython 3.11); the budget
+        # must stop it inside that pass
         code, out, _ = run_cli(capsys, "count", "--pattern", "1102",
-                               "--modified", "--n", "14",
+                               "--modified", "--n", "18",
                                "--budget-seconds", "0.1", "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]
@@ -245,12 +246,13 @@ class TestDist:
         assert code == EXIT_USAGE and "statistic" in err
 
     def test_budget_stops_the_layered_pass(self, capsys):
-        # the (asc, rlmin) pass over 021-avoiders takes about 0.15 s to
-        # length 16 and 5 s to length 22; the budget is checked once per
-        # state, so it stops the pass inside a layer
+        # the (asc, rlmin) pass over 021-avoiders takes about 0.09 s to
+        # length 22, 0.65 s to length 34 and 1.5 s to length 40 (2 cores,
+        # CPython 3.11); the budget is checked once per state, so it
+        # stops the pass inside a layer
         start = time.monotonic()
         code, out, _ = run_cli(capsys, "dist", "--pattern", "021",
-                               "--n", "1..22", "--stats", "asc,rlmin",
+                               "--n", "1..40", "--stats", "asc,rlmin",
                                "--budget-seconds", "0.2", "--format", "jsonl")
         assert code == EXIT_BUDGET
         assert json.loads(out.splitlines()[-1])["status"]["complete"] is False
@@ -541,12 +543,13 @@ class TestConjecturesCmd:
 
     @pytest.mark.parametrize("name", ["0012", "bi-021"])
     def test_budget_counts_every_word(self, capsys, name):
-        # one layered pass to length 22 takes about 2.6 s for 0012 and
-        # 2.7 s for bi-021 (1.6 s and 0.9 s to length 20; 2 cores,
-        # CPython 3.11); the budget must be able to stop it inside the
+        # the 0012 check takes about 3.5 s to length 24, and the bi-021
+        # check 0.5 s to length 24 and 5.9 s to length 40 (2 cores,
+        # CPython 3.11); the budget must be able to stop each inside its
         # pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", name,
-                               "--n", "24", "--budget-seconds", "1",
+                               "--n", {"0012": "24", "bi-021": "40"}[name],
+                               "--budget-seconds", "1",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]

@@ -819,6 +819,34 @@ class TestJointHistograms:
         assert digest.hexdigest() == ("92d6a0f8be215f32469b752fac8b69b7"
                                       "9bcf6a7b60561aedbfba5ab43b49026d")
 
+    def test_avoider_histograms_are_pinned(self):
+        # sha256 of the avoider histograms to length 8 of every pattern of
+        # length <= 4, each statistic alone and beside asc, recorded while
+        # the avoider histograms kept every raw letter
+        names = sorted(STATISTICS)
+        groups = [(s,) for s in names] + [("asc", s) for s in names
+                                          if s != "asc"]
+        digest = hashlib.sha256()
+        for label in all_patterns(4):
+            for stats in groups:
+                for n, hist in joint_histograms(("avoiders", pat(label)), 8,
+                                                *stats):
+                    digest.update(repr((label, stats, n,
+                                        sorted(hist.items()))).encode())
+        assert digest.hexdigest() == ("d77f200a5e505a6fd2d7a586a60f7689"
+                                      "92adb2d8d2b3944f9527a6649233174e")
+
+    def test_avoider_layers_are_keyed_by_live_letters(self, monkeypatch):
+        # with every raw letter in the key, layer 12 kept 18142 (asc, des)
+        # keys for 000, 1287 for 0101 and 617 (asc, rlmin) keys for 021
+        layers = _spied_layers(monkeypatch)
+        for label, stats, at_12 in (("000", ("asc", "des"), 964),
+                                    ("0101", ("asc", "des"), 137),
+                                    ("021", ("asc", "rlmin"), 182)):
+            for _ in joint_histograms(("avoiders", pat(label)), 13, *stats):
+                pass
+            assert len(layers[12]) <= at_12, (label, len(layers[12]))
+
     def test_permutation_layers_are_keyed_by_live_gaps(self, monkeypatch):
         # 132-avoiders kept 640 and 8960 (asc, rlmin) keys at layers 8 and
         # 11, and 320 and 3328 (asc, rlmax) keys, when every dead gap and

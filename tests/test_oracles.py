@@ -1,6 +1,7 @@
 """Closed forms, Wilf classification, growth roots, conjecture runners."""
 
 import random
+import time
 from collections import Counter
 from itertools import product
 from math import comb
@@ -225,11 +226,20 @@ class TestWilf:
         pats = all_patterns(4)
         assert len(pats) == 92
         assert pats[0] == "0" and "0123" in pats and "2102" in pats
+        assert len(all_patterns(5)) == 633
 
     @pytest.mark.parametrize("bad", [2.5, "3", True])
     def test_all_patterns_refuses_a_length_that_is_not_an_int(self, bad):
         with pytest.raises(ValueError, match="must be ints"):
             all_patterns(bad)
+
+    @pytest.mark.parametrize("too_long", [8, 10**6])
+    def test_all_patterns_refuses_a_length_it_cannot_finish(self, too_long):
+        # length m scans all m^m words: 8^8 is 1.7e7, 12^12 about 9e12
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="above 7"):
+            all_patterns(too_long)
+        assert time.monotonic() - start < 0.1
 
     def test_full_length4_classification_needs_depth_10(self):
         # at depth 9 three extra pairs coincide; at depth 10 exactly the

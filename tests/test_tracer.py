@@ -31,6 +31,9 @@ def test_trace_patches_and_counts(capsys):
         assert cli.main(["dist", "--pattern", "101", "--n", "7",
                          "--stats", "asc"]) == 0
         assert cli.main(["conjectures", "--name", "bi-021", "--n", "6"]) == 0
+        # the layered passes grow live keys and ask no forbid; the walk
+        # that lists avoiders (cli.avoiders) still does
+        assert cli.main(["list", "--pattern", "101", "--n", "5"]) == 0
     finally:
         tracer.uninstall()
     assert (cli.run_conjecture, cli.Budget.check,
