@@ -62,11 +62,16 @@ def rgf_encode(sp) -> Word:
 
 def rgf_decode(w) -> SetPartition:
     """Rebuild the set partition encoded by a restricted growth string."""
-    w = check_rgf(w)
+    return _blocks(check_rgf(w))
+
+
+def _blocks(w: Word) -> SetPartition:
+    """The set partition of a valid restricted growth string w: element
+    i + 1 joins block w[i]."""
     blocks: list[list[int]] = [[] for _ in range(max(w) + 1)]
-    for i, k in enumerate(w):
-        blocks[k].append(i + 1)
-    return tuple(tuple(b) for b in blocks)
+    for i, k in enumerate(w, 1):
+        blocks[k].append(i)
+    return tuple(map(tuple, blocks))
 
 
 def is_noncrossing(sp) -> bool:

@@ -448,20 +448,12 @@ def count_occurrences(w: Sequence[int], p: Sequence[int]) -> int:
     p = normalize_pattern(p)
     w = _checked_word(w)
     k = len(p)
-    # per position: its letter, whether an earlier position has it, and
-    # the slots of the nearest earlier letters below and above it; slots
-    # -2 and -1 hold the sentinels -1 and inf
-    rows = []
-    for j, v in enumerate(p):
-        before = p[:j]
-        rows.append((v, v in before,
-                     max((u for u in before if u < v), default=-2),
-                     min((u for u in before if u > v), default=-1)))
+    plan = _plan(p)     # the search's rows; a count cuts nothing
     ways = {(0, (None,) * (max(p) + 1) + (-1, inf)): 1}
     found = 0
     for x in w:
         for (j, val), n in list(ways.items()):
-            v, seen, lo, hi = rows[j]
+            v, seen, lo, hi, _ = plan[j]
             if seen:
                 if val[v] != x:
                     continue

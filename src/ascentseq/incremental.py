@@ -28,7 +28,9 @@ book, one per tracker, interns every embedding to a small id and keeps
 each embedding's and each state's move on a letter once computed, and
 ``ids`` is the bitmask of the prefix's embeddings.  States share a
 mutable book: they compare equal only within one tracker, and one
-tracker should not be shared between threads.
+tracker should not be shared between threads.  The book keeps each
+state's moves as ``(ids, dead)`` pairs and refers to no state, so a
+tracker that nothing holds is freed by reference counting.
 
 Three more moves rename letters, through one loop (``_Book.rename``).
 ``delete_dead`` deletes dead letters, as avoider counts do up to a bound,
@@ -97,9 +99,9 @@ def count_allowed(s, top: int) -> int:
 # state costs one table lookup per embedding, however many prefixes share
 # it.  ids is the bitmask of the prefix's embeddings, so within one book
 # equal embedding sets are equal masks.  The book also keeps each state's
-# reduced move on a letter, so a step that many prefixes share is one
-# dict lookup.  step and open_gap read the book from the state, so a
-# state can be stepped by any tracker of its pattern.
+# reduced move on a letter, as the pair (ids, dead), so a step that many
+# prefixes share is one dict lookup.  step and open_gap read the book from
+# the state, so a state can be stepped by any tracker of its pattern.
 
 
 class _Book:
@@ -120,13 +122,14 @@ class _Book:
                      the ids whose embeddings cover embedding i, filled
                      as each embedding is interned
         steps[(ids, dead, c)]
-                     the reduced state that state (ids, dead) steps to on
-                     letter c
+                     the reduced pair (ids, dead) that state (ids, dead)
+                     steps to on letter c
         deleted[(ids, dead, mask)]
-                     the state (ids, dead) with the dead letters of mask
-                     deleted
+                     the pair of state (ids, dead) with the dead letters
+                     of mask deleted
         merged[(ids, dead, top)]
-                     merge_live of the state (ids, dead) with gaps 0..top
+                     (pair, groups): merge_live of the state (ids, dead)
+                     with gaps 0..top
     """
 
     __slots__ = ("p", "plan", "tails", "index", "embeddings",
@@ -305,8 +308,8 @@ class _Book:
         return out
 
     def delete(self, ids: int, dead: int, mask: int):
-        """The state (self, ids, dead) with the dead letters of mask
-        deleted, the highest first, so each is still at its place."""
+        """The pair (ids, dead) with the dead letters of mask deleted,
+        the highest first, so each is still at its place."""
         while mask:
             x = mask.bit_length() - 1
             mask ^= 1 << x
@@ -315,7 +318,7 @@ class _Book:
         return self.reduced(ids, dead)
 
     def reduced(self, ids: int, dead: int):
-        """The state (self, ids, dead) reduced: dropped are the embeddings
+        """The pair (ids, dead) reduced: dropped are the embeddings
         that can only kill letters some other part of the state kills
         anyway,
 
@@ -344,10 +347,10 @@ class _Book:
             rest ^= low
             if dominators[low.bit_length() - 1] & live:
                 kept ^= low
-        return (self, kept, dead)
+        return kept, dead
 
     def step(self, ids: int, dead: int, c: int):
-        """The state (self, ids, dead) grown by the letter c, reduced."""
+        """The pair (ids, dead) grown by the letter c, reduced."""
         rows, penult = self.rows, self.penult
         grown, old_dead = ids, dead
         rest = ids | self.root
@@ -365,7 +368,7 @@ class _Book:
         if dead == old_dead:
             dead = old_dead     # share an unchanged mask along a walk's stack
             if grown == ids:
-                return (self, ids, dead)
+                return ids, dead
         return self.reduced(grown, dead)
 
 
@@ -375,7 +378,8 @@ def _canonical_step(s, c):
     t = book.steps.get(key)
     if t is None:
         t = book.steps[key] = book.step(ids, dead, c)
-    return t
+    ids, dead = t
+    return book, ids, dead
 
 
 # --- the canonical state of a modified word ----------------------------------
@@ -406,7 +410,8 @@ def delete_dead(s, mask: int):
     t = book.deleted.get(key)
     if t is None:
         t = book.deleted[key] = book.delete(ids, dead, mask)
-    return t
+    ids, dead = t
+    return book, ids, dead
 
 
 def merge_live(s, top: int):
@@ -433,18 +438,8 @@ def merge_live(s, top: int):
         t = book.merged[key] = (
             book.reduced(book.moved(ids, book.merges, book.move_merge,
                                     groups), 0), groups)
-    return t
-
-
-def forget(s) -> None:
-    """Empty the step, deletion and merge memos of canonical state s's
-    book.  The states they keep refer back to the book, so until then a
-    book that nothing else holds waits for the cyclic garbage
-    collector."""
-    book = s[0]
-    book.steps.clear()
-    book.deleted.clear()
-    book.merged.clear()
+    (ids, dead), groups = t
+    return (book, ids, dead), groups
 
 
 # read by perfbench/tracer.py; goes with ROADMAP item 1's tracer change

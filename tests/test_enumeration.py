@@ -142,9 +142,10 @@ class TestAvoiders:
     ], ids=["avoider-histograms", "perm-histograms", "modified-histograms",
             "modified_asc_counts", "avoiders", "perm_avoiders"])
     def test_every_pass_leaves_no_cycles(self, drain):
-        # each empties its tracker's memos when it ends or is dropped;
-        # the first three, the fourth and the fifth left 2386, 908 and
-        # 2386 objects to the cyclic collector when they did not
+        # each frees its tracker by reference counting alone when it
+        # ends or is dropped; while the book's memos kept states, which
+        # refer back to the book, the first three, the fourth and the
+        # fifth left 2386, 908 and 2386 objects to the cyclic collector
         gc.collect()
         gc.disable()
         try:
@@ -156,6 +157,35 @@ class TestAvoiders:
             next(items)
             del items
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_direct_tracker_use_leaves_no_cycles(self):
+        # a tracker driven through its public moves is freed with its
+        # states by reference counting alone: the book keeps its moves
+        # as (ids, dead) pairs, not states that refer back to it
+        def word():
+            tr = make_tracker(pat("101"), None)
+            s = tr.state
+            for c in (0, 1, 0, 2, 1):
+                s = tr.step(s, c)
+            delete_dead(s, s[-1] & 0b111)
+
+        def permutation():
+            tr = make_tracker(pat("021"), None)
+            s, groups = merge_live(tr.state, 0)
+            for r in (0, 1, 0, 2, 1):
+                a = groups[-1] - 1
+                c = min(r, a + 1)
+                s, groups = merge_live(
+                    tr.step(open_gap(s, 2 * c), 2 * c + 1), a + 2)
+
+        gc.collect()
+        gc.disable()
+        try:
+            for use in (word, permutation):
+                use()
+                assert gc.collect() == 0, use.__name__
         finally:
             gc.enable()
 
@@ -937,6 +967,16 @@ class TestModified:
             p = pat(label)
             for n, hist in modified_asc_counts(p, 9):
                 assert hist == self.enumerated(p, n), (label, n)
+
+    def test_dp_matches_joint_histograms(self):
+        # the two layered readers of the modified sets agree past the
+        # lengths that the listing checks
+        for label in all_patterns(4):
+            p = pat(label)
+            joint = joint_histograms(("modified-avoiders", p), 9, "asc")
+            assert dict(modified_asc_counts(p, 9)) == {
+                n: {a: ways for (a,), ways in hist.items()}
+                for n, hist in joint}, label
 
     def test_bell_and_reversed_stirling_through_10(self):
         for label in MODIFIED_PATTERNS:
