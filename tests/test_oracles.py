@@ -9,10 +9,10 @@ from math import comb
 import pytest
 
 from ascentseq import oracles
-from ascentseq.bijections import is_noncrossing
+from ascentseq.bijections import LiftedBinaryDecomposition, is_noncrossing
 from ascentseq.core import as_word
-from ascentseq.enumeration import (CountSeries, count_avoiders,
-                                   generate_set_partitions)
+from ascentseq.enumeration import (CountSeries, count_ascent_sequences,
+                                   count_avoiders, generate_set_partitions)
 from ascentseq.fixtures import available_depth, expected_counts, table_patterns
 from ascentseq.oracles import (all_patterns, bell, binomial_transform_catalan,
                                catalan, dyck_height5_count,
@@ -67,6 +67,21 @@ class TestClosedForms:
     ])
     def test_arguments_that_are_not_ints_are_refused(self, f, args, before):
         with pytest.raises(ValueError, match="must be ints") as info:
+            f(*args)
+        assert len(str(info.value)) < 100
+
+    # each call was still running at a 3 s alarm before these limits
+    @pytest.mark.parametrize("f,args", [
+        (catalan, (10**7,)),
+        (dyck_height5_count, (10**7,)),
+        (binomial_transform_catalan, (10**4,)),
+        (bell, (10**4,)),
+        (non_k_crossing_partition_count, (400, 3)),
+        (non_k_crossing_partition_count, (60, 31)),
+        (count_ascent_sequences, (1000,)),
+    ])
+    def test_oversized_arguments_are_refused(self, f, args):
+        with pytest.raises(ValueError, match="supported") as info:
             f(*args)
         assert len(str(info.value)) < 100
 
@@ -310,6 +325,27 @@ class TestWilf:
             report.series["011"]
         assert len(report.series) == 2
         assert "000" in report.series and "011" not in report.series
+
+
+@pytest.mark.parametrize("record,fields,text", [
+    (CountSeries("01", {1: 1}), ("label", "values"),
+     "CountSeries(label='01', values={1: 1})"),
+    (oracles.WilfReport(2, [["01"]], {}, {}),
+     ("n_max", "classes", "series", "separations"),
+     "WilfReport(n_max=2, classes=[['01']], series={}, separations={})"),
+    (oracles.ConjectureVerdict(4, False, "planted"),
+     ("n", "holds", "witness"),
+     "ConjectureVerdict(n=4, holds=False, witness='planted')"),
+    (oracles.ConjectureResult("210", 1, [oracles.ConjectureVerdict(1, True)]),
+     ("conjecture", "n_max", "verdicts"),
+     "ConjectureResult(conjecture='210', n_max=1, "
+     "verdicts=[ConjectureVerdict(n=1, holds=True, witness=None)])"),
+    (LiftedBinaryDecomposition((0, 1), [(0, (0, 1))]), ("head", "blocks"),
+     "LiftedBinaryDecomposition(head=(0, 1), blocks=[(0, (0, 1))])"),
+])
+def test_records_keep_their_fields_and_repr(record, fields, text):
+    assert record._fields == fields
+    assert repr(record) == text
 
 
 class TestGrowth:
