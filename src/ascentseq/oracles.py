@@ -175,7 +175,7 @@ def non_k_crossing_partition_count(n: int, k: int) -> int:
     Stanley & Yan 2007, "Crossings and nestings of matchings and
     partitions"), so the count is the number of such walks whose shapes
     keep fewer than k rows.  Walks are counted layer by layer, merging
-    equal shapes.
+    equal shapes and dropping those too big to get back to empty.
     """
     _check_ints(n, k)
     if n < 1 or k < 2:
@@ -188,7 +188,7 @@ def non_k_crossing_partition_count(n: int, k: int) -> int:
             or n * rows * _shape_count(n // 2, rows) > _MAX_TABLEAU_WORK):
         raise ValueError("n and k are past the supported size of the walk")
     layer = Counter({(): 1})
-    for _ in range(n):
+    for left in range(n - 1, -1, -1):
         shrunk: Counter = Counter()
         for shape, ways in layer.items():
             shrunk[shape] += ways
@@ -196,9 +196,16 @@ def non_k_crossing_partition_count(n: int, k: int) -> int:
                 if i + 1 == len(shape) or shape[i + 1] < r:
                     row = (r - 1,) if r > 1 else ()
                     shrunk[shape[:i] + row + shape[i + 1:]] += ways
+        # a step removes at most one square, so a shape with more squares
+        # than steps left never gets back to the empty shape
         layer = Counter()
         for shape, ways in shrunk.items():
+            squares = sum(shape)
+            if squares > left:
+                continue
             layer[shape] += ways
+            if squares == left:
+                continue
             for i in range(min(len(shape) + 1, k - 1)):
                 r = shape[i] if i < len(shape) else 0
                 if i == 0 or shape[i - 1] > r:

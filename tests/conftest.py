@@ -49,6 +49,24 @@ def naive_ascent_sequences(n):
     return out
 
 
+def naive_is_noncrossing(sp):
+    """No a < b < c < d with a, c in one block and b, d in another,
+    checked literally over every pair of blocks."""
+    for i, b1 in enumerate(sp):
+        for b2 in sp[i + 1:]:
+            for a in b1:
+                for c in b1:
+                    if c <= a:
+                        continue
+                    for b in b2:
+                        if not a < b < c:
+                            continue
+                        for d in b2:
+                            if d > c:
+                                return False
+    return True
+
+
 def pat(text):
     return tuple(int(ch) for ch in text)
 

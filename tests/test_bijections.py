@@ -1,6 +1,8 @@
 """Worked examples and exhaustive round trips for every map."""
 
-from itertools import product
+import json
+import time
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,15 @@ from ascentseq.bijections import (BIJECTIONS, is_noncrossing,
                                   seq021_to_restricted, seq101_to_perm312,
                                   seq102_to_ternary, standardize_partition,
                                   ternary_to_seq102, unmodify)
-from ascentseq.core import as_word, asc, contains, des, is_restricted
+from ascentseq.cli import EXIT_OK, EXIT_USAGE, main
+from ascentseq.core import (as_word, asc, check_ascent_sequence,
+                            check_letters, contains, des, is_ascent_sequence,
+                            is_restricted, perm_contains, word_str)
 from ascentseq.enumeration import (avoiders, generate_ascent_sequences,
                                    generate_restricted,
                                    generate_set_partitions, perm_avoiders)
 
-from conftest import pat
+from conftest import naive_is_noncrossing, pat
 
 TERNARY_EXAMPLE = as_word("2100121022210020122")
 SEQ102_EXAMPLE = (0, 1, 2, 2, 2, 3, 4, 5, 5, 6, 7, 6, 7, 6, 6, 5, 5, 6, 3, 0)
@@ -66,6 +71,11 @@ class TestNoncrossing:
         assert not is_noncrossing(((1, 3, 5), (2, 4)))
         assert not is_noncrossing(((1, 5), (2, 3, 4, 6)))
         assert is_noncrossing(((1, 6), (2, 3), (4, 5)))
+
+    def test_stack_pass_against_the_literal_check(self):
+        for n in range(1, 10):
+            for sp in generate_set_partitions(n):
+                assert is_noncrossing(sp) == naive_is_noncrossing(sp), sp
 
 
 class Test101To312:
@@ -318,7 +328,8 @@ class TestComposedPipeline:
 
 
 # ---------------------------------------------------------------------------
-# round trips on random inputs up to length 300
+# round trips on random inputs up to length 300 (2000 against the
+# quadratic maps below)
 #
 # The strategies build their inputs from the definitions alone, letter by
 # letter, so they share no code with the maps or the enumerators.  Each
@@ -328,16 +339,16 @@ class TestComposedPipeline:
 
 
 @st.composite
-def choices(draw):
-    n = draw(st.integers(1, 300))
+def choices(draw, max_len=300):
+    n = draw(st.integers(1, max_len))
     return draw(st.lists(st.integers(0, 10**6), min_size=n - 1,
                          max_size=n - 1))
 
 
 @st.composite
-def ascent_sequences(draw, restricted=False):
+def ascent_sequences(draw, restricted=False, max_len=300):
     x, a, m = [0], 0, 0
-    for ch in draw(choices()):
+    for ch in draw(choices(max_len)):
         lo = max(0, m - 1) if restricted else 0
         c = lo + ch % (a + 2 - lo)
         a += c > x[-1]
@@ -423,6 +434,182 @@ class TestRandomRoundTrips:
                 runs[-1].append(cur)
         assert set(perm231_to_ncpartition(y)) == {tuple(sorted(r))
                                                   for r in runs}
+
+
+# ---------------------------------------------------------------------------
+# the quadratic maps that phi, modify and unmodify replaced, copied
+# verbatim (renamed) as oracles for the index pieces and value classes
+
+
+def quadratic_split(y):
+    """(top, i, reduced R) for a restricted y, scanned, not validated:
+    top is its rightmost maximal position, i the end of the run of equal
+    letters there, and R = y[i+1:] less its first letter."""
+    top = a = 0
+    for j in range(1, len(y)):
+        if y[j] == a + 1:
+            top = j
+        if y[j] > y[j - 1]:
+            a += 1
+    i = top
+    while i + 1 < len(y) and y[i + 1] == y[top]:
+        i += 1
+    right = y[i + 1:]
+    if right:
+        right = tuple(letter - right[0] for letter in right)
+    return top, i, right
+
+
+def quadratic_omega(x):
+    """Emit the permutation of 1..len(x) for a restricted sequence x.
+
+    Each piece y of x is written into the interval [lo, lo + len(y) - 1]
+    of values, starting at output position off: the head value goes
+    first, then the piece left of the split, then the renormalized piece
+    right of it.  An explicit stack keeps long inputs off the call stack.
+    """
+    out = [0] * len(x)
+    stack = [(x, 1, 0)]
+    while stack:
+        y, lo, off = stack.pop()
+        if not y:
+            continue
+        top, i, right = quadratic_split(y)
+        left = y[:i]
+        ell = len(left)
+        if i > top:     # the rightmost maximal letter is repeated
+            out[off] = lo
+            stack.append((left, lo + 1, off + 1))
+        else:
+            out[off] = lo + ell
+            stack.append((left, lo, off + 1))
+        stack.append((right, lo + ell + 1, off + 1 + ell))
+    return out
+
+
+def quadratic_modify(x):
+    """Ascent-by-ascent increment transform of an ascent sequence.
+
+    Walking the ascents of x left to right, every letter strictly left of
+    the ascent top whose current value is at least the top's value gains
+    one; 010221212 becomes 010331212 and then 010441312.  The positions
+    of the ascents never change along the way.
+    """
+    x = check_ascent_sequence(x)
+    w = list(x)
+    tops = [j + 1 for j in range(len(x) - 1) if x[j] < x[j + 1]]
+    for j in tops:
+        v = w[j]
+        for i in range(j):
+            if w[i] >= v:
+                w[i] += 1
+    return tuple(w)
+
+
+def quadratic_unmodify(w):
+    """Inverse of modify; rejects words outside its image.
+
+    Undoes the increments ascent by ascent from right to left (the ascent
+    positions survive the transform, so they can be read off w itself),
+    then verifies the round trip.
+    """
+    w = check_letters(w)
+    cur = list(w)
+    tops = [j + 1 for j in range(len(w) - 1) if w[j] < w[j + 1]]
+    for j in reversed(tops):
+        v = cur[j]
+        for i in range(j):
+            if cur[i] > v:
+                cur[i] -= 1
+    x = tuple(cur)
+    if not is_ascent_sequence(x) or quadratic_modify(x) != w:
+        raise ValueError(f"not a modified ascent sequence: {word_str(w)}")
+    return x
+
+
+def outcome(f, w):
+    try:
+        return f(w)
+    except ValueError:
+        return ValueError
+
+
+class TestAgainstQuadraticMaps:
+    def test_every_short_sequence(self):
+        for n in range(1, 10):
+            for x in generate_ascent_sequences(n):
+                w = modify(x)
+                assert w == quadratic_modify(x), x
+                assert unmodify(w) == quadratic_unmodify(w) == x
+                if is_restricted(x):
+                    assert phi(x) == tuple(quadratic_omega(x)), x
+
+    def test_unmodify_on_every_small_word(self):
+        for n in range(8):
+            for w in product(range(5), repeat=n):
+                assert outcome(unmodify, w) == \
+                    outcome(quadratic_unmodify, w), w
+
+    @pytest.mark.parametrize("w", [(0, 10**18), (0, -1)])
+    def test_unmodify_of_far_letters(self, w):
+        # distinct values are ranked, never used as indices
+        assert outcome(quadratic_unmodify, w) is ValueError
+        with pytest.raises(ValueError, match="not a modified"):
+            unmodify(w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ascent_sequences(max_len=2000))
+    def test_long_random_modify(self, x):
+        w = modify(x)
+        assert w == quadratic_modify(x)
+        assert unmodify(w) == quadratic_unmodify(w) == x
+
+    @settings(max_examples=30, deadline=None)
+    @given(ascent_sequences(restricted=True, max_len=2000))
+    def test_long_random_phi(self, x):
+        assert phi(x) == tuple(quadratic_omega(x))
+
+    def test_231_stack_check_against_the_search(self):
+        for n in range(1, 9):
+            for pi in permutations(range(1, n + 1)):
+                refused = outcome(perm231_to_ncpartition, pi) is ValueError
+                assert refused == perm_contains(pi, (1, 2, 0)), pi
+
+
+N = 10**5
+CLI_DIGITS = 130000     # about the 128 KiB limit on one argument
+
+
+class TestLongInputs:
+    """Inputs on which the quadratic maps ran for seconds to minutes."""
+
+    @pytest.mark.parametrize("f, x, expected", [
+        (phi, (0,) * N, tuple(range(1, N + 1))),
+        (modify, (0, 1) * (N // 2),
+         tuple(v for k in range(N // 2, 0, -1) for v in (0, k))),
+        (unmodify, (0,) + (1, 0) * (N // 2), ValueError),
+        (perm231_to_ncpartition, tuple(range(1, N + 1)),
+         tuple((v,) for v in range(1, N + 1))),
+    ], ids=["phi", "modify", "unmodify", "perm231_to_ncpartition"])
+    def test_baseline_inputs(self, f, x, expected):
+        t0 = time.perf_counter()
+        assert outcome(f, x) == expected
+        assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("name, text, code", [
+        ("phi", "0" * CLI_DIGITS, EXIT_OK),
+        ("modify", "01" * (CLI_DIGITS // 2), EXIT_OK),
+        ("unmodify", "0" + "10" * (CLI_DIGITS // 2), EXIT_USAGE),
+    ], ids=["phi", "modify", "unmodify"])
+    def test_cli_at_the_argument_limit(self, capsys, name, text, code):
+        t0 = time.perf_counter()
+        assert main(["bijection", "--name", name, "--input", text,
+                     "--format", "jsonl"]) == code
+        assert time.perf_counter() - t0 < 5.0
+        out = capsys.readouterr().out
+        if code == EXIT_OK:
+            row = json.loads(out.splitlines()[1])
+            assert len(row["output"].split(",")) == len(text)
 
 
 @pytest.mark.parametrize("bad", ["01", (0, None), ((1,), "a"), (0, 1.5)])

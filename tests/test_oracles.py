@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from ascentseq import oracles
-from ascentseq.bijections import LiftedBinaryDecomposition, is_noncrossing
+from ascentseq.bijections import LiftedBinaryDecomposition
 from ascentseq.core import as_word
 from ascentseq.enumeration import (CountSeries, count_ascent_sequences,
                                    count_avoiders, generate_set_partitions)
@@ -20,6 +20,8 @@ from ascentseq.oracles import (all_patterns, bell, binomial_transform_catalan,
                                narayana, non_k_crossing_partition_count,
                                run_conjecture, stirling2,
                                ternary_even_twos_count, wilf_classify)
+
+from conftest import naive_is_noncrossing
 
 
 class TestClosedForms:
@@ -188,6 +190,12 @@ class TestNonKCrossing:
             assert non_k_crossing_partition_count(n, 3) == series.values[n], n
         assert series.values[14] == 96505490
 
+    def test_long_walks_against_closed_forms(self):
+        # shapes too big to get back to empty are dropped from the walk,
+        # so these take milliseconds; 2k > n makes every partition count
+        assert non_k_crossing_partition_count(33, 17) == bell(33)
+        assert non_k_crossing_partition_count(150, 2) == catalan(150)
+
     def test_base_cases(self):
         assert non_k_crossing_partition_count(4, 2) == 14
         assert all(non_k_crossing_partition_count(1, k) == 1
@@ -197,7 +205,7 @@ class TestNonKCrossing:
         for n in range(1, 9):
             arcwise = non_k_crossing_partition_count(n, 2)
             literal = sum(1 for sp in generate_set_partitions(n)
-                          if is_noncrossing(sp))
+                          if naive_is_noncrossing(sp))
             assert arcwise == literal == catalan(n)
 
     def test_non_3_crossing_prefix(self):
