@@ -8,13 +8,13 @@ are provided wherever the package needs to run a map in both directions.
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .core import (Word, check_ascent_sequence, check_letters,
+from .core import (Word, abridged, check_ascent_sequence, check_letters,
                    check_permutation, check_restricted, check_rgf, contains,
-                   is_ascent_sequence, is_restricted, perm_contains,
-                   word_str)
+                   is_ascent_sequence, is_restricted, perm_contains)
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -37,7 +37,8 @@ def standardize_partition(blocks) -> SetPartition:
     elements = [x for b in cleaned for x in b]
     n = len(elements)
     if sorted(elements) != list(range(1, n + 1)):
-        raise ValueError(f"blocks do not partition 1..{n}: {cleaned}")
+        raise ValueError(f"blocks do not partition 1..{n}: "
+                         f"{reprlib.repr(cleaned)}")
     return tuple(cleaned)
 
 
@@ -105,7 +106,7 @@ def seq101_to_perm312(x) -> tuple[int, ...]:
     """
     x = check_ascent_sequence(x)
     if contains(x, (1, 0, 1)):
-        raise ValueError(f"input contains 101: {word_str(x)}")
+        raise ValueError(f"input contains 101: {abridged(x)}")
     order = sorted(range(len(x)), key=lambda i: (x[i], -i))
     out = [0] * len(x)
     for rank, i in enumerate(order, 1):
@@ -122,7 +123,7 @@ def perm312_to_seq101(pi) -> Word:
     """
     pi = check_permutation(pi)
     if perm_contains(pi, (2, 0, 1)):
-        raise ValueError(f"input contains 312: {pi}")
+        raise ValueError(f"input contains 312: {abridged(pi)}")
     n = len(pi)
     out = [0] * n
     place = {v: i for i, v in enumerate(pi)}
@@ -169,7 +170,7 @@ def lifted_binary_decompose(x) -> LiftedBinaryDecomposition:
         if starts:
             base = x[starts[-1]]
             if x[t] > base + 1:
-                raise ValueError(f"input contains 102: {word_str(x)}")
+                raise ValueError(f"input contains 102: {abridged(x)}")
             if x[t] >= base:
                 continue
         starts.append(t)
@@ -217,10 +218,10 @@ def ternary_to_seq102(t) -> Word:
     """
     t = check_letters(t)
     if any(letter not in (0, 1, 2) for letter in t):
-        raise ValueError(f"not a ternary word: {word_str(t)}")
+        raise ValueError(f"not a ternary word: {abridged(t)}")
     twos = [i for i, letter in enumerate(t) if letter == 2]
     if len(twos) % 2:
-        raise ValueError(f"odd number of 2s: {word_str(t)}")
+        raise ValueError(f"odd number of 2s: {abridged(t)}")
     k = len(twos) // 2
     head_end = twos[k] if k else len(t)
     x = [0]
@@ -272,7 +273,7 @@ def seq021_to_restricted(x) -> Word:
     x = check_ascent_sequence(x)
     out = _swap_between_lrmaxima(x)
     if not is_restricted(out):
-        raise ValueError(f"input contains 021: {word_str(x)}")
+        raise ValueError(f"input contains 021: {abridged(x)}")
     return out
 
 
@@ -368,7 +369,7 @@ def perm231_to_ncpartition(pi) -> SetPartition:
     blocks, stack, popped = [], [], 0
     for v in pi:
         if v < popped:
-            raise ValueError(f"input contains 231: {pi}")
+            raise ValueError(f"input contains 231: {abridged(pi)}")
         if stack and stack[-1] > v:
             blocks[-1].append(v)
         else:
@@ -443,7 +444,8 @@ def unmodify(w) -> Word:
         x.append(below)
     x = tuple(x)
     if not is_ascent_sequence(x) or modify(x) != w:
-        raise ValueError(f"not a modified ascent sequence: {word_str(w)}")
+        raise ValueError(
+            f"not a modified ascent sequence: {abridged(w)}")
     return x
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 import time
 
@@ -62,7 +63,7 @@ def parse_n_range(text: str) -> tuple[int, int]:
     else:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad length range {text!r}")
+        raise ValueError(f"bad length range {reprlib.repr(text)}")
     _check_length(hi)                   # refuses lengths above MAX_LENGTH
     return lo, hi
 
@@ -84,19 +85,20 @@ def parse_seconds(text: str) -> float:
 def parse_cli_pattern(text: str) -> tuple[int, ...]:
     """Digit-string patterns only; non-normalized input is rejected."""
     if not text or not text.isdigit():
-        raise ValueError(f"pattern must be a nonempty digit string: {text!r}")
+        raise ValueError("pattern must be a nonempty digit string: "
+                         f"{reprlib.repr(text)}")
     p = as_word(text)
     if not is_pattern(p):
         suggestion = word_str(normalize_pattern(p))
         raise ValueError(
-            f"pattern {text!r} is not in normal form; its values must be "
-            f"0..k (did you mean {suggestion!r}?)")
+            f"pattern {reprlib.repr(text)} is not in normal form; its values "
+            f"must be 0..k (did you mean {reprlib.repr(suggestion)}?)")
     return p
 
 
 def parse_word(text: str) -> tuple[int, ...]:
     if not text.isdigit() and text != "":
-        raise ValueError(f"expected a digit string, got {text!r}")
+        raise ValueError(f"expected a digit string, got {reprlib.repr(text)}")
     return as_word(text)
 
 
@@ -104,7 +106,7 @@ def parse_partition(text: str):
     blocks = []
     for part in text.split("-"):
         if not part.isdigit():
-            raise ValueError(f"bad partition block {part!r}")
+            raise ValueError(f"bad partition block {reprlib.repr(part)}")
         blocks.append(as_word(part))
     return standardize_partition(blocks)
 

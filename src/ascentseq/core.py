@@ -69,6 +69,13 @@ def word_str(w: Sequence[int]) -> str:
     return "".join(str(x) for x in w)
 
 
+def abridged(w: Sequence[int]) -> str:
+    """``word_str`` of w cut after 40 letters, for error messages."""
+    if len(w) <= 40:
+        return word_str(w)
+    return f"{word_str(w[:40])}... ({len(w)} letters)"
+
+
 # ---------------------------------------------------------------------------
 # ascent / descent counts and membership tests
 #
@@ -113,7 +120,7 @@ def _ascent_sequence(w: Word) -> bool:
 def check_ascent_sequence(w: Sequence[int]) -> Word:
     w = check_letters(w)
     if not _ascent_sequence(w):
-        raise ValueError(f"not an ascent sequence: {word_str(w)}")
+        raise ValueError(f"not an ascent sequence: {abridged(w)}")
     return w
 
 
@@ -137,7 +144,8 @@ def _restricted(w: Word) -> bool:
 def check_restricted(w: Sequence[int]) -> Word:
     w = check_letters(w)
     if not _restricted(w):
-        raise ValueError(f"not a restricted ascent sequence: {word_str(w)}")
+        raise ValueError(
+            f"not a restricted ascent sequence: {abridged(w)}")
     return w
 
 
@@ -167,7 +175,7 @@ def _rgf(w: Word) -> bool:
 def check_rgf(w: Sequence[int]) -> Word:
     w = check_letters(w)
     if not _rgf(w):
-        raise ValueError(f"not a restricted growth string: {word_str(w)}")
+        raise ValueError(f"not a restricted growth string: {abridged(w)}")
     return w
 
 
@@ -487,7 +495,8 @@ def _permutation(entries: Word) -> bool:
 def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
     entries = check_letters(entries)
     if not _permutation(entries):
-        raise ValueError(f"not a permutation of 1..n: {entries}")
+        raise ValueError(
+            f"not a permutation of 1..n: {abridged(entries)}")
     return entries
 
 

@@ -10,24 +10,25 @@ because containment is monotone under appending letters.
 
 Counting lists no words: ``_layers`` runs a rule as a layered
 transfer-matrix count, where prefixes with equal keys have equal futures
-and are merged into one weighted key, with one budget check per key.
-A count of avoiders is read off the layer before its length, and a
-layer is built only when the next count is asked for, so a caller that
-stops taking counts stops the work.  The layered rules key the
-canonical tracker state in places: letter c is place 2c + 1 and place
-2c is the gap just below it.  Each rule yields, per child, the place of
-the new letter and the move that renamed the key's places on the way,
-or None.  Avoiders are keyed by live letters: every dead letter up to
-the bound a + 1 is deleted (``incremental.delete_dead``), so prefixes
+and are merged into one weighted key, with one budget check per key,
+and grows each distinct key once per count.  A count of avoiders is read
+off the layer before its length, and a layer is built only when the
+next count is asked for, so a caller that stops taking counts stops the
+work.  A layered key is the flat tuple ``(ids, last, dead, a)``: the
+canonical tracker state (ids, dead) in the book that the rule holds,
+the last letter, and the bound a + 1 on the next letter.  Each rule
+yields, per child, the place of the new letter (letter c is place
+2c + 1, and place 2c is the gap just below it) and the move that
+renamed the key's places on the way, or None.  Avoiders are keyed by
+live letters: every dead letter up to a + 1 is deleted, so prefixes
 that differ only in where their dead letters sit merge.  Modified ascent
 sequences append c to the modified word after a raise when c is an
-ascent top, which opens gap 2c into a new value
-(``incremental.open_gap``).  Permutations insert their last entry into
-gap 2c, and are keyed by live gaps: every dead gap is deleted and the
-values between two live gaps are merged (``incremental.merge_live``).
-Joint statistic histograms run the same rules with a small prefix state
-per statistic in the key, whose places each set's one rename moves with
-the key.
+ascent top, which opens gap 2c into a new value.  Permutations insert
+their last entry into gap 2c, and are keyed by live gaps: every dead gap
+is deleted and the values between two live gaps are merged.  Joint
+statistic histograms run the same rules with a small prefix state per
+statistic in the key, whose places each set's one rename moves with the
+key.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 from . import bijections
 from .core import (check_perm_pattern, contains, normalize_pattern,
                    word_str)
-from .incremental import delete_dead, make_tracker, merge_live, open_gap
+from .incremental import make_tracker
 
 
 class CountSeries(NamedTuple):
@@ -100,25 +101,38 @@ def _walk(n: int, state0, children, check=None):
 def _layers(children, start, n_max: int, check=None, leaves=None):
     """Yield ``(n, layer)`` for n = 1..n_max; layer n maps the key of each
     length-n prefix grown from ``start`` to the number of prefixes with
-    it, where ``children(key)`` yields ``(place, child, move)``.
-    ``check`` is called once per key of the layer before and may raise
-    to abort.  With ``leaves``, the last layer is not grown: it sums ways
-    times weight over the ``(leaf, weight)`` pairs that ``leaves(key)``
-    yields, which steps no tracker; growing the last layer instead more
-    than doubled the time of the ``modi`` conjecture."""
+    it, where ``children(key)`` yields ``(place, child, move)``, once
+    per distinct key: the children of a key are kept until the last
+    layer is grown.  ``check`` is called once per key of the layer
+    before and may raise to abort.  With ``leaves``, the last layer is
+    not grown: it sums ways times weight over the ``(leaf, weight)``
+    pairs that ``leaves(key)`` yields, which steps no tracker; growing
+    the last layer instead more than doubled the time of the ``modi``
+    conjecture."""
     layer = {start: 1}
+    rows = {}       # key -> its children's keys, for this count only
+    last = n_max - (leaves is not None)     # the last layer grown
     for n in range(1, n_max + 1):
-        summed = leaves is not None and n == n_max
         nxt = defaultdict(int)
+        # equal children of different keys are kept as one object, not as
+        # one copy per row that holds them
+        same = {}.setdefault
         for key, ways in layer.items():
             if check is not None:
                 check()
-            if summed:
+            if n > last:
                 for leaf, weight in leaves(key):
                     nxt[leaf] += ways * weight
-            else:
-                for _, child, _ in children(key):
-                    nxt[child] += ways
+                continue
+            row = rows.get(key)
+            if row is None:
+                if n < last:
+                    row = rows[key] = tuple([same(c, c) for _, c, _
+                                             in children(key)])
+                else:   # a key grown last never comes back
+                    row = tuple([c for _, c, _ in children(key)])
+            for child in row:
+                nxt[child] += ways
         layer = nxt
         yield n, layer
 
@@ -170,52 +184,54 @@ def _avoider_rule(p):
     none was; ``children(key, False)`` yields ``(2c + 1, None, None)``
     and steps no tracker.
 
-    A key is (canonical tracker state, last letter, a), where the next
-    letter is at most a + 1.  Every key is made live: the dead letters
-    in 0..a + 1 are deleted from its state (``incremental.delete_dead``),
+    A key is (ids, last, dead, a), where the next letter is at most
+    a + 1.  Every key is made live: the dead letters in 0..a + 1 are
+    deleted from its state (ids, dead) by the book's ``delete``,
     ``last`` falls by the number deleted at or below it and ``a`` by the
     number deleted.  So every letter 0..a + 1 of a key is allowed: a key
     grows on each with no ``forbid`` test.
 
-    The deletion keeps every count.  Take a prefix with key (s, last, a),
-    a letter x <= a + 1 that s kills, and the key (s', last', a') with x
-    deleted.  x stays dead however the prefix grows, so the prefix's
-    continuations are words over the other letters, and renaming each
-    letter y > x to y - 1 maps them one to one onto words.  The renaming
-    keeps the order of letters, and a continuation's letter c is never
-    x, so the rule allows a continuation from (s, last, a) exactly when
-    it allows the renamed one from (s', last', a'):
+    The deletion keeps every count.  Take a prefix with state s, last
+    letter ``last`` and bound a, a letter x <= a + 1 that s kills, and
+    the state s', last' and a' with x deleted.  x stays dead however the
+    prefix grows, so the prefix's continuations are words over the other
+    letters, and renaming each letter y > x to y - 1 maps them one to
+    one onto words.  The renaming keeps the order of letters, and a
+    continuation's letter c is never x, so the rule allows a
+    continuation from s, last and a exactly when it allows the renamed
+    one from s', last' and a':
 
     - the bound: c <= a + 1 exactly when the renamed c is at most
       a' + 1 = a, and each ascent raises both bounds by one;
     - ascents: c > last exactly when the renamed c exceeds last', which
       is last, or last - 1 when last >= x;
-    - containment: ``delete_dead`` renames the state's values, interval
-      ends and dead bits with the letters (the rule is in
+    - containment: ``delete`` renames the state's values, interval ends
+      and dead bits with the letters (the rule is in
       ``incremental._Book.rename``).
 
     The deleted key is a function of the key, so keys that were equal
     stay equal: the count merges more prefixes, never fewer.
     """
-    tr = make_tracker(p, None)
-    step = tr.step
+    book, ids, dead = make_tracker(p, None).state
+    step, delete = book.step, book.delete
 
-    def live(c, state, a):
+    def live(c, ids, dead, a):
         # the place of c, and the live key of the prefix ending in c
-        gone = state[-1] & ((1 << (a + 2)) - 1)
+        gone = dead & ((1 << (a + 2)) - 1)
         if not gone:
-            return 2 * c + 1, (state, c, a), None
-        return 2 * c + 1, (delete_dead(state, gone),
+            return 2 * c + 1, (ids, c, dead, a), None
+        ids, dead = delete(ids, dead, gone)
+        return 2 * c + 1, (ids,
                            c - (gone & ((1 << (c + 1)) - 1)).bit_count(),
-                           a - gone.bit_count()), gone
+                           dead, a - gone.bit_count()), gone
 
     def children(key, grow=True):
-        state, last, a = key
+        ids, last, dead, a = key
         for c in range(a + 2):
-            yield (live(c, step(state, c), a + 1 if c > last else a)
+            yield (live(c, *step(ids, dead, c), a + 1 if c > last else a)
                    if grow else (2 * c + 1, None, None))
 
-    return live(-1, tr.state, -1)[1], children
+    return live(-1, ids, dead, -1)[1], children
 
 
 def avoiders(p, n: int, check=None):
@@ -251,7 +267,7 @@ def avoider_counts(p, n_max: int, check=None):
     start, children = _avoider_rule(normalize_pattern(p))
 
     def total(layer):
-        return sum(ways * (key[2] + 2) for key, ways in layer.items())
+        return sum(ways * (key[-1] + 2) for key, ways in layer.items())
 
     if check is not None:
         check()                 # a spent budget refuses before count 1
@@ -316,15 +332,15 @@ def _perm_rule(q):
     >= c moves up by one, so gap 2c of the canonical tracker state opens
     into the new value (``open_gap``).  ``children(key)`` yields
     ``(2c, child, (2c, groups))`` for each rank c, where groups is the
-    rank-to-group map of ``incremental.merge_live``; ``children(key,
+    rank-to-group map of the book's ``merge_live``; ``children(key,
     False)`` yields ``(2c, None, None)`` and steps no tracker.
 
-    A key is (state, last, a), keyed by live gaps: every dead gap is
-    deleted from the state and each run of values between two live gaps
-    is merged into one value (``merge_live``), ``last`` is the group of
-    the last entry, and a + 2 is the number of live gaps.  Every gap
-    0..a + 1 of a key is live, so a key grows into each with no
-    ``forbid`` test.
+    A key is (ids, last, dead, a), keyed by live gaps: every dead gap is
+    deleted from the state, so dead is 0, and each run of values between
+    two live gaps is merged into one value (``merge_live``), ``last`` is
+    the group of the last entry, and a + 2 is the number of live gaps.
+    Every gap 0..a + 1 of a key is live, so a key grows into each with
+    no ``forbid`` test.
 
     The merge keeps every histogram.  A dead gap stays dead however the
     permutation grows, so every later entry goes into a live gap, and
@@ -338,21 +354,22 @@ def _perm_rule(q):
     key is a function of the raw one, so keys that were equal stay
     equal: the layers merge more permutations, never fewer.
     """
-    tr = make_tracker(q, None)
-    step = tr.step
+    book, ids, dead = make_tracker(q, None).state
+    step, open_gap, merge_live = book.step, book.open_gap, book.merge_live
 
-    def inserted(state, g, top):
-        child, groups = merge_live(step(open_gap(state, g), g + 1), top)
-        return g, (child, groups[g // 2 + 1], groups[-1] - 1), (g, groups)
+    def inserted(ids, dead, g, top):
+        (ids, dead), groups = merge_live(
+            *step(*open_gap(ids, dead, g), g + 1), top)
+        return g, (ids, groups[g // 2 + 1], dead, groups[-1] - 1), (g, groups)
 
     def children(key, grow=True):
-        state, last, a = key
+        ids, last, dead, a = key
         for c in range(a + 2):
-            yield (inserted(state, 2 * c, a + 2) if grow
+            yield (inserted(ids, dead, 2 * c, a + 2) if grow
                    else (2 * c, None, None))
 
-    state, groups = merge_live(tr.state, 0)
-    return (state, -1, groups[-1] - 1), children
+    (ids, dead), groups = merge_live(ids, dead, 0)
+    return (ids, -1, dead, groups[-1] - 1), children
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +410,31 @@ def _modified_rule(p):
     """``(start, children)`` of the ascent sequences whose modified word
     avoids p: appending c after ``last`` appends c to the modified word,
     where first, when c is an ascent top, every letter >= c moves up by
-    one: gap 2c opens into a value.  Keyed by (canonical tracker state
-    of the modified word, last letter, ascents).  ``children(key)``
+    one: gap 2c opens into a value.  Keyed by (ids, last, dead, a), where
+    (ids, dead) is the state of the modified word.  ``children(key)``
     yields ``(place, child, gap)`` for each allowed letter c: the place
     2c + 1 and no gap, or for an ascent top the gap 2c as both;
     ``children(key, False)`` yields ``(place, None, None)`` and steps no
     tracker."""
-    tr = make_tracker(p, None)
-    forbid, step = tr.forbid, tr.step
+    book, ids, dead = make_tracker(p, None).state
+    step, open_gap = book.step, book.open_gap
 
-    def appended(state, x, c, a):
+    def appended(ids, dead, x, c, a):
         if x & 1:
-            return x, (step(state, x), c, a), None
-        return x, (step(open_gap(state, x), x + 1), c, a + 1), x
+            ids, dead = step(ids, dead, x)
+            return x, (ids, c, dead, a), None
+        ids, dead = step(*open_gap(ids, dead, x), x + 1)
+        return x, (ids, c, dead, a + 1), x
 
     def children(key, grow=True):
-        state, last, a = key
+        ids, last, dead, a = key
         for c in range(a + 2):
             x = 2 * c + 1 - (c > last)
-            if not forbid(state, x):
-                yield appended(state, x, c, a) if grow else (x, None, None)
+            if not (dead >> x) & 1:
+                yield (appended(ids, dead, x, c, a) if grow
+                       else (x, None, None))
 
-    return (tr.state, -1, -1), children
+    return (ids, -1, dead, -1), children
 
 
 def modified_asc_counts(p, n_max: int, check=None):
@@ -422,10 +442,10 @@ def modified_asc_counts(p, n_max: int, check=None):
     asc(x) to the number of ascent sequences x of length n whose
     modified word avoids p, each as soon as its layer is done.
 
-    A layered count like ``avoider_counts``, keyed by (canonical tracker
-    state of the modified word, last letter, ascents).  ``check``, when
-    given, is called once per state and may raise to abort; the
-    histograms yielded before it raised stay valid.  The histograms of
+    A layered count like ``avoider_counts``, keyed by
+    ``_modified_rule``.  ``check``, when given, is called once per state
+    and may raise to abort; the histograms yielded before it raised stay
+    valid.  The histograms of
     ``joint_histograms(("modified-avoiders", p), n_max, "asc")`` are the
     same, keyed by ``(a,)``, but its statistic states in the key made the
     ``modi`` conjecture 1.7 to 1.8 times as slow, so this reader stays.
@@ -439,11 +459,11 @@ def modified_asc_counts(p, n_max: int, check=None):
         return count - ((dead >> lo) & every_other).bit_count()
 
     def leaves(key):
-        state, last, a = key
+        _, last, dead, a = key
         # c <= last is allowed when value c is alive (odd bit 2c + 1), an
         # ascent top c when gap 2c is
-        flat = alive(state[-1], 1, last + 1)
-        rise = alive(state[-1], 2 * last + 2, a - last + 1)
+        flat = alive(dead, 1, last + 1)
+        rise = alive(dead, 2 * last + 2, a - last + 1)
         if flat:
             yield (a,), flat
         if rise:

@@ -32,13 +32,16 @@ tracker should not be shared between threads.  The book keeps each
 state's moves as ``(ids, dead)`` pairs and refers to no state, so a
 tracker that nothing holds is freed by reference counting.
 
-Three more moves rename letters, through one loop (``_Book.rename``).
-``delete_dead`` deletes dead letters, as avoider counts do up to a bound,
-``open_gap`` opens a gap into a new value, as modified words and
-permutations grow, and ``merge_live`` deletes a permutation's dead gaps
-and merges the values between two live gaps into one.  The enumeration
-test suite checks the tracker on every pattern of length at most 4
-against a walk that asks the containment search directly.
+The layered counts of ``enumeration`` take the book from ``state0`` and
+move the pairs ``(ids, dead)`` through it, so their keys are flat tuples
+of ints.  Besides ``step``, three moves of the book rename letters,
+through one loop (``_Book.rename``): ``delete`` deletes dead letters, as
+avoider counts do up to a bound, ``open_gap`` opens a gap into a new
+value, as modified words and permutations grow, and ``merge_live``
+deletes a permutation's dead gaps and merges the values between two live
+gaps into one.  The enumeration test suite checks the tracker on every
+pattern of length at most 4 against a walk that asks the containment
+search directly.
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ def count_allowed(s, top: int) -> int:
 # keeps, per id, each move the first time it is asked for, so growing a
 # state costs one table lookup per embedding, however many prefixes share
 # it.  ids is the bitmask of the prefix's embeddings, so within one book
-# equal embedding sets are equal masks.  The book also keeps each state's
-# reduced move on a letter, as the pair (ids, dead), so a step that many
-# prefixes share is one dict lookup.  step and open_gap read the book from
-# the state, so a state can be stepped by any tracker of its pattern.
+# equal embedding sets are equal masks.  The book also keeps each pair's
+# step, deletion and merge, as pairs (ids, dead), so a move that many
+# prefixes share is one dict lookup.  The tracker's step reads the book
+# from the state, so a state can be stepped by any tracker of its pattern.
 
 
 class _Book:
@@ -111,7 +114,7 @@ class _Book:
                      bit of the grown embedding's id, or, when i is
                      penultimate (j = k - 2, a bit of ``penult``), the
                      letters its completions kill; 0 when c does not fit
-        gaps[i][g]   the bit of the id of embedding i after open_gap(g)
+        gaps[i][g]   the bit of the id of embedding i after open_gap at g
         drops[i][x]  the bit of the id of embedding i after its dead letter
                      x is deleted, 0 when that leaves it no completion
         merges[i][groups]
@@ -122,13 +125,13 @@ class _Book:
                      the ids whose embeddings cover embedding i, filled
                      as each embedding is interned
         steps[(ids, dead, c)]
-                     the reduced pair (ids, dead) that state (ids, dead)
-                     steps to on letter c
+                     the reduced pair that the pair (ids, dead) steps to
+                     on letter c
         deleted[(ids, dead, mask)]
-                     the pair of state (ids, dead) with the dead letters
-                     of mask deleted
+                     the pair (ids, dead) with the dead letters of mask
+                     deleted
         merged[(ids, dead, top)]
-                     (pair, groups): merge_live of the state (ids, dead)
+                     (pair, groups): merge_live of the pair (ids, dead)
                      with gaps 0..top
     """
 
@@ -309,13 +312,19 @@ class _Book:
 
     def delete(self, ids: int, dead: int, mask: int):
         """The pair (ids, dead) with the dead letters of mask deleted,
-        the highest first, so each is still at its place."""
-        while mask:
-            x = mask.bit_length() - 1
-            mask ^= 1 << x
-            ids = self.moved(ids, self.drops, self.move_drop, x)
-            dead = dead & _below(x) | dead >> (x + 1) << x
-        return self.reduced(ids, dead)
+        the highest first, so each is still at its place; kept.  This is
+        open_gap run backwards: the dead bits above a deleted letter move
+        down by one."""
+        key = (ids, dead, mask)
+        t = self.deleted.get(key)
+        if t is None:
+            while mask:
+                x = mask.bit_length() - 1
+                mask ^= 1 << x
+                ids = self.moved(ids, self.drops, self.move_drop, x)
+                dead = dead & _below(x) | dead >> (x + 1) << x
+            t = self.deleted[key] = self.reduced(ids, dead)
+        return t
 
     def reduced(self, ids: int, dead: int):
         """The pair (ids, dead) reduced: dropped are the embeddings
@@ -350,7 +359,14 @@ class _Book:
         return kept, dead
 
     def step(self, ids: int, dead: int, c: int):
-        """The pair (ids, dead) grown by the letter c, reduced."""
+        """The pair (ids, dead) grown by the letter c, reduced, kept."""
+        key = (ids, dead, c)
+        t = self.steps.get(key)
+        if t is None:
+            t = self.steps[key] = self._step(ids, dead, c)
+        return t
+
+    def _step(self, ids: int, dead: int, c: int):
         rows, penult = self.rows, self.penult
         grown, old_dead = ids, dead
         rest = ids | self.root
@@ -371,75 +387,52 @@ class _Book:
                 return ids, dead
         return self.reduced(grown, dead)
 
+    # Appending c to an ascent sequence x appends c to its modified word,
+    # after raising every letter >= c by one when c is an ascent top.  The
+    # tracker follows the raise in doubled coordinates: value v is letter
+    # 2v + 1 and 2v is the gap just below it, so the raise turns gap 2c
+    # into a new value with a gap on either side.  Letters are odd, so the
+    # empty-interval test of _grow already keeps the gap between two
+    # adjacent values open for such a new value, and step is unchanged.
+
+    def open_gap(self, ids: int, dead: int, g: int):
+        """The pair (ids, dead) after its live gap g becomes gap, value
+        g + 1 and gap: every value, interval end and dead bit above g
+        moves up by 2.  Gap g is not dead, so neither are the three
+        letters it becomes."""
+        return (self.moved(ids, self.gaps, self.move_gap, g),
+                dead & _below(g) | dead >> (g + 1) << (g + 3))
+
+    def merge_live(self, ids: int, dead: int, top: int):
+        """``((ids, dead), groups)``: the pair of a permutation in doubled
+        coordinates, with gaps 0, 2, ..., 2 top, after its dead gaps are
+        deleted and each run of values between two live gaps is merged
+        into one value.  Live gap k becomes gap 2k, the run above it
+        value 2k + 1.  groups[r + 1] is the group of rank r, the number
+        of live gaps below it less one, for r = -1, ..., top; the run
+        below the first live gap is group -1, the run above the last is
+        the last group.
+
+        An interval end in the bottom run becomes -1, and one in the top
+        run ``inf`` (``move_merge``).  Every gap left is live, so the
+        dead mask is 0.  Only for distinct-letter patterns."""
+        key = (ids, dead, top)
+        t = self.merged.get(key)
+        if t is None:
+            groups, g = [-1], -1
+            for k in range(top + 1):
+                g += not (dead >> 2 * k) & 1
+                groups.append(g)
+            groups = tuple(groups)
+            t = self.merged[key] = (
+                self.reduced(self.moved(ids, self.merges, self.move_merge,
+                                        groups), 0), groups)
+        return t
+
 
 def _canonical_step(s, c):
     book, ids, dead = s
-    key = (ids, dead, c)
-    t = book.steps.get(key)
-    if t is None:
-        t = book.steps[key] = book.step(ids, dead, c)
-    ids, dead = t
-    return book, ids, dead
-
-
-# --- the canonical state of a modified word ----------------------------------
-# Appending c to an ascent sequence x appends c to its modified word, after
-# raising every letter >= c by one when c is an ascent top.  The canonical
-# tracker follows the raise in doubled coordinates: value v is letter
-# 2v + 1 and 2v is the gap just below it, so the raise turns gap 2c into
-# a new value with a gap on either side.  Letters are odd, so the
-# tracker's empty-interval test already keeps the gap between two
-# adjacent values open for such a new value, and its step is unchanged.
-
-
-def open_gap(s, g: int):
-    """Canonical state s after its live gap g becomes gap, value g + 1
-    and gap: every value, interval end and dead bit above g moves up by
-    2.  Gap g is not dead, so neither are the three letters it becomes."""
-    book, ids, dead = s
-    return (book, book.moved(ids, book.gaps, book.move_gap, g),
-            dead & _below(g) | dead >> (g + 1) << (g + 3))
-
-
-def delete_dead(s, mask: int):
-    """Canonical state s with the letters of mask, each dead in s,
-    deleted (``_Book.move_drop``): open_gap run backwards.  The dead
-    bits above a deleted letter move down by one."""
-    book, ids, dead = s
-    key = (ids, dead, mask)
-    t = book.deleted.get(key)
-    if t is None:
-        t = book.deleted[key] = book.delete(ids, dead, mask)
-    ids, dead = t
-    return book, ids, dead
-
-
-def merge_live(s, top: int):
-    """``(state, groups)``: canonical state s of a permutation in doubled
-    coordinates, with gaps 0, 2, ..., 2 top, after its dead gaps are
-    deleted and each run of values between two live gaps is merged into
-    one value.  Live gap k becomes gap 2k, the run above it value 2k + 1.
-    groups[r + 1] is the group of rank r, the number of live gaps below
-    it less one, for r = -1, ..., top; the run below the first live gap
-    is group -1, the run above the last is the last group.
-
-    An interval end in the bottom run becomes -1, and one in the top run
-    ``inf`` (``_Book.move_merge``).  Every gap left is live, so the dead
-    mask is 0.  Only for distinct-letter patterns."""
-    book, ids, dead = s
-    key = (ids, dead, top)
-    t = book.merged.get(key)
-    if t is None:
-        groups, g = [-1], -1
-        for k in range(top + 1):
-            g += not (dead >> 2 * k) & 1
-            groups.append(g)
-        groups = tuple(groups)
-        t = book.merged[key] = (
-            book.reduced(book.moved(ids, book.merges, book.move_merge,
-                                    groups), 0), groups)
-    (ids, dead), groups = t
-    return (book, ids, dead), groups
+    return (book, *book.step(ids, dead, c))
 
 
 # read by perfbench/tracer.py; goes with ROADMAP item 1's tracer change

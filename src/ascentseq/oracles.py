@@ -19,7 +19,7 @@ from __future__ import annotations
 import reprlib
 from collections import Counter
 from collections.abc import Mapping
-from itertools import product
+from itertools import accumulate, product
 from math import comb, exp, log
 from typing import NamedTuple
 
@@ -48,7 +48,7 @@ _MAX_CATALAN_N = 10**5          # 0.36 s
 _MAX_DYCK_N = 10**5             # 0.78 s
 _MAX_BELL_N = 2000              # 0.54 s
 _MAX_CATALAN_TRANSFORM_N = 2000     # 0.34 s
-_MAX_TABLEAU_WORK = 5 * 10**5   # steps x rows x shapes: 1.3 s at most
+_MAX_TABLEAU_WORK = 240000      # shape-steps of the walk: 1.1 s at most
 
 
 def _check_at_most(n: int, limit: int) -> None:
@@ -151,14 +151,18 @@ def stirling2(n: int, k: int) -> int:
 # non-k-crossing set partitions
 
 
-def _shape_count(squares: int, rows: int) -> int:
-    """Young shapes of at most ``squares`` squares and ``rows`` rows:
-    partitions into parts of at most ``rows``, by conjugation."""
-    ways = [1] + [0] * squares
+def _walk_work(n: int, rows: int) -> int:
+    """Shape-steps of the tableau walk of length n: after step t it keeps
+    at most the shapes of at most min(t, n - t) squares and ``rows``
+    rows, counted as partitions into parts of at most ``rows``, by
+    conjugation."""
+    half = n // 2
+    ways = [1] + [0] * half         # shapes of exactly s squares
     for part in range(1, rows + 1):
-        for s in range(part, squares + 1):
+        for s in range(part, half + 1):
             ways[s] += ways[s - part]
-    return sum(ways)
+    shapes = list(accumulate(ways))     # of at most s squares
+    return sum(shapes[min(t, n - t)] for t in range(1, n + 1))
 
 
 def non_k_crossing_partition_count(n: int, k: int) -> int:
@@ -180,12 +184,12 @@ def non_k_crossing_partition_count(n: int, k: int) -> int:
     _check_ints(n, k)
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    # a walk back to the empty shape holds at most n // 2 squares, and a
-    # step costs about the shape's rows, so the walk takes about
-    # n * rows * (shapes of at most n // 2 squares and that many rows)
+    # the walk keeps at least one shape of each size up to min(t, n - t)
+    # after step t, so it takes n * n / 4 shape-steps or more: past that
+    # bound it is refused before its work is estimated
     rows = min(k - 1, n // 2)
-    if (n * rows > _MAX_TABLEAU_WORK
-            or n * rows * _shape_count(n // 2, rows) > _MAX_TABLEAU_WORK):
+    if (n * n > 4 * _MAX_TABLEAU_WORK
+            or _walk_work(n, rows) > _MAX_TABLEAU_WORK):
         raise ValueError("n and k are past the supported size of the walk")
     layer = Counter({(): 1})
     for left in range(n - 1, -1, -1):

@@ -18,8 +18,9 @@ from ascentseq.bijections import (BIJECTIONS, is_noncrossing,
                                   ternary_to_seq102, unmodify)
 from ascentseq.cli import EXIT_OK, EXIT_USAGE, main
 from ascentseq.core import (as_word, asc, check_ascent_sequence,
-                            check_letters, contains, des, is_ascent_sequence,
-                            is_restricted, perm_contains, word_str)
+                            check_letters, check_permutation, check_rgf,
+                            contains, des, is_ascent_sequence, is_restricted,
+                            perm_contains, word_str)
 from ascentseq.enumeration import (avoiders, generate_ascent_sequences,
                                    generate_restricted,
                                    generate_set_partitions, perm_avoiders)
@@ -596,6 +597,28 @@ class TestLongInputs:
         assert outcome(f, x) == expected
         assert time.perf_counter() - t0 < 2.0
 
+    @pytest.mark.parametrize("f, x", [
+        (perm231_to_ncpartition, (2, 3, 1) + tuple(range(4, N + 1))),
+        (unmodify, (0,) + (1, 0) * 65000),
+        (perm312_to_seq101, (3, 1, 2) + tuple(range(4, N + 1))),
+        (seq101_to_perm312, (0, 1, 0) * (N // 3)),
+        (ternary_to_seq102, (2,) + (0,) * N),
+        (phi, (0, 1, 2, 0) + (0,) * N),
+        (check_ascent_sequence, (1,) * N),
+        (check_rgf, (0, 2) * (N // 2)),
+        (check_permutation, (1,) * N),
+        (standardize_partition, [(v,) for v in range(2, N)]),
+    ], ids=["perm231_to_ncpartition", "unmodify", "perm312_to_seq101",
+            "seq101_to_perm312", "ternary_to_seq102", "phi",
+            "check_ascent_sequence", "check_rgf", "check_permutation",
+            "standardize_partition"])
+    def test_refusal_of_a_long_input_is_short(self, f, x):
+        # the message shows the input abridged: the whole input made
+        # messages of 688915 and 130033 characters for the first two
+        with pytest.raises(ValueError) as info:
+            f(x)
+        assert len(str(info.value)) < 300
+
     @pytest.mark.parametrize("name, text, code", [
         ("phi", "0" * CLI_DIGITS, EXIT_OK),
         ("modify", "01" * (CLI_DIGITS // 2), EXIT_OK),
@@ -606,7 +629,8 @@ class TestLongInputs:
         assert main(["bijection", "--name", name, "--input", text,
                      "--format", "jsonl"]) == code
         assert time.perf_counter() - t0 < 5.0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert len(err) < 1024
         if code == EXIT_OK:
             row = json.loads(out.splitlines()[1])
             assert len(row["output"].split(",")) == len(text)

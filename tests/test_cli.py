@@ -4,6 +4,7 @@ import hashlib
 import json
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    # the budget reads a clock that advances 1 ms per reading, so
+    # --budget-seconds B refuses after 1000 B checks, however fast the
+    # host or the engine is
+    now = [0.0]
+
+    def monotonic():
+        now[0] += 0.001
+        return now[0]
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=monotonic))
 
 
 class TestParsing:
@@ -103,31 +118,31 @@ class TestCount:
         assert code == EXIT_USAGE
         assert "normal form" in err
 
-    def test_budget_refusal_marks_partial(self, capsys):
+    def test_budget_refusal_marks_partial(self, capsys, ticking_clock):
         # 1001 keeps the most keys of the patterns of length 4: its count
-        # reaches length 10 in about 0.1s and length 12 in about 5s, far
-        # short of length 14 in 0.3s
+        # makes 3928 budget checks to length 11, one per key, and the
+        # 0.3 s budget allows 300
         code, out, _ = run_cli(capsys, "count", "--pattern", "1001",
-                               "--n", "1..14", "--budget-seconds", "0.3",
+                               "--n", "1..11", "--budget-seconds", "0.3",
                                "--format", "csv")
         assert code == EXIT_BUDGET
         assert "# incomplete" in out
-        # one budget check per state, and lengths 0..6 have under 300
-        # states, which take milliseconds, so lengths 1..7 finish well
-        # inside the budget and are kept
+        # lengths 1..7 take 43 checks, so they finish inside the budget
+        # and are kept
         rows = {int(n): int(c) for n, c in
                 (line.split(",") for line in out.splitlines()[2:-1])}
-        assert 7 <= len(rows) < 14
+        assert 7 <= len(rows) < 11
         assert list(rows) == list(range(1, len(rows) + 1))
         want = count_avoiders((1, 0, 0, 1), 7).values
         assert {n: rows[n] for n in want} == want
 
-    def test_modified_budget_counts_every_sequence(self, capsys):
-        # the modified count is one layered pass, about 0.08 s to n=14
-        # and 0.9 s to n=18 for 1102 (2 cores, CPython 3.11); the budget
+    def test_modified_budget_counts_every_sequence(self, capsys,
+                                                   ticking_clock):
+        # the modified count is one layered pass, of 3494 budget checks
+        # to n=12 for 1102, and the 0.1 s budget allows 100; the budget
         # must stop it inside that pass
         code, out, _ = run_cli(capsys, "count", "--pattern", "1102",
-                               "--modified", "--n", "18",
+                               "--modified", "--n", "12",
                                "--budget-seconds", "0.1", "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]
@@ -219,12 +234,14 @@ class TestDist:
         assert code == EXIT_OK and "Traceback" not in err
         assert out.splitlines()[2:] == ["1500,0,1"]
 
-    def test_modified_budget_counts_every_sequence(self, capsys):
-        # the modified histograms are one layered pass, about 13 s of
-        # states for 1021 with (asc, rlmax) to n=16; the budget is checked
-        # once per state, so it must stop the pass inside it
+    def test_modified_budget_counts_every_sequence(self, capsys,
+                                                   ticking_clock):
+        # the modified histograms are one layered pass, of 2389 states
+        # for 1021 with (asc, rlmax) to n=11, and the 0.5 s budget allows
+        # 500 checks; the budget is checked once per state, so it must
+        # stop the pass inside it
         code, out, _ = run_cli(capsys, "dist", "--pattern", "1021",
-                               "--modified", "--n", "16",
+                               "--modified", "--n", "11",
                                "--stats", "asc,rlmax",
                                "--budget-seconds", "0.5", "--format", "jsonl")
         assert code == EXIT_BUDGET
@@ -245,14 +262,13 @@ class TestDist:
                                "--stats", "weird")
         assert code == EXIT_USAGE and "statistic" in err
 
-    def test_budget_stops_the_layered_pass(self, capsys):
-        # the (asc, rlmin) pass over 021-avoiders takes about 0.09 s to
-        # length 22, 0.65 s to length 34 and 1.5 s to length 40 (2 cores,
-        # CPython 3.11); the budget is checked once per state, so it
-        # stops the pass inside a layer
+    def test_budget_stops_the_layered_pass(self, capsys, ticking_clock):
+        # the (asc, rlmin) pass over 021-avoiders has 5388 states to
+        # length 22, and the 0.2 s budget allows 200 checks; the budget
+        # is checked once per state, so it stops the pass inside a layer
         start = time.monotonic()
         code, out, _ = run_cli(capsys, "dist", "--pattern", "021",
-                               "--n", "1..40", "--stats", "asc,rlmin",
+                               "--n", "1..22", "--stats", "asc,rlmin",
                                "--budget-seconds", "0.2", "--format", "jsonl")
         assert code == EXIT_BUDGET
         assert json.loads(out.splitlines()[-1])["status"]["complete"] is False
@@ -531,24 +547,25 @@ class TestConjecturesCmd:
         assert code == EXIT_OK
         assert "holds" in out
 
-    def test_modi_budget_counts_every_sequence(self, capsys):
-        # the modi check makes one layered pass per pattern, about 9 s of
-        # states at n=16; the budget must be able to stop it inside a pass
+    def test_modi_budget_counts_every_sequence(self, capsys,
+                                               ticking_clock):
+        # the modi check makes one layered pass per pattern, 4254 states
+        # in all at n=10, and the 0.5 s budget allows 500 checks; the
+        # budget must be able to stop it inside a pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", "modi",
-                               "--n", "16", "--budget-seconds", "0.5",
+                               "--n", "10", "--budget-seconds", "0.5",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]
         assert status["complete"] is False
 
     @pytest.mark.parametrize("name", ["0012", "bi-021"])
-    def test_budget_counts_every_word(self, capsys, name):
-        # the 0012 check takes about 3.5 s to length 24, and the bi-021
-        # check 0.5 s to length 24 and 5.9 s to length 40 (2 cores,
-        # CPython 3.11); the budget must be able to stop each inside its
-        # pass
+    def test_budget_counts_every_word(self, capsys, ticking_clock, name):
+        # the 0012 check makes 2643 budget checks to length 11, and the
+        # bi-021 check 2493 to length 14, and the 1 s budget allows 1000;
+        # the budget must be able to stop each inside its pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", name,
-                               "--n", {"0012": "24", "bi-021": "40"}[name],
+                               "--n", {"0012": "11", "bi-021": "14"}[name],
                                "--budget-seconds", "1",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET

@@ -26,8 +26,7 @@ from ascentseq.enumeration import (avoider_counts, avoiders,
                                    joint_histograms, modified_asc_counts,
                                    modified_avoiders, perm_avoiders)
 from ascentseq.fixtures import expected_counts
-from ascentseq.incremental import (delete_dead, make_tracker, merge_live,
-                                   open_gap)
+from ascentseq.incremental import make_tracker
 from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
                                catalan, run_conjecture, stirling2,
                                wilf_classify)
@@ -44,6 +43,24 @@ PERM_PATTERNS = [label for label in all_patterns(4)
 # patterns of length 5 and 6, repeated letters included
 LONG_PATTERNS = st.lists(st.integers(0, 5), min_size=5,
                          max_size=6).map(normalize_pattern)
+
+
+def delete_dead(s, mask):
+    # the moves that the layered rules make on a book's (ids, dead) pairs,
+    # made on a tracker state (book, ids, dead)
+    book, ids, dead = s
+    return (book, *book.delete(ids, dead, mask))
+
+
+def open_gap(s, g):
+    book, ids, dead = s
+    return (book, *book.open_gap(ids, dead, g))
+
+
+def merge_live(s, top):
+    book, ids, dead = s
+    pair, groups = book.merge_live(ids, dead, top)
+    return (book, *pair), groups
 
 
 def modified_words(p, n):
@@ -376,8 +393,37 @@ class TestCanonicalTracker:
             assert len(layers[11]) == keys, label
             # no letter up to a key's bound a + 1 is dead
             for n in range(1, 12):
-                for state, _, a in layers[n]:
-                    assert state[-1] & ((1 << (a + 2)) - 1) == 0, (label, n)
+                for _, _, dead, a in layers[n]:
+                    assert dead & ((1 << (a + 2)) - 1) == 0, (label, n)
+
+    def test_each_key_grown_once(self, monkeypatch):
+        # _layers keeps each distinct key's children for one count, so a
+        # key that comes back in a later layer is not grown again; a
+        # second count grows as many keys again, so nothing is kept from
+        # one count to the next
+        grown = []
+        rule = enumeration._avoider_rule
+
+        def spied(p):
+            start, children = rule(p)
+
+            def counted(key, grow=True):
+                if grow:
+                    grown.append(key)
+                return children(key, grow)
+            return start, counted
+
+        monkeypatch.setattr(enumeration, "_avoider_rule", spied)
+        layers = _spied_layers(monkeypatch)
+        for label in ("0021", "0012", "210", "1001"):
+            grown.clear()
+            dict(avoider_counts(pat(label), 11))
+            once = len(grown)
+            assert once == len(set(grown)), label
+            # layers 0..9 are grown, and some of their keys come back
+            assert 1 + sum(len(layers[n]) for n in range(1, 10)) > once
+            dict(avoider_counts(pat(label), 11))
+            assert len(grown) == 2 * once, label
 
     def test_unchanged_mask_is_shared(self):
         # a walk's stack holds one state per letter, so a dead mask as

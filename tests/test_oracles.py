@@ -196,6 +196,27 @@ class TestNonKCrossing:
         assert non_k_crossing_partition_count(33, 17) == bell(33)
         assert non_k_crossing_partition_count(150, 2) == catalan(150)
 
+    def test_work_limit_counts_the_pruned_walk(self):
+        # the limit estimates the walk that drops shapes too big to get
+        # back to empty, so (40, 8), which takes about 0.05 s, is accepted
+        below = non_k_crossing_partition_count(40, 7)
+        count = non_k_crossing_partition_count(40, 8)
+        assert below < count < bell(40)
+
+    @pytest.mark.parametrize("args", [(60, 31), (400, 3), (979, 979),
+                                      (10**9, 3), (10**6, 10**5)])
+    def test_refusal_comes_before_the_walk(self, monkeypatch, args):
+        # the walk's first layer is a Counter; a refusal never builds it
+        def walked(*_):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(oracles, "Counter", walked)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="supported") as info:
+            non_k_crossing_partition_count(*args)
+        assert time.perf_counter() - start < 0.5
+        assert len(str(info.value)) < 100
+
     def test_base_cases(self):
         assert non_k_crossing_partition_count(4, 2) == 14
         assert all(non_k_crossing_partition_count(1, k) == 1
