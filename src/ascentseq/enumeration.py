@@ -5,8 +5,9 @@ that may follow a prefix with that key, each with the key of the longer
 prefix.  ``_walk`` lists a rule's words on an explicit stack, so no
 length meets a recursion limit; all generators stream lazily in
 lexicographic order and are deterministic.  Avoiders prune: no prefix is
-extended by a letter the pattern's tracker forbids, which is sound
-because containment is monotone under appending letters.
+extended by a letter that the dead mask of its tracker pair (ids, dead)
+holds, which is sound because containment is monotone under appending
+letters.
 
 Counting lists no words: ``_layers`` runs a rule as a layered
 transfer-matrix count, where prefixes with equal keys have equal futures
@@ -15,8 +16,8 @@ and grows each distinct key once per count.  A count of avoiders is read
 off the layer before its length, and a layer is built only when the
 next count is asked for, so a caller that stops taking counts stops the
 work.  A layered key is the flat tuple ``(ids, last, dead, a)``: the
-canonical tracker state (ids, dead) in the book that the rule holds,
-the last letter, and the bound a + 1 on the next letter.  Each rule
+tracker pair (ids, dead) in the book that the rule holds, the last
+letter, and the bound a + 1 on the next letter.  Each rule
 yields, per child, the place of the new letter (letter c is place
 2c + 1, and place 2c is the gap just below it) and the move that
 renamed the key's places on the way, or None.  Avoiders are keyed by
@@ -38,10 +39,9 @@ from collections import Counter, defaultdict
 from math import inf
 from typing import NamedTuple
 
-from . import bijections
+from . import bijections, incremental
 from .core import (check_perm_pattern, contains, normalize_pattern,
                    word_str)
-from .incremental import make_tracker
 
 
 class CountSeries(NamedTuple):
@@ -186,14 +186,14 @@ def _avoider_rule(p):
 
     A key is (ids, last, dead, a), where the next letter is at most
     a + 1.  Every key is made live: the dead letters in 0..a + 1 are
-    deleted from its state (ids, dead) by the book's ``delete``,
+    deleted from its pair (ids, dead) by the book's ``delete``,
     ``last`` falls by the number deleted at or below it and ``a`` by the
     number deleted.  So every letter 0..a + 1 of a key is allowed: a key
-    grows on each with no ``forbid`` test.
+    grows on each with no dead-bit test.
 
-    The deletion keeps every count.  Take a prefix with state s, last
+    The deletion keeps every count.  Take a prefix with pair s, last
     letter ``last`` and bound a, a letter x <= a + 1 that s kills, and
-    the state s', last' and a' with x deleted.  x stays dead however the
+    the pair s', last' and a' with x deleted.  x stays dead however the
     prefix grows, so the prefix's continuations are words over the other
     letters, and renaming each letter y > x to y - 1 maps them one to
     one onto words.  The renaming keeps the order of letters, and a
@@ -205,14 +205,14 @@ def _avoider_rule(p):
       a' + 1 = a, and each ascent raises both bounds by one;
     - ascents: c > last exactly when the renamed c exceeds last', which
       is last, or last - 1 when last >= x;
-    - containment: ``delete`` renames the state's values, interval ends
+    - containment: ``delete`` renames the pair's values, interval ends
       and dead bits with the letters (the rule is in
       ``incremental._Book.rename``).
 
     The deleted key is a function of the key, so keys that were equal
     stay equal: the count merges more prefixes, never fewer.
     """
-    book, ids, dead = make_tracker(p, None).state
+    book, ids, dead = incremental.start(p)
     step, delete = book.step, book.delete
 
     def live(c, ids, dead, a):
@@ -238,16 +238,16 @@ def avoiders(p, n: int, check=None):
     """Yield the p-avoiding ascent sequences of length n, lexicographically,
     pruned by the pattern's tracker; ``check`` is passed on to the walk."""
     _check_length(n)
-    tr = make_tracker(normalize_pattern(p), None)
-    forbid, step = tr.forbid, tr.step
+    book, ids, dead = incremental.start(p)
+    step = book.step
 
     def children(key):
-        state, last, a = key
+        ids, dead, last, a = key
         for c in range(a + 2):
-            if not forbid(state, c):
-                yield c, (step(state, c), c, a + 1 if c > last else a)
+            if not (dead >> c) & 1:
+                yield c, (*step(ids, dead, c), c, a + 1 if c > last else a)
 
-    yield from _walk(n, (tr.state, -1, -1), children, check)
+    yield from _walk(n, (ids, dead, -1, -1), children, check)
 
 
 def avoider_counts(p, n_max: int, check=None):
@@ -313,39 +313,38 @@ def perm_avoiders(q, n: int, check=None):
     pattern q, lexicographically, pruned by the pattern's tracker;
     ``check`` is passed on to the walk."""
     _check_length(n)
-    q = check_perm_pattern(q)
-    tr = make_tracker(q, None)
-    forbid, step = tr.forbid, tr.step
+    book, ids, dead = incremental.start(check_perm_pattern(q))
+    step = book.step
 
     def children(key):
-        state, used = key
+        ids, dead, used = key
         for v in range(1, n + 1):
-            if not (used >> v) & 1 and not forbid(state, v):
-                yield v, (step(state, v), used | 1 << v)
+            if not ((used | dead) >> v) & 1:
+                yield v, (*step(ids, dead, v), used | 1 << v)
 
-    yield from _walk(n, (tr.state, 0), children, check)
+    yield from _walk(n, (ids, dead, 0), children, check)
 
 
 def _perm_rule(q):
     """``(start, children)`` of the q-avoiding permutations, grown by
     inserting the last entry at a rank c: every earlier entry of rank
-    >= c moves up by one, so gap 2c of the canonical tracker state opens
-    into the new value (``open_gap``).  ``children(key)`` yields
-    ``(2c, child, (2c, groups))`` for each rank c, where groups is the
+    >= c moves up by one, so gap 2c of the tracker pair opens into the
+    new value (``open_gap``).  ``children(key)`` yields ``(2c, child,
+    (2c, groups))`` for each rank c, where groups is the
     rank-to-group map of the book's ``merge_live``; ``children(key,
     False)`` yields ``(2c, None, None)`` and steps no tracker.
 
     A key is (ids, last, dead, a), keyed by live gaps: every dead gap is
-    deleted from the state, so dead is 0, and each run of values between
+    deleted from the pair, so dead is 0, and each run of values between
     two live gaps is merged into one value (``merge_live``), ``last`` is
     the group of the last entry, and a + 2 is the number of live gaps.
     Every gap 0..a + 1 of a key is live, so a key grows into each with
-    no ``forbid`` test.
+    no dead-bit test.
 
     The merge keeps every histogram.  A dead gap stays dead however the
     permutation grows, so every later entry goes into a live gap, and
     numbering the live gaps 0, 1, ... maps the continuations of the raw
-    state one to one onto those of the merged one.  A later entry lies
+    pair one to one onto those of the merged one.  A later entry lies
     above a value exactly when its live gap does, which is the same for
     every value of one run, so the merge keeps what each continuation
     compares: ``merge_live`` moves each interval end to its run's value
@@ -354,7 +353,7 @@ def _perm_rule(q):
     key is a function of the raw one, so keys that were equal stay
     equal: the layers merge more permutations, never fewer.
     """
-    book, ids, dead = make_tracker(q, None).state
+    book, ids, dead = incremental.start(q)
     step, open_gap, merge_live = book.step, book.open_gap, book.merge_live
 
     def inserted(ids, dead, g, top):
@@ -411,12 +410,12 @@ def _modified_rule(p):
     avoids p: appending c after ``last`` appends c to the modified word,
     where first, when c is an ascent top, every letter >= c moves up by
     one: gap 2c opens into a value.  Keyed by (ids, last, dead, a), where
-    (ids, dead) is the state of the modified word.  ``children(key)``
+    (ids, dead) is the pair of the modified word.  ``children(key)``
     yields ``(place, child, gap)`` for each allowed letter c: the place
     2c + 1 and no gap, or for an ascent top the gap 2c as both;
     ``children(key, False)`` yields ``(place, None, None)`` and steps no
     tracker."""
-    book, ids, dead = make_tracker(p, None).state
+    book, ids, dead = incremental.start(p)
     step, open_gap = book.step, book.open_gap
 
     def appended(ids, dead, x, c, a):
@@ -474,9 +473,9 @@ def modified_asc_counts(p, n_max: int, check=None):
 
 def count_modified_avoiders(p, n: int, check=None) -> int:
     """Number of ascent sequences of length n whose modified word avoids
-    p, by the layered count of ``modified_asc_counts`` (canonical tracker
-    states in doubled coordinates, moved by ``open_gap`` before each
-    ascent top); ``check`` is called once per state."""
+    p, by the layered count of ``modified_asc_counts`` (tracker pairs in
+    doubled coordinates, moved by ``open_gap`` before each ascent top);
+    ``check`` is called once per state."""
     for _, hist in modified_asc_counts(p, n, check):
         pass
     return sum(hist.values())

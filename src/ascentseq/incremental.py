@@ -3,43 +3,40 @@
 Growing an avoider prefix letter by letter only ever creates a pattern
 occurrence that ends at the newly appended letter, so pruning needs one
 question answered per candidate letter c: does some partial occurrence of
-p[:-1] in the prefix accept c as the final pattern letter?  A *tracker*
-answers that question from a small state carried along the prefix:
+p[:-1] in the prefix accept c as the final pattern letter?  The tracker
+answers it from a pair ``(ids, dead)`` carried along the prefix, which a
+book moves:
 
-    state0                  state of the empty prefix
-    forbid(state, c)        appending c would complete the pattern
-    step(state, c)          state of the prefix extended by c
-    count_allowed(state, t) number of allowed letters in 0..t
+    book, ids, dead = start(p)   a fresh book and the empty prefix's pair
+    (dead >> c) & 1              appending c would complete the pattern
+    book.step(ids, dead, c)      the pair of the prefix extended by c
 
-Every state is a tuple whose last entry is the *dead mask*: bit c is set
-exactly when appending c would complete the pattern.  So ``forbid`` and
-``count_allowed`` are one bit test and one popcount.  Dead letters stay
-dead as the prefix grows, so a step only ever ORs bits in.
+``dead`` is the *dead mask*: bit c is set exactly when appending c would
+complete the pattern.  Dead letters stay dead as the prefix grows, so a
+step only ever ORs bits in.
 
-The counting engine merges prefixes whose states are equal, so a state
+The counting engine merges prefixes whose pairs are equal, so a pair
 should keep no more than the future depends on.  The tracker keeps the
 set of partial embeddings of the pattern, each reduced to the values and
-intervals its remaining letters depend on, and every state the book
-returns is reduced: it holds no embedding that cannot change a
-``forbid`` answer (``_Book.reduced``).  These sets are the
-labels of a generating tree (West 1995, "Generating trees and the
-Catalan and Schröder numbers").  A state is ``(book, ids, dead)``: the
-book, one per tracker, interns every embedding to a small id and keeps
-each embedding's and each state's move on a letter once computed, and
-``ids`` is the bitmask of the prefix's embeddings.  States share a
-mutable book: they compare equal only within one tracker, and one
-tracker should not be shared between threads.  The book keeps each
-state's moves as ``(ids, dead)`` pairs and refers to no state, so a
-tracker that nothing holds is freed by reference counting.
+intervals its remaining letters depend on, and every pair the book
+returns is reduced: it holds no embedding that can change no dead bit
+(``_Book.reduced``).  These sets are the labels of a generating tree
+(West 1995, "Generating trees and the Catalan and Schröder numbers").
+The book interns every embedding to a small id and keeps each
+embedding's and each pair's move on a letter once computed, and ``ids``
+is the bitmask of the prefix's embeddings.  A pair is two plain ints:
+pairs compare equal only within one book, and one book should not be
+shared between threads.  The book keeps every move as ``(ids, dead)`` pairs, so
+a book that nothing holds is freed by reference counting.
 
-The layered counts of ``enumeration`` take the book from ``state0`` and
-move the pairs ``(ids, dead)`` through it, so their keys are flat tuples
-of ints.  Besides ``step``, three moves of the book rename letters,
-through one loop (``_Book.rename``): ``delete`` deletes dead letters, as
-avoider counts do up to a bound, ``open_gap`` opens a gap into a new
-value, as modified words and permutations grow, and ``merge_live``
-deletes a permutation's dead gaps and merges the values between two live
-gaps into one.  The enumeration test suite checks the tracker on every
+The walks and the layered counts of ``enumeration`` hold the book and
+move the pairs through it, so their keys are flat tuples of ints.
+Besides ``step``, three moves of the book rename letters, through one
+loop (``_Book.rename``): ``delete`` deletes dead letters, as avoider
+counts do up to a bound, ``open_gap`` opens a gap into a new value, as
+modified words and permutations grow, and ``merge_live`` deletes a
+permutation's dead gaps and merges the values between two live gaps
+into one.  The enumeration test suite checks the tracker on every
 pattern of length at most 4 against a walk that asks the containment
 search directly.
 """
@@ -47,16 +44,12 @@ search directly.
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, NamedTuple
 
 from .core import normalize_pattern
 
-
-class Tracker(NamedTuple):
-    state: object
-    forbid: Callable
-    step: Callable
-    count_allowed: Callable
+# building the book of a 1000-letter permutation pattern takes 0.06 s, and
+# the time grows as the square of the length (2 cores, CPython 3.11)
+MAX_PATTERN_LENGTH = 1000
 
 
 def _below(c: int) -> int:
@@ -73,42 +66,31 @@ def _kills(a) -> int:
     return _below(hi) & ~_below(lo + 1)
 
 
-def forbid(s, c: int) -> int:
-    """1 when appending c to a prefix in state s completes the pattern."""
-    return (s[-1] >> c) & 1
-
-
-def count_allowed(s, top: int) -> int:
-    """Number of letters in 0..top that state s allows."""
-    return top + 1 - (s[-1] & _below(top + 1)).bit_count()
-
-
 # --- the set of partial embeddings -------------------------------------------
 # An embedding (j, vals) is a match of p[:j] in the prefix.  For each
 # pattern letter u, vals[u] is its value if u is matched and occurs again
 # in p[j:], the open interval (lo, hi) its value must fall in if u is not
 # matched yet (hi is inf while no letter bounds it above), and None once u
 # no longer occurs in p[j:].  That is all the future of the match depends
-# on, so prefixes with equal futures get equal states.  Embeddings with
+# on, so prefixes with equal futures get equal pairs.  Embeddings with
 # j = k-1 matter only through the final letters they accept, so they are
 # folded into the dead mask instead of being stored (a negative mask when
 # an interval open above kills every letter past its lower end), and an
 # embedding with an empty interval can never complete and is dropped.
-# The root embedding (j = 0) is in no state: every step moves it as well.
+# The root embedding (j = 0) is in no pair: every step moves it as well.
 #
-# A state is (book, ids, dead).  The book belongs to one make_tracker
-# call: it interns every embedding the tracker meets to a small id and
-# keeps, per id, each move the first time it is asked for, so growing a
-# state costs one table lookup per embedding, however many prefixes share
-# it.  ids is the bitmask of the prefix's embeddings, so within one book
-# equal embedding sets are equal masks.  The book also keeps each pair's
-# step, deletion and merge, as pairs (ids, dead), so a move that many
-# prefixes share is one dict lookup.  The tracker's step reads the book
-# from the state, so a state can be stepped by any tracker of its pattern.
+# The book belongs to one ``start`` call: it interns every embedding it
+# meets to a small id and keeps, per id, each move the first time it is
+# asked for, so growing a pair costs one table lookup per embedding,
+# however many prefixes share it.  ids is the bitmask of the prefix's
+# embeddings, so within one book equal embedding sets are equal masks.
+# The book also keeps each pair's step, deletion and merge, as pairs
+# (ids, dead), so a move that many prefixes share is one dict lookup.
 
 
 class _Book:
-    """The embeddings one tracker has met, interned to ids.
+    """The book of one pattern: the embeddings its pairs have met,
+    interned to ids.
 
         rows[i][c]   the move of embedding i on letter c, once asked: the
                      bit of the grown embedding's id, or, when i is
@@ -246,8 +228,8 @@ class _Book:
         embedding completes on exactly the renamed continuations of the
         old one.  An embedding that must match a value no continuation
         takes, or whose interval holds no such letter, never completes
-        and is dropped.  The result is a function of the old state, so
-        equal states stay equal."""
+        and is dropped.  The result is a function of the old pair, so
+        equal pairs stay equal."""
         j, vals = self.embeddings[i]
         vals = list(vals)
         m = 0
@@ -328,7 +310,7 @@ class _Book:
 
     def reduced(self, ids: int, dead: int):
         """The pair (ids, dead) reduced: dropped are the embeddings
-        that can only kill letters some other part of the state kills
+        that can only kill letters some other part of the pair kills
         anyway,
 
         (a) those whose final pattern letter may only take dead letters;
@@ -337,8 +319,8 @@ class _Book:
             letter (j1, v1) admits, so that every completion of v1 also
             completes v2.
 
-        ``forbid`` answers stay the same on every continuation and every
-        move of the book; only the states get fewer.  Dropping every
+        Dead bits stay the same on every continuation and every move of
+        the book; only the pairs get fewer.  Dropping every
         covered embedding at once is sound: covering is transitive, and
         two distinct embeddings never cover each other (they would be
         equal, and share one id), so each has a kept dominator."""
@@ -430,24 +412,12 @@ class _Book:
         return t
 
 
-def _canonical_step(s, c):
-    book, ids, dead = s
-    return (book, *book.step(ids, dead, c))
-
-
-# read by perfbench/tracer.py; goes with ROADMAP item 1's tracer change
-SPECIALIZED = frozenset()
-
-
-def make_tracker(p, size=None, generic=None) -> Tracker:
-    """The tracker of pattern p over the nonnegative letters, whose step
-    returns reduced states.
-
-    ``size`` and ``generic`` are ignored: every state grows only with the
-    letters it meets.  perfbench/tracer.py wraps this call with ``size``
-    positional, so callers pass None; both go with ROADMAP item 1's
-    tracer change.
-    """
+def start(p):
+    """``(book, ids, dead)``: a fresh book of pattern p and the pair of
+    the empty prefix, whose dead mask is -1 (every letter) when p has
+    one letter.  Patterns above MAX_PATTERN_LENGTH letters are refused."""
     p = normalize_pattern(p)
-    state0 = (_Book(p), 0, -1 if len(p) == 1 else 0)
-    return Tracker(state0, forbid, _canonical_step, count_allowed)
+    if len(p) > MAX_PATTERN_LENGTH:
+        raise ValueError(f"patterns longer than {MAX_PATTERN_LENGTH} "
+                         "letters are not supported")
+    return _Book(p), 0, -1 if len(p) == 1 else 0

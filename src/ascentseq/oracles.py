@@ -46,7 +46,8 @@ def _check_ints(*args) -> None:
 # defaults, the conjecture runners and the reference table use.
 _MAX_CATALAN_N = 10**5          # 0.36 s
 _MAX_DYCK_N = 10**5             # 0.78 s
-_MAX_BELL_N = 2000              # 0.54 s
+_MAX_BELL_N = 2000              # 0.54 s; stirling2(2000, 1000) 0.59 s
+_MAX_POWER_N = 5 * 10**6        # 0.59 s
 _MAX_CATALAN_TRANSFORM_N = 2000     # 0.34 s
 _MAX_TABLEAU_WORK = 240000      # shape-steps of the walk: 1.1 s at most
 
@@ -82,6 +83,7 @@ def half_power_formula(n: int) -> int:
     _check_ints(n)
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_at_most(n, _MAX_POWER_N)
     return (3 ** (n - 1) + 1) // 2
 
 
@@ -90,6 +92,7 @@ def ternary_even_twos_count(n: int) -> int:
     _check_ints(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_at_most(n, _MAX_POWER_N)
     return (3 ** n + 1) // 2
 
 
@@ -139,6 +142,7 @@ def stirling2(n: int, k: int) -> int:
     _check_ints(n, k)
     if n < 0 or k < 0:
         raise ValueError("need nonnegative arguments")
+    _check_at_most(n, _MAX_BELL_N)
     if k > n:
         return 0
     row = [1] + [0] * k

@@ -1,0 +1,121 @@
+"""Every exported callable that takes a length, a word or a pattern,
+given a bad one: it refuses with a short ValueError, or it returns at
+once (a generator yields its first item, or ends, at once)."""
+
+import signal
+
+import pytest
+
+import ascentseq as lib
+
+BIG = 10**30
+
+# per kind of bad input, a bad length and a bad word or pattern
+BAD = {
+    "non-int": (None, None),
+    "float": (2.5, (0, 1.5)),
+    "str": ("3", "01"),
+    "negative": (-1, (0, -1)),
+    "oversized": (BIG, (0, BIG)),
+    "long": (lib.enumeration.MAX_LENGTH + 1, (0,) * 10**5),
+}
+
+P = (0, 1, 0)       # a good pattern, a good word
+X = (0, 1, 0, 2)    # a good ascent sequence
+
+# per callable and argument, the call with a bad length (n) or a bad
+# word or pattern (w) in that argument and good ones elsewhere
+LENGTH_CALLS = {
+    **{name: getattr(lib, name) for name in (
+        "count_ascent_sequences", "generate_ascent_sequences",
+        "generate_restricted", "generate_set_partitions", "all_patterns",
+        "bell", "binomial_transform_catalan", "catalan",
+        "dyck_height5_count", "half_power_formula",
+        "ternary_even_twos_count")},
+    "avoiders": lambda n: lib.avoiders(P, n),
+    "perm_avoiders": lambda n: lib.perm_avoiders((0, 1), n),
+    "count_avoiders": lambda n: lib.count_avoiders(P, n),
+    "count_modified_avoiders": lambda n: lib.count_modified_avoiders(P, n),
+    "modified_avoiders": lambda n: lib.modified_avoiders(P, n),
+    "modified_asc_counts": lambda n: lib.modified_asc_counts(P, n),
+    "distribution": lambda n: lib.distribution(P, n, "asc"),
+    "joint_distribution": lambda n: lib.joint_distribution(
+        ("avoiders", P), n, "asc"),
+    "joint_histograms": lambda n: lib.joint_histograms(
+        ("avoiders", P), n, "asc"),
+    "run_conjecture": lambda n: lib.run_conjecture("210", n),
+    "wilf_classify": lambda n: lib.wilf_classify(["01", "10"], n),
+    "narayana[n]": lambda n: lib.narayana(n, 2),
+    "narayana[k]": lambda n: lib.narayana(5, n),
+    "stirling2[n]": lambda n: lib.stirling2(n, 2),
+    "stirling2[k]": lambda n: lib.stirling2(5, n),
+    "non_k_crossing_partition_count[n]":
+        lambda n: lib.non_k_crossing_partition_count(n, 2),
+    "non_k_crossing_partition_count[k]":
+        lambda n: lib.non_k_crossing_partition_count(5, n),
+}
+
+WORD_CALLS = {
+    **{name: getattr(lib, name) for name in (
+        "as_word", "asc", "des", "fwd", "lrmax", "lrmin", "rlmax", "rlmin",
+        "zeros", "word_str", "is_ascent_sequence", "is_restricted",
+        "is_rgf", "is_permutation", "is_pattern", "normalize_pattern",
+        "maximal_positions", "modify", "unmodify", "phi",
+        "perm231_to_ncpartition", "perm312_to_seq101", "seq101_to_perm312",
+        "seq102_to_ternary", "ternary_to_seq102", "restricted_to_021",
+        "seq021_to_restricted", "reduce_tail", "lifted_binary_decompose",
+        "rgf_decode")},
+    "stat": lambda w: lib.stat(w, "asc"),
+    "contains[word]": lambda w: lib.contains(w, P),
+    "contains[pattern]": lambda w: lib.contains(X, w),
+    "avoids[word]": lambda w: lib.avoids(w, P),
+    "avoids[pattern]": lambda w: lib.avoids(X, w),
+    "count_occurrences[word]": lambda w: lib.count_occurrences(w, P),
+    "count_occurrences[pattern]": lambda w: lib.count_occurrences(X, w),
+    "perm_contains[word]": lambda w: lib.perm_contains(w, (1, 0)),
+    "perm_contains[pattern]": lambda w: lib.perm_contains((2, 1, 3), w),
+    "avoiders[pattern]": lambda w: lib.avoiders(w, 4),
+    "perm_avoiders[pattern]": lambda w: lib.perm_avoiders(w, 4),
+    "count_avoiders[pattern]": lambda w: lib.count_avoiders(w, 4),
+    "count_modified_avoiders[pattern]":
+        lambda w: lib.count_modified_avoiders(w, 4),
+    "modified_avoiders[pattern]": lambda w: lib.modified_avoiders(w, 4),
+    "modified_asc_counts[pattern]": lambda w: lib.modified_asc_counts(w, 4),
+    "distribution[pattern]": lambda w: lib.distribution(w, 4, "asc"),
+    "joint_distribution[pattern]": lambda w: lib.joint_distribution(
+        ("avoiders", w), 4, "asc"),
+    "joint_histograms[pattern]": lambda w: lib.joint_histograms(
+        ("avoiders", w), 4, "asc"),
+    "wilf_classify[pattern]": lambda w: lib.wilf_classify([w, "01"], 4),
+}
+
+CASES = [(name, call, kind, BAD[kind][0])
+         for name, call in LENGTH_CALLS.items() for kind in BAD] + \
+        [(name, call, kind, BAD[kind][1])
+         for name, call in WORD_CALLS.items() for kind in BAD]
+
+
+class _Slow(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Slow
+
+
+@pytest.mark.parametrize("name,call,kind,arg", CASES,
+                         ids=[f"{name}-{kind}" for name, _, kind, _ in CASES])
+def test_bad_argument_is_refused_or_answered_at_once(name, call, kind, arg):
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(3)
+    try:
+        result = call(arg)
+        if hasattr(result, "__next__"):
+            next(result, None)
+    except ValueError as e:
+        assert len(str(e)) < 300, (name, kind, len(str(e)))
+    except _Slow:
+        pytest.fail(f"{name} took 3 s on a {kind} argument")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

@@ -26,7 +26,7 @@ from ascentseq.enumeration import (avoider_counts, avoiders,
                                    joint_histograms, modified_asc_counts,
                                    modified_avoiders, perm_avoiders)
 from ascentseq.fixtures import expected_counts
-from ascentseq.incremental import make_tracker
+from ascentseq.incremental import start
 from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
                                catalan, run_conjecture, stirling2,
                                wilf_classify)
@@ -45,22 +45,15 @@ LONG_PATTERNS = st.lists(st.integers(0, 5), min_size=5,
                          max_size=6).map(normalize_pattern)
 
 
-def delete_dead(s, mask):
-    # the moves that the layered rules make on a book's (ids, dead) pairs,
-    # made on a tracker state (book, ids, dead)
-    book, ids, dead = s
-    return (book, *book.delete(ids, dead, mask))
+def fresh(p):
+    # a fresh book of pattern p and the pair (ids, dead) of the empty prefix
+    book, ids, dead = start(p)
+    return book, (ids, dead)
 
 
-def open_gap(s, g):
-    book, ids, dead = s
-    return (book, *book.open_gap(ids, dead, g))
-
-
-def merge_live(s, top):
-    book, ids, dead = s
-    pair, groups = book.merge_live(ids, dead, top)
-    return (book, *pair), groups
+def forbids(s, c):
+    # appending c to a prefix with the pair s completes the pattern
+    return (s[1] >> c) & 1
 
 
 def modified_words(p, n):
@@ -178,24 +171,23 @@ class TestAvoiders:
             gc.enable()
 
     def test_direct_tracker_use_leaves_no_cycles(self):
-        # a tracker driven through its public moves is freed with its
-        # states by reference counting alone: the book keeps its moves
-        # as (ids, dead) pairs, not states that refer back to it
+        # a book driven through its public moves is freed with its pairs
+        # by reference counting alone: it keeps its moves as (ids, dead)
+        # pairs, which refer to nothing
         def word():
-            tr = make_tracker(pat("101"), None)
-            s = tr.state
+            book, s = fresh(pat("101"))
             for c in (0, 1, 0, 2, 1):
-                s = tr.step(s, c)
-            delete_dead(s, s[-1] & 0b111)
+                s = book.step(*s, c)
+            book.delete(*s, s[1] & 0b111)
 
         def permutation():
-            tr = make_tracker(pat("021"), None)
-            s, groups = merge_live(tr.state, 0)
+            book, s = fresh(pat("021"))
+            s, groups = book.merge_live(*s, 0)
             for r in (0, 1, 0, 2, 1):
                 a = groups[-1] - 1
                 c = min(r, a + 1)
-                s, groups = merge_live(
-                    tr.step(open_gap(s, 2 * c), 2 * c + 1), a + 2)
+                s, groups = book.merge_live(*book.step(
+                    *book.open_gap(*s, 2 * c), 2 * c + 1), a + 2)
 
         gc.collect()
         gc.disable()
@@ -373,13 +365,13 @@ class TestCanonicalTracker:
 
     def test_equal_futures_merge(self):
         # a 0 after 0 starts no new partial occurrence of 1302
-        tr = make_tracker(pat("1302"))
-        once = tr.step(tr.state, 0)
-        assert tr.step(once, 0) == once
+        book, s = fresh(pat("1302"))
+        once = book.step(*s, 0)
+        assert book.step(*once, 0) == once
         # 011 and 01 leave the same partial occurrences, so they merge
         # although the prefixes differ
-        s01 = tr.step(once, 1)
-        assert tr.step(s01, 1) == s01
+        s01 = book.step(*once, 1)
+        assert book.step(*s01, 1) == s01
 
     def test_counting_merges_reduced_states(self, monkeypatch):
         # the count steps reduced states and deletes the dead letters up
@@ -426,57 +418,38 @@ class TestCanonicalTracker:
             assert len(grown) == 2 * once, label
 
     def test_unchanged_mask_is_shared(self):
-        # a walk's stack holds one state per letter, so a dead mask as
+        # a walk's stack holds one pair per letter, so a dead mask as
         # long as the largest letter met, copied at every step, would
         # cost memory quadratic in the length; after letter 10^4 every
         # letter above it is dead, a mask of about 10^4 bits
-        tr = make_tracker(pat("01"))
-        once = tr.step(tr.state, 10**4)
-        assert once[-1] == ~((1 << (10**4 + 1)) - 1)
-        assert tr.step(once, 10**4)[-1] is once[-1]
-
-    def test_fresh_tracker_steps_reached_states(self):
-        # a state carries its tracker's book, so a fresh tracker of the
-        # same pattern steps it to the state the first tracker would
-        size = 9
-        for label in all_patterns(4):
-            p = pat(label)
-            tr = make_tracker(p)
-            states = _reached_states(tr, 7)
-            fresh = make_tracker(p)
-            for s in states:
-                for c in range(size):
-                    assert fresh.forbid(s, c) == tr.forbid(s, c), (label, c)
-                    t, u = fresh.step(s, c), tr.step(s, c)
-                    assert t == u, (label, c)
-                    assert [fresh.forbid(t, d) for d in range(size)] == \
-                        [tr.forbid(u, d) for d in range(size)], (label, c)
+        book, s = fresh(pat("01"))
+        once = book.step(*s, 10**4)
+        assert once[1] == ~((1 << (10**4 + 1)) - 1)
+        assert book.step(*once, 10**4)[1] is once[1]
 
     def test_repeated_step_leaves_the_book_alone(self):
         # every move is kept the first time it is made
         for label in ("1302", "0011", "1001", "2100", "10"):
-            tr = make_tracker(pat(label))
-            states = _reached_states(tr, 6)
-            book = tr.state[0]
-            for s in states:
+            book, s0 = fresh(pat(label))
+            for s in _reached_pairs(book, s0, 6):
                 for c in range(9):
-                    once = tr.step(s, c)
-                    ids = s[1] | book.root
+                    once = book.step(*s, c)
+                    ids = s[0] | book.root
                     assert all(c in row
                                for i, row in enumerate(book.rows)
                                if ids >> i & 1), (label, c)
                     embeddings = len(book.embeddings)
                     rows = [dict(row) for row in book.rows]
-                    assert tr.step(s, c) == once
+                    assert book.step(*s, c) == once
                     assert len(book.embeddings) == embeddings, (label, c)
                     assert book.rows == rows, (label, c)
 
     @staticmethod
-    def assert_reduced(s):
-        # no embedding of the state kills only dead letters, and none is
+    def assert_reduced(book, s):
+        # no embedding of the pair kills only dead letters, and none is
         # covered by another: (j2 >= j1, v2) admits, on every letter of
         # p[j2:], every letter (j1, v1) admits
-        book, ids, dead = s
+        ids, dead = s
         p = book.p
         held = [i for i in range(len(book.embeddings)) if ids >> i & 1]
         for i in held:
@@ -492,34 +465,34 @@ class TestCanonicalTracker:
 
     def walk_reduced(self, p, rng, perm):
         # grow random prefixes as the layered counts grow their keys, and
-        # check every state that step, delete_dead and merge_live return
-        tr = make_tracker(p)
+        # check every pair that step, delete and merge_live return
+        book, s0 = fresh(p)
         for _ in range(20):
             if perm:
-                s, groups = merge_live(tr.state, 0)
+                s, groups = book.merge_live(*s0, 0)
                 a = groups[-1] - 1
             else:
-                s, last, a = tr.state, -1, -1
-                gone = s[-1] & 1
-                s, a = delete_dead(s, gone), a - gone.bit_count()
-            self.assert_reduced(s)
+                s, last, a = s0, -1, -1
+                gone = s[1] & 1
+                s, a = book.delete(*s, gone), a - gone.bit_count()
+            self.assert_reduced(book, s)
             for _ in range(8):
                 if a < -1:
                     break               # no letter or gap is live
                 c = rng.randrange(a + 2)
                 if perm:
-                    s = tr.step(open_gap(s, 2 * c), 2 * c + 1)
-                    self.assert_reduced(s)
-                    s, groups = merge_live(s, a + 2)
+                    s = book.step(*book.open_gap(*s, 2 * c), 2 * c + 1)
+                    self.assert_reduced(book, s)
+                    s, groups = book.merge_live(*s, a + 2)
                     a = groups[-1] - 1
                 else:
-                    s, last, a = tr.step(s, c), c, a + (c > last)
-                    self.assert_reduced(s)
-                    gone = s[-1] & ((1 << (a + 2)) - 1)
-                    s = delete_dead(s, gone)
+                    s, last, a = book.step(*s, c), c, a + (c > last)
+                    self.assert_reduced(book, s)
+                    gone = s[1] & ((1 << (a + 2)) - 1)
+                    s = book.delete(*s, gone)
                     last -= (gone & ((1 << (last + 1)) - 1)).bit_count()
                     a -= gone.bit_count()
-                self.assert_reduced(s)
+                self.assert_reduced(book, s)
 
     def test_every_returned_state_is_reduced(self):
         for label in all_patterns(4):
@@ -542,8 +515,8 @@ class TestCanonicalTracker:
     def test_reduction_merges_keys(self, monkeypatch):
         # summed over the patterns of length <= 4, the last layer of the
         # perm-avoiders (asc) histograms to n = 9 keeps 21272 keys and of
-        # the avoider counts to n = 11 keeps 64886; states that
-        # delete_dead and merge_live left unreduced kept 22100 and 65212
+        # the avoider counts to n = 11 keeps 64886; pairs that delete and
+        # merge_live left unreduced kept 22100 and 65212
         # (59542 and 172183 against 61984 and 173320 at n = 10 and 12)
         layers = _spied_layers(monkeypatch)
         perm_keys = 0
@@ -599,34 +572,16 @@ class TestLongPatterns:
             assert hist == want, (kind, p, n)
 
 
-def _reached_states(tr, n):
-    # every tracker state the layered count reaches through length n
-    keys = {(tr.state, -1, -1)}
-    states = {tr.state}
+def _reached_pairs(book, s0, n):
+    # every pair that the avoider walk reaches from s0 through length n
+    keys = {(s0, -1, -1)}
+    pairs = {s0}
     for _ in range(n):
-        keys = {(tr.step(s, c), c, a + 1 if c > last else a)
+        keys = {(book.step(*s, c), c, a + 1 if c > last else a)
                 for s, last, a in keys for c in range(a + 2)
-                if not tr.forbid(s, c)}
-        states.update(s for s, _, _ in keys)
-    return states
-
-
-class TestTrackerConvention:
-    """Every tracker state ends in its dead mask, and forbid and
-    count_allowed read nothing else."""
-
-    def test_last_entry_is_the_dead_mask(self):
-        patterns = [pat(label) for label in all_patterns(4)]
-        assert len(patterns) == 92
-        size = 9
-        for p in patterns:
-            tr = make_tracker(p)
-            for s in _reached_states(tr, 7):
-                for c in range(size):
-                    assert tr.forbid(s, c) == (s[-1] >> c) & 1, (p, s, c)
-                for t in range(size):
-                    assert tr.count_allowed(s, t) == sum(
-                        not tr.forbid(s, c) for c in range(t + 1)), (p, s, t)
+                if not forbids(s, c)}
+        pairs.update(s for s, _, _ in keys)
+    return pairs
 
 
 class TestStructure:
@@ -1043,32 +998,32 @@ class TestModified:
                                        "3201"])
     def test_transported_state_is_the_modified_words_state(self, label):
         # the DP opens gap 2c before an ascent top c and steps; that must
-        # give the state of modify(x c) grown from scratch in doubled
-        # coordinates, and forbid must agree with containment in
+        # give the pair of modify(x c) grown from scratch in doubled
+        # coordinates, and its dead bit must agree with containment in
         # modify(x c)
         p = pat(label)
         n_max = 10
-        tr = make_tracker(p)
+        book, s0 = fresh(p)
 
         def grown(w):
-            s = tr.state
+            s = s0
             for v in w:
-                s = tr.step(s, 2 * v + 1)
+                s = book.step(*s, 2 * v + 1)
             return s
 
         rng = random.Random(label)
         for _ in range(30):
-            x, s, last, a = (), tr.state, -1, -1
+            x, s, last, a = (), s0, -1, -1
             while len(x) < n_max:
                 allowed = []
                 for c in range(a + 2):
                     g = 2 * c if c > last else 2 * c + 1
-                    dead = bool(tr.forbid(s, g))
+                    dead = bool(forbids(s, g))
                     assert dead == contains(modify(x + (c,)), p), (x, c)
                     if dead:
                         continue
-                    moved = open_gap(s, g) if c > last else s
-                    t = tr.step(moved, 2 * c + 1)
+                    moved = book.open_gap(*s, g) if c > last else s
+                    t = book.step(*moved, 2 * c + 1)
                     assert t == grown(modify(x + (c,))), (x, c)
                     allowed.append((c, t))
                 if not allowed:
@@ -1077,60 +1032,61 @@ class TestModified:
                 x, last, a = x + (c,), c, a + 1 if c > last else a
 
     @staticmethod
-    def agree(tr, raw, key, names, gap=1):
-        # the letters (gaps, when gap is 2) that the raw state forbids are
+    def agree(raw, key, names, gap=1):
+        # the letters (gaps, when gap is 2) that the raw pair forbids are
         # those deleted from the key or forbidden by it under their names
-        assert [bool(tr.forbid(raw, gap * r)) for r in range(len(names))
-                ] == [y is None or bool(tr.forbid(key, gap * y))
+        assert [bool(forbids(raw, gap * r)) for r in range(len(names))
+                ] == [y is None or bool(forbids(key, gap * y))
                       for y in names]
 
     def walk_deletions(self, p, rng):
-        # step the raw state and the key that delete_dead renames along
-        # random continuations, and check every next letter's states too
-        tr = make_tracker(p)
+        # step the raw pair and the key that delete renames along random
+        # continuations, and check every next letter's pairs too
+        book, s0 = fresh(p)
+        step = book.step
         for _ in range(20):
-            raw = key = tr.state
+            raw = key = s0
             names = list(range(8))      # raw letter -> its name in the key
             for _ in range(10):
-                self.agree(tr, raw, key, names)
+                self.agree(raw, key, names)
                 mask = sum(1 << y for y in names if y is not None
-                           and tr.forbid(key, y) and rng.random() < 0.7)
-                key = delete_dead(key, mask)
+                           and forbids(key, y) and rng.random() < 0.7)
+                key = book.delete(*key, mask)
                 names = [None if y is None or (mask >> y) & 1
                          else y - (mask & ((1 << y) - 1)).bit_count()
                          for y in names]
-                allowed = [x for x in range(8) if not tr.forbid(raw, x)]
+                allowed = [x for x in range(8) if not forbids(raw, x)]
                 for x in allowed:
-                    self.agree(tr, tr.step(raw, x), tr.step(key, names[x]),
-                               names)
+                    self.agree(step(*raw, x), step(*key, names[x]), names)
                 if not allowed:
                     break
                 c = rng.choice(allowed)
-                raw, key = tr.step(raw, c), tr.step(key, names[c])
+                raw, key = step(*raw, c), step(*key, names[c])
 
     def walk_merges(self, q, rng):
-        # insert random runs of ranks into the raw permutation state and
+        # insert random runs of ranks into the raw permutation pair and
         # into the key that merge_live renames; a live gap's new name is
         # read off the rank-to-group map
-        tr = make_tracker(q)
+        book, s0 = fresh(q)
+        step, open_gap = book.step, book.open_gap
         for _ in range(20):
-            raw = tr.state
-            key, groups = merge_live(raw, 0)
-            names = [None if tr.forbid(raw, 0) else 0]  # raw gap -> key gap
+            raw = s0
+            key, groups = book.merge_live(*raw, 0)
+            names = [None if forbids(raw, 0) else 0]    # raw gap -> key gap
             for _ in range(10):
-                self.agree(tr, raw, key, names, 2)
+                self.agree(raw, key, names, 2)
                 allowed = [r for r, y in enumerate(names) if y is not None]
                 if not allowed:
                     break
                 c = rng.choice(allowed)
                 g = names[c]
-                raw = tr.step(open_gap(raw, 2 * c), 2 * c + 1)
-                grown = tr.step(open_gap(key, 2 * g), 2 * g + 1)
+                raw = step(*open_gap(*raw, 2 * c), 2 * c + 1)
+                grown = step(*open_gap(*key, 2 * g), 2 * g + 1)
                 names = [None if y is None else y + (r > c)
                          for r, y in enumerate(names[:c + 1] + names[c:])]
-                self.agree(tr, raw, grown, names, 2)
-                key, groups = merge_live(grown, groups[-1] + 1)
-                names = [None if y is None or tr.forbid(grown, 2 * y)
+                self.agree(raw, grown, names, 2)
+                key, groups = book.merge_live(*grown, groups[-1] + 1)
+                names = [None if y is None or forbids(grown, 2 * y)
                          else groups[y] + 1 for y in names]
 
     def test_deleted_state_forbids_the_renamed_letters(self):
