@@ -3,8 +3,9 @@
 Subcommands: count, list, dist, bijection, wilf, table, conjectures.
 Output is deterministic (byte-identical across runs) in three formats:
 an aligned human table, CSV, or line-delimited JSON.
-Exit codes: 0 success, 2 usage or domain errors, 3 budget refusals,
-4 failed verifications (table mismatches, conjecture failures).
+Exit codes: 0 success, 2 usage or domain errors, 3 budget refusals
+and runs out of memory, 4 failed verifications (table mismatches,
+conjecture failures).
 """
 
 from __future__ import annotations
@@ -161,8 +162,10 @@ def _run(args, command: str, params: dict, columns: list[str], rows,
     """Drain the row iterator, emit once and pick the exit code.
 
     A ``BudgetExceeded`` keeps the rows made before it and marks them
-    incomplete (exit 3); otherwise the run exits 4 when ``ok`` rejects a
-    row, else 0.
+    incomplete (exit 3), and so does a ``MemoryError``: the work that
+    ran out of memory is dropped with its frames, so the rows can still
+    be emitted.  Otherwise the run exits 4 when ``ok`` rejects a row,
+    else 0.
     """
     done, status = [], {"complete": True}
     try:
@@ -170,6 +173,8 @@ def _run(args, command: str, params: dict, columns: list[str], rows,
             done.append(row)
     except BudgetExceeded as exc:
         status = {"complete": False, "reason": str(exc)}
+    except MemoryError:
+        status = {"complete": False, "reason": "out of memory"}
     emit(args.format, command, params, columns, done, status)
     if not status["complete"]:
         return EXIT_BUDGET

@@ -20,6 +20,7 @@ so examples in docstrings shift by one.
 from __future__ import annotations
 
 import reprlib
+from bisect import bisect_left
 from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
@@ -315,14 +316,19 @@ def _plan(p: Word) -> tuple[tuple[int, bool, int, int, str], ...]:
     earlier letters below and above it, and the part of the range that a
     failure rules out (``_CUTS``).  Slots -2 and -1 of the search's value
     list hold the sentinels -1 and inf.  A repeated letter sets no value,
-    so nothing later reads its choice: a failure there rules out all."""
+    so nothing later reads its choice: a failure there rules out all.
+    The letters met so far are kept sorted, so each position finds its
+    neighbours by one binary search."""
     rows = []
     low_end, high_end = set(), set()    # slots read as a window's ends
-    for i, v in enumerate(p):
-        before = set(p[:i])
-        seen = v in before
-        lo = max((u for u in before if u < v), default=-2)
-        hi = min((u for u in before if u > v), default=-1)
+    before = []                         # the distinct letters so far, sorted
+    for v in p:
+        i = bisect_left(before, v)
+        seen = i < len(before) and before[i] == v
+        lo = before[i - 1] if i else -2
+        hi = before[i + seen] if i + seen < len(before) else -1
+        if not seen:
+            before.insert(i, v)
         rows.append((v, seen, lo, hi))
         if seen:                        # w[t] == val[v] reads both ends
             low_end.add(v)

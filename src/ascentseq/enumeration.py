@@ -15,7 +15,9 @@ and are merged into one weighted key, with one budget check per key,
 and grows each distinct key once per count.  A count of avoiders is read
 off the layer before its length, and a layer is built only when the
 next count is asked for, so a caller that stops taking counts stops the
-work.  A layered key is the flat tuple ``(ids, last, dead, a)``: the
+work; the last count is read off the layer two before its length, from
+the dead masks of that layer's children, so the largest layer is never
+built.  A layered key is the flat tuple ``(ids, last, dead, a)``: the
 tracker pair (ids, dead) in the book that the rule holds, the last
 letter, and the bound a + 1 on the next letter.  Each rule
 yields, per child, the place of the new letter (letter c is place
@@ -106,9 +108,10 @@ def _layers(children, start, n_max: int, check=None, leaves=None):
     layer is grown.  ``check`` is called once per key of the layer
     before and may raise to abort.  With ``leaves``, the last layer is
     not grown: it sums ways times weight over the ``(leaf, weight)``
-    pairs that ``leaves(key)`` yields, which steps no tracker; growing
-    the last layer instead more than doubled the time of the ``modi``
-    conjecture."""
+    pairs that ``leaves(key)`` yields, which builds no key of it;
+    growing the last layer instead more than doubled the time of the
+    ``modi`` conjecture, and took most of the time and memory of a deep
+    avoider count."""
     layer = {start: 1}
     rows = {}       # key -> its children's keys, for this count only
     last = n_max - (leaves is not None)     # the last layer grown
@@ -177,12 +180,14 @@ def count_ascent_sequences(n: int) -> int:
 
 
 def _avoider_rule(p):
-    """``(start, children)`` of the p-avoiding ascent sequences, keyed by
-    live letters.  ``children(key)`` yields ``(2c + 1, child, gone)`` for
-    each letter c of the key: the place of c, the key of the longer
-    prefix, and the mask of the letters deleted from it, or None when
-    none was; ``children(key, False)`` yields ``(2c + 1, None, None)``
-    and steps no tracker.
+    """``(start, children, leaves)`` of the p-avoiding ascent sequences,
+    keyed by live letters.  ``children(key)`` yields ``(2c + 1, child,
+    gone)`` for each letter c of the key: the place of c, the key of the
+    longer prefix, and the mask of the letters deleted from it, or None
+    when none was; ``children(key, False)`` yields ``(2c + 1, None,
+    None)`` and steps no tracker.  ``leaves(key)`` yields the one pair
+    ``(None, total)``, where total is the number of continuations of the
+    key by two letters: the a + 2 of each child's live key, summed.
 
     A key is (ids, last, dead, a), where the next letter is at most
     a + 1.  Every key is made live: the dead letters in 0..a + 1 are
@@ -213,7 +218,7 @@ def _avoider_rule(p):
     stay equal: the count merges more prefixes, never fewer.
     """
     book, ids, dead = incremental.start(p)
-    step, delete = book.step, book.delete
+    step, delete, dead_after = book.step, book.delete, book.dead_after
 
     def live(c, ids, dead, a):
         # the place of c, and the live key of the prefix ending in c
@@ -231,7 +236,21 @@ def _avoider_rule(p):
             yield (live(c, *step(ids, dead, c), a + 1 if c > last else a)
                    if grow else (2 * c + 1, None, None))
 
-    return live(-1, ids, dead, -1)[1], children
+    def leaves(key):
+        # a child's key has a + 2 = width - (its dead letters below
+        # width), where width is a + 2 of the child before its deletion:
+        # reduction keeps every dead bit and delete removes exactly those
+        # letters, so the sum reads the children's dead masks alone and
+        # builds no child key
+        ids, last, dead, a = key
+        total = 0
+        for c in range(a + 2):
+            width = a + 3 if c > last else a + 2
+            total += width - (dead_after(ids, dead, c)
+                              & ((1 << width) - 1)).bit_count()
+        yield None, total
+
+    return live(-1, ids, dead, -1)[1], children, leaves
 
 
 def avoiders(p, n: int, check=None):
@@ -253,18 +272,22 @@ def avoiders(p, n: int, check=None):
 def avoider_counts(p, n_max: int, check=None):
     """Yield ``(n, count)`` for n = 1..n_max, the number of p-avoiding
     ascent sequences of length n.  Count n is read off layer n - 1, and
-    layer n is built only when count n + 1 is asked for, so taking the
-    first k counts does the work of draining ``avoider_counts(p, k)``.
+    layer n is built only when count n + 1 is asked for, so a caller
+    that stops taking counts stops the work.
 
     A layer maps the live keys of ``_avoider_rule`` to the number of
     prefixes with each.  Every letter 0..a + 1 of a key is allowed, so
-    count n is the sum of ways * (a + 2) over layer n - 1.  ``check``,
-    when given, is called once before count 1 and once per key grown,
-    and may raise to abort cleanly (used for CLI budget guards); the
-    counts yielded before it raised stay valid.
+    count n is the sum of ways * (a + 2) over layer n - 1.  Count n_max
+    is the sum of ways times the rule's ``leaves`` total over layer
+    n_max - 2 instead: that total reads the dead masks of the key's
+    children alone, so layer n_max - 1, the largest, is never built.
+    ``check``, when given, is called once before count 1 and once per
+    key of layers 0..n_max - 2, and may raise to abort cleanly (used
+    for CLI budget guards); the counts yielded before it raised stay
+    valid.
     """
     _check_length(n_max)
-    start, children = _avoider_rule(normalize_pattern(p))
+    start, children, leaves = _avoider_rule(normalize_pattern(p))
 
     def total(layer):
         return sum(ways * (key[-1] + 2) for key, ways in layer.items())
@@ -272,8 +295,9 @@ def avoider_counts(p, n_max: int, check=None):
     if check is not None:
         check()                 # a spent budget refuses before count 1
     yield 1, total({start: 1})
-    for n, layer in _layers(children, start, n_max - 1, check):
-        yield n + 1, total(layer)
+    for n, layer in _layers(children, start, n_max - 1, check, leaves):
+        # the last layer is leaves: None to the count
+        yield n + 1, total(layer) if n + 1 < n_max else sum(layer.values())
 
 
 def count_avoiders(p, n_max: int, threads: int = 1, split_depth=None,
@@ -608,7 +632,7 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
 
 def _joint_histograms(kind, p, n_max, stats, check):
     rules, rule, rename = _SETS[kind]
-    start, children = rule(p)
+    start, children = rule(p)[:2]   # the avoider rule's leaves sum counts
     starts, steps = zip(*(rules[s] for s in stats))
     renamed = {}    # many keys step to one (states, move) pair
 

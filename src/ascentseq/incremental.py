@@ -369,6 +369,23 @@ class _Book:
                 return ids, dead
         return self.reduced(grown, dead)
 
+    def dead_after(self, ids: int, dead: int, c: int) -> int:
+        """The dead mask of ``step(ids, dead, c)``, read off the rows of
+        the pair's penultimate embeddings (and the root's, when p has two
+        letters) alone: no embedding is grown or interned, and the step
+        is not kept."""
+        rows = self.rows
+        rest = (ids | self.root) & self.penult
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            m = rows[i].get(c)
+            if m is None:
+                m = rows[i][c] = self._grow(i, c)
+            dead |= m
+        return dead
+
     # Appending c to an ascent sequence x appends c to its modified word,
     # after raising every letter >= c by one when c is an ascent top.  The
     # tracker follows the raise in doubled coordinates: value v is letter

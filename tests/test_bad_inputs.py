@@ -3,6 +3,7 @@ given a bad one: it refuses with a short ValueError, or it returns at
 once (a generator yields its first item, or ends, at once)."""
 
 import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -103,19 +104,40 @@ def _alarm(signum, frame):
     raise _Slow
 
 
-@pytest.mark.parametrize("name,call,kind,arg", CASES,
-                         ids=[f"{name}-{kind}" for name, _, kind, _ in CASES])
-def test_bad_argument_is_refused_or_answered_at_once(name, call, kind, arg):
+@contextmanager
+def _three_seconds(what):
+    # fails the test when the body takes 3 s
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(3)
     try:
-        result = call(arg)
-        if hasattr(result, "__next__"):
-            next(result, None)
-    except ValueError as e:
-        assert len(str(e)) < 300, (name, kind, len(str(e)))
+        yield
     except _Slow:
-        pytest.fail(f"{name} took 3 s on a {kind} argument")
+        pytest.fail(f"{what} took 3 s")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("name,call,kind,arg", CASES,
+                         ids=[f"{name}-{kind}" for name, _, kind, _ in CASES])
+def test_bad_argument_is_refused_or_answered_at_once(name, call, kind, arg):
+    with _three_seconds(f"{name} on a {kind} argument"):
+        try:
+            result = call(arg)
+            if hasattr(result, "__next__"):
+                next(result, None)
+        except ValueError as e:
+            assert len(str(e)) < 300, (name, kind, len(str(e)))
+
+
+@pytest.mark.parametrize("w, p", [
+    ((0,) * 80000, (0,) * 40000),
+    (tuple(range(40000)), tuple(range(20000))),
+], ids=["repeated", "distinct"])
+def test_long_pattern_in_a_longer_word_is_answered_at_once(w, p):
+    # the search plan of a pattern finds each letter's nearest earlier
+    # letters below and above by a binary search; when it rebuilt the set
+    # of letters before every position, the plan of 40000 zeros took
+    # about 7 s
+    with _three_seconds(f"contains of a {len(p)}-letter pattern"):
+        assert lib.contains(w, p)

@@ -136,6 +136,29 @@ class TestCount:
         want = count_avoiders((1, 0, 0, 1), 7).values
         assert {n: rows[n] for n in want} == want
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+    def test_memory_error_is_a_refusal(self, capsys, fmt):
+        # a count that runs out of memory keeps the rows it finished and
+        # refuses as a spent budget does, with no traceback
+        def rows():
+            yield {"n": 1, "count": 1}
+            yield {"n": 2, "count": 2}
+            raise MemoryError
+
+        code = cli._run(SimpleNamespace(format=fmt), "count",
+                        {"pattern": "1001"}, ["n", "count"], rows())
+        out, err = capsys.readouterr()
+        assert code == EXIT_BUDGET and err == ""
+        lines = out.splitlines()
+        if fmt == "jsonl":
+            assert [json.loads(line) for line in lines[1:]] == [
+                {"n": 1, "count": 1}, {"n": 2, "count": 2},
+                {"status": {"complete": False, "reason": "out of memory"}}]
+        else:
+            assert lines[-1] == "# incomplete: out of memory"
+            assert [line.replace(",", " ").split() for line in lines[-3:-1]
+                    ] == [["1", "1"], ["2", "2"]]
+
     def test_modified_budget_counts_every_sequence(self, capsys,
                                                    ticking_clock):
         # the modified count is one layered pass, of 3494 budget checks

@@ -225,6 +225,19 @@ class TestPatterns:
     def test_plan_cuts(self, p, cuts):
         assert tuple(row[4] for row in _plan(p)) == cuts
 
+    def test_plan_neighbours_agree_with_sets(self):
+        # each position's nearest earlier letters below and above, found
+        # by binary search, are those of the set of earlier letters
+        for label in all_patterns(6):
+            p = pat(label)
+            want = []
+            for i, v in enumerate(p):
+                before = set(p[:i])
+                want.append((v, v in before,
+                             max((u for u in before if u < v), default=-2),
+                             min((u for u in before if u > v), default=-1)))
+            assert [row[:4] for row in _plan(p)] == want, label
+
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.integers(0, 6), max_size=16),
            st.lists(st.integers(0, 5), min_size=1, max_size=6))

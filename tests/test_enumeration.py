@@ -112,8 +112,8 @@ class TestAvoiders:
 
     @pytest.mark.parametrize("label", ["1021", "000", "0"])
     def test_counts_are_lazy(self, label):
-        # the first k counts of a deep run cost exactly what a run to k
-        # costs: no layer is built before its count is asked for
+        # the first k counts of a deep run make as many budget checks
+        # as a run to k: no layer is built before its count is asked for
         def checks(n_max, k):
             calls = [0]
 
@@ -378,10 +378,11 @@ class TestCanonicalTracker:
         # to each key's bound: layer 11 keeps 101, 137 and 56 keys for
         # 0021, 0012 and 210; without the deletion the reduced states
         # keep 586, 341 and 254, and the unreduced embedding sets 8889,
-        # 3440 and 1330
+        # 3440 and 1330.  The count runs to 13, since the layer before
+        # the last count is the last one built
         layers = _spied_layers(monkeypatch)
         for label, keys in (("0021", 101), ("0012", 137), ("210", 56)):
-            dict(enumeration.avoider_counts(pat(label), 12))
+            dict(enumeration.avoider_counts(pat(label), 13))
             assert len(layers[11]) == keys, label
             # no letter up to a key's bound a + 1 is dead
             for n in range(1, 12):
@@ -392,30 +393,53 @@ class TestCanonicalTracker:
         # _layers keeps each distinct key's children for one count, so a
         # key that comes back in a later layer is not grown again; a
         # second count grows as many keys again, so nothing is kept from
-        # one count to the next
+        # one count to the next.  A count to 12 grows layers 0..9, as a
+        # count to 11 did when it built its last layer
         grown = []
         rule = enumeration._avoider_rule
 
         def spied(p):
-            start, children = rule(p)
+            start, children, leaves = rule(p)
 
             def counted(key, grow=True):
                 if grow:
                     grown.append(key)
                 return children(key, grow)
-            return start, counted
+            return start, counted, leaves
 
         monkeypatch.setattr(enumeration, "_avoider_rule", spied)
         layers = _spied_layers(monkeypatch)
         for label in ("0021", "0012", "210", "1001"):
             grown.clear()
-            dict(avoider_counts(pat(label), 11))
+            dict(avoider_counts(pat(label), 12))
             once = len(grown)
             assert once == len(set(grown)), label
             # layers 0..9 are grown, and some of their keys come back
             assert 1 + sum(len(layers[n]) for n in range(1, 10)) > once
-            dict(avoider_counts(pat(label), 11))
+            dict(avoider_counts(pat(label), 12))
             assert len(grown) == 2 * once, label
+
+    @pytest.mark.parametrize("label, n, checks", [
+        ("1001", 10, 1113), ("0021", 12, 297), ("210", 12, 177),
+        ("1012", 12, 824), ("10", 9, 9), ("01", 5, 5), ("0", 5, 2)])
+    def test_last_count_builds_no_keys(self, monkeypatch, label, n, checks):
+        # count n is summed off layer n - 2: the last layer that _layers
+        # yields holds the count alone, no tracker key, while the budget
+        # is checked once before count 1 and once per key of layers
+        # 0..n - 2, as often as when layer n - 1 was built (the pinned
+        # numbers of checks)
+        layers = _spied_layers(monkeypatch)
+        calls = []
+        counts = dict(avoider_counts(pat(label), n,
+                                     lambda: calls.append(None)))
+        assert max(layers) == n - 1
+        assert set(layers[n - 1]) <= {None}
+        assert sum(layers[n - 1].values()) == counts[n]
+        for m in range(1, n - 1):
+            assert all(type(key) is tuple for key in layers[m]), m
+        assert len(calls) == checks
+        # one before count 1, one for the start key (layer 0)
+        assert checks == 2 + sum(len(layers[m]) for m in range(1, n - 1))
 
     def test_unchanged_mask_is_shared(self):
         # a walk's stack holds one pair per letter, so a dead mask as
@@ -514,10 +538,11 @@ class TestCanonicalTracker:
 
     def test_reduction_merges_keys(self, monkeypatch):
         # summed over the patterns of length <= 4, the last layer of the
-        # perm-avoiders (asc) histograms to n = 9 keeps 21272 keys and of
-        # the avoider counts to n = 11 keeps 64886; pairs that delete and
-        # merge_live left unreduced kept 22100 and 65212
-        # (59542 and 172183 against 61984 and 173320 at n = 10 and 12)
+        # perm-avoiders (asc) histograms to n = 9 keeps 21272 keys and
+        # layer 10 of the avoider counts (the last one that a count to 12
+        # builds) keeps 64886; pairs that delete and merge_live left
+        # unreduced kept 22100 and 65212 (59542 and 172183 against 61984
+        # and 173320 at n = 10 and at layer 11)
         layers = _spied_layers(monkeypatch)
         perm_keys = 0
         for label in PERM_PATTERNS:
@@ -527,7 +552,7 @@ class TestCanonicalTracker:
             perm_keys += len(layers[8])
         avoider_keys = 0
         for label in all_patterns(4):
-            dict(avoider_counts(pat(label), 11))
+            dict(avoider_counts(pat(label), 12))
             avoider_keys += len(layers[10])
         assert (perm_keys, avoider_keys) == (21272, 64886)
 
