@@ -24,7 +24,10 @@ returns is reduced: it holds no embedding that can change no dead bit
 (West 1995, "Generating trees and the Catalan and Schröder numbers").
 The book interns every embedding to a small id and keeps each
 embedding's and each pair's move on a letter once computed, and ``ids``
-is the bitmask of the prefix's embeddings.  A pair is two plain ints:
+is the bitmask of the prefix's embeddings.  It indexes each embedding by
+its next slot, the value or interval the next pattern letter must take,
+so a step asks only the embeddings whose slot admits the letter: one
+whose slot is a value moves on that value alone.  A pair is two plain ints:
 pairs compare equal only within one book, and one book should not be
 shared between threads.  The book keeps every move as ``(ids, dead)`` pairs, so
 a book that nothing holds is freed by reference counting.
@@ -81,8 +84,9 @@ def _kills(a) -> int:
 #
 # The book belongs to one ``start`` call: it interns every embedding it
 # meets to a small id and keeps, per id, each move the first time it is
-# asked for, so growing a pair costs one table lookup per embedding,
-# however many prefixes share it.  ids is the bitmask of the prefix's
+# asked for, so growing a pair costs one table lookup per embedding
+# whose next slot admits the letter (the index fixed/ranged), however
+# many prefixes share it.  ids is the bitmask of the prefix's
 # embeddings, so within one book equal embedding sets are equal masks.
 # The book also keeps each pair's step, deletion and merge, as pairs
 # (ids, dead), so a move that many prefixes share is one dict lookup.
@@ -103,6 +107,9 @@ class _Book:
                      the bit of the id of embedding i after merge_live with
                      that rank-to-group map, 0 when it can never complete
         kills[i]     the letters the final pattern letter may take
+        fixed[v]     the ids whose next slot vals[p[j]] is the value v: the
+                     only letter they can move on
+        ranged       the ids whose next slot is an interval
         dominators[i]
                      the ids whose embeddings cover embedding i, filled
                      as each embedding is interned
@@ -119,7 +126,8 @@ class _Book:
 
     __slots__ = ("p", "plan", "tails", "index", "embeddings",
                  "rows", "gaps", "drops", "merges", "kills", "dominators",
-                 "penult", "root", "steps", "deleted", "merged")
+                 "penult", "fixed", "ranged", "root", "steps", "deleted",
+                 "merged")
 
     def __init__(self, p):
         self.p = p
@@ -141,7 +149,8 @@ class _Book:
         self.embeddings = []
         self.rows, self.gaps, self.drops, self.merges = [], [], [], []
         self.kills, self.dominators = [], []
-        self.penult = 0
+        self.penult = self.ranged = 0
+        self.fixed = {}
         self.steps, self.deleted, self.merged = {}, {}, {}
         # the root embedding, which a length-1 pattern has already completed
         self.root = (1 << self.intern((0, ((-1, inf),) * (max(p) + 1)))
@@ -163,8 +172,14 @@ class _Book:
                     self.dominators[i] |= 1 << k
                 elif self.covers(e, f):
                     self.dominators[k] |= 1 << i
-            if e[0] == len(self.p) - 2:
+            j, vals = e
+            if j == len(self.p) - 2:
                 self.penult |= 1 << i
+            a = vals[self.p[j]]
+            if type(a) is int:
+                self.fixed[a] = self.fixed.get(a, 0) | 1 << i
+            else:
+                self.ranged |= 1 << i
         return i
 
     def covers(self, e2, e1) -> bool:
@@ -351,7 +366,7 @@ class _Book:
     def _step(self, ids: int, dead: int, c: int):
         rows, penult = self.rows, self.penult
         grown, old_dead = ids, dead
-        rest = ids | self.root
+        rest = (ids | self.root) & (self.fixed.get(c, 0) | self.ranged)
         while rest:
             low = rest & -rest
             rest ^= low
@@ -372,10 +387,11 @@ class _Book:
     def dead_after(self, ids: int, dead: int, c: int) -> int:
         """The dead mask of ``step(ids, dead, c)``, read off the rows of
         the pair's penultimate embeddings (and the root's, when p has two
-        letters) alone: no embedding is grown or interned, and the step
-        is not kept."""
+        letters) whose slot admits c alone: no embedding is grown or
+        interned, and the step is not kept."""
         rows = self.rows
-        rest = (ids | self.root) & self.penult
+        rest = ((ids | self.root) & self.penult
+                & (self.fixed.get(c, 0) | self.ranged))
         while rest:
             low = rest & -rest
             rest ^= low

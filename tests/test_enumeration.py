@@ -28,8 +28,8 @@ from ascentseq.enumeration import (avoider_counts, avoiders,
 from ascentseq.fixtures import expected_counts
 from ascentseq.incremental import start
 from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
-                               catalan, run_conjecture, stirling2,
-                               wilf_classify)
+                               binomial_transform_catalan, catalan,
+                               run_conjecture, stirling2, wilf_classify)
 
 from conftest import pat
 
@@ -358,6 +358,12 @@ class TestCanonicalTracker:
         assert count_avoiders(pat("1302"), 10).values[10] == 156851
         assert count_avoiders(pat("0312"), 10).values[10] == 156847
 
+    def test_deep_1012_count_is_the_catalan_binomial_transform(self):
+        # the last count to n = 18, summed off layer 16, against the
+        # closed form: 8140539950
+        counts = dict(avoider_counts(pat("1012"), 18))
+        assert counts[18] == binomial_transform_catalan(18) == 8140539950
+
     def test_trivial_patterns_have_no_hand_summary(self):
         # every word contains 0; only 0 1 2 ... avoids 00 and 0 0 0 ... 01
         for label, want in (("0", 0), ("00", 1), ("01", 1)):
@@ -452,7 +458,8 @@ class TestCanonicalTracker:
         assert book.step(*once, 10**4)[1] is once[1]
 
     def test_repeated_step_leaves_the_book_alone(self):
-        # every move is kept the first time it is made
+        # every move is kept the first time it is made, in the row of
+        # every embedding of the pair whose next slot admits the letter
         for label in ("1302", "0011", "1001", "2100", "10"):
             book, s0 = fresh(pat(label))
             for s in _reached_pairs(book, s0, 6):
@@ -461,12 +468,84 @@ class TestCanonicalTracker:
                     ids = s[0] | book.root
                     assert all(c in row
                                for i, row in enumerate(book.rows)
-                               if ids >> i & 1), (label, c)
+                               if ids >> i & 1 and _admits(book, i, c)
+                               ), (label, c)
                     embeddings = len(book.embeddings)
                     rows = [dict(row) for row in book.rows]
                     assert book.step(*s, c) == once
                     assert len(book.embeddings) == embeddings, (label, c)
                     assert book.rows == rows, (label, c)
+
+    @staticmethod
+    def assert_index_exact(book, pairs, letters):
+        # every id sits in fixed[v] when its next slot is the value v and
+        # in ranged when it is an interval, and in nothing else; and step
+        # and dead_after, which ask only the ids that the index lets
+        # through, equal a scan that grows every id of the pair
+        for s in pairs:
+            for c in letters:
+                ids, dead = s
+                grown = ids
+                rest = ids | book.root
+                for i in range(rest.bit_length()):
+                    if rest >> i & 1:
+                        m = book._grow(i, c)
+                        if book.penult >> i & 1:
+                            dead |= m
+                        else:
+                            grown |= m
+                assert book.dead_after(*s, c) == dead, (book.p, s, c)
+                assert book.step(*s, c) == book.reduced(grown, dead), \
+                    (book.p, s, c)
+        ids = range(len(book.embeddings))
+        for i in ids:
+            j, vals = book.embeddings[i]
+            a = vals[book.p[j]]
+            homes = [v for v, mask in book.fixed.items() if mask >> i & 1]
+            assert homes == ([a] if type(a) is int else []), (book.p, i)
+            assert book.ranged >> i & 1 == (type(a) is not int), (book.p, i)
+        assert book.ranged < 1 << len(ids)
+        assert all(0 < mask < 1 << len(ids) for mask in book.fixed.values())
+
+    def test_slot_index_is_exact(self):
+        # on the avoider walks, the modified-word walks (doubled
+        # coordinates, open_gap) and the permutation walks (merge_live)
+        # to depth 6 of every pattern of length <= 4
+        for label in all_patterns(4):
+            p = pat(label)
+            book, s0 = fresh(p)
+            self.assert_index_exact(book, _reached_pairs(book, s0, 6),
+                                    range(8))
+            book, s0 = fresh(p)
+            pairs, keys = {s0}, {(s0, -1, -1)}
+            for _ in range(6):
+                grown = set()
+                for s, last, a in keys:
+                    for c in range(a + 2):
+                        g = 2 * c if c > last else 2 * c + 1
+                        if forbids(s, g):
+                            continue
+                        moved = book.open_gap(*s, g) if c > last else s
+                        t = book.step(*moved, 2 * c + 1)
+                        pairs.update((moved, t))
+                        grown.add((t, c, a + 1 if c > last else a))
+                keys = grown
+            self.assert_index_exact(book, pairs, range(16))
+            if len(set(label)) < len(label):
+                continue
+            book, s0 = fresh(p)
+            pairs, keys = set(), {book.merge_live(*s0, 0)}
+            for _ in range(6):
+                grown = set()
+                for s, groups in keys:
+                    a = groups[-1] - 1
+                    for c in range(a + 2):
+                        moved = book.open_gap(*s, 2 * c)
+                        t = book.step(*moved, 2 * c + 1)
+                        pairs.update((s, moved, t))
+                        grown.add(book.merge_live(*t, a + 2))
+                keys = grown
+            self.assert_index_exact(book, pairs, range(16))
 
     @staticmethod
     def assert_reduced(book, s):
@@ -595,6 +674,13 @@ class TestLongPatterns:
             want = Counter(tuple(stat(w, s) for s in stats)
                            for w in _listed(kind, n) if not contains(w, p))
             assert hist == want, (kind, p, n)
+
+
+def _admits(book, i, c):
+    # the next slot of embedding i, a value or an open interval, admits c
+    j, vals = book.embeddings[i]
+    a = vals[book.p[j]]
+    return a == c if type(a) is int else a[0] < c < a[1]
 
 
 def _reached_pairs(book, s0, n):
