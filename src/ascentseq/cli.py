@@ -120,11 +120,12 @@ def emit(fmt: str, command: str, params: dict, columns: list[str],
          rows: list[dict], status: dict) -> None:
     out = sys.stdout
     if fmt == "jsonl":
+        # one write for every line, not one print per row
         header = {"format": FORMAT_TAG, "command": command, **params}
-        print(_JSON.encode(header), file=out)
-        for row in rows:
-            print(_JSON.encode({c: row[c] for c in columns}), file=out)
-        print(_JSON.encode({"status": status}), file=out)
+        lines = [_JSON.encode(header)]
+        lines += [_JSON.encode({c: row[c] for c in columns}) for row in rows]
+        lines.append(_JSON.encode({"status": status}))
+        out.write("\n".join(lines) + "\n")
         return
     echo = " ".join(f"{k}={_plain(v)}" for k, v in params.items())
     print(f"# {FORMAT_TAG} {command} {echo}".rstrip(), file=out)
@@ -407,9 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None      # built by the first main, which a bare import skips
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -12,25 +12,28 @@ letters.
 Counting lists no words: ``_layers`` runs a rule as a layered
 transfer-matrix count, where prefixes with equal keys have equal futures
 and are merged into one weighted key, with one budget check per key,
-and grows each distinct key once per count.  A count of avoiders is read
-off the layer before its length, and a layer is built only when the
-next count is asked for, so a caller that stops taking counts stops the
-work; the last count is read off the layer two before its length, from
-the dead masks of that layer's children, so the largest layer is never
-built.  A layered key is the flat tuple ``(ids, last, dead, a)``: the
-tracker pair (ids, dead) in the book that the rule holds, the last
-letter, and the bound a + 1 on the next letter.  Each rule
-yields, per child, the place of the new letter (letter c is place
-2c + 1, and place 2c is the gap just below it) and the move that
-renamed the key's places on the way, or None.  Avoiders are keyed by
-live letters: every dead letter up to a + 1 is deleted, so prefixes
-that differ only in where their dead letters sit merge.  Modified ascent
-sequences append c to the modified word after a raise when c is an
-ascent top, which opens gap 2c into a new value.  Permutations insert
-their last entry into gap 2c, and are keyed by live gaps: every dead gap
-is deleted and the values between two live gaps are merged.  Joint
+and grows each distinct key once per count into the list of its
+children's keys.  A count of avoiders is read off the layer before its
+length, and a layer is built only when the next count is asked for, so
+a caller that stops taking counts stops the work; the last count is
+read off the layer two before its length, so the largest layer is never
+built: each key's letters are summed in closed form, corrected only at
+the letters on which a step can kill new letters, which the book names.
+A layered key is the flat tuple ``(ids, last, dead, a)``: the tracker
+pair (ids, dead) in the book that the rule holds, the last letter, and
+the bound a + 1 on the next letter.  Avoiders are keyed by live
+letters: every dead letter up to a + 1 is deleted, so prefixes that
+differ only in where their dead letters sit merge, and a key's children
+are built in one loop over its letters.  Modified ascent sequences
+append c to the modified word after a raise when c is an ascent top,
+which opens gap 2c into a new value.  Permutations insert their last
+entry into gap 2c, and are keyed by live gaps: every dead gap is
+deleted and the values between two live gaps are merged.  Joint
 statistic histograms run the same rules with a small prefix state per
-statistic in the key, whose places each set's one rename moves with the
+statistic in the key.  For them each rule yields, per child, the place
+of the new letter (letter c is place 2c + 1, and place 2c is the gap
+just below it) and the move that renamed the key's places on the way,
+or None, and each set's one rename moves the states' places with the
 key.
 """
 
@@ -103,13 +106,13 @@ def _walk(n: int, state0, children, check=None):
 def _layers(children, start, n_max: int, check=None, leaves=None):
     """Yield ``(n, layer)`` for n = 1..n_max; layer n maps the key of each
     length-n prefix grown from ``start`` to the number of prefixes with
-    it, where ``children(key)`` yields ``(place, child, move)``, once
-    per distinct key: the children of a key are kept until the last
-    layer is grown.  ``check`` is called once per key of the layer
-    before and may raise to abort.  With ``leaves``, the last layer is
-    not grown: it sums ways times weight over the ``(leaf, weight)``
-    pairs that ``leaves(key)`` yields, which builds no key of it;
-    growing the last layer instead more than doubled the time of the
+    it, where ``children(key)`` returns the list of the keys of its
+    children, once per distinct key: the children of a key are kept
+    until the last layer is grown.  ``check`` is called once per key of
+    the layer before and may raise to abort.  With ``leaves``, the last
+    layer is not grown: it sums ways times weight over the ``(leaf,
+    weight)`` pairs that ``leaves(key)`` returns, which builds no key of
+    it; growing the last layer instead more than doubled the time of the
     ``modi`` conjecture, and took most of the time and memory of a deep
     avoider count."""
     layer = {start: 1}
@@ -129,11 +132,9 @@ def _layers(children, start, n_max: int, check=None, leaves=None):
                 continue
             row = rows.get(key)
             if row is None:
-                if n < last:
-                    row = rows[key] = tuple([same(c, c) for _, c, _
-                                             in children(key)])
-                else:   # a key grown last never comes back
-                    row = tuple([c for _, c, _ in children(key)])
+                row = children(key)
+                if n < last:    # a key grown last never comes back
+                    row = rows[key] = tuple([same(c, c) for c in row])
             for child in row:
                 nxt[child] += ways
         layer = nxt
@@ -180,14 +181,16 @@ def count_ascent_sequences(n: int) -> int:
 
 
 def _avoider_rule(p):
-    """``(start, children, leaves)`` of the p-avoiding ascent sequences,
-    keyed by live letters.  ``children(key)`` yields ``(2c + 1, child,
-    gone)`` for each letter c of the key: the place of c, the key of the
-    longer prefix, and the mask of the letters deleted from it, or None
-    when none was; ``children(key, False)`` yields ``(2c + 1, None,
-    None)`` and steps no tracker.  ``leaves(key)`` yields the one pair
-    ``(None, total)``, where total is the number of continuations of the
-    key by two letters: the a + 2 of each child's live key, summed.
+    """``(start, children, grow, leaves)`` of the p-avoiding ascent
+    sequences, keyed by live letters.  ``grow(key)`` returns the list of
+    the keys of the longer prefixes, one for each letter 0..a + 1 of the
+    key in order.  ``children(key)`` yields ``(2c + 1, child, gone)``
+    for each letter c: the place of c, the key ``grow`` made for it, and
+    the mask of the letters deleted from it, or None when none was;
+    ``children(key, False)`` yields ``(2c + 1, None, None)`` and steps
+    no tracker.  ``leaves(key)`` returns the one pair ``(None, total)``,
+    where total is the number of continuations of the key by two
+    letters: the a + 2 of each child's key, summed.
 
     A key is (ids, last, dead, a), where the next letter is at most
     a + 1.  Every key is made live: the dead letters in 0..a + 1 are
@@ -216,41 +219,64 @@ def _avoider_rule(p):
 
     The deleted key is a function of the key, so keys that were equal
     stay equal: the count merges more prefixes, never fewer.
+
+    A child's key has a + 2 = width less its dead letters below width,
+    where width is a + 2 for a letter c <= last and a + 3 for an ascent
+    top: reduction keeps every dead bit and the deletion removes exactly
+    those letters.  A step adds dead bits only through the pair's
+    penultimate embeddings, and only on a letter that one of them
+    admits; the key's letters 0..a + 1 are live.  So ``leaves`` counts
+    a + 2 for each of the last + 1 letters c <= last and a + 3 less bit
+    a + 2 of dead for each of the a + 1 - last others, and then takes
+    off the new dead bits below width of the letters that the book's
+    ``final_kills`` names.  It builds no child key.
     """
     book, ids, dead = incremental.start(p)
-    step, delete, dead_after = book.step, book.delete, book.dead_after
+    step, delete, final_kills = book.step, book.delete, book.final_kills
 
-    def live(c, ids, dead, a):
-        # the place of c, and the live key of the prefix ending in c
-        gone = dead & ((1 << (a + 2)) - 1)
-        if not gone:
-            return 2 * c + 1, (ids, c, dead, a), None
-        ids, dead = delete(ids, dead, gone)
-        return 2 * c + 1, (ids,
-                           c - (gone & ((1 << (c + 1)) - 1)).bit_count(),
-                           dead, a - gone.bit_count()), gone
-
-    def children(key, grow=True):
+    def grow(key):
         ids, last, dead, a = key
+        out = []
+        b = a           # the child's bound: a, or a + 1 past last
         for c in range(a + 2):
-            yield (live(c, *step(ids, dead, c), a + 1 if c > last else a)
-                   if grow else (2 * c + 1, None, None))
+            if c > last:
+                b = a + 1
+            t, d = step(ids, dead, c)
+            gone = d & ((1 << (b + 2)) - 1)
+            if gone:
+                t, d = delete(t, d, gone)
+                out.append((t, c - (gone & ((1 << (c + 1)) - 1)).bit_count(),
+                            d, b - gone.bit_count()))
+            else:
+                out.append((t, c, d, b))
+        return out
+
+    def children(key, grown=True):
+        ids, last, dead, a = key
+        if not grown:
+            for c in range(a + 2):
+                yield 2 * c + 1, None, None
+            return
+        for c, child in enumerate(grow(key)):
+            # the mask grow deleted, read off the kept step
+            gone = step(ids, dead, c)[1] & ((1 << (a + 2 + (c > last))) - 1)
+            yield 2 * c + 1, child, gone or None
 
     def leaves(key):
-        # a child's key has a + 2 = width - (its dead letters below
-        # width), where width is a + 2 of the child before its deletion:
-        # reduction keeps every dead bit and delete removes exactly those
-        # letters, so the sum reads the children's dead masks alone and
-        # builds no child key
         ids, last, dead, a = key
-        total = 0
-        for c in range(a + 2):
-            width = a + 3 if c > last else a + 2
-            total += width - (dead_after(ids, dead, c)
-                              & ((1 << width) - 1)).bit_count()
-        yield None, total
+        width = (1 << (a + 2)) - 1
+        total = ((last + 1) * (a + 2)
+                 + (a + 1 - last) * (a + 3 - (dead >> (a + 2) & 1)))
+        for c, m in final_kills(ids, a + 1).items():
+            total -= (m & ~dead & (width if c <= last
+                                   else width << 1 | 1)).bit_count()
+        return ((None, total),)
 
-    return live(-1, ids, dead, -1)[1], children, leaves
+    # the empty prefix: only a one-letter pattern kills its one letter 0
+    gone = dead & 1
+    if gone:
+        ids, dead = delete(ids, dead, gone)
+    return (ids, -1, dead, -1 - gone), children, grow, leaves
 
 
 def avoiders(p, n: int, check=None):
@@ -276,18 +302,20 @@ def avoider_counts(p, n_max: int, check=None):
     that stops taking counts stops the work.
 
     A layer maps the live keys of ``_avoider_rule`` to the number of
-    prefixes with each.  Every letter 0..a + 1 of a key is allowed, so
-    count n is the sum of ways * (a + 2) over layer n - 1.  Count n_max
-    is the sum of ways times the rule's ``leaves`` total over layer
-    n_max - 2 instead: that total reads the dead masks of the key's
-    children alone, so layer n_max - 1, the largest, is never built.
+    prefixes with each, and a key grows into one child per letter.
+    Every letter 0..a + 1 of a key is allowed, so count n is the sum of
+    ways * (a + 2) over layer n - 1.  Count n_max is the sum of ways
+    times the rule's ``leaves`` total over layer n_max - 2 instead: a
+    closed form in the key's last, a and dead, less the new dead bits of
+    the few letters that the book's ``final_kills`` names, so layer
+    n_max - 1, the largest, is never built.
     ``check``, when given, is called once before count 1 and once per
     key of layers 0..n_max - 2, and may raise to abort cleanly (used
     for CLI budget guards); the counts yielded before it raised stay
     valid.
     """
     _check_length(n_max)
-    start, children, leaves = _avoider_rule(normalize_pattern(p))
+    start, _, grow, leaves = _avoider_rule(normalize_pattern(p))
 
     def total(layer):
         return sum(ways * (key[-1] + 2) for key, ways in layer.items())
@@ -295,7 +323,7 @@ def avoider_counts(p, n_max: int, check=None):
     if check is not None:
         check()                 # a spent budget refuses before count 1
     yield 1, total({start: 1})
-    for n, layer in _layers(children, start, n_max - 1, check, leaves):
+    for n, layer in _layers(grow, start, n_max - 1, check, leaves):
         # the last layer is leaves: None to the count
         yield n + 1, total(layer) if n + 1 < n_max else sum(layer.values())
 
@@ -492,7 +520,10 @@ def modified_asc_counts(p, n_max: int, check=None):
         if rise:
             yield (a + 1,), rise
 
-    yield from _histograms(_layers(children, start, n_max, check, leaves))
+    def grow(key):
+        return [child for _, child, _ in children(key)]
+
+    yield from _histograms(_layers(grow, start, n_max, check, leaves))
 
 
 def count_modified_avoiders(p, n: int, check=None) -> int:
@@ -632,7 +663,7 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
 
 def _joint_histograms(kind, p, n_max, stats, check):
     rules, rule, rename = _SETS[kind]
-    start, children = rule(p)[:2]   # the avoider rule's leaves sum counts
+    start, children = rule(p)[:2]   # the avoider rule's rest counts
     starts, steps = zip(*(rules[s] for s in stats))
     renamed = {}    # many keys step to one (states, move) pair
 
@@ -643,15 +674,22 @@ def _joint_histograms(kind, p, n_max, stats, check):
         return tuple([s if type(s) is int else
                       (s[0], *[rename(y, move) for y in s[1:]]) for s in st])
 
+    moves = {}      # set key -> its children, for every key that holds it
+
     def grown(key):
         set_key, st = key
         last = set_key[1]
-        for x, child, move in children(set_key):
+        row = moves.get(set_key)
+        if row is None:
+            row = moves[set_key] = list(children(set_key))
+        out = []
+        for x, child, move in row:
             st_child = stepped(st, x, last)
             if move is not None:
                 k = st_child, move
                 st_child = renamed.get(k) or renamed.setdefault(k, moved(*k))
-            yield x, (child, st_child), move
+            out.append((child, st_child))
+        return out
 
     def leaves(key):
         set_key, st = key

@@ -27,10 +27,13 @@ embedding's and each pair's move on a letter once computed, and ``ids``
 is the bitmask of the prefix's embeddings.  It indexes each embedding by
 its next slot, the value or interval the next pattern letter must take,
 so a step asks only the embeddings whose slot admits the letter: one
-whose slot is a value moves on that value alone.  A pair is two plain ints:
-pairs compare equal only within one book, and one book should not be
-shared between threads.  The book keeps every move as ``(ids, dead)`` pairs, so
-a book that nothing holds is freed by reference counting.
+whose slot is a value moves on that value alone.  The same slots name,
+for ``final_kills``, the only letters on which a step can kill new
+letters: those that a penultimate embedding admits.  A pair is two
+plain ints: pairs compare equal only within one book, and one book
+should not be shared between threads.  The book keeps every move as
+``(ids, dead)`` pairs, so a book that nothing holds is freed by
+reference counting.
 
 The walks and the layered counts of ``enumeration`` hold the book and
 move the pairs through it, so their keys are flat tuples of ints.
@@ -110,6 +113,8 @@ class _Book:
         fixed[v]     the ids whose next slot vals[p[j]] is the value v: the
                      only letter they can move on
         ranged       the ids whose next slot is an interval
+        slots[i]     (first, stop): the letters first..stop - 1 that the
+                     next slot of embedding i admits
         dominators[i]
                      the ids whose embeddings cover embedding i, filled
                      as each embedding is interned
@@ -126,8 +131,8 @@ class _Book:
 
     __slots__ = ("p", "plan", "tails", "index", "embeddings",
                  "rows", "gaps", "drops", "merges", "kills", "dominators",
-                 "penult", "fixed", "ranged", "root", "steps", "deleted",
-                 "merged")
+                 "penult", "fixed", "ranged", "slots", "root", "steps",
+                 "deleted", "merged")
 
     def __init__(self, p):
         self.p = p
@@ -148,7 +153,7 @@ class _Book:
         self.index = {}
         self.embeddings = []
         self.rows, self.gaps, self.drops, self.merges = [], [], [], []
-        self.kills, self.dominators = [], []
+        self.kills, self.dominators, self.slots = [], [], []
         self.penult = self.ranged = 0
         self.fixed = {}
         self.steps, self.deleted, self.merged = {}, {}, {}
@@ -178,8 +183,10 @@ class _Book:
             a = vals[self.p[j]]
             if type(a) is int:
                 self.fixed[a] = self.fixed.get(a, 0) | 1 << i
+                self.slots.append((a, a + 1))
             else:
                 self.ranged |= 1 << i
+                self.slots.append((a[0] + 1, a[1]))
         return i
 
     def covers(self, e2, e1) -> bool:
@@ -384,23 +391,28 @@ class _Book:
                 return ids, dead
         return self.reduced(grown, dead)
 
-    def dead_after(self, ids: int, dead: int, c: int) -> int:
-        """The dead mask of ``step(ids, dead, c)``, read off the rows of
-        the pair's penultimate embeddings (and the root's, when p has two
-        letters) whose slot admits c alone: no embedding is grown or
-        interned, and the step is not kept."""
-        rows = self.rows
-        rest = ((ids | self.root) & self.penult
-                & (self.fixed.get(c, 0) | self.ranged))
+    def final_kills(self, ids: int, top: int) -> dict:
+        """``{c: kills}`` for the letters c <= top that some penultimate
+        embedding of ids (or the root, when p has two letters) admits:
+        kills is the union of their rows on c, and the dead mask of
+        ``step(ids, dead, c)`` is dead | kills.  On every other letter a
+        step leaves dead as it is.  A row entry asked for the first time
+        is grown and kept, which interns nothing for a penultimate
+        embedding, and no step is kept."""
+        rows, slots, out = self.rows, self.slots, {}
+        rest = (ids | self.root) & self.penult
         while rest:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
-            m = rows[i].get(c)
-            if m is None:
-                m = rows[i][c] = self._grow(i, c)
-            dead |= m
-        return dead
+            row = rows[i]
+            first, stop = slots[i]
+            for c in range(first, stop if stop <= top else top + 1):
+                m = row.get(c)
+                if m is None:
+                    m = row[c] = self._grow(i, c)
+                out[c] = out.get(c, 0) | m
+        return out
 
     # Appending c to an ascent sequence x appends c to its modified word,
     # after raising every letter >= c by one when c is an ascent top.  The

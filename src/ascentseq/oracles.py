@@ -305,13 +305,30 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     classes += [g for g in groups.values() if len(g) > 1]
     classes = sorted((sorted(g, key=_pattern_sort_key) for g in classes),
                      key=lambda g: _pattern_sort_key(g[0]))
-    separations: dict[tuple[str, str], int] = {}
-    for i, g1 in enumerate(classes):
-        for g2 in classes[i + 1:]:
-            a, b = g1[0], g2[0]
-            separations[(a, b)] = next(
-                m for m, (x, y) in enumerate(zip(prefixes[a], prefixes[b]), 1)
-                if x != y)
+    # two classes separate at the first length where their series differ:
+    # split the classes into parts by series value, one length at a time,
+    # and every two classes that length d + 1 puts in different parts
+    # separate there
+    heads = [prefixes[g[0]] for g in classes]
+    split_at: dict[tuple[int, int], int] = {}
+    parts, d = [range(len(classes))], 0
+    while parts:
+        finer = []
+        for part in parts:
+            by_value: dict[int, list[int]] = {}
+            for i in part:
+                by_value.setdefault(heads[i][d], []).append(i)
+            subs = list(by_value.values())
+            for x, sub in enumerate(subs):
+                for other in subs[x + 1:]:
+                    for i in sub:
+                        for j in other:
+                            split_at[min(i, j), max(i, j)] = d + 1
+            finer += [sub for sub in subs if len(sub) > 1]
+        parts, d = finer, d + 1
+    separations = {(g1[0], classes[j][0]): split_at[i, j]
+                   for i, g1 in enumerate(classes)
+                   for j in range(i + 1, len(classes))}
     known = {label: CountSeries(label, dict(enumerate(prefixes[label], 1)))
              for label in live}
     return WilfReport(n_max, classes,

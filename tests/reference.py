@@ -6,8 +6,15 @@ count shares none of that: it merges prefixes only when they agree on
 their last letter, their number of ascents and the set of their partial
 matches, each kept as the raw tuple of the values it matched.  That key
 fixes every continuation's fate, so the count is exact, only slower.
+
+Run as a script, it makes the deep sweep, too slow for the test suite
+(about 20 s on 2 cores), and exits 1 if any count disagrees:
+
+    PYTHONPATH=src python tests/reference.py
 """
 
+import sys
+import time
 from collections import defaultdict
 
 
@@ -70,3 +77,33 @@ def avoider_counts(p, n_max):
         layer = nxt
         counts[n] = sum(layer.values())
     return counts
+
+
+def sweep() -> int:
+    """Check the last count of the package's ``avoider_counts(p, n)``
+    at every n against this count, on all 633 patterns of length <= 5
+    to n = 9 and on 000, 100, 110, 120 and 201 to n = 13; print one
+    line per set and one per disagreement, and return how many
+    patterns disagree."""
+    from ascentseq.core import as_word
+    from ascentseq.enumeration import avoider_counts as engine
+    from ascentseq.oracles import all_patterns
+
+    bad = 0
+    for labels, n_max in ((all_patterns(5), 9),
+                          (["000", "100", "110", "120", "201"], 13)):
+        start = time.perf_counter()
+        for label in labels:
+            p = as_word(label)
+            got = {n: dict(engine(p, n))[n] for n in range(1, n_max + 1)}
+            want = avoider_counts(p, n_max)
+            if got != want:
+                bad += 1
+                print(f"{label}: engine {got}, reference {want}")
+        print(f"{len(labels)} patterns to n = {n_max}: "
+              f"{time.perf_counter() - start:.1f} s")
+    return bad
+
+
+if __name__ == "__main__":
+    sys.exit(1 if sweep() else 0)

@@ -405,13 +405,12 @@ class TestCanonicalTracker:
         rule = enumeration._avoider_rule
 
         def spied(p):
-            start, children, leaves = rule(p)
+            start, children, grow, leaves = rule(p)
 
-            def counted(key, grow=True):
-                if grow:
-                    grown.append(key)
-                return children(key, grow)
-            return start, counted, leaves
+            def counted(key):
+                grown.append(key)
+                return grow(key)
+            return start, children, counted, leaves
 
         monkeypatch.setattr(enumeration, "_avoider_rule", spied)
         layers = _spied_layers(monkeypatch)
@@ -447,6 +446,28 @@ class TestCanonicalTracker:
         # one before count 1, one for the start key (layer 0)
         assert checks == 2 + sum(len(layers[m]) for m in range(1, n - 1))
 
+    def test_leaves_sum_is_summed_letter_by_letter(self):
+        # the leaves total of a key, a closed form corrected at the
+        # letters that the book's final_kills names, equals the sum over
+        # the key's letters c of what the child allows: the width a + 2
+        # (a + 3 past the last letter) less the dead letters below it in
+        # the mask of the step on c, which is the child's a + 2
+        for label in all_patterns(4):
+            root, children, grow, leaves = enumeration._avoider_rule(
+                pat(label))
+            keys = {root}
+            for _, layer in enumeration._layers(grow, root, 7):
+                keys.update(layer)
+            for key in keys:
+                _, last, _, a = key
+                total = 0
+                for x, child, gone in children(key):
+                    width = a + 3 if x // 2 > last else a + 2
+                    allowed = width - (gone or 0).bit_count()
+                    assert allowed == child[3] + 2, (label, key, x)
+                    total += allowed
+                assert leaves(key) == ((None, total),), (label, key)
+
     def test_unchanged_mask_is_shared(self):
         # a walk's stack holds one pair per letter, so a dead mask as
         # long as the largest letter met, copied at every step, would
@@ -479,23 +500,30 @@ class TestCanonicalTracker:
     @staticmethod
     def assert_index_exact(book, pairs, letters):
         # every id sits in fixed[v] when its next slot is the value v and
-        # in ranged when it is an interval, and in nothing else; and step
-        # and dead_after, which ask only the ids that the index lets
-        # through, equal a scan that grows every id of the pair
+        # in ranged when it is an interval, and in nothing else, and its
+        # slots entry names the letters that slot admits; step, which asks
+        # only the ids that the index lets through, equals a scan that
+        # grows every id of the pair, and final_kills names exactly the
+        # letters some penultimate id admits, with the dead bits the
+        # scan adds on each
         for s in pairs:
+            ids, dead = s
+            kills = book.final_kills(ids, max(letters))
+            assert set(kills) <= set(letters), (book.p, s)
             for c in letters:
-                ids, dead = s
-                grown = ids
+                grown, after, admitted = ids, dead, False
                 rest = ids | book.root
                 for i in range(rest.bit_length()):
                     if rest >> i & 1:
                         m = book._grow(i, c)
                         if book.penult >> i & 1:
-                            dead |= m
+                            after |= m
+                            admitted |= _admits(book, i, c)
                         else:
                             grown |= m
-                assert book.dead_after(*s, c) == dead, (book.p, s, c)
-                assert book.step(*s, c) == book.reduced(grown, dead), \
+                assert (c in kills) == admitted, (book.p, s, c)
+                assert dead | kills.get(c, 0) == after, (book.p, s, c)
+                assert book.step(*s, c) == book.reduced(grown, after), \
                     (book.p, s, c)
         ids = range(len(book.embeddings))
         for i in ids:
@@ -504,6 +532,9 @@ class TestCanonicalTracker:
             homes = [v for v, mask in book.fixed.items() if mask >> i & 1]
             assert homes == ([a] if type(a) is int else []), (book.p, i)
             assert book.ranged >> i & 1 == (type(a) is not int), (book.p, i)
+            first, stop = book.slots[i]
+            assert [c for c in range(16) if _admits(book, i, c)] == \
+                list(range(first, min(stop, 16))), (book.p, i)
         assert book.ranged < 1 << len(ids)
         assert all(0 < mask < 1 << len(ids) for mask in book.fixed.values())
 

@@ -1,5 +1,6 @@
 """``python -m ascentseq`` as a separate process: exit codes and stderr."""
 
+import json
 import os
 import subprocess
 import sys
@@ -90,3 +91,43 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         "-c", "import ascentseq, ascentseq.cli; " + listing).stdout.split())
     assert "ascentseq.cli" in loaded
     assert not {"dataclasses", "inspect"} & (loaded - bare)
+
+
+def test_main_calls_in_one_process_match_lone_runs():
+    # main builds its parser once per process; a run of calls with other
+    # subcommands and flags, usage errors among them, prints what each
+    # call prints alone and exits the same
+    calls = [
+        ["count", "--pattern", "101", "--n", "1..6", "--modified",
+         "--format", "jsonl"],
+        ["count", "--pattern", "101", "--n", "1..6", "--format", "jsonl"],
+        ["count", "--n", "3"],
+        ["count", "--pattern", "275", "--n", "3"],
+        ["dist", "--pattern", "012", "--n", "4", "--stats", "asc,des",
+         "--modified", "--format", "csv"],
+        ["dist", "--pattern", "012", "--n", "4", "--stats", "asc"],
+        ["wilf", "--pattern", "012,021,000", "--n", "5"],
+        ["count", "--pattern", "101", "--n", "1..6", "--format", "jsonl"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ascentseq.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            rc = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            rc = exc.code\n"
+        "    runs.append([rc, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n")
+    proc = run_python("-c", code, json.dumps(calls))
+    assert proc.returncode == 0, proc.stderr
+    together = json.loads(proc.stdout)
+    for argv, (rc, out, err) in zip(calls, together, strict=True):
+        alone = run_module(*argv)
+        assert (rc, out, err) == (alone.returncode, alone.stdout,
+                                  alone.stderr), argv
+    assert [rc for rc, _, _ in together] == [0, 0, 2, 2, 0, 0, 0, 0]

@@ -334,6 +334,25 @@ class TestWilf:
         for label in labels:
             assert report.series[label].as_list() == full[label], label
 
+    def test_separations_match_a_pairwise_scan(self):
+        # all 633 patterns of length <= 5 at n = 9, where 392 classes
+        # still split at every length 1..9: the separations, found by
+        # splitting the classes on their series value one length at a
+        # time, equal a scan of each pair of series for the first length
+        # where they differ, in the same order
+        n_max = 9
+        report = wilf_classify(all_patterns(5), n_max)
+        firsts = [g[0] for g in report.classes]
+        full = {label: count_avoiders(as_word(label), n_max).as_list()
+                for label in firsts}
+        separations = {}
+        for i, a in enumerate(firsts):
+            for b in firsts[i + 1:]:
+                separations[a, b] = next(m + 1 for m in range(n_max)
+                                         if full[a][m] != full[b][m])
+        assert set(separations.values()) == set(range(1, n_max + 1))
+        assert list(report.separations.items()) == list(separations.items())
+
     def test_settled_patterns_stop_counting(self):
         # counting every pattern to length 12 checks every key of its
         # layers up to 11, and 1001's layer 11 alone has 45575 keys;
