@@ -13,12 +13,13 @@ Counting lists no words: ``_layers`` runs a rule as a layered
 transfer-matrix count, where prefixes with equal keys have equal futures
 and are merged into one weighted key, with one budget check per key,
 and grows each distinct key once per count into the list of its
-children's keys.  A count of avoiders is read off the layer before its
-length, and a layer is built only when the next count is asked for, so
-a caller that stops taking counts stops the work; the last count is
-read off the layer two before its length, so the largest layer is never
-built: each key's letters are summed in closed form, corrected only at
-the letters on which a step can kill new letters, which the book names.
+children's keys.  A count of avoiders is read off the layer two before
+its length, before the layer after that one is built, so a caller that
+stops taking counts never builds the layer it would read next: each
+key's two-letter continuations are summed in closed form, corrected
+only at the letters on which a step can kill new letters, which the
+book names, and kept for the count.  The budget is checked once per key
+on both passes over a layer, the sum and the growth.
 A layered key is the flat tuple ``(ids, last, dead, a)``: the tracker
 pair (ids, dead) in the book that the rule holds, the last letter, and
 the bound a + 1 on the next letter.  Avoiders are keyed by live
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
+from itertools import chain, islice
 from math import inf
 from typing import NamedTuple
 
@@ -113,8 +115,7 @@ def _layers(children, start, n_max: int, check=None, leaves=None):
     layer is not grown: it sums ways times weight over the ``(leaf,
     weight)`` pairs that ``leaves(key)`` returns, which builds no key of
     it; growing the last layer instead more than doubled the time of the
-    ``modi`` conjecture, and took most of the time and memory of a deep
-    avoider count."""
+    ``modi`` conjecture."""
     layer = {start: 1}
     rows = {}       # key -> its children's keys, for this count only
     last = n_max - (leaves is not None)     # the last layer grown
@@ -188,9 +189,8 @@ def _avoider_rule(p):
     for each letter c: the place of c, the key ``grow`` made for it, and
     the mask of the letters deleted from it, or None when none was;
     ``children(key, False)`` yields ``(2c + 1, None, None)`` and steps
-    no tracker.  ``leaves(key)`` returns the one pair ``(None, total)``,
-    where total is the number of continuations of the key by two
-    letters: the a + 2 of each child's key, summed.
+    no tracker.  ``leaves(key)`` returns the number of continuations of
+    the key by two letters: the a + 2 of each child's key, summed.
 
     A key is (ids, last, dead, a), where the next letter is at most
     a + 1.  Every key is made live: the dead letters in 0..a + 1 are
@@ -270,7 +270,7 @@ def _avoider_rule(p):
         for c, m in final_kills(ids, a + 1).items():
             total -= (m & ~dead & (width if c <= last
                                    else width << 1 | 1)).bit_count()
-        return ((None, total),)
+        return total
 
     # the empty prefix: only a one-letter pattern kills its one letter 0
     gone = dead & 1
@@ -297,35 +297,41 @@ def avoiders(p, n: int, check=None):
 
 def avoider_counts(p, n_max: int, check=None):
     """Yield ``(n, count)`` for n = 1..n_max, the number of p-avoiding
-    ascent sequences of length n.  Count n is read off layer n - 1, and
-    layer n is built only when count n + 1 is asked for, so a caller
-    that stops taking counts stops the work.
+    ascent sequences of length n.  Count n >= 2 is read off layer n - 2,
+    before layer n - 1 is built, so a caller that stops after count n
+    never builds layer n - 1.
 
     A layer maps the live keys of ``_avoider_rule`` to the number of
     prefixes with each, and a key grows into one child per letter.
-    Every letter 0..a + 1 of a key is allowed, so count n is the sum of
-    ways * (a + 2) over layer n - 1.  Count n_max is the sum of ways
-    times the rule's ``leaves`` total over layer n_max - 2 instead: a
-    closed form in the key's last, a and dead, less the new dead bits of
-    the few letters that the book's ``final_kills`` names, so layer
-    n_max - 1, the largest, is never built.
-    ``check``, when given, is called once before count 1 and once per
-    key of layers 0..n_max - 2, and may raise to abort cleanly (used
-    for CLI budget guards); the counts yielded before it raised stay
-    valid.
+    Count n is the sum of ways times the rule's ``leaves`` total over
+    layer n - 2: a closed form in the key's last, a and dead, less the
+    new dead bits of the few letters that the book's ``final_kills``
+    names.  Keys recur across layers, so the totals are kept for the
+    count, except those of the last layer, whose keys never come back.
+    ``check``, when given, is called once before count 1, then once per
+    key of each layer that is summed into a count and once per key of
+    each layer that is grown, and may raise to abort cleanly (used for
+    CLI budget guards); the counts yielded before it raised stay valid.
     """
     _check_length(n_max)
     start, _, grow, leaves = _avoider_rule(normalize_pattern(p))
-
-    def total(layer):
-        return sum(ways * (key[-1] + 2) for key, ways in layer.items())
-
     if check is not None:
         check()                 # a spent budget refuses before count 1
-    yield 1, total({start: 1})
-    for n, layer in _layers(grow, start, n_max - 1, check, leaves):
-        # the last layer is leaves: None to the count
-        yield n + 1, total(layer) if n + 1 < n_max else sum(layer.values())
+    yield 1, start[-1] + 2
+    totals = {}     # key -> its leaves total, for this count only
+    layers = chain([(0, {start: 1})], _layers(grow, start, n_max - 2, check))
+    for n, layer in islice(layers, n_max - 1):     # layers 0..n_max - 2
+        count = 0
+        for key, ways in layer.items():
+            if check is not None:
+                check()
+            total = totals.get(key)
+            if total is None:
+                total = leaves(key)
+                if n < n_max - 2:   # a key of the last layer never comes back
+                    totals[key] = total
+            count += ways * total
+        yield n + 2, count
 
 
 def count_avoiders(p, n_max: int, threads: int = 1, split_depth=None,

@@ -31,6 +31,7 @@ from ascentseq.oracles import (MODIFIED_PATTERNS, all_patterns, bell,
                                binomial_transform_catalan, catalan,
                                run_conjecture, stirling2, wilf_classify)
 
+import reference
 from conftest import pat
 
 WORKLOAD_PATTERNS = ("10", "000", "001", "010", "011", "012", "100", "101",
@@ -425,26 +426,65 @@ class TestCanonicalTracker:
             assert len(grown) == 2 * once, label
 
     @pytest.mark.parametrize("label, n, checks", [
-        ("1001", 10, 1113), ("0021", 12, 297), ("210", 12, 177),
-        ("1012", 12, 824), ("10", 9, 9), ("01", 5, 5), ("0", 5, 2)])
+        ("1001", 10, 1453), ("0021", 12, 511), ("210", 12, 307),
+        ("1012", 12, 1283), ("10", 9, 16), ("01", 5, 8), ("0", 5, 3)])
     def test_last_count_builds_no_keys(self, monkeypatch, label, n, checks):
-        # count n is summed off layer n - 2: the last layer that _layers
-        # yields holds the count alone, no tracker key, while the budget
-        # is checked once before count 1 and once per key of layers
-        # 0..n - 2, as often as when layer n - 1 was built (the pinned
+        # count n is summed off layer n - 2, so no layer past n - 2 is
+        # built, while the budget is checked once before count 1, once
+        # per key of layers 0..n - 2 as each is summed into a count, and
+        # once per key of layers 0..n - 3 as each is grown (the pinned
         # numbers of checks)
         layers = _spied_layers(monkeypatch)
         calls = []
         counts = dict(avoider_counts(pat(label), n,
                                      lambda: calls.append(None)))
-        assert max(layers) == n - 1
-        assert set(layers[n - 1]) <= {None}
-        assert sum(layers[n - 1].values()) == counts[n]
-        for m in range(1, n - 1):
-            assert all(type(key) is tuple for key in layers[m]), m
+        assert max(layers) == n - 2
+        assert counts == reference.avoider_counts(pat(label), n)
         assert len(calls) == checks
-        # one before count 1, one for the start key (layer 0)
-        assert checks == 2 + sum(len(layers[m]) for m in range(1, n - 1))
+        # one before count 1, and one for the start key (layer 0) on
+        # each pass
+        assert checks == (3 + sum(len(layers[m]) for m in range(1, n - 1))
+                          + sum(len(layers[m]) for m in range(1, n - 2)))
+
+    @pytest.mark.parametrize("label", ["1001", "0021", "210"])
+    def test_a_count_comes_before_its_next_layer(self, monkeypatch, label):
+        # count n is yielded before layer n - 1 is built, so a caller that
+        # stops after count n never builds it
+        layers = _spied_layers(monkeypatch)
+        for n, _ in avoider_counts(pat(label), 12):
+            assert max(layers, default=0) == max(n - 2, 0), n
+
+    def test_a_settled_pattern_builds_no_layer_past_two_back(self,
+                                                           monkeypatch):
+        # wilf_classify stops counting a pattern once its series prefix
+        # is unique, at length d, so its count builds layers up to d - 2
+        # only: the largest layer, d - 1, is never built
+        labels = all_patterns(4)
+        series = {label: count_avoiders(pat(label), 9).as_list()
+                  for label in labels}
+        # the first length at which no other pattern shares the prefix
+        settled = {label: next((d for d in range(1, 9) if all(
+            series[other][:d] != series[label][:d]
+            for other in labels if other != label)), 9) for label in labels}
+        assert sum(d < 9 for d in settled.values()) == 57
+        patterns = {}   # each rule's grow -> its pattern
+        deepest = {}    # pattern -> the deepest layer built
+        rule, run = enumeration._avoider_rule, enumeration._layers
+
+        def spied_rule(p):
+            made = rule(p)
+            patterns[made[2]] = p
+            return made
+
+        def spied_layers(grow, *args):
+            for n, layer in run(grow, *args):
+                deepest[patterns[grow]] = n
+                yield n, layer
+        monkeypatch.setattr(enumeration, "_avoider_rule", spied_rule)
+        monkeypatch.setattr(enumeration, "_layers", spied_layers)
+        wilf_classify(labels, 9)
+        for label in labels:
+            assert deepest.get(pat(label), 0) == max(settled[label] - 2, 0)
 
     def test_leaves_sum_is_summed_letter_by_letter(self):
         # the leaves total of a key, a closed form corrected at the
@@ -466,7 +506,7 @@ class TestCanonicalTracker:
                     allowed = width - (gone or 0).bit_count()
                     assert allowed == child[3] + 2, (label, key, x)
                     total += allowed
-                assert leaves(key) == ((None, total),), (label, key)
+                assert leaves(key) == total, (label, key)
 
     def test_unchanged_mask_is_shared(self):
         # a walk's stack holds one pair per letter, so a dead mask as

@@ -1,9 +1,11 @@
-"""The last count of ``avoider_counts`` against the reference count of
+"""The counts of ``avoider_counts`` against the reference count of
 ``reference.py``, which shares no code with the package's engine.
 
-Count n of ``avoider_counts(p, n_max)`` is read off layer n - 1 for
-n < n_max, and the last one off layer n_max - 2 by reading the dead
-masks of its children, so each length is checked as a last count."""
+Every count n of ``avoider_counts(p, n_max)`` is read off layer n - 2,
+but the leaves totals of the last layer are not kept, so each length is
+checked both as a last count and as one count of a deeper call."""
+
+from functools import cache
 
 import pytest
 
@@ -18,10 +20,19 @@ def last_counts(p, n_max):
     return {n: dict(avoider_counts(p, n))[n] for n in range(1, n_max + 1)}
 
 
+@cache
+def reference_counts(label, n_max):
+    return reference.avoider_counts(pat(label), n_max)
+
+
 @pytest.mark.parametrize("label", all_patterns(4))
 def test_every_short_pattern(label):
-    p = pat(label)
-    assert last_counts(p, 9) == reference.avoider_counts(p, 9)
+    assert last_counts(pat(label), 9) == reference_counts(label, 9)
+
+
+@pytest.mark.parametrize("label", all_patterns(4))
+def test_every_count_of_one_call(label):
+    assert dict(avoider_counts(pat(label), 9)) == reference_counts(label, 9)
 
 
 # the rows of the published table that no closed form checks
