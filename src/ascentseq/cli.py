@@ -123,8 +123,19 @@ def emit(fmt: str, command: str, params: dict, columns: list[str],
         # one write for every line, not one print per row
         header = {"format": FORMAT_TAG, "command": command, **params}
         lines = [_JSON.encode(header)]
-        lines += [_JSON.encode({c: row[c] for c in columns}) for row in rows]
-        lines.append(_JSON.encode({"status": status}))
+        # a row column by column, as json encodes a dict of the columns:
+        # an exact int as its repr, anything else by the encoder, whose
+        # str fast path builds no encoder
+        encode = _JSON.encode
+        heads = [(c, encode(c) + ": ") for c in columns]
+        for row in rows:
+            cells = []
+            for c, head in heads:
+                v = row[c]
+                cells.append(head + (int.__repr__(v) if type(v) is int
+                                     else encode(v)))
+            lines.append("{" + ", ".join(cells) + "}")
+        lines.append(encode({"status": status}))
         out.write("\n".join(lines) + "\n")
         return
     echo = " ".join(f"{k}={_plain(v)}" for k, v in params.items())

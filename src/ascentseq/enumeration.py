@@ -27,7 +27,8 @@ letters: every dead letter up to a + 1 is deleted, so prefixes that
 differ only in where their dead letters sit merge, and a key's children
 are built in one loop over its letters.  Modified ascent sequences
 append c to the modified word after a raise when c is an ascent top,
-which opens gap 2c into a new value.  Permutations insert their last
+which opens gap 2c into a new value, and their last two histograms
+are read off the layer two back.  Permutations insert their last
 entry into gap 2c, and are keyed by live gaps: every dead gap is
 deleted and the values between two live gaps are merged.  Joint
 statistic histograms run the same rules with a small prefix state per
@@ -114,8 +115,7 @@ def _layers(children, start, n_max: int, check=None, leaves=None):
     the layer before and may raise to abort.  With ``leaves``, the last
     layer is not grown: it sums ways times weight over the ``(leaf,
     weight)`` pairs that ``leaves(key)`` returns, which builds no key of
-    it; growing the last layer instead more than doubled the time of the
-    ``modi`` conjecture."""
+    it."""
     layer = {start: 1}
     rows = {}       # key -> its children's keys, for this count only
     last = n_max - (leaves is not None)     # the last layer grown
@@ -464,72 +464,120 @@ def modified_avoiders(p, n: int, check=None):
 
 
 def _modified_rule(p):
-    """``(start, children)`` of the ascent sequences whose modified word
-    avoids p: appending c after ``last`` appends c to the modified word,
-    where first, when c is an ascent top, every letter >= c moves up by
-    one: gap 2c opens into a value.  Keyed by (ids, last, dead, a), where
-    (ids, dead) is the pair of the modified word.  ``children(key)``
-    yields ``(place, child, gap)`` for each allowed letter c: the place
-    2c + 1 and no gap, or for an ascent top the gap 2c as both;
+    """``(start, children, grow, kills)`` of the ascent sequences whose
+    modified word avoids p: appending c after ``last`` appends c to the
+    modified word, where first, when c is an ascent top, every letter
+    >= c moves up by one: gap 2c opens into a value.  Keyed by (ids,
+    last, dead, a), where (ids, dead) is the pair of the modified word.
+    ``grow(key)`` returns the list of the keys of the longer prefixes,
+    one per allowed letter in order: each c <= last whose value place
+    2c + 1 is alive, then each ascent top c <= a + 1 whose gap place 2c
+    is.  ``children(key)`` yields ``(place, child, gap)`` for each: the
+    place 2c + 1 and no gap, or for an ascent top the gap 2c as both;
     ``children(key, False)`` yields ``(place, None, None)`` and steps no
-    tracker."""
+    tracker.  ``kills`` is the book's ``modified_kills``."""
     book, ids, dead = incremental.start(p)
     step, open_gap = book.step, book.open_gap
 
-    def appended(ids, dead, x, c, a):
-        if x & 1:
-            ids, dead = step(ids, dead, x)
-            return x, (ids, c, dead, a), None
-        ids, dead = step(*open_gap(ids, dead, x), x + 1)
-        return x, (ids, c, dead, a + 1), x
-
-    def children(key, grow=True):
+    def grow(key):
         ids, last, dead, a = key
+        out = []
+        for x in range(1, 2 * last + 2, 2):
+            if not (dead >> x) & 1:
+                t, d = step(ids, dead, x)
+                out.append((t, x >> 1, d, a))
+        for x in range(2 * last + 2, 2 * a + 3, 2):
+            if not (dead >> x) & 1:
+                t, d = step(*open_gap(ids, dead, x), x + 1)
+                out.append((t, x >> 1, d, a + 1))
+        return out
+
+    def children(key, grown=True):
+        ids, last, dead, a = key
+        if grown:
+            for child in grow(key):
+                c = child[1]
+                yield ((2 * c + 1, child, None) if c <= last
+                       else (2 * c, child, 2 * c))
+            return
         for c in range(a + 2):
             x = 2 * c + 1 - (c > last)
             if not (dead >> x) & 1:
-                yield (appended(ids, dead, x, c, a) if grow
-                       else (x, None, None))
+                yield x, None, None
 
-    return (ids, -1, dead, -1), children
+    return (ids, -1, dead, -1), children, grow, book.modified_kills
 
 
 def modified_asc_counts(p, n_max: int, check=None):
     """Yield ``(n, histogram)`` for n = 1..n_max, where the histogram maps
     asc(x) to the number of ascent sequences x of length n whose
-    modified word avoids p, each as soon as its layer is done.
+    modified word avoids p, each as soon as it is summed.
 
     A layered count like ``avoider_counts``, keyed by
-    ``_modified_rule``.  ``check``, when given, is called once per state
-    and may raise to abort; the histograms yielded before it raised stay
+    ``_modified_rule``, whose a is asc.  The last two histograms are
+    both read off layer n_max - 2 (the start when n_max = 1), so layer
+    n_max - 1 is never built: histogram n_max - 1 counts each key's
+    allowed letters, and histogram n_max each child's, from the child's
+    dead mask: the key's, moved as ``open_gap`` moves it at an ascent
+    top, with the kills that the book's ``modified_kills`` names.
+    ``check``, when given, is called once per key of each layer grown
+    and once per key of layer n_max - 2 on each of its two passes, and
+    may raise to abort; the histograms yielded before it raised stay
     valid.  The histograms of
     ``joint_histograms(("modified-avoiders", p), n_max, "asc")`` are the
     same, keyed by ``(a,)``, but its statistic states in the key made the
     ``modi`` conjecture 1.7 to 1.8 times as slow, so this reader stays.
     """
     _check_length(n_max)
-    start, children = _modified_rule(normalize_pattern(p))
+    start, _, grow, kills = _modified_rule(normalize_pattern(p))
+    opened = incremental.opened
 
     def alive(dead, lo, count):
         """How many of the bits lo, lo + 2, ..., lo + 2(count - 1) are 0."""
         every_other = ((1 << (2 * count)) - 1) // 3     # bits 0, 2, 4, ...
         return count - ((dead >> lo) & every_other).bit_count()
 
-    def leaves(key):
-        _, last, dead, a = key
-        # c <= last is allowed when value c is alive (odd bit 2c + 1), an
-        # ascent top c when gap 2c is
+    layer = {start: 1}
+    for n, layer in _layers(grow, start, n_max - 2, check):
+        yield from _histograms([(n, layer)])
+    # a key (last, dead, a) allows each value c <= last whose place
+    # 2c + 1 is alive, at asc a, and each ascent top c <= a + 1 whose
+    # gap place 2c is alive, at asc a + 1
+    hist = Counter()
+    for (_, last, dead, a), ways in layer.items():
+        if check is not None:
+            check()
         flat = alive(dead, 1, last + 1)
-        rise = alive(dead, 2 * last + 2, a - last + 1)
         if flat:
-            yield (a,), flat
+            hist[a] += ways * flat
+        rise = alive(dead, 2 * last + 2, a + 1 - last)
         if rise:
-            yield (a + 1,), rise
-
-    def grow(key):
-        return [child for _, child, _ in children(key)]
-
-    yield from _histograms(_layers(grow, start, n_max, check, leaves))
+            hist[a + 1] += ways * rise
+    yield max(n_max - 1, 1), hist
+    if n_max == 1:
+        return
+    # the same for the child of each allowed letter: its last letter c,
+    # its asc a or a + 1 and its dead mask
+    hist = Counter()
+    for (ids, last, dead, a), ways in layer.items():
+        if check is not None:
+            check()
+        killed = kills(ids, last, a + 1)
+        flat = rise = top = 0   # the continuations at asc a, a + 1, a + 2
+        for x in range(1, 2 * last + 2, 2):
+            if not (dead >> x) & 1:
+                d = dead | killed.get(x, 0)
+                flat += alive(d, 1, x // 2 + 1)
+                rise += alive(d, x + 1, a - x // 2 + 1)
+        for x in range(2 * last + 2, 2 * a + 3, 2):
+            if not (dead >> x) & 1:
+                d = opened(dead, x) | killed.get(x, 0)
+                rise += alive(d, 1, x // 2 + 1)
+                top += alive(d, x + 2, a - x // 2 + 2)
+        for b, total in enumerate((flat, rise, top)):
+            if total:
+                hist[a + b] += ways * total
+    yield n_max, hist
 
 
 def count_modified_avoiders(p, n: int, check=None) -> int:

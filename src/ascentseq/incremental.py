@@ -29,7 +29,8 @@ its next slot, the value or interval the next pattern letter must take,
 so a step asks only the embeddings whose slot admits the letter: one
 whose slot is a value moves on that value alone.  The same slots name,
 for ``final_kills``, the only letters on which a step can kill new
-letters: those that a penultimate embedding admits.  A pair is two
+letters: those that a penultimate embedding admits, and, for
+``modified_kills``, the same places of a modified word.  A pair is two
 plain ints: pairs compare equal only within one book, and one book
 should not be shared between threads.  The book keeps every move as
 ``(ids, dead)`` pairs, so a book that nothing holds is freed by
@@ -60,6 +61,12 @@ MAX_PATTERN_LENGTH = 1000
 
 def _below(c: int) -> int:
     return (1 << c) - 1
+
+
+def opened(dead: int, g: int) -> int:
+    """The dead mask once gap g opens into gap, value g + 1 and gap:
+    every bit above g moves up by 2 (``_Book.open_gap``)."""
+    return dead & _below(g) | dead >> (g + 1) << (g + 3)
 
 
 def _kills(a) -> int:
@@ -414,6 +421,42 @@ class _Book:
                 out[c] = out.get(c, 0) | m
         return out
 
+    def modified_kills(self, ids: int, last: int, top: int) -> dict:
+        """``final_kills`` for a modified word in doubled coordinates:
+        ``{x: kills}`` for the value places x <= 2 last + 1 and the gap
+        places 2 last + 2 <= x <= 2 top that some penultimate embedding
+        of ids (or the root) admits.  The dead mask of
+        ``step(ids, dead, x)`` at a value, and of
+        ``step(*open_gap(ids, dead, x), x + 1)`` at a gap, is dead (moved
+        by the open) | kills: dead bits grow only through penultimate
+        rows, ``open_gap`` moves every embedding and drops none, and an
+        embedding moved by ``move_gap(i, x)`` admits x + 1 exactly when
+        the slot of i held gap x, since values are odd.  Rows and moves
+        are kept, and no step is."""
+        rows, gaps, slots, out = self.rows, self.gaps, self.slots, {}
+        rest = (ids | self.root) & self.penult
+        gap = 2 * last + 2      # the first gap place
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            row = rows[i]
+            first, stop = slots[i]
+            for x in range(first | 1, min(stop, gap), 2):
+                m = row.get(x)
+                if m is None:
+                    m = row[x] = self._grow(i, x)
+                out[x] = out.get(x, 0) | m
+            first = max(first, gap)
+            for x in range(first + (first & 1), min(stop, 2 * top + 1), 2):
+                moved = gaps[i].get(x) or self.move_gap(i, x)
+                k = moved.bit_length() - 1
+                m = rows[k].get(x + 1)
+                if m is None:
+                    m = rows[k][x + 1] = self._grow(k, x + 1)
+                out[x] = out.get(x, 0) | m
+        return out
+
     # Appending c to an ascent sequence x appends c to its modified word,
     # after raising every letter >= c by one when c is an ascent top.  The
     # tracker follows the raise in doubled coordinates: value v is letter
@@ -427,8 +470,7 @@ class _Book:
         g + 1 and gap: every value, interval end and dead bit above g
         moves up by 2.  Gap g is not dead, so neither are the three
         letters it becomes."""
-        return (self.moved(ids, self.gaps, self.move_gap, g),
-                dead & _below(g) | dead >> (g + 1) << (g + 3))
+        return self.moved(ids, self.gaps, self.move_gap, g), opened(dead, g)
 
     def merge_live(self, ids: int, dead: int, top: int):
         """``((ids, dead), groups)``: the pair of a permutation in doubled

@@ -520,7 +520,7 @@ def run_conjecture(conjecture_id: str, n_max: int | None = None,
 
     Valid ids: bi-021, 0012, 210, 0123, 0021-wilf, 0021-count, modi.
     Each id has a default n_max, at which a run takes well under a
-    second: the slowest, modi, takes about 0.06 s, 0012 0.02 s and
+    second: the slowest, modi, takes about 0.045 s, 0012 0.02 s and
     bi-021 0.01 s (median of 9 in process, 2 cores, CPython 3.11).
     """
     try:

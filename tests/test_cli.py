@@ -161,9 +161,9 @@ class TestCount:
 
     def test_modified_budget_counts_every_sequence(self, capsys,
                                                    ticking_clock):
-        # the modified count is one layered pass, of 3494 budget checks
-        # to n=12 for 1102, and the 0.1 s budget allows 100; the budget
-        # must stop it inside that pass
+        # the modified count makes 2820 budget checks to n=12 for 1102,
+        # and the 0.1 s budget allows 100; the budget must stop it inside
+        # the count
         code, out, _ = run_cli(capsys, "count", "--pattern", "1102",
                                "--modified", "--n", "12",
                                "--budget-seconds", "0.1", "--format", "jsonl")
@@ -453,6 +453,16 @@ class TestBudgetOutput:
                                  "-1")
         assert code == EXIT_BUDGET and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestEmit:
+    def test_a_jsonl_row_is_encoded_as_json_dumps_encodes_it(self, capsys):
+        # emit encodes a jsonl row column by column, with no dict per row
+        row = {"s": 'a "quoted" \\ é', "i": -12345678901234567890,
+               "b": True, "none": None, "f": 0.1, "l": [1, "x", False]}
+        cli.emit("jsonl", "count", {}, list(row), [row], {"complete": True})
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == json.dumps(row, separators=(", ", ": "))
 
 
 class TestBijection:

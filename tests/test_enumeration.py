@@ -588,20 +588,8 @@ class TestCanonicalTracker:
             self.assert_index_exact(book, _reached_pairs(book, s0, 6),
                                     range(8))
             book, s0 = fresh(p)
-            pairs, keys = {s0}, {(s0, -1, -1)}
-            for _ in range(6):
-                grown = set()
-                for s, last, a in keys:
-                    for c in range(a + 2):
-                        g = 2 * c if c > last else 2 * c + 1
-                        if forbids(s, g):
-                            continue
-                        moved = book.open_gap(*s, g) if c > last else s
-                        t = book.step(*moved, 2 * c + 1)
-                        pairs.update((moved, t))
-                        grown.add((t, c, a + 1 if c > last else a))
-                keys = grown
-            self.assert_index_exact(book, pairs, range(16))
+            self.assert_index_exact(book, _modified_walk(book, s0, 6)[0],
+                                    range(16))
             if len(set(label)) < len(label):
                 continue
             book, s0 = fresh(p)
@@ -617,6 +605,32 @@ class TestCanonicalTracker:
                         grown.add(book.merge_live(*t, a + 2))
                 keys = grown
             self.assert_index_exact(book, pairs, range(16))
+
+    def test_modified_kills_are_the_childrens_dead_masks(self):
+        # on the modified-word walks to depth 6 of every pattern of length
+        # <= 4, modified_kills names exactly the places of a key that some
+        # penultimate id admits, and dead | kills is the dead mask that
+        # step gives at a value place x and step after open_gap at a gap
+        # place x, with dead moved by the open
+        for label in all_patterns(4):
+            book, s0 = fresh(pat(label))
+            for s, last, a in _modified_walk(book, s0, 6)[1]:
+                ids, dead = s
+                kills = book.modified_kills(ids, last, a + 1)
+                places = ([2 * c + 1 for c in range(last + 1)]
+                          + [2 * c for c in range(last + 1, a + 2)])
+                assert set(kills) <= set(places), (label, s)
+                penult = (ids | book.root) & book.penult
+                for x in places:
+                    assert (x in kills) == any(
+                        _admits(book, i, x) for i in range(penult.bit_length())
+                        if penult >> i & 1), (label, s, x)
+                    if x & 1:
+                        moved, t = s, book.step(*s, x)
+                    else:
+                        moved = book.open_gap(*s, x)
+                        t = book.step(*moved, x + 1)
+                    assert t[1] == moved[1] | kills.get(x, 0), (label, s, x)
 
     @staticmethod
     def assert_reduced(book, s):
@@ -752,6 +766,28 @@ def _admits(book, i, c):
     j, vals = book.embeddings[i]
     a = vals[book.p[j]]
     return a == c if type(a) is int else a[0] < c < a[1]
+
+
+def _modified_walk(book, s0, n):
+    # (pairs, keys): every pair that the modified-word walk reaches from
+    # s0 through length n, the moved ones included, and every key (pair,
+    # last, a) it grows, the empty prefix's included
+    pairs, keys = {s0}, {(s0, -1, -1)}
+    every = set(keys)
+    for _ in range(n):
+        grown = set()
+        for s, last, a in keys:
+            for c in range(a + 2):
+                g = 2 * c if c > last else 2 * c + 1
+                if forbids(s, g):
+                    continue
+                moved = book.open_gap(*s, g) if c > last else s
+                t = book.step(*moved, 2 * c + 1)
+                pairs.update((moved, t))
+                grown.add((t, c, a + 1 if c > last else a))
+        keys = grown
+        every |= keys
+    return pairs, every
 
 
 def _reached_pairs(book, s0, n):
@@ -1160,6 +1196,46 @@ class TestModified:
             assert dict(modified_asc_counts(p, 9)) == {
                 n: {a: ways for (a,), ways in hist.items()}
                 for n, hist in joint}, label
+
+    @pytest.mark.parametrize("label", ["1021", "0101", "1102"])
+    def test_no_layer_past_two_back(self, monkeypatch, label):
+        # histograms n - 1 and n are both summed off layer n - 2, so a
+        # count to 10 builds layers up to 8 only, and grows each distinct
+        # key of layers 0..7 once; the budget is checked once per key of
+        # layers 0..7 and twice per key of layer 8
+        grown = []
+        rule = enumeration._modified_rule
+
+        def spied(p):
+            start, children, grow, kills = rule(p)
+
+            def counted(key):
+                grown.append(key)
+                return grow(key)
+            return start, children, counted, kills
+
+        monkeypatch.setattr(enumeration, "_modified_rule", spied)
+        layers = _spied_layers(monkeypatch)
+        calls = []
+        hists = dict(modified_asc_counts(pat(label), 10,
+                                         lambda: calls.append(None)))
+        assert list(hists) == list(range(1, 11))
+        assert max(layers) == 8
+        assert len(calls) == 1 + sum(len(layers[n]) for n in range(1, 8)) \
+            + 2 * len(layers[8])
+        assert len(grown) == len(set(grown))
+        assert set(grown) == {rule(pat(label))[0]}.union(
+            *(layers[n] for n in range(1, 8)))
+
+    def test_every_n_max_gives_the_same_histograms(self):
+        # each n_max sums its last two histograms off layer n_max - 2 (the
+        # start alone for n_max = 1), where a run to 9 builds that layer
+        for label in all_patterns(4):
+            p = pat(label)
+            full = dict(modified_asc_counts(p, 9))
+            for n_max in range(1, 9):
+                assert dict(modified_asc_counts(p, n_max)) == {
+                    n: full[n] for n in range(1, n_max + 1)}, (label, n_max)
 
     def test_bell_and_reversed_stirling_through_10(self):
         for label in MODIFIED_PATTERNS:
