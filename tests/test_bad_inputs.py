@@ -54,6 +54,8 @@ LENGTH_CALLS = {
         lambda n: lib.non_k_crossing_partition_count(n, 2),
     "non_k_crossing_partition_count[k]":
         lambda n: lib.non_k_crossing_partition_count(5, n),
+    "expected_counts": lambda n: lib.fixtures.expected_counts("101", n),
+    "available_depth": lambda n: lib.fixtures.available_depth("101", n),
 }
 
 WORD_CALLS = {
@@ -141,3 +143,34 @@ def test_long_pattern_in_a_longer_word_is_answered_at_once(w, p):
     # about 7 s
     with _three_seconds(f"contains of a {len(p)}-letter pattern"):
         assert lib.contains(w, p)
+
+
+@pytest.mark.parametrize("call,n,message", [
+    ("expected_counts", 2.5, "length must be an int, not 2.5"),
+    ("expected_counts", "3", "length must be an int, not '3'"),
+    ("expected_counts", None, "length must be an int, not None"),
+    ("expected_counts", True, "length must be an int, not True"),
+    ("expected_counts", 0, "length must be at least 1"),
+    ("available_depth", "x", "length must be an int, not 'x'"),
+    ("available_depth", 2.5, "length must be an int, not 2.5"),
+    ("available_depth", False, "length must be an int, not False"),
+    ("available_depth", -1, "length must be at least 1"),
+])
+@pytest.mark.parametrize("pattern", ["001", "101", "0123"])
+def test_reference_lengths_are_checked(call, n, message, pattern):
+    # a bool is an int to Python, so True would read as length 1
+    with pytest.raises(ValueError) as exc:
+        getattr(lib.fixtures, call)(pattern, n)
+    assert str(exc.value) == message
+
+
+def test_closed_forms_stop_at_their_limit():
+    limit = lib.fixtures._MAX_N
+    with _three_seconds(f"the Catalan row to {limit}"):
+        assert len(lib.fixtures.expected_counts("101", limit)) == limit
+    for pattern in ("001", "102", "101"):
+        assert lib.fixtures.available_depth(pattern, limit + 1) == limit
+        with pytest.raises(ValueError, match=f"lengths above {limit} are "
+                           "not supported"):
+            lib.fixtures.expected_counts(pattern, limit + 1)
+    assert lib.fixtures.available_depth("210", limit + 1) == 13

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,45 @@ import pytest
 import ascentseq
 
 SRC = str(Path(ascentseq.__file__).resolve().parent.parent)
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+# what ``from ascentseq import *`` gives, by the submodule that defines
+# each name; the five submodules are exported too
+EXPORTS = {
+    "core": ["STATISTICS", "Word", "as_word", "asc", "avoids", "contains",
+             "count_occurrences", "des", "fwd", "is_ascent_sequence",
+             "is_pattern", "is_permutation", "is_restricted", "is_rgf",
+             "lrmax", "lrmin", "maximal_positions", "normalize_pattern",
+             "perm_contains", "rlmax", "rlmin", "stat", "word_str",
+             "zeros"],
+    "enumeration": ["CountSeries", "avoiders", "count_ascent_sequences",
+                    "count_avoiders", "count_modified_avoiders",
+                    "distribution", "generate_ascent_sequences",
+                    "generate_restricted", "generate_set_partitions",
+                    "joint_distribution", "joint_histograms",
+                    "modified_asc_counts", "modified_avoiders",
+                    "perm_avoiders"],
+    "bijections": ["BIJECTIONS", "LiftedBinaryDecomposition",
+                   "SetPartition", "is_noncrossing",
+                   "lifted_binary_decompose", "modify", "partition_str",
+                   "perm231_to_ncpartition", "perm312_to_seq101", "phi",
+                   "reduce_tail", "restricted_to_021", "rgf_decode",
+                   "rgf_encode", "seq021_to_restricted",
+                   "seq101_to_perm312", "seq102_to_ternary",
+                   "standardize_partition", "ternary_to_seq102",
+                   "unmodify"],
+    "oracles": ["ConjectureResult", "WilfReport", "all_patterns", "bell",
+                "binomial_transform_catalan", "catalan",
+                "dyck_height5_count", "growth_rate_estimates",
+                "half_power_formula", "narayana",
+                "non_k_crossing_partition_count", "run_conjecture",
+                "stirling2", "ternary_even_twos_count", "wilf_classify"],
+}
+EXPORTED_MODULES = ["core", "enumeration", "bijections", "oracles",
+                    "incremental"]
+STAR_NAMES = sorted([*(n for group in EXPORTS.values() for n in group),
+                     *EXPORTED_MODULES])
+SUBMODULES = [*EXPORTED_MODULES, "fixtures", "cli"]
 
 
 def run_python(*args):
@@ -131,3 +171,54 @@ def test_main_calls_in_one_process_match_lone_runs():
         assert (rc, out, err) == (alone.returncode, alone.stdout,
                                   alone.stderr), argv
     assert [rc for rc, _, _ in together] == [0, 0, 2, 2, 0, 0, 0, 0]
+
+
+def test_reading_the_table_loads_no_engine_module():
+    # the benchmark's set-up probe: a bare import and the first
+    # load_table() load the package and fixtures, nothing else
+    proc = run_python("-c", (
+        "import ascentseq; from ascentseq import fixtures; "
+        "fixtures.load_table(); import sys; "
+        "print(*sorted(m for m in sys.modules if m.startswith('ascentseq')))"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ascentseq", "ascentseq.fixtures"]
+
+
+def test_star_import_gives_the_exported_names():
+    names = {}
+    exec("from ascentseq import *", names)
+    del names["__builtins__"]
+    assert len(STAR_NAMES) == 78
+    assert sorted(names) == STAR_NAMES
+    for module, group in EXPORTS.items():
+        home = vars(sys.modules[f"ascentseq.{module}"])
+        for name in group:
+            assert names[name] is home[name] is getattr(ascentseq, name)
+    for module in EXPORTED_MODULES:
+        assert names[module] is sys.modules[f"ascentseq.{module}"]
+
+
+def test_names_resolve_after_a_bare_import():
+    # in a fresh interpreter, before anything has loaded a submodule
+    proc = run_python("-c", (
+        "import json, sys, ascentseq\n"
+        "listed = dir(ascentseq)\n"
+        "modules = {m: getattr(ascentseq, m) is sys.modules[f'ascentseq.{m}']"
+        " for m in json.loads(sys.argv[1])}\n"
+        "print(json.dumps([listed, modules, hasattr(ascentseq, 'nosuch')]))"),
+        json.dumps(SUBMODULES))
+    assert proc.returncode == 0, proc.stderr
+    listed, modules, unknown = json.loads(proc.stdout)
+    assert modules == dict.fromkeys(SUBMODULES, True)
+    assert not unknown
+    assert {*ascentseq.__all__, *SUBMODULES} <= set(listed)
+    assert sorted(ascentseq.__all__) == STAR_NAMES
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        ascentseq.nosuch
+
+
+def test_version_is_the_packaged_one():
+    # a regex, since tomllib is new in 3.11
+    version = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(),
+                        re.MULTILINE)
+    assert version and ascentseq.__version__ == version.group(1)
