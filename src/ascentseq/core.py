@@ -270,8 +270,8 @@ def stat(w: Sequence[int], which: str) -> int:
     """Evaluate a named statistic; see STATISTICS for the valid names."""
     try:
         f = STATISTICS[which]
-    except KeyError:
-        raise ValueError(f"unknown statistic {which!r}") from None
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown statistic {reprlib.repr(which)}") from None
     return f(w)
 
 

@@ -13,13 +13,18 @@ Counting lists no words: ``_layers`` runs a rule as a layered
 transfer-matrix count, where prefixes with equal keys have equal futures
 and are merged into one weighted key, with one budget check per key,
 and grows each distinct key once per count into the list of its
-children's keys.  A count of avoiders is read off the layer two before
+children's keys.  Every layer it builds is grown this one way, the last
+one included.  Two counts stop two layers short of their length and
+read the rest off the dead masks of the layer two back, through the
+book's one kill map, ``final_kills``: the letters on which a step can
+kill new letters.  A count of avoiders is read off the layer two before
 its length, before the layer after that one is built, so a caller that
 stops taking counts never builds the layer it would read next: each
 key's two-letter continuations are summed in closed form, corrected
-only at the letters on which a step can kill new letters, which the
-book names, and kept for the count.  The budget is checked once per key
-on both passes over a layer, the sum and the growth.
+only at the letters the kill map names, and kept for the count.  The
+last two ``asc`` histograms of modified ascent sequences are read off
+the layer two back the same way.  The budget is checked once per key on
+both passes over a layer, the sum and the growth.
 A layered key is the flat tuple ``(ids, last, dead, a)``: the tracker
 pair (ids, dead) in the book that the rule holds, the last letter, and
 the bound a + 1 on the next letter.  Avoiders are keyed by live
@@ -27,20 +32,20 @@ letters: every dead letter up to a + 1 is deleted, so prefixes that
 differ only in where their dead letters sit merge, and a key's children
 are built in one loop over its letters.  Modified ascent sequences
 append c to the modified word after a raise when c is an ascent top,
-which opens gap 2c into a new value, and their last two histograms
-are read off the layer two back.  Permutations insert their last
+which opens gap 2c into a new value.  Permutations insert their last
 entry into gap 2c, and are keyed by live gaps: every dead gap is
 deleted and the values between two live gaps are merged.  Joint
-statistic histograms run the same rules with a small prefix state per
-statistic in the key.  For them each rule yields, per child, the place
-of the new letter (letter c is place 2c + 1, and place 2c is the gap
-just below it) and the move that renamed the key's places on the way,
-or None, and each set's one rename moves the states' places with the
-key.
+statistic histograms grow every layer of the same rules, with a small
+prefix state per statistic in the key.  For them each rule yields, per
+child, the place of the new letter (letter c is place 2c + 1, and place
+2c is the gap just below it) and the move that renamed the key's places
+on the way, or None, and each set's one rename moves the states' places
+with the key.
 """
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from itertools import chain, islice
@@ -106,19 +111,17 @@ def _walk(n: int, state0, children, check=None):
             del prefix[-1:]     # nothing to drop once the root is done
 
 
-def _layers(children, start, n_max: int, check=None, leaves=None):
+def _layers(children, start, n_max: int, check=None):
     """Yield ``(n, layer)`` for n = 1..n_max; layer n maps the key of each
     length-n prefix grown from ``start`` to the number of prefixes with
-    it, where ``children(key)`` returns the list of the keys of its
-    children, once per distinct key: the children of a key are kept
-    until the last layer is grown.  ``check`` is called once per key of
-    the layer before and may raise to abort.  With ``leaves``, the last
-    layer is not grown: it sums ways times weight over the ``(leaf,
-    weight)`` pairs that ``leaves(key)`` returns, which builds no key of
-    it."""
+    it.  Every layer, the last one included, is grown by
+    ``children(key)``, which returns the list of the keys of a key's
+    children and is called once per distinct key: the children are kept
+    for the count, but not those of the keys grown last, which never
+    come back.  ``check`` is called once per key of the layer before and
+    may raise to abort."""
     layer = {start: 1}
     rows = {}       # key -> its children's keys, for this count only
-    last = n_max - (leaves is not None)     # the last layer grown
     for n in range(1, n_max + 1):
         nxt = defaultdict(int)
         # equal children of different keys are kept as one object, not as
@@ -127,14 +130,10 @@ def _layers(children, start, n_max: int, check=None, leaves=None):
         for key, ways in layer.items():
             if check is not None:
                 check()
-            if n > last:
-                for leaf, weight in leaves(key):
-                    nxt[leaf] += ways * weight
-                continue
             row = rows.get(key)
             if row is None:
                 row = children(key)
-                if n < last:    # a key grown last never comes back
+                if n < n_max:   # a key grown last never comes back
                     row = rows[key] = tuple([same(c, c) for c in row])
             for child in row:
                 nxt[child] += ways
@@ -187,10 +186,9 @@ def _avoider_rule(p):
     the keys of the longer prefixes, one for each letter 0..a + 1 of the
     key in order.  ``children(key)`` yields ``(2c + 1, child, gone)``
     for each letter c: the place of c, the key ``grow`` made for it, and
-    the mask of the letters deleted from it, or None when none was;
-    ``children(key, False)`` yields ``(2c + 1, None, None)`` and steps
-    no tracker.  ``leaves(key)`` returns the number of continuations of
-    the key by two letters: the a + 2 of each child's key, summed.
+    the mask of the letters deleted from it, or None when none was.
+    ``leaves(key)`` returns the number of continuations of the key by
+    two letters: the a + 2 of each child's key, summed.
 
     A key is (ids, last, dead, a), where the next letter is at most
     a + 1.  Every key is made live: the dead letters in 0..a + 1 are
@@ -229,7 +227,7 @@ def _avoider_rule(p):
     a + 2 for each of the last + 1 letters c <= last and a + 3 less bit
     a + 2 of dead for each of the a + 1 - last others, and then takes
     off the new dead bits below width of the letters that the book's
-    ``final_kills`` names.  It builds no child key.
+    kill map, ``final_kills``, names.  It builds no child key.
     """
     book, ids, dead = incremental.start(p)
     step, delete, final_kills = book.step, book.delete, book.final_kills
@@ -251,12 +249,8 @@ def _avoider_rule(p):
                 out.append((t, c, d, b))
         return out
 
-    def children(key, grown=True):
+    def children(key):
         ids, last, dead, a = key
-        if not grown:
-            for c in range(a + 2):
-                yield 2 * c + 1, None, None
-            return
         for c, child in enumerate(grow(key)):
             # the mask grow deleted, read off the kept step
             gone = step(ids, dead, c)[1] & ((1 << (a + 2 + (c > last))) - 1)
@@ -267,7 +261,7 @@ def _avoider_rule(p):
         width = (1 << (a + 2)) - 1
         total = ((last + 1) * (a + 2)
                  + (a + 1 - last) * (a + 3 - (dead >> (a + 2) & 1)))
-        for c, m in final_kills(ids, a + 1).items():
+        for c, m in final_kills(ids, a + 2).items():
             total -= (m & ~dead & (width if c <= last
                                    else width << 1 | 1)).bit_count()
         return total
@@ -387,10 +381,9 @@ def _perm_rule(q):
     """``(start, children)`` of the q-avoiding permutations, grown by
     inserting the last entry at a rank c: every earlier entry of rank
     >= c moves up by one, so gap 2c of the tracker pair opens into the
-    new value (``open_gap``).  ``children(key)`` yields ``(2c, child,
-    (2c, groups))`` for each rank c, where groups is the
-    rank-to-group map of the book's ``merge_live``; ``children(key,
-    False)`` yields ``(2c, None, None)`` and steps no tracker.
+    new value (``open_gap``).  ``children(key)`` returns the list of
+    ``(2c, child, (2c, groups))`` for each rank c in order, where
+    groups is the rank-to-group map of the book's ``merge_live``.
 
     A key is (ids, last, dead, a), keyed by live gaps: every dead gap is
     deleted from the pair, so dead is 0, and each run of values between
@@ -419,11 +412,9 @@ def _perm_rule(q):
             *step(*open_gap(ids, dead, g), g + 1), top)
         return g, (ids, groups[g // 2 + 1], dead, groups[-1] - 1), (g, groups)
 
-    def children(key, grow=True):
+    def children(key):
         ids, last, dead, a = key
-        for c in range(a + 2):
-            yield (inserted(ids, dead, 2 * c, a + 2) if grow
-                   else (2 * c, None, None))
+        return [inserted(ids, dead, 2 * c, a + 2) for c in range(a + 2)]
 
     (ids, dead), groups = merge_live(ids, dead, 0)
     return (ids, -1, dead, groups[-1] - 1), children
@@ -473,9 +464,9 @@ def _modified_rule(p):
     one per allowed letter in order: each c <= last whose value place
     2c + 1 is alive, then each ascent top c <= a + 1 whose gap place 2c
     is.  ``children(key)`` yields ``(place, child, gap)`` for each: the
-    place 2c + 1 and no gap, or for an ascent top the gap 2c as both;
-    ``children(key, False)`` yields ``(place, None, None)`` and steps no
-    tracker.  ``kills`` is the book's ``modified_kills``."""
+    place 2c + 1 and no gap, or for an ascent top the gap 2c as both.
+    ``kills`` is the book's kill map ``final_kills``, which names the
+    gap places too when given their end."""
     book, ids, dead = incremental.start(p)
     step, open_gap = book.step, book.open_gap
 
@@ -492,20 +483,14 @@ def _modified_rule(p):
                 out.append((t, x >> 1, d, a + 1))
         return out
 
-    def children(key, grown=True):
-        ids, last, dead, a = key
-        if grown:
-            for child in grow(key):
-                c = child[1]
-                yield ((2 * c + 1, child, None) if c <= last
-                       else (2 * c, child, 2 * c))
-            return
-        for c in range(a + 2):
-            x = 2 * c + 1 - (c > last)
-            if not (dead >> x) & 1:
-                yield x, None, None
+    def children(key):
+        last = key[1]
+        for child in grow(key):
+            c = child[1]
+            yield ((2 * c + 1, child, None) if c <= last
+                   else (2 * c, child, 2 * c))
 
-    return (ids, -1, dead, -1), children, grow, book.modified_kills
+    return (ids, -1, dead, -1), children, grow, book.final_kills
 
 
 def modified_asc_counts(p, n_max: int, check=None):
@@ -519,7 +504,8 @@ def modified_asc_counts(p, n_max: int, check=None):
     n_max - 1 is never built: histogram n_max - 1 counts each key's
     allowed letters, and histogram n_max each child's, from the child's
     dead mask: the key's, moved as ``open_gap`` moves it at an ascent
-    top, with the kills that the book's ``modified_kills`` names.
+    top, with the kills that the book's ``final_kills`` names at the
+    value places and the gap places of the key.
     ``check``, when given, is called once per key of each layer grown
     and once per key of layer n_max - 2 on each of its two passes, and
     may raise to abort; the histograms yielded before it raised stay
@@ -562,7 +548,7 @@ def modified_asc_counts(p, n_max: int, check=None):
     for (ids, last, dead, a), ways in layer.items():
         if check is not None:
             check()
-        killed = kills(ids, last, a + 1)
+        killed = kills(ids, 2 * last + 2, 2 * a + 3)
         flat = rise = top = 0   # the continuations at asc a, a + 1, a + 2
         for x in range(1, 2 * last + 2, 2):
             if not (dead >> x) & 1:
@@ -583,8 +569,9 @@ def modified_asc_counts(p, n_max: int, check=None):
 def count_modified_avoiders(p, n: int, check=None) -> int:
     """Number of ascent sequences of length n whose modified word avoids
     p, by the layered count of ``modified_asc_counts`` (tracker pairs in
-    doubled coordinates, moved by ``open_gap`` before each ascent top);
-    ``check`` is called once per state."""
+    doubled coordinates, moved by ``open_gap`` before each ascent top).
+    ``check`` is passed on to it, which calls it once per key of layers
+    0..n - 3 and twice per key of layer n - 2 (once in all for n = 1)."""
     for _, hist in modified_asc_counts(p, n, check):
         pass
     return sum(hist.values())
@@ -681,12 +668,13 @@ def _described(descriptor, stats):
     try:
         kind, p = descriptor
     except (TypeError, ValueError):
-        raise ValueError(f"unknown set descriptor {descriptor!r}") from None
-    if kind not in _SETS:
-        raise ValueError(f"unknown set descriptor kind {kind!r}")
+        raise ValueError("unknown set descriptor "
+                         f"{reprlib.repr(descriptor)}") from None
+    if not isinstance(kind, str) or kind not in _SETS:
+        raise ValueError(f"unknown set descriptor kind {reprlib.repr(kind)}")
     for s in stats:
-        if s not in _RULES:
-            raise ValueError(f"unknown statistic {s!r}; "
+        if not isinstance(s, str) or s not in _RULES:
+            raise ValueError(f"unknown statistic {reprlib.repr(s)}; "
                              f"choose from {sorted(_RULES)}")
     if kind == "perm-avoiders":
         return kind, check_perm_pattern(p)
@@ -702,11 +690,12 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
     The descriptor is as for ``joint_distribution``.  Every kind is
     counted in one layered pass over its growth rule, keyed by (set key,
     statistic states), where the places in the statistic states are
-    renamed with the set key by each child's move.  The last layer keeps
-    only the statistic states and steps no tracker.  ``check``, when
-    given, is called once per state; the histograms yielded before it
-    raised stay valid.  The arguments are checked at once, and the pass
-    starts with the first histogram asked for.
+    renamed with the set key by each child's move.  Every layer, the
+    last one included, is grown so, through ``_layers``.  ``check``,
+    when given, is called once per key of layers 0..n_max - 1, as each
+    is grown; the histograms yielded before it raised stay valid.  The
+    arguments are checked at once, and the pass starts with the first
+    histogram asked for.
     """
     if not stats:
         raise ValueError("joint_histograms needs at least one statistic")
@@ -745,14 +734,8 @@ def _joint_histograms(kind, p, n_max, stats, check):
             out.append((child, st_child))
         return out
 
-    def leaves(key):
-        set_key, st = key
-        last = set_key[1]
-        for x, _, _ in children(set_key, False):
-            yield (stepped(st, x, last),), 1
-
     yield from _histograms(
-        _layers(grown, (start, starts), n_max, check, leaves),
+        _layers(grown, (start, starts), n_max, check),
         lambda st: tuple([s if type(s) is int else s[0] for s in st]))
 
 
@@ -786,7 +769,8 @@ def joint_distribution(descriptor, n: int, *stats: str,
     ``avoiders``, ``perm-avoiders`` or ``modified-avoiders``; statistics
     on the modified sets are evaluated on the modified words.  Every
     kind is counted by the layered pass of ``joint_histograms``, and
-    ``check``, when given, is called once per state of it.
+    ``check``, when given, is called once per key of each layer it
+    grows.
     """
     if not stats:
         raise ValueError("joint_distribution needs at least one statistic")

@@ -28,13 +28,13 @@ is the bitmask of the prefix's embeddings.  It indexes each embedding by
 its next slot, the value or interval the next pattern letter must take,
 so a step asks only the embeddings whose slot admits the letter: one
 whose slot is a value moves on that value alone.  The same slots name,
-for ``final_kills``, the only letters on which a step can kill new
-letters: those that a penultimate embedding admits, and, for
-``modified_kills``, the same places of a modified word.  A pair is two
-plain ints: pairs compare equal only within one book, and one book
-should not be shared between threads.  The book keeps every move as
-``(ids, dead)`` pairs, so a book that nothing holds is freed by
-reference counting.
+for the book's one kill map ``final_kills``, the only letters on which
+a step can kill new letters: those that a penultimate embedding admits,
+among the letters of a word or the value and gap places of a modified
+word.  A pair is two plain ints: pairs compare equal only within one
+book, and one book should not be shared between threads.  The book
+keeps every move as ``(ids, dead)`` pairs, so a book that nothing holds
+is freed by reference counting.
 
 The walks and the layered counts of ``enumeration`` hold the book and
 move the pairs through it, so their keys are flat tuples of ints.
@@ -134,6 +134,10 @@ class _Book:
         merged[(ids, dead, top)]
                      (pair, groups): merge_live of the pair (ids, dead)
                      with gaps 0..top
+
+    The kill map ``final_kills`` reads, through ``slots``, the rows of
+    the penultimate ids of a pair at the letters they admit, and at a
+    modified word's gap places the rows of their ``gaps`` moves.
     """
 
     __slots__ = ("p", "plan", "tails", "index", "embeddings",
@@ -398,14 +402,24 @@ class _Book:
                 return ids, dead
         return self.reduced(grown, dead)
 
-    def final_kills(self, ids: int, top: int) -> dict:
-        """``{c: kills}`` for the letters c <= top that some penultimate
-        embedding of ids (or the root, when p has two letters) admits:
-        kills is the union of their rows on c, and the dead mask of
-        ``step(ids, dead, c)`` is dead | kills.  On every other letter a
-        step leaves dead as it is.  A row entry asked for the first time
-        is grown and kept, which interns nothing for a penultimate
-        embedding, and no step is kept."""
+    def final_kills(self, ids: int, stop: int, gap_stop: int = 0) -> dict:
+        """The kill map of the pair: ``{x: kills}`` for the letters
+        x < stop that some penultimate embedding of ids (or the root,
+        when p has two letters) admits, where kills is the union of their
+        rows on x, and the dead mask of ``step(ids, dead, x)`` is
+        dead | kills.  On every other letter a step leaves dead as it is.
+
+        With ``gap_stop``, the pair is a modified word's in doubled
+        coordinates: the letters are the odd value places x < stop and
+        the even gap places stop <= x < gap_stop, and at a gap place x
+        the dead mask of ``step(*open_gap(ids, dead, x), x + 1)`` is
+        dead, moved by the open, | kills.  Dead bits grow only through
+        penultimate rows, ``open_gap`` moves every embedding and drops
+        none, and an embedding moved by ``move_gap(i, x)`` admits x + 1
+        exactly when the slot of i held gap x, since values are odd.
+
+        Rows and moves asked for the first time are made and kept, and
+        no step is."""
         rows, slots, out = self.rows, self.slots, {}
         rest = (ids | self.root) & self.penult
         while rest:
@@ -413,48 +427,23 @@ class _Book:
             rest ^= low
             i = low.bit_length() - 1
             row = rows[i]
-            first, stop = slots[i]
-            for c in range(first, stop if stop <= top else top + 1):
-                m = row.get(c)
-                if m is None:
-                    m = row[c] = self._grow(i, c)
-                out[c] = out.get(c, 0) | m
-        return out
-
-    def modified_kills(self, ids: int, last: int, top: int) -> dict:
-        """``final_kills`` for a modified word in doubled coordinates:
-        ``{x: kills}`` for the value places x <= 2 last + 1 and the gap
-        places 2 last + 2 <= x <= 2 top that some penultimate embedding
-        of ids (or the root) admits.  The dead mask of
-        ``step(ids, dead, x)`` at a value, and of
-        ``step(*open_gap(ids, dead, x), x + 1)`` at a gap, is dead (moved
-        by the open) | kills: dead bits grow only through penultimate
-        rows, ``open_gap`` moves every embedding and drops none, and an
-        embedding moved by ``move_gap(i, x)`` admits x + 1 exactly when
-        the slot of i held gap x, since values are odd.  Rows and moves
-        are kept, and no step is."""
-        rows, gaps, slots, out = self.rows, self.gaps, self.slots, {}
-        rest = (ids | self.root) & self.penult
-        gap = 2 * last + 2      # the first gap place
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            row = rows[i]
-            first, stop = slots[i]
-            for x in range(first | 1, min(stop, gap), 2):
+            first, end = slots[i]
+            # doubled, the value places are the odd ones
+            for x in (range(first | 1, min(end, stop), 2) if gap_stop
+                      else range(first, end if end < stop else stop)):
                 m = row.get(x)
                 if m is None:
                     m = row[x] = self._grow(i, x)
                 out[x] = out.get(x, 0) | m
-            first = max(first, gap)
-            for x in range(first + (first & 1), min(stop, 2 * top + 1), 2):
-                moved = gaps[i].get(x) or self.move_gap(i, x)
-                k = moved.bit_length() - 1
-                m = rows[k].get(x + 1)
-                if m is None:
-                    m = rows[k][x + 1] = self._grow(k, x + 1)
-                out[x] = out.get(x, 0) | m
+            if gap_stop and end > stop:
+                first = max(first, stop)
+                for x in range(first + (first & 1), min(end, gap_stop), 2):
+                    moved = self.gaps[i].get(x) or self.move_gap(i, x)
+                    k = moved.bit_length() - 1
+                    m = rows[k].get(x + 1)
+                    if m is None:
+                        m = rows[k][x + 1] = self._grow(k, x + 1)
+                    out[x] = out.get(x, 0) | m
         return out
 
     # Appending c to an ascent sequence x appends c to its modified word,

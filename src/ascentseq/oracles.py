@@ -283,6 +283,11 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     ``check`` is passed on to every count.
     """
     _check_length(n_max)
+    try:
+        patterns = iter(patterns)
+    except TypeError:
+        raise ValueError("patterns must be an iterable of patterns, not "
+                         f"{type(patterns).__name__}") from None
     # label -> normalized pattern; a label with letters past 9 is
     # comma-separated, which as_word does not parse back
     words = {}
@@ -525,8 +530,9 @@ def run_conjecture(conjecture_id: str, n_max: int | None = None,
     """
     try:
         runner, default = _CONJECTURES[conjecture_id]
-    except KeyError:
-        raise ValueError(f"unknown conjecture {conjecture_id!r}; choose from "
+    except (KeyError, TypeError):
+        raise ValueError("unknown conjecture "
+                         f"{reprlib.repr(conjecture_id)}; choose from "
                          f"{list(CONJECTURE_IDS)}") from None
     n_max = default if n_max is None else n_max
     _check_length(n_max)

@@ -1,8 +1,9 @@
 """A reference count of pattern avoiders, independent of the package.
 
-The library counts avoiders, and ascent sequences whose modified word
-avoids a pattern, on reduced, interned embedding sets with deleted dead
-letters or opened gaps (``incremental``, ``enumeration._layers``).
+The library counts avoiders, ascent sequences whose modified word
+avoids a pattern, and pattern-avoiding permutations on reduced,
+interned embedding sets with deleted dead letters, opened gaps or
+merged live gaps (``incremental``, ``enumeration._layers``).
 This count shares none of that: it merges prefixes only when they agree
 on their last letter, their number of ascents and the set of their
 partial matches, each kept as the raw tuple of the values it matched.
@@ -92,15 +93,17 @@ def avoider_counts(p, n_max):
     return counts
 
 
-def modified_asc_counts(p, n_max):
+def _asc_counts(p, n_max, modified):
     """{n: {asc: number}}, n = 1..n_max: the ascent sequences x of length
-    n whose modified word avoids p, by their number of ascents.
+    n that avoid p, or whose modified word avoids p, by their number of
+    ascents.
 
     Appending c to x appends c to its modified word, after every letter
     >= c is raised by one when c is an ascent top.  The key is the last
-    letter, the number of ascents and the set of partial matches over
-    the modified word's values, so an ascent top raises every stored
-    value >= c by one before c is matched.
+    letter, the number of ascents and the set of partial matches
+    (``_matcher``) over the word's values, so on a modified word an
+    ascent top raises every stored value >= c by one before c is
+    matched.
     """
     after = _matcher(p)
     raised = {}     # (matches, c) -> the matches with values >= c raised
@@ -111,7 +114,7 @@ def modified_asc_counts(p, n_max):
         for (last, a, matches), ways in layer.items():
             for c in range(a + 2):
                 moved = matches
-                if c > last:
+                if modified and c > last:
                     key = matches, c
                     if key not in raised:
                         raised[key] = frozenset(
@@ -121,10 +124,67 @@ def modified_asc_counts(p, n_max):
                 if matched is not None:
                     nxt[c, a + (c > last), matched] += ways
         layer = nxt
-        hist = defaultdict(int)
-        for (_, a, _), ways in layer.items():
-            hist[a] += ways
-        hists[n] = dict(hist)
+        hists[n] = _by_asc(layer)
+    return hists
+
+
+def _by_asc(layer):
+    hist = defaultdict(int)
+    for (_, a, _), ways in layer.items():
+        hist[a] += ways
+    return dict(hist)
+
+
+def avoider_asc_counts(p, n_max):
+    """{n: {asc: number}}, n = 1..n_max: the p-avoiding ascent sequences
+    of length n by their number of ascents."""
+    return _asc_counts(p, n_max, False)
+
+
+def modified_asc_counts(p, n_max):
+    """{n: {asc: number}}, n = 1..n_max: the ascent sequences x of length
+    n whose modified word avoids p, by their number of ascents."""
+    return _asc_counts(p, n_max, True)
+
+
+def perm_asc_counts(q, n_max):
+    """{n: {asc: number}}, n = 1..n_max: the permutations of length n
+    that avoid the distinct-letter pattern q, by their number of ascents.
+
+    A permutation of length n - 1, written with the ranks 0..n - 2,
+    grows by a last entry of each rank c in 0..n - 1: every entry of
+    rank >= c is raised by one first, as ``modified_asc_counts`` raises
+    at an ascent top, and the new entry is an ascent exactly when c
+    exceeds the last entry's rank.  The key is the last entry's rank,
+    the number of ascents and the set of partial matches.  q has
+    distinct letters, so a partial match of q[:j] is fixed by the set of
+    values it matched, kept as a bitmask: the raise shifts the bits at
+    or above c up by one, and the match takes c next exactly when c has
+    as many of its values below it as q[j] has letters of q[:j].
+    """
+    k = len(q)
+    rank = [sum(x < q[j] for x in q[:j]) for j in range(k)]
+    layer = {(-1, -1, frozenset()): 1}
+    hists = {}
+    for n in range(1, n_max + 1):
+        nxt = defaultdict(int)
+        for (last, a, matches), ways in layer.items():
+            for c in range(n):
+                below = (1 << c) - 1
+                out = set()
+                for m in (0, *matches):     # 0 is the empty match
+                    m = m & below | m >> c << (c + 1)
+                    if m:
+                        out.add(m)
+                    j = m.bit_count()
+                    if (m & below).bit_count() == rank[j]:
+                        if j + 1 == k:
+                            break           # c completes an occurrence
+                        out.add(m | 1 << c)
+                else:
+                    nxt[c, a + (c > last), frozenset(out)] += ways
+        layer = nxt
+        hists[n] = _by_asc(layer)
     return hists
 
 

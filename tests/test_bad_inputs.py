@@ -92,6 +92,33 @@ WORD_CALLS = {
     "wilf_classify[pattern]": lambda w: lib.wilf_classify([w, "01"], 4),
 }
 
+# per kind of bad name, a bad statistic, set kind, conjecture id or
+# collection of patterns
+BAD_NAMES = {
+    "list": ["asc"],
+    "dict": {"modi": 1},
+    "int": 5,
+    "none": None,
+    "unknown": "nosuch",
+    "long": "x" * 10**5,
+}
+
+# per callable and argument, the call with a bad name in that argument
+NAME_CALLS = {
+    "stat": lambda s: lib.stat(X, s),
+    "distribution": lambda s: lib.distribution(P, 3, s),
+    "joint_distribution[stat]": lambda s: lib.joint_distribution(
+        ("avoiders", P), 3, s),
+    "joint_distribution[kind]": lambda s: lib.joint_distribution(
+        (s, P), 3, "asc"),
+    "joint_histograms[stat]": lambda s: lib.joint_histograms(
+        ("avoiders", P), 3, s),
+    "joint_histograms[kind]": lambda s: lib.joint_histograms(
+        (s, P), 3, "asc"),
+    "run_conjecture": lambda s: lib.run_conjecture(s, 3),
+    "wilf_classify": lambda s: lib.wilf_classify(s, 3),
+}
+
 CASES = [(name, call, kind, BAD[kind][0])
          for name, call in LENGTH_CALLS.items() for kind in BAD] + \
         [(name, call, kind, BAD[kind][1])
@@ -130,6 +157,23 @@ def test_bad_argument_is_refused_or_answered_at_once(name, call, kind, arg):
                 next(result, None)
         except ValueError as e:
             assert len(str(e)) < 300, (name, kind, len(str(e)))
+
+
+NAME_CASES = [(name, call, kind, arg) for name, call in NAME_CALLS.items()
+              for kind, arg in BAD_NAMES.items()]
+
+
+@pytest.mark.parametrize("name,call,kind,arg", NAME_CASES,
+                         ids=[f"{name}-{kind}"
+                              for name, _, kind, _ in NAME_CASES])
+def test_bad_name_is_refused(name, call, kind, arg):
+    # a name that is not a str must not reach a dict lookup, which
+    # raises TypeError when it is unhashable, nor a for loop, and a long
+    # one is abridged in the message
+    with _three_seconds(f"{name} on a {kind} name"):
+        with pytest.raises(ValueError) as exc:
+            call(arg)
+    assert len(str(exc.value)) < 300, (name, kind)
 
 
 @pytest.mark.parametrize("w, p", [

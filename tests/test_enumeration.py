@@ -548,7 +548,7 @@ class TestCanonicalTracker:
         # scan adds on each
         for s in pairs:
             ids, dead = s
-            kills = book.final_kills(ids, max(letters))
+            kills = book.final_kills(ids, max(letters) + 1)
             assert set(kills) <= set(letters), (book.p, s)
             for c in letters:
                 grown, after, admitted = ids, dead, False
@@ -608,15 +608,15 @@ class TestCanonicalTracker:
 
     def test_modified_kills_are_the_childrens_dead_masks(self):
         # on the modified-word walks to depth 6 of every pattern of length
-        # <= 4, modified_kills names exactly the places of a key that some
-        # penultimate id admits, and dead | kills is the dead mask that
-        # step gives at a value place x and step after open_gap at a gap
-        # place x, with dead moved by the open
+        # <= 4, final_kills with gap places names exactly the places of a
+        # key that some penultimate id admits, and dead | kills is the dead
+        # mask that step gives at a value place x and step after open_gap
+        # at a gap place x, with dead moved by the open
         for label in all_patterns(4):
             book, s0 = fresh(pat(label))
             for s, last, a in _modified_walk(book, s0, 6)[1]:
                 ids, dead = s
-                kills = book.modified_kills(ids, last, a + 1)
+                kills = book.final_kills(ids, 2 * last + 2, 2 * a + 3)
                 places = ([2 * c + 1 for c in range(last + 1)]
                           + [2 * c for c in range(last + 1, a + 2)])
                 assert set(kills) <= set(places), (label, s)
@@ -1159,6 +1159,25 @@ class TestJointHistograms:
         for n, hist in got.items():
             assert hist == self.listed(perm_avoiders(pat("021"), n),
                                        ("asc", "rlmin"))
+
+    @pytest.mark.parametrize("kind, label, n_max, stats, checks", [
+        ("avoiders", "021", 12, ("asc", "rlmin"), 482),
+        ("perm-avoiders", "021", 10, ("asc", "rlmax"), 130),
+        ("modified-avoiders", "1021", 11, ("asc", "rlmax"), 2388)])
+    def test_budget_is_checked_once_per_key_grown(self, monkeypatch, kind,
+                                                  label, n_max, stats,
+                                                  checks):
+        # every layer, the last one included, is grown from the keys of
+        # the layer before with one check per key, so the checks are one
+        # per key of layers 0..n_max - 1 (the pinned numbers)
+        layers = _spied_layers(monkeypatch)
+        calls = []
+        for _ in joint_histograms((kind, pat(label)), n_max, *stats,
+                                  check=lambda: calls.append(None)):
+            pass
+        assert max(layers) == n_max
+        assert len(calls) == checks
+        assert checks == 1 + sum(len(layers[n]) for n in range(1, n_max))
 
 
 class TestModified:
