@@ -36,11 +36,12 @@ which opens gap 2c into a new value.  Permutations insert their last
 entry into gap 2c, and are keyed by live gaps: every dead gap is
 deleted and the values between two live gaps are merged.  Joint
 statistic histograms grow every layer of the same rules, with a small
-prefix state per statistic in the key.  For them each rule yields, per
-child, the place of the new letter (letter c is place 2c + 1, and place
-2c is the gap just below it) and the move that renamed the key's places
-on the way, or None, and each set's one rename moves the states' places
-with the key.
+prefix state per statistic in the key, but for asc, which rides in the
+weights as a polynomial packed into one int.  For them each rule yields,
+per child, the place of the new letter (letter c is place 2c + 1, and
+place 2c is the gap just below it) and the move that renamed the key's
+places on the way, or None, and each set's one rename moves the states'
+places with the key.
 """
 
 from __future__ import annotations
@@ -119,7 +120,12 @@ def _layers(children, start, n_max: int, check=None):
     children and is called once per distinct key: the children are kept
     for the count, but not those of the keys grown last, which never
     come back.  ``check`` is called once per key of the layer before and
-    may raise to abort."""
+    may raise to abort.  Layer n + 1 is grown from the very dict yielded
+    as layer n, so a caller may rewrite that dict in place before it asks
+    for the next layer, and a weight need only support +: the joint
+    histograms fold there the children of each ascent onto their keys,
+    with weights that pack a polynomial into one int
+    (``joint_histograms``)."""
     layer = {start: 1}
     rows = {}       # key -> its children's keys, for this count only
     for n in range(1, n_max + 1):
@@ -511,8 +517,11 @@ def modified_asc_counts(p, n_max: int, check=None):
     may raise to abort; the histograms yielded before it raised stay
     valid.  The histograms of
     ``joint_histograms(("modified-avoiders", p), n_max, "asc")`` are the
-    same, keyed by ``(a,)``, but its statistic states in the key made the
-    ``modi`` conjecture 1.7 to 1.8 times as slow, so this reader stays.
+    same, keyed by ``(a,)``, but that pass builds all n_max layers, where
+    this one stops two short, and the key's a fixes asc, so its weights
+    merge no keys: over the six ``modi`` patterns it is 3.4 times as slow
+    to n = 9 and 4.2 times to n = 12 (medians side by side, 2 cores,
+    CPython 3.11), so this reader stays.
     """
     _check_length(n_max)
     start, _, grow, kills = _modified_rule(normalize_pattern(p))
@@ -525,7 +534,10 @@ def modified_asc_counts(p, n_max: int, check=None):
 
     layer = {start: 1}
     for n, layer in _layers(grow, start, n_max - 2, check):
-        yield from _histograms([(n, layer)])
+        hist = Counter()
+        for (_, _, _, a), ways in layer.items():
+            hist[a] += ways
+        yield n, hist
     # a key (last, dead, a) allows each value c <= last whose place
     # 2c + 1 is alive, at asc a, and each ascent top c <= a + 1 whose
     # gap place 2c is alive, at asc a + 1
@@ -580,22 +592,24 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
 # ---------------------------------------------------------------------------
 # statistic histograms
 #
-# Every statistic is read off a small state carried along the prefix, so a
-# histogram is a layered count with the statistics' states in the key.
+# Every statistic but asc is read off a small state carried along the
+# prefix, so a histogram is a layered count with the statistics' states in
+# the key; asc rides in the key's weight instead (``joint_histograms``).
 # States hold places, as the set keys do: letter c is place 2c + 1 and
 # place 2c is the gap below it.  A rule is (start, step): step(s, x, last)
 # is the state once the letter at place x follows a prefix whose key has
 # the last letter ``last`` (-1 when empty).  x is read in the key's places
 # before the child's move, and the set's one rename then moves every
-# place of the state with the key (``_SETS``).  asc and fwd are counts
-# that compare x with the key's last letter, place 2 last + 1.  The other
-# states are (statistic, places ...): des keeps the place of the last
-# letter, lrmax and lrmin that of the extreme so far, zeros that of the
-# smallest letter (0 is the first letter of every ascent sequence), and
-# rlmax and rlmin the sorted places of the right-to-left records, a stack
-# that each new letter pops.  des needs its own place: when the last
-# letter is deleted, the key's last falls to the live letter below, which
-# still answers > and <= for every later letter but not <.
+# place of the state with the key (``_SETS``).  fwd is a count that
+# compares x with the key's last letter, place 2 last + 1, as the ascent
+# test of asc does.  The other states are (statistic, places ...): des
+# keeps the place of the last letter, lrmax and lrmin that of the extreme
+# so far, zeros that of the smallest letter (0 is the first letter of
+# every ascent sequence), and rlmax and rlmin the sorted places of the
+# right-to-left records, a stack that each new letter pops.  des needs
+# its own place: when the last letter is deleted, the key's last falls to
+# the live letter below, which still answers > and <= for every later
+# letter but not <.
 
 
 def _delete(y, gone):
@@ -639,7 +653,7 @@ def _rlmin(s, x, last):
 
 
 _RULES = {
-    "asc": (-1, lambda s, x, last: s + (x > 2 * last + 1)),
+    "asc": None,    # carried in the weight, not the key (_joint_histograms)
     "fwd": (0, lambda s, x, last: s + 1 if x <= 2 * last + 1 else 1),
     "des": ((0, -1), lambda s, x, last: (s[0] + (x < s[1]), x)),
     "zeros": ((0, inf), lambda s, x, last:
@@ -690,8 +704,18 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
     The descriptor is as for ``joint_distribution``.  Every kind is
     counted in one layered pass over its growth rule, keyed by (set key,
     statistic states), where the places in the statistic states are
-    renamed with the set key by each child's move.  Every layer, the
-    last one included, is grown so, through ``_layers``.  ``check``,
+    renamed with the set key by each child's move.  asc holds no place:
+    its step reads only the key's last letter, so it is kept out of the
+    key, and a key's weight is a polynomial in X whose coefficient of
+    X^(a + 1) counts its prefixes with a ascents.  The polynomial is
+    packed into one int at X = 256^width, where width, in bytes, bounds
+    every count of the next layer (below n^n at length n) and is widened
+    as the layers grow.  An ascent multiplies the weight by X, a shift,
+    and merging keys adds their weights, so a key is no longer split once
+    per ascent count (Kronecker substitution; Schönhage 1982).  Each
+    histogram sums the weights per value of the other statistics and
+    reads the coefficients back off the bytes of the sum.  Every layer,
+    the last one included, is grown so, through ``_layers``.  ``check``,
     when given, is called once per key of layers 0..n_max - 1, as each
     is grown; the histograms yielded before it raised stay valid.  The
     arguments are checked at once, and the pass starts with the first
@@ -707,11 +731,13 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
 def _joint_histograms(kind, p, n_max, stats, check):
     rules, rule, rename = _SETS[kind]
     start, children = rule(p)[:2]   # the avoider rule's rest counts
-    starts, steps = zip(*(rules[s] for s in stats))
+    asc = "asc" in stats
+    others = list(dict.fromkeys(s for s in stats if s != "asc"))
+    starts = tuple([rules[s][0] for s in others])
+    steps = [rules[s][1] for s in others]
+    # where each statistic's value is read: its state, or asc (None)
+    slots = [None if s == "asc" else others.index(s) for s in stats]
     renamed = {}    # many keys step to one (states, move) pair
-
-    def stepped(st, x, last):
-        return tuple([f(s, x, last) for f, s in zip(steps, st)])
 
     def moved(st, move):
         return tuple([s if type(s) is int else
@@ -722,35 +748,74 @@ def _joint_histograms(kind, p, n_max, stats, check):
     def grown(key):
         set_key, st = key
         last = set_key[1]
+        top = 2 * last + 1 if asc else inf     # a letter above is an ascent
         row = moves.get(set_key)
         if row is None:
             row = moves[set_key] = list(children(set_key))
         out = []
         for x, child, move in row:
-            st_child = stepped(st, x, last)
-            if move is not None:
+            st_child = tuple([f(s, x, last) for f, s in zip(steps, st)])
+            if move is not None and st_child:
                 k = st_child, move
                 st_child = renamed.get(k) or renamed.setdefault(k, moved(*k))
-            out.append((child, st_child))
+            out.append(((child, st_child),) if x > top else (child, st_child))
         return out
 
-    yield from _histograms(
-        _layers(grown, (start, starts), n_max, check),
-        lambda st: tuple([s if type(s) is int else s[0] for s in st]))
-
-
-def _histograms(layers, value=None):
-    """Yield ``(n, histogram)`` per layer: the ways summed by the last
-    entry of the key, mapped through ``value`` when given."""
-    for n, layer in layers:
+    width = 1       # bytes per coefficient of a weight, bounding layer 1
+    for n, layer in _layers(grown, (start, starts), n_max, check):
+        # _layers grows this dict next, so it is folded in place: the
+        # weights are repacked when layer n + 1 outgrows their width, and
+        # each child of an ascent, keyed by its key in a 1-tuple, moves
+        # onto that key with its weight times X
+        if asc and n < n_max and _width(n + 1) > width:
+            # to the width of layer 2n + 2, so a pass repacks only about
+            # log2(n_max) times
+            wider = _width(min(2 * n + 2, n_max))
+            pad = bytes(wider - width)
+            for key, w in layer.items():
+                layer[key] = int.from_bytes(pad.join(_chunks(w, width)),
+                                            "little")
+            width = wider
+        shift = 8 * width
+        sums = defaultdict(int)     # the weights per tuple of states
+        rises = []
+        for key, w in layer.items():
+            if len(key) == 1:
+                rises.append((key, w << shift))
+            else:
+                sums[key[1]] += w
+        for key, w in rises:
+            del layer[key]
+            key = key[0]
+            layer[key] += w
+            sums[key[1]] += w
         hist: Counter = Counter()
-        for key, ways in layer.items():
-            hist[key[-1]] += ways
-        if value is not None:
-            by_state, hist = hist, Counter()
-            for st, ways in by_state.items():
-                hist[value(st)] += ways
+        for st, w in sums.items():
+            row = [s if type(s) is int else s[0] for s in st]
+            # coefficient i of a weight counts asc i - 1: the empty prefix
+            # has asc -1, and every first letter is an ascent
+            terms = (enumerate([int.from_bytes(c, "little")
+                                for c in _chunks(w, width)], -1)
+                     if asc else [(None, w)])
+            for a, ways in terms:
+                if ways:
+                    hist[tuple([a if i is None else row[i]
+                                for i in slots])] += ways
         yield n, hist
+
+
+def _width(n):
+    """Bytes that hold every count of words of length n: there are at
+    most n! <= n^n < 2^(n bit_length(n)) of them."""
+    return (n * n.bit_length() + 8) // 8
+
+
+def _chunks(w, width):
+    """The coefficients of the weight w, from X^0 up, as byte strings of
+    width bytes each (the top one shorter): w is a polynomial in X
+    evaluated at X = 256^width."""
+    b = w.to_bytes((w.bit_length() + 7) // 8, "little")
+    return [b[i:i + width] for i in range(0, len(b), width)]
 
 
 def distribution(p, n: int, which: str) -> Counter:

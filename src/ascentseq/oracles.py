@@ -507,8 +507,8 @@ def _run_modi(n_max: int, check):
 
 # id: (runner yielding (n, checks) per length, default n_max)
 _CONJECTURES = {
-    "bi-021": (_run_bi_021, 11),
-    "0012": (_run_0012, 11),
+    "bi-021": (_run_bi_021, 24),
+    "0012": (_run_0012, 16),
     "210": (_run_210, 12),
     "0123": (_run_0123, 11),
     "0021-wilf": (_run_0021_wilf, 11),
@@ -525,8 +525,9 @@ def run_conjecture(conjecture_id: str, n_max: int | None = None,
 
     Valid ids: bi-021, 0012, 210, 0123, 0021-wilf, 0021-count, modi.
     Each id has a default n_max, at which a run takes well under a
-    second: the slowest, modi, takes about 0.045 s, 0012 0.02 s and
-    bi-021 0.01 s (median of 9 in process, 2 cores, CPython 3.11).
+    second: the slowest, 0012 to 16, takes about 0.08 s, and bi-021 to
+    24 and modi to 11 about 0.045 s each (median of 9 in process, 2
+    cores, CPython 3.11).
     """
     try:
         runner, default = _CONJECTURES[conjecture_id]

@@ -594,11 +594,11 @@ class TestConjecturesCmd:
 
     @pytest.mark.parametrize("name", ["0012", "bi-021"])
     def test_budget_counts_every_word(self, capsys, ticking_clock, name):
-        # the 0012 check makes 2643 budget checks to length 11, and the
-        # bi-021 check 2493 to length 14, and the 1 s budget allows 1000;
+        # the 0012 check makes 1375 budget checks to length 11, and the
+        # bi-021 check 2030 to length 20, and the 1 s budget allows 1000;
         # the budget must be able to stop each inside its pass
         code, out, _ = run_cli(capsys, "conjectures", "--name", name,
-                               "--n", {"0012": "11", "bi-021": "14"}[name],
+                               "--n", {"0012": "11", "bi-021": "20"}[name],
                                "--budget-seconds", "1",
                                "--format", "jsonl")
         assert code == EXIT_BUDGET

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import islice, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -701,12 +702,13 @@ class TestCanonicalTracker:
         self.walk_reduced(p, random.Random(seed), perm)
 
     def test_reduction_merges_keys(self, monkeypatch):
-        # summed over the patterns of length <= 4, the last layer of the
-        # perm-avoiders (asc) histograms to n = 9 keeps 21272 keys and
+        # summed over the patterns of length <= 4, layer 8 of the
+        # perm-avoiders (asc) histograms to n = 9 keeps 11928 keys and
         # layer 10 of the avoider counts (the last one that a count to 12
         # builds) keeps 64886; pairs that delete and merge_live left
-        # unreduced kept 22100 and 65212 (59542 and 172183 against 61984
-        # and 173320 at n = 10 and at layer 11)
+        # unreduced kept 12042 and 65212 (34998 and 172183 against 35238
+        # and 173320 at n = 10 and at layer 11).  asc rides in the
+        # weights, so no permutation key is split by it
         layers = _spied_layers(monkeypatch)
         perm_keys = 0
         for label in PERM_PATTERNS:
@@ -718,7 +720,7 @@ class TestCanonicalTracker:
         for label in all_patterns(4):
             dict(avoider_counts(pat(label), 12))
             avoider_keys += len(layers[10])
-        assert (perm_keys, avoider_keys) == (21272, 64886)
+        assert (perm_keys, avoider_keys) == (11928, 64886)
 
 
 @cache
@@ -1087,11 +1089,12 @@ class TestJointHistograms:
 
     def test_avoider_layers_are_keyed_by_live_letters(self, monkeypatch):
         # with every raw letter in the key, layer 12 kept 18142 (asc, des)
-        # keys for 000, 1287 for 0101 and 617 (asc, rlmin) keys for 021
+        # keys for 000, 1287 for 0101 and 617 (asc, rlmin) keys for 021,
+        # and with asc in the key 964, 137 and 182 (000's key fixes asc)
         layers = _spied_layers(monkeypatch)
         for label, stats, at_12 in (("000", ("asc", "des"), 964),
-                                    ("0101", ("asc", "des"), 137),
-                                    ("021", ("asc", "rlmin"), 182)):
+                                    ("0101", ("asc", "des"), 42),
+                                    ("021", ("asc", "rlmin"), 42)):
             for _ in joint_histograms(("avoiders", pat(label)), 13, *stats):
                 pass
             assert len(layers[12]) <= at_12, (label, len(layers[12]))
@@ -1099,23 +1102,16 @@ class TestJointHistograms:
     def test_permutation_layers_are_keyed_by_live_gaps(self, monkeypatch):
         # 132-avoiders kept 640 and 8960 (asc, rlmin) keys at layers 8 and
         # 11, and 320 and 3328 (asc, rlmax) keys, when every dead gap and
-        # raw value stayed in the key
-        sizes = []
-        layers = enumeration._layers
-
-        def counted(*args, **kwargs):
-            for n, layer in layers(*args, **kwargs):
-                sizes.append(len(layer))
-                yield n, layer
-
-        monkeypatch.setattr(enumeration, "_layers", counted)
-        for stats, at_8, at_11 in ((("asc", "rlmin"), 100, 257),
-                                   (("asc", "rlmax"), 29, 56)):
-            sizes.clear()
+        # raw value stayed in the key, and 100 and 257, and 29 and 56, when
+        # asc stayed in it too
+        layers = _spied_layers(monkeypatch)
+        for stats, at_8, at_11 in ((("asc", "rlmin"), 35, 65),
+                                   (("asc", "rlmax"), 8, 11)):
             for _ in joint_histograms(("perm-avoiders", pat("021")), 12,
                                       *stats):
                 pass
-            assert sizes[7] <= at_8 and sizes[10] <= at_11, (stats, sizes)
+            sizes = len(layers[8]), len(layers[11])
+            assert sizes[0] <= at_8 and sizes[1] <= at_11, (stats, sizes)
 
     def test_yields_match_joint_distribution(self):
         for kind, label, stats in (("avoiders", "0012", ("asc", "fwd")),
@@ -1141,13 +1137,14 @@ class TestJointHistograms:
                 joint_distribution(*args)
 
     def test_check_stops_the_pass(self):
-        # one check per state: a check that gives out stops the pass
-        # inside a layer, and the layers yielded before stay exact
+        # one check per key grown, 277 in the pass to 12: a check that
+        # gives out after 100 stops the pass inside layer 9, and the
+        # layers yielded before stay exact
         calls = []
 
         def check():
             calls.append(1)
-            if len(calls) > 400:
+            if len(calls) > 100:
                 raise RuntimeError("out of budget")
 
         got = {}
@@ -1161,8 +1158,8 @@ class TestJointHistograms:
                                        ("asc", "rlmin"))
 
     @pytest.mark.parametrize("kind, label, n_max, stats, checks", [
-        ("avoiders", "021", 12, ("asc", "rlmin"), 482),
-        ("perm-avoiders", "021", 10, ("asc", "rlmax"), 130),
+        ("avoiders", "021", 12, ("asc", "rlmin"), 162),
+        ("perm-avoiders", "021", 10, ("asc", "rlmax"), 46),
         ("modified-avoiders", "1021", 11, ("asc", "rlmax"), 2388)])
     def test_budget_is_checked_once_per_key_grown(self, monkeypatch, kind,
                                                   label, n_max, stats,
@@ -1178,6 +1175,43 @@ class TestJointHistograms:
         assert max(layers) == n_max
         assert len(calls) == checks
         assert checks == 1 + sum(len(layers[n]) for n in range(1, n_max))
+
+    def test_asc_weights_hold_counts_past_64_bits(self):
+        # the 10-avoiders are the weakly increasing ascent sequences, so
+        # asc counts the rises among n - 1 steps of +0 or +1: binomial
+        # coefficients, the largest of them at n = 70 about 2.8e19
+        *_, (n, hist) = joint_histograms(("avoiders", pat("10")), 70, "asc")
+        assert n == 70
+        assert hist == {(k,): comb(69, k) for k in range(70)}
+        assert max(hist.values()) > 2 ** 64
+
+    def test_weight_width_follows_the_layers_built(self, monkeypatch):
+        # the weights are packed at a width that bounds the layers built
+        # so far, not n_max: a width sized from MAX_LENGTH would give each
+        # coefficient of every weight about 20 million bits
+        layers = _spied_layers(monkeypatch)
+        stats = ("asc", "rlmin")
+        got = dict(islice(joint_histograms(
+            ("avoiders", pat("021")), enumeration.MAX_LENGTH, *stats), 12))
+        assert max(w.bit_length() for w in layers[12].values()) < 10 ** 4
+        assert got == dict(joint_histograms(("avoiders", pat("021")), 12,
+                                            *stats))
+
+    @pytest.mark.parametrize("kind, labels, words", [
+        ("avoiders", ("0012", "1021"), avoiders),
+        ("perm-avoiders", ("021", "1302"), perm_avoiders),
+        ("modified-avoiders", ("0012", "1021"), modified_words)])
+    def test_asc_at_every_position(self, kind, labels, words):
+        # asc is read off the weights and put back at each of its places
+        # in the histogram's key, once or twice, beside other statistics
+        for label in labels:
+            p = pat(label)
+            for stats in (("asc", "asc"), ("des", "asc"),
+                          ("asc", "rlmax", "asc"), ("zeros", "asc", "fwd"),
+                          ("lrmin", "rlmin", "asc")):
+                for n, hist in joint_histograms((kind, p), 7, *stats):
+                    assert hist == self.listed(words(p, n), stats), (
+                        label, stats, n)
 
 
 class TestModified:
