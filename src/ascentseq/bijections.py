@@ -27,10 +27,16 @@ def standardize_partition(blocks) -> SetPartition:
     """Bring a family of blocks to standard form and validate it.
 
     Standard form sorts each block ascending and orders blocks by their
-    minima; the blocks must be disjoint, nonempty, and cover 1..n.
+    minima; the blocks must be disjoint, nonempty, and cover 1..n.  The
+    elements come back as ints, so a bool element reads as 0 or 1.
     """
-    cleaned = sorted((tuple(sorted(b)) for b in map(check_letters, blocks)
-                      if b),
+    try:
+        blocks = iter(blocks)
+    except TypeError:
+        raise ValueError("a set partition must be an iterable of blocks, "
+                         f"not {type(blocks).__name__}") from None
+    cleaned = sorted((tuple(sorted(map(int, b)))
+                      for b in map(check_letters, blocks) if b),
                      key=lambda b: b[0])
     if not cleaned:
         raise ValueError("a set partition needs at least one block")
@@ -43,8 +49,12 @@ def standardize_partition(blocks) -> SetPartition:
 
 
 def partition_str(sp: SetPartition) -> str:
-    sep = "" if sp and max(max(b) for b in sp) <= 9 else ","
-    return "-".join(sep.join(str(x) for x in b) for b in sp)
+    """Display form of a set partition, standardized and validated by
+    ``standardize_partition``: blocks joined by dashes, elements
+    concatenated while all are digits."""
+    sp = standardize_partition(sp)
+    sep = "" if sum(map(len, sp)) <= 9 else ","
+    return "-".join(sep.join(map(str, b)) for b in sp)
 
 
 def rgf_encode(sp) -> Word:

@@ -65,11 +65,12 @@ def check_letters(w: Iterable[int]) -> Word:
 
 def word_str(w: Sequence[int]) -> str:
     """Compact display form: digits concatenated while all letters fit;
-    letters that are not ints are refused, as by ``check_letters``."""
+    letters that are not ints are refused, as by ``check_letters``, and
+    a bool letter prints as the int it is read as."""
     w = check_letters(w)
     if w and max(w) > 9:
-        return ",".join(str(x) for x in w)
-    return "".join(str(x) for x in w)
+        return ",".join("%d" % x for x in w)
+    return "".join("%d" % x for x in w)
 
 
 def abridged(w: Sequence[int]) -> str:

@@ -19,8 +19,9 @@ from __future__ import annotations
 import reprlib
 from collections import Counter
 from collections.abc import Mapping
-from itertools import accumulate, product
+from itertools import accumulate, compress, count, product
 from math import comb, exp, log
+from operator import ne
 from typing import NamedTuple
 
 from .core import as_word, normalize_pattern, word_str
@@ -276,11 +277,18 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     time.  After each length the live patterns are grouped by series
     prefix, and a pattern alone in its group is settled: its counting
     stops and its layers are freed.  Classes only split as n grows, so a
-    pattern alone at length d stays alone at every later length, and
-    every separation that involves it is at most d; the settled prefixes
-    therefore give the classes and separations exactly.  ``series``
-    counts a settled pattern again, in full, when it is first read.
-    ``check`` is passed on to every count.
+    pattern alone at length d stays alone at every later length; the
+    settled prefixes therefore give the classes exactly.
+
+    Two classes separate at the first length where their series differ,
+    read off the prefixes of the classes' first labels as the 1-based
+    index of their first unequal entry.  Every pair differs within the
+    shorter prefix: a pattern that settled at length d was alone among
+    the first d counts of every series still counting, the longer one
+    among them, and two classes that never settled differ within n_max.
+
+    ``series`` counts a settled pattern again, in full, when it is first
+    read.  ``check`` is passed on to every count.
     """
     _check_length(n_max)
     try:
@@ -310,30 +318,9 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     classes += [g for g in groups.values() if len(g) > 1]
     classes = sorted((sorted(g, key=_pattern_sort_key) for g in classes),
                      key=lambda g: _pattern_sort_key(g[0]))
-    # two classes separate at the first length where their series differ:
-    # split the classes into parts by series value, one length at a time,
-    # and every two classes that length d + 1 puts in different parts
-    # separate there
-    heads = [prefixes[g[0]] for g in classes]
-    split_at: dict[tuple[int, int], int] = {}
-    parts, d = [range(len(classes))], 0
-    while parts:
-        finer = []
-        for part in parts:
-            by_value: dict[int, list[int]] = {}
-            for i in part:
-                by_value.setdefault(heads[i][d], []).append(i)
-            subs = list(by_value.values())
-            for x, sub in enumerate(subs):
-                for other in subs[x + 1:]:
-                    for i in sub:
-                        for j in other:
-                            split_at[min(i, j), max(i, j)] = d + 1
-            finer += [sub for sub in subs if len(sub) > 1]
-        parts, d = finer, d + 1
-    separations = {(g1[0], classes[j][0]): split_at[i, j]
-                   for i, g1 in enumerate(classes)
-                   for j in range(i + 1, len(classes))}
+    reps = [(g[0], prefixes[g[0]]) for g in classes]
+    separations = {(p, q): next(compress(count(1), map(ne, a, b)))
+                   for i, (p, a) in enumerate(reps) for q, b in reps[i + 1:]}
     known = {label: CountSeries(label, dict(enumerate(prefixes[label], 1)))
              for label in live}
     return WilfReport(n_max, classes,
@@ -368,6 +355,8 @@ def growth_rate_estimates(cs: CountSeries) -> list[tuple[int, float]]:
     any size; ``x ** (1 / n)`` would first convert x to a float, which
     overflows from 2^1024 on.
     """
+    if not isinstance(cs, CountSeries):
+        raise ValueError(f"expected a CountSeries, not {type(cs).__name__}")
     out = []
     for n in sorted(cs.values):
         x = cs.values[n]

@@ -119,6 +119,22 @@ NAME_CALLS = {
     "wilf_classify": lambda s: lib.wilf_classify(s, 3),
 }
 
+# bad set partitions, and arguments that are no count series
+BAD_PARTITIONS = {
+    "none": None,
+    "int": 5,
+    "flat": (0, 1),
+    "str-element": [["a"]],
+    "overlapping": [[1], [1]],
+    "oversized": [[BIG]],
+}
+
+# per callable, the call with a bad partition or count series
+PARTITION_CALLS = {
+    name: getattr(lib, name) for name in (
+        "standardize_partition", "partition_str", "rgf_encode",
+        "is_noncrossing", "growth_rate_estimates")}
+
 CASES = [(name, call, kind, BAD[kind][0])
          for name, call in LENGTH_CALLS.items() for kind in BAD] + \
         [(name, call, kind, BAD[kind][1])
@@ -160,7 +176,10 @@ def test_bad_argument_is_refused_or_answered_at_once(name, call, kind, arg):
 
 
 NAME_CASES = [(name, call, kind, arg) for name, call in NAME_CALLS.items()
-              for kind, arg in BAD_NAMES.items()]
+              for kind, arg in BAD_NAMES.items()] + \
+             [(name, call, kind, arg)
+              for name, call in PARTITION_CALLS.items()
+              for kind, arg in BAD_PARTITIONS.items()]
 
 
 @pytest.mark.parametrize("name,call,kind,arg", NAME_CASES,
@@ -169,7 +188,8 @@ NAME_CASES = [(name, call, kind, arg) for name, call in NAME_CALLS.items()
 def test_bad_name_is_refused(name, call, kind, arg):
     # a name that is not a str must not reach a dict lookup, which
     # raises TypeError when it is unhashable, nor a for loop, and a long
-    # one is abridged in the message
+    # one is abridged in the message; nor may a set partition or count
+    # series of the wrong shape reach a for loop or an attribute lookup
     with _three_seconds(f"{name} on a {kind} name"):
         with pytest.raises(ValueError) as exc:
             call(arg)

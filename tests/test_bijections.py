@@ -57,6 +57,13 @@ class TestRgf:
     def test_partition_str(self):
         assert partition_str(((1, 4, 6), (2, 3), (5,), (7, 8), (9,))) == \
             "146-23-5-78-9"
+        assert partition_str(((1, 10),) + tuple((v,) for v in range(2, 10))) \
+            == "1,10-2-3-4-5-6-7-8-9"
+
+    def test_bool_elements_are_ints(self):
+        sp = standardize_partition([[True, 2]])
+        assert sp == ((1, 2),) and type(sp[0][0]) is int
+        assert partition_str(sp) == "12"
 
 
 class TestNoncrossing:

@@ -351,6 +351,9 @@ class TestMaximalPositions:
 def test_word_helpers():
     assert word_str((0, 1, 2)) == "012"
     assert word_str((0, 11)) == "0,11"
+    # a bool letter is read as an int, so it prints as one
+    assert word_str((True, 2)) == "12"
+    assert word_str((False,) * 3) == "000"
     assert as_word([0, 1]) == (0, 1)
     with pytest.raises(ValueError):
         as_word([-1])

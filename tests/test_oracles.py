@@ -336,10 +336,10 @@ class TestWilf:
 
     def test_separations_match_a_pairwise_scan(self):
         # all 633 patterns of length <= 5 at n = 9, where 392 classes
-        # still split at every length 1..9: the separations, found by
-        # splitting the classes on their series value one length at a
-        # time, equal a scan of each pair of series for the first length
-        # where they differ, in the same order
+        # still split at every length 1..9: the separations, read off
+        # the settled prefixes of the two classes' first labels, equal a
+        # scan of each pair of full series for the first length where
+        # they differ, in the same order
         n_max = 9
         report = wilf_classify(all_patterns(5), n_max)
         firsts = [g[0] for g in report.classes]
