@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 from .core import (Word, abridged, check_ascent_sequence, check_letters,
                    check_permutation, check_restricted, check_rgf, contains,
-                   is_ascent_sequence, is_restricted, perm_contains)
+                   is_ascent_sequence, is_restricted, maximal_positions,
+                   perm_contains)
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -299,15 +300,8 @@ def reduce_tail(x) -> tuple[Word, int, Word]:
     m - 1 and the reduced tail is again a restricted ascent sequence.
     """
     x = check_restricted(x)
-    top = a = 0
-    for j in range(1, len(x)):
-        if x[j] == a + 1:
-            top = j
-        if x[j] > x[j - 1]:
-            a += 1
-    i = top
-    while i + 1 < len(x) and x[i + 1] == x[top]:
-        i += 1
+    positions, last_rep = maximal_positions(x)
+    i = last_rep[max(positions)]
     right = x[i + 1:]
     return x[:i], x[i], tuple(letter - right[0] for letter in right)
 

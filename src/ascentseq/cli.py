@@ -160,8 +160,6 @@ def emit(fmt: str, command: str, params: dict, columns: list[str],
 def _plain(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (list, tuple)):
-        return " ".join(_plain(x) for x in v)
     return str(v)
 
 

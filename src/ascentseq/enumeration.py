@@ -506,16 +506,17 @@ def modified_asc_counts(p, n_max: int, check=None):
 
     A layered count like ``avoider_counts``, keyed by
     ``_modified_rule``, whose a is asc.  The last two histograms are
-    both read off layer n_max - 2 (the start when n_max = 1), so layer
-    n_max - 1 is never built: histogram n_max - 1 counts each key's
-    allowed letters, and histogram n_max each child's, from the child's
-    dead mask: the key's, moved as ``open_gap`` moves it at an ascent
-    top, with the kills that the book's ``final_kills`` names at the
-    value places and the gap places of the key.
+    both read off layer n_max - 2 (the start when n_max = 1) in one
+    pass, so layer n_max - 1 is never built: histogram n_max - 1 counts
+    each key's allowed letters, and histogram n_max each child's, from
+    the child's dead mask: the key's, moved as ``open_gap`` moves it at
+    an ascent top, with the kills that the book's ``final_kills`` names
+    at the value places and the gap places of the key.  Both are
+    yielded after that pass.
     ``check``, when given, is called once per key of each layer grown
-    and once per key of layer n_max - 2 on each of its two passes, and
-    may raise to abort; the histograms yielded before it raised stay
-    valid.  The histograms of
+    and once per key of layer n_max - 2, and may raise to abort; the
+    histograms yielded before it raised stay valid, so a refusal in the
+    last pass leaves histograms 1..n_max - 2.  The histograms of
     ``joint_histograms(("modified-avoiders", p), n_max, "asc")`` are the
     same, keyed by ``(a,)``, but that pass builds all n_max layers, where
     this one stops two short, and the key's a fixes asc, so its weights
@@ -540,42 +541,36 @@ def modified_asc_counts(p, n_max: int, check=None):
         yield n, hist
     # a key (last, dead, a) allows each value c <= last whose place
     # 2c + 1 is alive, at asc a, and each ascent top c <= a + 1 whose
-    # gap place 2c is alive, at asc a + 1
-    hist = Counter()
-    for (_, last, dead, a), ways in layer.items():
-        if check is not None:
-            check()
-        flat = alive(dead, 1, last + 1)
-        if flat:
-            hist[a] += ways * flat
-        rise = alive(dead, 2 * last + 2, a + 1 - last)
-        if rise:
-            hist[a + 1] += ways * rise
-    yield max(n_max - 1, 1), hist
-    if n_max == 1:
-        return
-    # the same for the child of each allowed letter: its last letter c,
-    # its asc a or a + 1 and its dead mask
-    hist = Counter()
+    # gap place 2c is alive, at asc a + 1: histogram n_max - 1 counts
+    # these letters, and histogram n_max the same letters of each one's
+    # child, with its last letter c, its asc a or a + 1 and its dead mask
+    before, hist = Counter(), Counter()     # histograms n_max - 1, n_max
     for (ids, last, dead, a), ways in layer.items():
         if check is not None:
             check()
         killed = kills(ids, 2 * last + 2, 2 * a + 3)
-        flat = rise = top = 0   # the continuations at asc a, a + 1, a + 2
+        # the key's letters at asc a, a + 1 and their continuations at
+        # asc a, a + 1, a + 2
+        values = tops = flat = rise = top = 0
         for x in range(1, 2 * last + 2, 2):
             if not (dead >> x) & 1:
+                values += 1
                 d = dead | killed.get(x, 0)
                 flat += alive(d, 1, x // 2 + 1)
                 rise += alive(d, x + 1, a - x // 2 + 1)
         for x in range(2 * last + 2, 2 * a + 3, 2):
             if not (dead >> x) & 1:
+                tops += 1
                 d = opened(dead, x) | killed.get(x, 0)
                 rise += alive(d, 1, x // 2 + 1)
                 top += alive(d, x + 2, a - x // 2 + 2)
-        for b, total in enumerate((flat, rise, top)):
-            if total:
-                hist[a + b] += ways * total
-    yield n_max, hist
+        for h, totals in ((before, (values, tops)), (hist, (flat, rise, top))):
+            for b, total in enumerate(totals):
+                if total:
+                    h[a + b] += ways * total
+    yield max(n_max - 1, 1), before
+    if n_max > 1:
+        yield n_max, hist
 
 
 def count_modified_avoiders(p, n: int, check=None) -> int:
@@ -583,7 +578,7 @@ def count_modified_avoiders(p, n: int, check=None) -> int:
     p, by the layered count of ``modified_asc_counts`` (tracker pairs in
     doubled coordinates, moved by ``open_gap`` before each ascent top).
     ``check`` is passed on to it, which calls it once per key of layers
-    0..n - 3 and twice per key of layer n - 2 (once in all for n = 1)."""
+    0..n - 2 (once in all for n = 1)."""
     for _, hist in modified_asc_counts(p, n, check):
         pass
     return sum(hist.values())

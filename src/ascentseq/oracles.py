@@ -271,7 +271,8 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
 
     Patterns are labelled by their normalized form, and repeated ones
     (equal after normalization) are classified once, so the classes can
-    hold fewer labels than patterns were passed.
+    hold fewer labels than patterns were passed.  A str or bytes is
+    refused, not read as one-letter patterns.
 
     The patterns' ``avoider_counts`` advance in lockstep, one length at a
     time.  After each length the live patterns are grouped by series
@@ -291,6 +292,9 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     read.  ``check`` is passed on to every count.
     """
     _check_length(n_max)
+    if isinstance(patterns, (str, bytes)):
+        raise ValueError("patterns must be an iterable of patterns, not "
+                         f"{type(patterns).__name__}")
     try:
         patterns = iter(patterns)
     except TypeError:
@@ -353,16 +357,25 @@ def growth_rate_estimates(cs: CountSeries) -> list[tuple[int, float]]:
 
     The root is taken through the logarithm, which accepts integers of
     any size; ``x ** (1 / n)`` would first convert x to a float, which
-    overflows from 2^1024 on.
+    overflows from 2^1024 on.  The counts must be ints >= 1 in a dict
+    keyed by int lengths >= 1, where a bool is no int; anything else,
+    or a root past float range, is refused with ValueError.
     """
     if not isinstance(cs, CountSeries):
         raise ValueError(f"expected a CountSeries, not {type(cs).__name__}")
+    values = cs.values
+    if not isinstance(values, dict) or any(type(n) is not int or n < 1
+                                           for n in values):
+        raise ValueError("counts must be a dict keyed by int lengths >= 1")
     out = []
-    for n in sorted(cs.values):
-        x = cs.values[n]
-        if x <= 0:
+    for n in sorted(values):
+        x = values[n]
+        if type(x) is not int or x <= 0:
             raise ValueError(f"count at n={n} is not positive")
-        out.append((n, exp(log(x) / n)))
+        try:
+            out.append((n, exp(log(x) / n)))
+        except OverflowError:
+            raise ValueError(f"root at n={n} is past float range") from None
     return out
 
 

@@ -135,6 +135,23 @@ PARTITION_CALLS = {
         "standardize_partition", "partition_str", "rgf_encode",
         "is_noncrossing", "growth_rate_estimates")}
 
+# count series values that are no dict of int counts >= 1 keyed by int
+# lengths >= 1 (bools are refused), and a count whose root is past float
+# range
+BAD_SERIES = {
+    "none": None,
+    "str": "0",
+    "list": [1, 2],
+    "str-count": {1: "a"},
+    "bool-count": {1: True},
+    "zero-count": {1: 0},
+    "zero-length": {0: 1},
+    "negative-length": {-2: 4},
+    "float-length": {1.5: 2},
+    "bool-length": {True: 2},
+    "huge-root": {1: 10**400},
+}
+
 CASES = [(name, call, kind, BAD[kind][0])
          for name, call in LENGTH_CALLS.items() for kind in BAD] + \
         [(name, call, kind, BAD[kind][1])
@@ -194,6 +211,18 @@ def test_bad_name_is_refused(name, call, kind, arg):
         with pytest.raises(ValueError) as exc:
             call(arg)
     assert len(str(exc.value)) < 300, (name, kind)
+
+
+@pytest.mark.parametrize("kind", BAD_SERIES)
+def test_bad_count_series_is_refused(kind):
+    # a bad length or count must not reach sorted, a comparison or the
+    # logarithm, which raise TypeError, ZeroDivisionError or
+    # OverflowError on them, and a bool or a float length must not be
+    # read as a number
+    series = lib.CountSeries("0", BAD_SERIES[kind])
+    with pytest.raises(ValueError) as exc:
+        lib.growth_rate_estimates(series)
+    assert len(str(exc.value)) < 300, kind
 
 
 @pytest.mark.parametrize("w, p", [

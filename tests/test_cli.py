@@ -161,7 +161,7 @@ class TestCount:
 
     def test_modified_budget_counts_every_sequence(self, capsys,
                                                    ticking_clock):
-        # the modified count makes 2820 budget checks to n=12 for 1102,
+        # the modified count makes 1924 budget checks to n=12 for 1102,
         # and the 0.1 s budget allows 100; the budget must stop it inside
         # the count
         code, out, _ = run_cli(capsys, "count", "--pattern", "1102",
@@ -442,7 +442,19 @@ BUDGET_DIGESTS = [
     ("conjectures --format csv",
      "f0211e52d2f544b7f47473fdb10720897ed0d9a36295ea65e4bea8833d931c52"),
     ("conjectures --format jsonl",
-     "fd3177e027da18559768d9b42b691d2f1f48ad9f9b6d121b622984561033f687")
+     "fd3177e027da18559768d9b42b691d2f1f48ad9f9b6d121b622984561033f687"),
+    ("count --pattern 1102 --modified --n 1..8 --format table",
+     "a0bbc1129c78515213fa1b0cab001055fa8f488271e194ae453641fe8451ecf3"),
+    ("count --pattern 1102 --modified --n 1..8 --format csv",
+     "d16189b7515d242822daaae4e65e9cfe90cf3d1fde0de7bf9fa1cccb5e3f28bf"),
+    ("count --pattern 1102 --modified --n 1..8 --format jsonl",
+     "30145aa433044e31264f70e06a9afdc6b717935631fdfafcfbc04f29e76e7f5c"),
+    ("dist --pattern 1021 --modified --n 2..6 --stats asc,des --format table",
+     "cf784012d18d04cbcece6a51acf362f6afcffad6f6cf930a1ed2254a25ad10a8"),
+    ("dist --pattern 1021 --modified --n 2..6 --stats asc,des --format csv",
+     "d4b6bad53beb3958ad8dc8d2f9f904203412867fcabb59c8f8dbb801adddb493"),
+    ("dist --pattern 1021 --modified --n 2..6 --stats asc,des --format jsonl",
+     "2a0cdf3df892dd20ba29172be0fb87b7b9b5bd8f624f36bcdae99c84b1264733"),
 ]
 
 

@@ -1252,10 +1252,10 @@ class TestModified:
 
     @pytest.mark.parametrize("label", ["1021", "0101", "1102"])
     def test_no_layer_past_two_back(self, monkeypatch, label):
-        # histograms n - 1 and n are both summed off layer n - 2, so a
-        # count to 10 builds layers up to 8 only, and grows each distinct
-        # key of layers 0..7 once; the budget is checked once per key of
-        # layers 0..7 and twice per key of layer 8
+        # histograms n - 1 and n are both summed off layer n - 2 in one
+        # pass, so a count to 10 builds layers up to 8 only, and grows
+        # each distinct key of layers 0..7 once; the budget is checked
+        # once per key of layers 0..8
         grown = []
         rule = enumeration._modified_rule
 
@@ -1274,11 +1274,34 @@ class TestModified:
                                          lambda: calls.append(None)))
         assert list(hists) == list(range(1, 11))
         assert max(layers) == 8
-        assert len(calls) == 1 + sum(len(layers[n]) for n in range(1, 8)) \
-            + 2 * len(layers[8])
+        assert len(calls) == 1 + sum(len(layers[n]) for n in range(1, 9))
         assert len(grown) == len(set(grown))
         assert set(grown) == {rule(pat(label))[0]}.union(
             *(layers[n] for n in range(1, 8)))
+
+    def test_a_refusal_in_the_last_pass_leaves_two_short(self,
+                                                         monkeypatch):
+        # histograms n_max - 1 and n_max are both yielded after the one
+        # pass over layer n_max - 2, whose keys take the last checks of a
+        # complete run; a check that raises at the first of them leaves
+        # histograms 1..n_max - 2
+        p, n_max = pat("1102"), 9
+        layers = _spied_layers(monkeypatch)
+        calls = []
+        list(modified_asc_counts(p, n_max, lambda: calls.append(None)))
+        first = len(calls) - len(layers[n_max - 2])
+        calls.clear()
+
+        def check():
+            calls.append(None)
+            if len(calls) > first:
+                raise _Stop
+
+        got = []
+        with pytest.raises(_Stop):
+            for n, _ in modified_asc_counts(p, n_max, check):
+                got.append(n)
+        assert got == list(range(1, n_max - 1))
 
     def test_every_n_max_gives_the_same_histograms(self):
         # each n_max sums its last two histograms off layer n_max - 2 (the

@@ -247,6 +247,15 @@ class TestWilf:
         report = wilf_classify(["101", "021", "0101"], 10)
         assert report.classes == [["021", "101", "0101"]]
 
+    @pytest.mark.parametrize("patterns", ["012", b"012"],
+                             ids=["str", "bytes"])
+    def test_a_bare_string_is_refused(self, patterns):
+        # iterated, "012" would be classified as the three one-letter
+        # patterns 0, 1 and 2, which fall in one class
+        with pytest.raises(ValueError, match="^patterns must be an iterable "
+                           f"of patterns, not {type(patterns).__name__}$"):
+            wilf_classify(patterns, 5)
+
     def test_separation(self):
         report = wilf_classify(["000", "100"], 5)
         assert report.classes == [["000"], ["100"]]
