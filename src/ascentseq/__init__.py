@@ -15,8 +15,8 @@ _EXPORTS = {
         des fwd is_ascent_sequence is_pattern is_permutation is_restricted
         is_rgf lrmax lrmin maximal_positions normalize_pattern perm_contains
         rlmax rlmin stat word_str zeros""",
-    "enumeration": """CountSeries avoiders count_ascent_sequences
-        count_avoiders count_modified_avoiders distribution
+    "enumeration": """CountSeries avoider_counts avoiders
+        count_ascent_sequences count_avoiders count_modified_avoiders distribution
         generate_ascent_sequences generate_restricted generate_set_partitions
         joint_distribution joint_histograms modified_asc_counts
         modified_avoiders perm_avoiders""",

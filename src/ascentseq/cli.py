@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import reprlib
 import sys
 import time
@@ -57,16 +58,27 @@ class Budget:
 # argument parsing helpers
 
 
+# a length n or a range a..b, in ASCII digits: int() would also read
+# signs, spaces, underscores and other scripts' digits
+_N_RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
+
+
 def parse_n_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    m = _N_RANGE.fullmatch(text)
+    lo, hi = (int(m[1]), int(m[2] or m[1])) if m else (0, 0)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length range {reprlib.repr(text)}")
     _check_length(hi)                   # refuses lengths above MAX_LENGTH
     return lo, hi
+
+
+def parse_n_max(text: str) -> int:
+    """n from a --n value that names the lengths 1..n: n or 1..n."""
+    lo, hi = parse_n_range(text)
+    if ".." in text and lo != 1:
+        raise ValueError("lengths start at 1 here: give --n n or 1..n, not "
+                         f"{reprlib.repr(text)}")
+    return hi
 
 
 def parse_seconds(text: str) -> float:
@@ -284,11 +296,11 @@ def cmd_wilf(args) -> int:
                                     for t in args.pattern.split(",")))
     else:
         labels = all_patterns(4)
-    lo, hi = parse_n_range(args.n)
+    n_max = parse_n_max(args.n)
     budget = Budget(args.budget_seconds)
 
     def rows():
-        report = wilf_classify(labels, hi, check=budget.check)
+        report = wilf_classify(labels, n_max, check=budget.check)
         for i, g in enumerate(report.classes):
             yield {"class": i + 1, "size": len(g), "patterns": " ".join(g)}
         if args.format == "jsonl":
@@ -332,7 +344,7 @@ def _conjecture_row(res) -> dict:
 
 def cmd_conjectures(args) -> int:
     ids = [args.name] if args.name else CONJECTURE_IDS
-    n_max = parse_n_range(args.n)[1] if args.n else None
+    n_max = parse_n_max(args.n) if args.n else None
     budget = Budget(args.budget_seconds)
     return _run(args, "conjectures", {"n": args.n or "default"},
                 ["conjecture", "n_max", "verdict", "detail"],
@@ -411,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("conjectures", help="run the conjecture suite")
     sp.add_argument("--name", default=None,
                     help=f"one of {', '.join(CONJECTURE_IDS)}")
-    sp.add_argument("--n", default=None, help="override the default range")
+    sp.add_argument("--n", default=None,
+                    help="check lengths 1..n instead of the default")
     common(sp)
     sp.set_defaults(func=cmd_conjectures)
     return parser

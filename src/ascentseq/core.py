@@ -23,6 +23,7 @@ import reprlib
 from bisect import bisect_left
 from functools import lru_cache
 from math import inf
+from operator import gt, lt
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -84,8 +85,17 @@ def abridged(w: Sequence[int]) -> str:
 # ascent / descent counts and membership tests
 #
 # Each membership test refuses letters that are not ints, as
-# ``check_letters`` does; the matching check_* helper checks the letters
-# once and then runs the test's unchecked body.
+# ``check_letters`` does; the matching check_* helper passes the test's
+# unchecked body to ``_refuse_unless``, which checks the letters once.
+
+
+def _refuse_unless(test, w: Sequence[int], what: str) -> Word:
+    """w as by ``check_letters``, refused with ValueError("not <what>:
+    <w abridged>") unless ``test`` accepts it."""
+    w = check_letters(w)
+    if not test(w):
+        raise ValueError(f"not {what}: {abridged(w)}")
+    return w
 
 
 def asc(w: Sequence[int]) -> int:
@@ -122,10 +132,7 @@ def _ascent_sequence(w: Word) -> bool:
 
 
 def check_ascent_sequence(w: Sequence[int]) -> Word:
-    w = check_letters(w)
-    if not _ascent_sequence(w):
-        raise ValueError(f"not an ascent sequence: {abridged(w)}")
-    return w
+    return _refuse_unless(_ascent_sequence, w, "an ascent sequence")
 
 
 def is_restricted(w: Sequence[int]) -> bool:
@@ -146,11 +153,7 @@ def _restricted(w: Word) -> bool:
 
 
 def check_restricted(w: Sequence[int]) -> Word:
-    w = check_letters(w)
-    if not _restricted(w):
-        raise ValueError(
-            f"not a restricted ascent sequence: {abridged(w)}")
-    return w
+    return _refuse_unless(_restricted, w, "a restricted ascent sequence")
 
 
 def is_rgf(w: Sequence[int]) -> bool:
@@ -177,10 +180,7 @@ def _rgf(w: Word) -> bool:
 
 
 def check_rgf(w: Sequence[int]) -> Word:
-    w = check_letters(w)
-    if not _rgf(w):
-        raise ValueError(f"not a restricted growth string: {abridged(w)}")
-    return w
+    return _refuse_unless(_rgf, w, "a restricted growth string")
 
 
 # ---------------------------------------------------------------------------
@@ -195,46 +195,37 @@ def _require_nonempty(w: Sequence[int]) -> Word:
     return w
 
 
+def _records(w: Sequence[int], beats, backward: bool = False) -> int:
+    """Number of letters of the nonempty word w, read from the right when
+    ``backward``, that beat (``operator.gt`` or ``lt``) every letter read
+    before them.  The count starts from no letter, not from a sentinel
+    value, so negative letters count too."""
+    w = _require_nonempty(w)
+    count, best = 0, None
+    for x in reversed(w) if backward else w:
+        if best is None or beats(x, best):
+            count, best = count + 1, x
+    return count
+
+
 def lrmax(w: Sequence[int]) -> int:
     """Number of letters strictly greater than everything before them."""
-    w = _require_nonempty(w)
-    count, best = 0, -1
-    for x in w:
-        if x > best:
-            count += 1
-            best = x
-    return count
+    return _records(w, gt)
 
 
 def lrmin(w: Sequence[int]) -> int:
-    w = _require_nonempty(w)
-    count, best = 0, None
-    for x in w:
-        if best is None or x < best:
-            count += 1
-            best = x
-    return count
+    """Number of letters strictly less than everything before them."""
+    return _records(w, lt)
 
 
 def rlmax(w: Sequence[int]) -> int:
     """Number of letters strictly greater than everything after them."""
-    w = _require_nonempty(w)
-    count, best = 0, -1
-    for x in reversed(w):
-        if x > best:
-            count += 1
-            best = x
-    return count
+    return _records(w, gt, backward=True)
 
 
 def rlmin(w: Sequence[int]) -> int:
-    w = _require_nonempty(w)
-    count, best = 0, None
-    for x in reversed(w):
-        if best is None or x < best:
-            count += 1
-            best = x
-    return count
+    """Number of letters strictly less than everything after them."""
+    return _records(w, lt, backward=True)
 
 
 def zeros(w: Sequence[int]) -> int:
@@ -506,11 +497,7 @@ def _permutation(entries: Word) -> bool:
 
 
 def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
-    entries = check_letters(entries)
-    if not _permutation(entries):
-        raise ValueError(
-            f"not a permutation of 1..n: {abridged(entries)}")
-    return entries
+    return _refuse_unless(_permutation, entries, "a permutation of 1..n")
 
 
 def check_perm_pattern(p: Sequence[int]) -> Word:

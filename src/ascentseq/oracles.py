@@ -58,12 +58,19 @@ def _check_at_most(n: int, limit: int) -> None:
         raise ValueError(f"n above {limit} is not supported")
 
 
+def _check_n(n: int, least: int, limit: int) -> None:
+    """Refuse n, the one argument of a closed form, unless it is an int
+    from ``least`` (0 or 1) to ``limit``."""
+    _check_ints(n)
+    if n < least:
+        raise ValueError("n must be at least 1" if least else
+                         "n must be nonnegative")
+    _check_at_most(n, limit)
+
+
 def catalan(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1)."""
-    _check_ints(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_at_most(n, _MAX_CATALAN_N)
+    _check_n(n, 0, _MAX_CATALAN_N)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -81,29 +88,20 @@ def narayana(n: int, k: int) -> int:
 
 def half_power_formula(n: int) -> int:
     """(3^(n-1) + 1) / 2, the 102-avoider count at length n."""
-    _check_ints(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _check_at_most(n, _MAX_POWER_N)
+    _check_n(n, 1, _MAX_POWER_N)
     return (3 ** (n - 1) + 1) // 2
 
 
 def ternary_even_twos_count(n: int) -> int:
     """Number of ternary words of length n with an even number of 2s."""
-    _check_ints(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_at_most(n, _MAX_POWER_N)
+    _check_n(n, 0, _MAX_POWER_N)
     return (3 ** n + 1) // 2
 
 
 def dyck_height5_count(n: int) -> int:
     """Dyck paths of semilength n and height at most 5, via the linear
     recurrence a(n) = 5a(n-1) - 6a(n-2) + a(n-3) seeded with 1, 2, 5."""
-    _check_ints(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _check_at_most(n, _MAX_DYCK_N)
+    _check_n(n, 1, _MAX_DYCK_N)
     seeds = [1, 2, 5]
     if n <= 3:
         return seeds[n - 1]
@@ -116,19 +114,13 @@ def dyck_height5_count(n: int) -> int:
 def binomial_transform_catalan(n: int) -> int:
     """Binomial transform of the Catalan numbers, offset so that the
     values start 1, 2, 5, 15, 51 at n = 1."""
-    _check_ints(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _check_at_most(n, _MAX_CATALAN_TRANSFORM_N)
+    _check_n(n, 1, _MAX_CATALAN_TRANSFORM_N)
     return sum(comb(n - 1, k) * catalan(k) for k in range(n))
 
 
 def bell(n: int) -> int:
     """Number of set partitions of an n-element set, by the Bell triangle."""
-    _check_ints(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _check_at_most(n, _MAX_BELL_N)
+    _check_n(n, 1, _MAX_BELL_N)
     row = [1]
     for _ in range(n - 1):
         nxt = [row[-1]]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import reprlib
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -43,6 +44,19 @@ class TestParsing:
         for bad in ("0", "5..3", "0..4"):
             with pytest.raises(ValueError):
                 parse_n_range(bad)
+
+    @pytest.mark.parametrize("text", ["1_0", "+3", " 3", "3 ", "\uff11\uff12",
+                                      "1..", "..3", "3..2", "1..+2", "-1",
+                                      "", "1...3", "1..2..3"])
+    def test_n_range_takes_ascii_digits_only(self, capsys, text):
+        # int() reads signs, spaces, underscores and full-width digits;
+        # "1.." used to fail with int()'s own message
+        message = f"bad length range {reprlib.repr(text)}"
+        with pytest.raises(ValueError) as exc:
+            parse_n_range(text)
+        assert str(exc.value) == message
+        assert run_cli(capsys, "count", "--pattern", "101", "--n", text) == \
+            (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_length_cap(self, capsys):
         # the cap is a fixed constant; above it nothing is allocated
@@ -546,6 +560,51 @@ class TestWilfCmd:
                                  "--n", "3")
         assert (code, out) == (EXIT_USAGE, "")
         assert "nonempty digit string" in err
+
+
+# sha256 of stdout at --n n and at --n 1..n, the two forms of the
+# lengths 1..n that wilf and conjectures take
+ONE_TO_N_DIGESTS = [
+    ("wilf --pattern 01,10,000,100 --n 6 --format table",
+     "fc08d726b986fabf8e353be7c2e9fc7c8f49e29e3c439724ae633228ee82fddd"),
+    ("wilf --pattern 01,10,000,100 --n 1..6 --format csv",
+     "a4a9f43341ae482fc85b4ec4b927b86bcbfbd437e78246c6c4e9a7c79f5a24ed"),
+    ("wilf --pattern 101,021,0012,000 --n 7 --format jsonl",
+     "262d51bed415b53b851be5ac4fa63433faf6f65ebf30d77f5b87f448ec44626a"),
+    ("wilf --pattern 101,021,0012,000 --n 1..7 --format jsonl",
+     "6369ca0e804fcc7bd4b4982a466e8e81a456646507cc10af0a0926fdf7833663"),
+    ("wilf --pattern 101,021,0012,000 --n 1..7 --format table",
+     "a4756e8dca4cb2f74e4f58bcdd2345cc829370970837f14eede9bf78c26f573f"),
+    ("conjectures --name 0123 --n 8 --format csv",
+     "8fc455ae85800ca21a26de3854fbf0baf02dcb5a7e60752ed31028e7c6d8ba04"),
+    ("conjectures --name 0123 --n 1..8 --format jsonl",
+     "51eadb7d4c45125c1a2491746ebf6c83ef451b9f094134eb856f5d3d73a046ae"),
+    ("conjectures --name 210 --n 1..7 --format table",
+     "cb3f2a2447f9bbf0c240cb2a7499ef7ac73814a1bde679cd6e46bdfa8d7d1b7b"),
+]
+
+
+class TestLengthsFromOne:
+    @pytest.mark.parametrize("line,digest", ONE_TO_N_DIGESTS)
+    def test_stdout_is_unchanged(self, capsys, line, digest):
+        code, out, err = run_cli(capsys, *line.split())
+        assert code == EXIT_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["wilf", "--pattern", "01,10", "--n", "5..6"],
+        ["wilf", "--n", "2..2"],
+        ["conjectures", "--name", "0123", "--n", "3..5"],
+        ["conjectures", "--n", "4..4", "--format", "jsonl"],
+    ])
+    def test_a_lower_end_past_one_is_refused(self, capsys, argv):
+        # both commands count every length from 1; a range a..b used to
+        # run 1..b and echo a..b
+        code, out, err = run_cli(capsys, *argv)
+        text = argv[argv.index("--n") + 1]
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: lengths start at 1 here: give --n n or 1..n, "
+                       f"not '{text}'\n")
 
 
 class TestTableCmd:

@@ -16,6 +16,8 @@ lengths = st.integers(1, 3000).map(str)
 length_ranges = st.one_of(
     lengths, st.tuples(st.integers(0, 3000), st.integers(0, 3000))
     .map(lambda r: f"{r[0]}..{r[1]}"))
+# wilf and conjectures take the lengths 1..n, written n or 1..n
+lengths_from_one = st.one_of(lengths, lengths.map("1..{}".format))
 patterns = st.one_of(st.sampled_from(all_patterns(4)),
                      st.text("0123456789x", max_size=5))
 statistics = st.lists(st.sampled_from([*STATISTICS, "nosuch"]),
@@ -39,7 +41,7 @@ def command_lines(draw):
         argv += ["--name", draw(st.sampled_from([*BIJECTIONS, "nosuch"])),
                  "--input", draw(st.text("0123456789-", max_size=60))]
     if command == "wilf":
-        argv += ["--n", draw(length_ranges)]
+        argv += ["--n", draw(lengths_from_one)]
         if draw(st.booleans()):
             argv += ["--pattern", ",".join(draw(st.lists(patterns,
                                                          min_size=1,
@@ -47,7 +49,7 @@ def command_lines(draw):
     if command == "table":
         argv += ["--nmax", draw(lengths)]
     if command == "conjectures":
-        argv += ["--n", draw(length_ranges)]
+        argv += ["--n", draw(lengths_from_one)]
         if draw(st.booleans()):
             argv += ["--name", draw(st.sampled_from([*CONJECTURE_IDS,
                                                      "nosuch"]))]

@@ -2,14 +2,16 @@
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascentseq.core import (STATISTICS, _plan, as_word, asc, check_letters,
+from ascentseq.core import (STATISTICS, _plan, as_word, asc,
+                            check_ascent_sequence, check_letters,
+                            check_permutation, check_restricted, check_rgf,
                             contains, count_occurrences, des, fwd,
                             is_ascent_sequence, is_pattern, is_permutation,
                             is_restricted, is_rgf, lrmax, lrmin,
@@ -32,7 +34,6 @@ class TestMembership:
         assert not is_ascent_sequence((1, 0))
 
     def test_against_naive_filter(self, small_ascent_sequences):
-        from itertools import product
         for n in range(1, 6):
             mine = [w for w in product(range(n), repeat=n)
                     if is_ascent_sequence(w)]
@@ -44,6 +45,22 @@ class TestMembership:
         assert is_restricted((0, 1, 0))
         # a letter two below the running maximum breaks it
         assert not is_restricted((0, 1, 2, 0))
+
+    @pytest.mark.parametrize("check, w, message", [
+        (check_ascent_sequence, (0, 2, 1), "not an ascent sequence: 021"),
+        (check_ascent_sequence, (1,) * 50,
+         "not an ascent sequence: " + "1" * 40 + "... (50 letters)"),
+        (check_restricted, (0, 1, 0, 2, 0),
+         "not a restricted ascent sequence: 01020"),
+        (check_rgf, (0, 2), "not a restricted growth string: 02"),
+        (check_permutation, (1, 3), "not a permutation of 1..n: 13"),
+        (check_permutation, (1, 2.0), "letters must be ints: (1, 2.0)"),
+    ])
+    def test_refusal_messages(self, check, w, message):
+        # one refusal raises all four, each in its own words, byte for byte
+        with pytest.raises(ValueError) as exc:
+            check(w)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("test, w", [
         (is_ascent_sequence, (0, 1.0)),
@@ -76,6 +93,29 @@ class TestStatistics:
         assert rlmax((0, 1, 0)) == 2
         assert lrmin((0, 1, 0)) == 1
         assert stat((0, 1), "asc") == 1
+
+    def test_records_of_negative_letters(self):
+        # the running extreme starts from no letter, not from -1, so a
+        # record below -1 counts
+        assert lrmax((-1,)) == 1
+        assert lrmax((-2, -1)) == 2
+        assert rlmax((-1, -2)) == 2
+        assert lrmin((-1, -2)) == 2 and rlmin((-2, -1)) == 2
+
+    def test_records_against_their_definitions(self):
+        # every word of length 1..6 over -2..3, each statistic against
+        # its definition read literally
+        for n in range(1, 7):
+            for w in product(range(-2, 4), repeat=n):
+                r = w[::-1]
+                assert lrmax(w) == sum(all(x > y for y in w[:i])
+                                       for i, x in enumerate(w)), w
+                assert lrmin(w) == sum(all(x < y for y in w[:i])
+                                       for i, x in enumerate(w)), w
+                assert rlmax(w) == sum(all(x > y for y in r[:i])
+                                       for i, x in enumerate(r)), w
+                assert rlmin(w) == sum(all(x < y for y in r[:i])
+                                       for i, x in enumerate(r)), w
 
     @pytest.mark.parametrize("name", sorted(STATISTICS))
     @pytest.mark.parametrize("w", [(0, 1.5), "ab", (0, None), (1.5,)],

@@ -121,6 +121,35 @@ class TestClosedForms:
                 assert stirling2(n, k) == brute
         assert stirling2(4, 5) == 0
 
+    @pytest.mark.parametrize("name, n, message", [
+        ("catalan", 2.5, "arguments must be ints, not 2.5"),
+        ("catalan", -1, "n must be nonnegative"),
+        ("catalan", 10**7, "n above 100000 is not supported"),
+        ("half_power_formula", True, "arguments must be ints, not True"),
+        ("half_power_formula", 0, "n must be at least 1"),
+        ("half_power_formula", 10**7, "n above 5000000 is not supported"),
+        ("ternary_even_twos_count", "3", "arguments must be ints, not '3'"),
+        ("ternary_even_twos_count", -1, "n must be nonnegative"),
+        ("ternary_even_twos_count", 10**7,
+         "n above 5000000 is not supported"),
+        ("dyck_height5_count", None, "arguments must be ints, not None"),
+        ("dyck_height5_count", 0, "n must be at least 1"),
+        ("dyck_height5_count", 10**7, "n above 100000 is not supported"),
+        ("binomial_transform_catalan", 2.5,
+         "arguments must be ints, not 2.5"),
+        ("binomial_transform_catalan", -1, "n must be at least 1"),
+        ("binomial_transform_catalan", 2001, "n above 2000 is not supported"),
+        ("bell", False, "arguments must be ints, not False"),
+        ("bell", 0, "n must be at least 1"),
+        ("bell", 2001, "n above 2000 is not supported"),
+    ])
+    def test_refusal_messages(self, name, n, message):
+        # one guard checks all six closed forms, each message byte for
+        # byte
+        with pytest.raises(ValueError) as exc:
+            getattr(oracles, name)(n)
+        assert str(exc.value) == message
+
     def test_0112_counting_identity(self):
         # 1 + sum_k C(n-1,k) sum_i C(k-1,k-i) collapses to the half-power
         for n in range(1, 21):
