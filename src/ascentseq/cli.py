@@ -2,17 +2,20 @@
 
 Subcommands: count, list, dist, bijection, wilf, table, conjectures.
 Output is deterministic (byte-identical across runs) in three formats:
-an aligned human table, CSV, or line-delimited JSON.
-Exit codes: 0 success, 2 usage or domain errors, 3 budget refusals
-and runs out of memory, 4 failed verifications (table mismatches,
-conjecture failures).
+an aligned human table, CSV, or line-delimited JSON; CSV and JSON rows
+are written as they are made.
+Exit codes: 0 success, 2 usage or domain errors, 3 budget refusals,
+runs out of memory and a stdout closed by its reader, 4 failed
+verifications (table mismatches, conjecture failures).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
+import os
 import re
 import reprlib
 import sys
@@ -20,8 +23,8 @@ import time
 
 from .core import (STATISTICS, as_word, asc, des, is_pattern,
                    normalize_pattern, word_str)
-from .enumeration import (_check_length, avoider_counts, avoiders,
-                          count_avoiders, joint_histograms,
+from .enumeration import (MAX_LENGTH, _check_length, avoider_counts,
+                          avoiders, count_avoiders, joint_histograms,
                           modified_asc_counts)
 from .bijections import BIJECTIONS, partition_str, standardize_partition
 from .fixtures import available_depth, expected_counts, table_patterns
@@ -58,14 +61,26 @@ class Budget:
 # argument parsing helpers
 
 
-# a length n or a range a..b, in ASCII digits: int() would also read
-# signs, spaces, underscores and other scripts' digits
+# ASCII digits: str.isdigit and int() also take other scripts' digits,
+# and int() signs, spaces and underscores
+_DIGITS = re.compile("[0-9]+")
+# a length n or a range a..b
 _N_RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
+
+
+def _length(digits: str) -> int:
+    """A length from ASCII digits; one with more digits than MAX_LENGTH
+    reads as MAX_LENGTH + 1, since int() refuses thousands of digits
+    with a message of its own."""
+    digits = digits.lstrip("0")
+    if len(digits) > len(str(MAX_LENGTH)):
+        return MAX_LENGTH + 1
+    return int(digits or "0")
 
 
 def parse_n_range(text: str) -> tuple[int, int]:
     m = _N_RANGE.fullmatch(text)
-    lo, hi = (int(m[1]), int(m[2] or m[1])) if m else (0, 0)
+    lo, hi = (_length(m[1]), _length(m[2] or m[1])) if m else (0, 0)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length range {reprlib.repr(text)}")
     _check_length(hi)                   # refuses lengths above MAX_LENGTH
@@ -95,9 +110,16 @@ def parse_seconds(text: str) -> float:
     return seconds
 
 
+def parse_length(text: str) -> int:
+    """A --nmax value: one length, read as --n reads it."""
+    if not _DIGITS.fullmatch(text):
+        raise ValueError(f"bad length {reprlib.repr(text)}")
+    return parse_n_range(text)[1]
+
+
 def parse_cli_pattern(text: str) -> tuple[int, ...]:
     """Digit-string patterns only; non-normalized input is rejected."""
-    if not text or not text.isdigit():
+    if not _DIGITS.fullmatch(text):
         raise ValueError("pattern must be a nonempty digit string: "
                          f"{reprlib.repr(text)}")
     p = as_word(text)
@@ -110,7 +132,7 @@ def parse_cli_pattern(text: str) -> tuple[int, ...]:
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    if not text.isdigit() and text != "":
+    if text and not _DIGITS.fullmatch(text):
         raise ValueError(f"expected a digit string, got {reprlib.repr(text)}")
     return as_word(text)
 
@@ -118,7 +140,7 @@ def parse_word(text: str) -> tuple[int, ...]:
 def parse_partition(text: str):
     blocks = []
     for part in text.split("-"):
-        if not part.isdigit():
+        if not _DIGITS.fullmatch(part):
             raise ValueError(f"bad partition block {reprlib.repr(part)}")
         blocks.append(as_word(part))
     return standardize_partition(blocks)
@@ -128,51 +150,15 @@ def parse_partition(text: str):
 # output rendering
 
 
-def emit(fmt: str, command: str, params: dict, columns: list[str],
-         rows: list[dict], status: dict) -> None:
-    out = sys.stdout
-    if fmt == "jsonl":
-        # one write for every line, not one print per row
-        header = {"format": FORMAT_TAG, "command": command, **params}
-        lines = [_JSON.encode(header)]
-        # a row column by column, as json encodes a dict of the columns:
-        # an exact int as its repr, anything else by the encoder, whose
-        # str fast path builds no encoder
-        encode = _JSON.encode
-        heads = [(c, encode(c) + ": ") for c in columns]
-        for row in rows:
-            cells = []
-            for c, head in heads:
-                v = row[c]
-                cells.append(head + (int.__repr__(v) if type(v) is int
-                                     else encode(v)))
-            lines.append("{" + ", ".join(cells) + "}")
-        lines.append(encode({"status": status}))
-        out.write("\n".join(lines) + "\n")
-        return
-    echo = " ".join(f"{k}={_plain(v)}" for k, v in params.items())
-    print(f"# {FORMAT_TAG} {command} {echo}".rstrip(), file=out)
-    if fmt == "csv":
-        print(",".join(columns), file=out)
-        for row in rows:
-            print(",".join(_plain(row[c]) for c in columns), file=out)
-    else:
-        cells = [[_plain(row[c]) for c in columns] for row in rows]
-        widths = [max([len(c)] + [len(r[i]) for r in cells])
-                  for i, c in enumerate(columns)]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip(),
-              file=out)
-        for r in cells:
-            print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip(),
-                  file=out)
-    if not status.get("complete", True):
-        print(f"# incomplete: {status['reason']}", file=out)
-
-
 def _plain(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
+
+
+class _Lines(list):
+    """Output lines not yet written; csv.writer writes its rows here."""
+    write = list.append
 
 
 # ---------------------------------------------------------------------------
@@ -181,39 +167,88 @@ def _plain(v) -> str:
 
 def _run(args, command: str, params: dict, columns: list[str], rows,
          ok=None) -> int:
-    """Drain the row iterator, emit once and pick the exit code.
+    """Read the rows once, write them to stdout and pick the exit code.
 
-    A ``BudgetExceeded`` keeps the rows made before it and marks them
-    incomplete (exit 3), and so does a ``MemoryError``: the work that
-    ran out of memory is dropped with its frames, so the rows can still
-    be emitted.  Otherwise the run exits 4 when ``ok`` rejects a row,
-    else 0.
+    Csv and jsonl rows are written as they are made, in chunks of 1000;
+    the aligned table buffers its cells, since its column widths need
+    every row.  Nothing is written before a chunk is full or the rows
+    end, so a ``ValueError`` raised before the first row leaves stdout
+    empty.  A ``BudgetExceeded`` keeps the rows made before it and
+    marks them incomplete (exit 3), and so does a ``MemoryError``: the
+    work that ran out of memory is dropped with its frames, so the
+    output can still be ended.  Otherwise the run exits 4 when ``ok``
+    rejects a row, else 0.
     """
-    done, status = [], {"complete": True}
+    fmt, out, lines = args.format, sys.stdout, _Lines()
+    if fmt == "jsonl":
+        encode = _JSON.encode
+        lines.append(encode({"format": FORMAT_TAG, "command": command,
+                             **params}) + "\n")
+        # a row column by column, as json encodes a dict of the columns:
+        # an exact int as its repr, anything else by the encoder, whose
+        # str fast path builds no encoder
+        heads = [(c, encode(c) + ": ") for c in columns]
+
+        def write(row):
+            cells = []
+            for c, h in heads:
+                v = row[c]
+                cells.append(h + (int.__repr__(v) if type(v) is int
+                                  else encode(v)))
+            lines.append("{" + ", ".join(cells) + "}\n")
+    else:
+        echo = " ".join(f"{k}={_plain(v)}" for k, v in params.items())
+        lines.append(f"# {FORMAT_TAG} {command} {echo}".rstrip() + "\n")
+        if fmt == "csv":
+            lines.append(",".join(columns) + "\n")
+            # quotes a field that holds a comma, such as a word with a
+            # letter above 9
+            writerow = csv.writer(lines, lineterminator="\n").writerow
+
+            def write(row):
+                writerow([_plain(row[c]) for c in columns])
+        else:
+            cells = []
+
+            def write(row):
+                cells.append([_plain(row[c]) for c in columns])
+    status, code = {"complete": True}, EXIT_OK
     try:
         for row in rows:
-            done.append(row)
+            write(row)
+            if ok is not None and not ok(row):
+                code = EXIT_VERIFY
+            # one write per chunk, not per row: with PYTHONUNBUFFERED
+            # set, every write to stdout is a system call
+            if len(lines) > 999:
+                out.write("".join(lines))
+                lines.clear()
     except BudgetExceeded as exc:
         status = {"complete": False, "reason": str(exc)}
     except MemoryError:
         status = {"complete": False, "reason": "out of memory"}
-    emit(args.format, command, params, columns, done, status)
-    if not status["complete"]:
-        return EXIT_BUDGET
-    if ok is not None and not all(map(ok, done)):
-        return EXIT_VERIFY
-    return EXIT_OK
+    out.write("".join(lines))
+    if fmt == "table":
+        widths = [max([len(c)] + [len(r[i]) for r in cells])
+                  for i, c in enumerate(columns)]
+        for r in [columns, *cells]:
+            print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip(),
+                  file=out)
+    if fmt == "jsonl":
+        out.write(encode({"status": status}) + "\n")
+    elif not status["complete"]:
+        print(f"# incomplete: {status['reason']}", file=out)
+    return code if status["complete"] else EXIT_BUDGET
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, check) -> int:
     p = parse_cli_pattern(args.pattern)
     lo, hi = parse_n_range(args.n)
-    budget = Budget(args.budget_seconds)
     if args.modified:
         counts = ((n, sum(hist.values())) for n, hist in
-                  modified_asc_counts(p, hi, check=budget.check))
+                  modified_asc_counts(p, hi, check=check))
     else:
-        counts = avoider_counts(p, hi, check=budget.check)
+        counts = avoider_counts(p, hi, check=check)
     return _run(args, "count",
                 {"pattern": args.pattern, "n": args.n,
                  "modified": args.modified, "threads": args.threads},
@@ -221,17 +256,16 @@ def cmd_count(args) -> int:
                 ({"n": n, "count": c} for n, c in counts if n >= lo))
 
 
-def cmd_list(args) -> int:
+def cmd_list(args, check) -> int:
     p = parse_cli_pattern(args.pattern)
     lo, hi = parse_n_range(args.n)
-    budget = Budget(args.budget_seconds)
     return _run(args, "list", {"pattern": args.pattern, "n": args.n},
                 ["n", "sequence"],
                 ({"n": n, "sequence": word_str(w)} for n in range(lo, hi + 1)
-                 for w in avoiders(p, n, budget.check)))
+                 for w in avoiders(p, n, check)))
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args, check) -> int:
     p = parse_cli_pattern(args.pattern)
     lo, hi = parse_n_range(args.n)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
@@ -240,9 +274,8 @@ def cmd_dist(args) -> int:
     if len(set(stats)) < len(stats):
         # a jsonl row would hold one key for both columns
         raise ValueError("--stats takes distinct statistic names")
-    budget = Budget(args.budget_seconds)
     kind = "modified-avoiders" if args.modified else "avoiders"
-    hists = joint_histograms((kind, p), hi, *stats, check=budget.check)
+    hists = joint_histograms((kind, p), hi, *stats, check=check)
     return _run(args, "dist",
                 {"pattern": args.pattern, "n": args.n,
                  "stats": ",".join(stats), "set": kind},
@@ -268,7 +301,7 @@ def _bijection_stats(name: str, src, dst) -> dict:
     return {"asc_in": asc(src), "asc_out": asc(dst)}
 
 
-def cmd_bijection(args) -> int:
+def cmd_bijection(args, check) -> int:
     try:
         func = BIJECTIONS[args.name]
     except KeyError:
@@ -287,7 +320,7 @@ def cmd_bijection(args) -> int:
                 list(row), [row])
 
 
-def cmd_wilf(args) -> int:
+def cmd_wilf(args, check) -> int:
     """Classify, then print one row per class and, in jsonl, one per
     separation."""
     if args.pattern is not None:
@@ -297,10 +330,9 @@ def cmd_wilf(args) -> int:
     else:
         labels = all_patterns(4)
     n_max = parse_n_max(args.n)
-    budget = Budget(args.budget_seconds)
 
     def rows():
-        report = wilf_classify(labels, n_max, check=budget.check)
+        report = wilf_classify(labels, n_max, check=check)
         for i, g in enumerate(report.classes):
             yield {"class": i + 1, "size": len(g), "patterns": " ".join(g)}
         if args.format == "jsonl":
@@ -312,17 +344,16 @@ def cmd_wilf(args) -> int:
                 ["class", "size", "patterns"], rows())
 
 
-def cmd_table(args) -> int:
-    parse_n_range(str(args.nmax))       # the same checks as every --n
-    budget = Budget(args.budget_seconds)
+def cmd_table(args, check) -> int:
+    nmax = parse_length(args.nmax)
 
     def rows():
         for label in table_patterns():
-            n_max = available_depth(label, args.nmax)
+            n_max = available_depth(label, nmax)
             # count first: only the count checks the budget, and the
             # closed forms alone take minutes at the longest lengths
             got = count_avoiders(as_word(label), n_max,
-                                 check=budget.check).values
+                                 check=check).values
             want = expected_counts(label, n_max)
             n = next((n for n in sorted(want)
                       if n <= n_max and got[n] != want[n]), None)
@@ -330,7 +361,7 @@ def cmd_table(args) -> int:
                    "status": "ok" if n is None else
                    f"mismatch at n={n}: got {got[n]}, want {want[n]}"}
 
-    return _run(args, "table", {"nmax": args.nmax},
+    return _run(args, "table", {"nmax": nmax},
                 ["pattern", "n_max", "status"], rows(),
                 ok=lambda row: row["status"] == "ok")
 
@@ -342,14 +373,13 @@ def _conjecture_row(res) -> dict:
             "detail": f"n={bad[0].n}: {bad[0].witness}" if bad else ""}
 
 
-def cmd_conjectures(args) -> int:
+def cmd_conjectures(args, check) -> int:
     ids = [args.name] if args.name else CONJECTURE_IDS
     n_max = parse_n_max(args.n) if args.n else None
-    budget = Budget(args.budget_seconds)
     return _run(args, "conjectures", {"n": args.n or "default"},
                 ["conjecture", "n_max", "verdict", "detail"],
                 (_conjecture_row(run_conjecture(cid, n_max,
-                                                check=budget.check))
+                                                check=check))
                  for cid in ids),
                 ok=lambda row: row["verdict"] == "holds")
 
@@ -416,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="regenerate the reference counting "
                                       "table and diff it")
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--nmax", required=True)
     common(sp, threads=True)
     sp.set_defaults(func=cmd_table)
 
@@ -439,10 +469,18 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args, Budget(args.budget_seconds).check)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout, so the rows were cut short; stdout
+        # points at devnull, so that the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

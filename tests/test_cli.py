@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import csv
 import hashlib
 import json
 import reprlib
@@ -11,7 +12,8 @@ import pytest
 
 from ascentseq import cli
 from ascentseq.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
-                           main, parse_cli_pattern, parse_n_range)
+                           BudgetExceeded, main, parse_cli_pattern,
+                           parse_n_range)
 from ascentseq.core import stat
 from ascentseq.enumeration import MAX_LENGTH, avoiders, count_avoiders
 from ascentseq.oracles import ConjectureVerdict
@@ -69,6 +71,42 @@ class TestParsing:
         code, _, err = run_cli(capsys, "table", "--nmax",
                                "99999999999999999999", "--budget-seconds", "1")
         assert code == EXIT_USAGE and "not supported" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--pattern", "101", "--n", "9" * 5000],
+        ["count", "--pattern", "101", "--n", "1.." + "9" * 5000],
+        ["wilf", "--n", "0" * 10 + "9" * 5000],
+        ["table", "--nmax", "9" * 5000],
+    ])
+    def test_overlong_lengths_are_refused_by_their_digits(self, capsys,
+                                                          argv):
+        # int() refuses more than 4300 digits, leading zeros included,
+        # with a message of its own
+        assert run_cli(capsys, *argv) == (
+            EXIT_USAGE, "", "error: lengths above 1000000 are not supported\n")
+
+    def test_leading_zeros_do_not_count(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--pattern", "101", "--n",
+                               "0" * 5000 + "3", "--format", "csv")
+        assert code == EXIT_OK and out.splitlines()[2:] == ["3,5"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["count", "--pattern", "\uff11\uff10\uff11", "--n", "5"],
+         "pattern must be a nonempty digit string: '\uff11\uff10\uff11'"),
+        (["count", "--pattern", "\u00b201", "--n", "5"],
+         "pattern must be a nonempty digit string: '\u00b201'"),
+        (["bijection", "--name", "phi", "--input", "\uff10\uff11\uff10\uff12"],
+         "expected a digit string, got '\uff10\uff11\uff10\uff12'"),
+        (["bijection", "--name", "rgf-encode", "--input", "\uff11-2"],
+         "bad partition block '\uff11'"),
+        *((["table", "--nmax", text], f"bad length '{text}'")
+          for text in ("1_2", "+3", " 3", "\uff11\uff12", "1..3")),
+    ])
+    def test_digit_strings_are_ascii(self, capsys, argv, message):
+        # str.isdigit and int() take other scripts' digits, and int()
+        # signs, spaces and underscores
+        assert run_cli(capsys, *argv) == (EXIT_USAGE, "",
+                                          f"error: {message}\n")
 
     def test_nan_budget_refused(self, capsys):
         # no clock reading exceeds a NaN deadline, so it would switch
@@ -483,12 +521,71 @@ class TestBudgetOutput:
 
 class TestEmit:
     def test_a_jsonl_row_is_encoded_as_json_dumps_encodes_it(self, capsys):
-        # emit encodes a jsonl row column by column, with no dict per row
+        # a jsonl row is encoded column by column, with no dict per row
         row = {"s": 'a "quoted" \\ é', "i": -12345678901234567890,
                "b": True, "none": None, "f": 0.1, "l": [1, "x", False]}
-        cli.emit("jsonl", "count", {}, list(row), [row], {"complete": True})
+        cli._run(SimpleNamespace(format="jsonl"), "count", {}, list(row),
+                 [row])
         line = capsys.readouterr().out.splitlines()[1]
         assert line == json.dumps(row, separators=(", ", ": "))
+
+    @pytest.mark.parametrize("argv,field", [
+        (["list", "--pattern", "00", "--n", "11"], "0,1,2,3,4,5,6,7,8,9,10"),
+        (["bijection", "--name", "phi", "--input", "0123456789"],
+         "10,9,8,7,6,5,4,3,2,1"),
+    ])
+    def test_csv_quotes_a_field_that_holds_a_comma(self, capsys, argv,
+                                                   field):
+        # a word with a letter above 9 is written with commas
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        header, *rows = csv.reader(out.splitlines()[1:])
+        assert code == EXIT_OK
+        assert [len(row) for row in rows] == [len(header)]
+        assert field in rows[0]
+
+    @pytest.mark.parametrize("fmt,line", [("csv", "1,1"),
+                                          ("jsonl", '{"n": 1, "count": 1}')])
+    def test_rows_are_written_as_they_are_made(self, capsys, fmt, line):
+        # in chunks of 1000 rows
+        seen = []
+
+        def rows():
+            for n in range(1, 10001):
+                yield {"n": n, "count": n}
+            seen.append(capsys.readouterr().out)
+            raise BudgetExceeded("budget of 1s exceeded")
+
+        code = cli._run(SimpleNamespace(format=fmt), "count", {},
+                        ["n", "count"], rows())
+        assert code == EXIT_BUDGET
+        assert line in seen[0].splitlines()[:3]
+        lines = (seen[0] + capsys.readouterr().out).splitlines()
+        assert len(lines) == 10002 + (fmt == "csv")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+    def test_an_error_before_the_first_row_leaves_stdout_empty(self, capsys,
+                                                               fmt):
+        # the walk refuses the pattern when the first row is asked for
+        assert run_cli(capsys, "list", "--pattern", "0" * 1001, "--n", "5",
+                       "--format", fmt) == (
+            EXIT_USAGE, "",
+            "error: patterns longer than 1000 letters are not supported\n")
+
+    def test_memory_error_while_the_table_buffers(self, capsys):
+        # the aligned table holds every row's cells until the end; running
+        # out of memory there refuses as in the rows themselves
+        class Unprintable:
+            def __str__(self):
+                raise MemoryError
+
+        rows = iter([{"n": 1, "count": 1}, {"n": 2, "count": Unprintable()}])
+        code = cli._run(SimpleNamespace(format="table"), "count",
+                        {"pattern": "1001"}, ["n", "count"], rows)
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_BUDGET, "")
+        assert out.splitlines() == ["# ascentseq/1 count pattern=1001",
+                                    "n  count", "1  1",
+                                    "# incomplete: out of memory"]
 
 
 class TestBijection:
@@ -640,7 +737,8 @@ class TestTableCmd:
         assert code == EXIT_VERIFY
         body = out.splitlines()[2:]
         assert len(body) == 19
-        assert "101,7,mismatch at n=5: got 42, want 43" in body
+        # the status holds a comma, so csv quotes it
+        assert '101,7,"mismatch at n=5: got 42, want 43"' in body
         assert sum(not line.endswith(",ok") for line in body) == 1
 
 
@@ -675,6 +773,24 @@ class TestConjecturesCmd:
         assert code == EXIT_BUDGET
         status = json.loads(out.splitlines()[-1])["status"]
         assert status["complete"] is False
+
+    def test_an_error_after_a_few_rows_leaves_stdout_empty(self, capsys,
+                                                           monkeypatch):
+        # past a check's limit, such as the 210 tableau walk's at
+        # n >= 222, a conjecture refuses after the rows of those before
+        # it; rows go out in chunks of 1000, so those few rows are never
+        # written
+        real = cli.run_conjecture
+        message = "n and k are past the supported size of the walk"
+
+        def refusing(cid, n_max=None, check=None):
+            if cid == "210":
+                raise ValueError(message)
+            return real(cid, n_max, check)
+
+        monkeypatch.setattr(cli, "run_conjecture", refusing)
+        assert run_cli(capsys, "conjectures", "--n", "6", "--format",
+                       "jsonl") == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_unknown_conjecture(self, capsys):
         code, _, err = run_cli(capsys, "conjectures", "--name", "zzz")

@@ -54,12 +54,16 @@ STAR_NAMES = sorted([*(n for group in EXPORTS.values() for n in group),
 SUBMODULES = [*EXPORTED_MODULES, "fixtures", "cli"]
 
 
-def run_python(*args):
+def package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def run_python(*args, **kwargs):
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=package_env(), timeout=60, **kwargs)
 
 
 def run_module(*argv):
@@ -121,6 +125,43 @@ def test_count_at_the_length_cap_stays_small(tmp_path):
     assert proc.stderr == "", seen
     assert last == ["# incomplete: budget of 0.5s exceeded"], seen
     assert peak.isdigit() and int(peak) < 150, seen
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="an address-space limit as Linux applies it")
+def test_a_listing_streams_under_an_address_space_limit():
+    # written as they are made, the 125989 rows of this listing run in
+    # 23 MiB of address space (Linux x86-64, CPython 3.11); held until
+    # the end, they peaked at 72 MiB and ran out of memory under this
+    # limit
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (60000 * 1024,) * 2)
+
+    argv = ["list", "--pattern", "1001", "--n", "10", "--format", "jsonl"]
+    limited = run_python("-m", "ascentseq", *argv, preexec_fn=limit)
+    free = run_module(*argv)
+    assert (limited.returncode, limited.stderr) == (0, "")
+    assert len(free.stdout.splitlines()) == 125991
+    assert limited.stdout == free.stdout
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # the reader stops after two lines, as `| head -2` does; the rows
+    # fill the pipe long before they end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ascentseq", "list", "--pattern", "1001",
+         "--n", "9", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err == b""
+    assert head == [b"# ascentseq/1 list pattern=1001 n=9\n",
+                    b"n,sequence\n"]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
