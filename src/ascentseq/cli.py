@@ -112,7 +112,7 @@ def parse_seconds(text: str) -> float:
 
 def parse_length(text: str) -> int:
     """A --nmax value: one length, read as --n reads it."""
-    if not _DIGITS.fullmatch(text):
+    if not _DIGITS.fullmatch(text) or not text.strip("0"):
         raise ValueError(f"bad length {reprlib.repr(text)}")
     return parse_n_range(text)[1]
 
@@ -284,7 +284,10 @@ def cmd_dist(args, check) -> int:
                  for n, hist in hists if n >= lo for key in sorted(hist)))
 
 
-_PARTITION_INPUT = {"rgf-encode"}
+def _shown(v) -> str:
+    """A bijection's input or output: a set partition when its first
+    element is a block, else a word."""
+    return partition_str(v) if v and isinstance(v[0], tuple) else word_str(v)
 
 
 def _bijection_stats(name: str, src, dst) -> dict:
@@ -307,16 +310,12 @@ def cmd_bijection(args, check) -> int:
     except KeyError:
         raise ValueError(f"unknown bijection {args.name!r}; choose from "
                          f"{sorted(BIJECTIONS)}") from None
-    if args.name in _PARTITION_INPUT:
-        src = parse_partition(args.input)
-    else:
-        src = parse_word(args.input)
+    parse = parse_partition if args.name == "rgf-encode" else parse_word
+    src = parse(args.input)
     dst = func(src)
-    render = partition_str if isinstance(dst[0] if dst else 0, tuple) else word_str
-    src_text = partition_str(src) if args.name in _PARTITION_INPUT else word_str(src)
-    row = {"name": args.name, "input": src_text, "output": render(dst)}
+    row = {"name": args.name, "input": _shown(src), "output": _shown(dst)}
     row.update(_bijection_stats(args.name, src, dst))
-    return _run(args, "bijection", {"name": args.name, "input": src_text},
+    return _run(args, "bijection", {"name": args.name, "input": row["input"]},
                 list(row), [row])
 
 

@@ -30,17 +30,24 @@ Word = tuple[int, ...]
 
 
 def as_word(letters: Iterable[int] | str) -> Word:
-    """Coerce a digit string or an iterable of ints to a word tuple; an
-    iterable with a letter that is not an int is refused, as by
-    ``check_letters``.
+    """Coerce a str or an iterable of ints to a word tuple.  A str is
+    read as ``word_str`` writes it: ASCII digits, one letter each, or
+    letters joined by commas (so a word of one letter above 9 reads as
+    its digits); an iterable with a letter that is not an int is
+    refused, as by ``check_letters``.
 
     >>> as_word("0101312052")
     (0, 1, 0, 1, 3, 1, 2, 0, 5, 2)
+    >>> as_word("0,1,10")
+    (0, 1, 10)
     """
     if isinstance(letters, str):
-        w = tuple(int(ch) for ch in letters)
-    else:
-        w = tuple(int(x) for x in check_letters(letters))
+        parts = letters.split(",") if "," in letters else letters
+        if not all(d.isascii() and d.isdigit() for d in parts):
+            raise ValueError("a word is a digit string or letters joined "
+                             f"by commas, not {reprlib.repr(letters)}")
+        return tuple(map(int, parts))
+    w = tuple(int(x) for x in check_letters(letters))
     if any(x < 0 for x in w):
         raise ValueError("letters must be nonnegative")
     return w

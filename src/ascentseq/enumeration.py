@@ -85,6 +85,14 @@ def _check_length(n: int) -> None:
         raise ValueError(f"lengths above {MAX_LENGTH} are not supported")
 
 
+def _check_hook(check) -> None:
+    """Refuse a budget hook that is neither None nor callable, once per
+    call, before it is first called."""
+    if check is not None and not callable(check):
+        raise ValueError("check must be callable or None, not "
+                         f"{reprlib.repr(check)}")
+
+
 def _walk(n: int, state0, children, check=None):
     """Yield every length-n word grown from state0, lexicographically.
 
@@ -283,6 +291,7 @@ def avoiders(p, n: int, check=None):
     """Yield the p-avoiding ascent sequences of length n, lexicographically,
     pruned by the pattern's tracker; ``check`` is passed on to the walk."""
     _check_length(n)
+    _check_hook(check)
     book, ids, dead = incremental.start(p)
     step = book.step
 
@@ -314,6 +323,7 @@ def avoider_counts(p, n_max: int, check=None):
     CLI budget guards); the counts yielded before it raised stay valid.
     """
     _check_length(n_max)
+    _check_hook(check)
     start, _, grow, leaves = _avoider_rule(normalize_pattern(p))
     if check is not None:
         check()                 # a spent budget refuses before count 1
@@ -371,6 +381,7 @@ def perm_avoiders(q, n: int, check=None):
     pattern q, lexicographically, pruned by the pattern's tracker;
     ``check`` is passed on to the walk."""
     _check_length(n)
+    _check_hook(check)
     book, ids, dead = incremental.start(check_perm_pattern(q))
     step = book.step
 
@@ -452,6 +463,7 @@ def modified_avoiders(p, n: int, check=None):
     which need not itself be an ascent sequence.  ``check``, when given,
     is called once per ascent sequence."""
     p = normalize_pattern(p)
+    _check_hook(check)
     for x in generate_ascent_sequences(n):
         if check is not None:
             check()
@@ -525,6 +537,7 @@ def modified_asc_counts(p, n_max: int, check=None):
     CPython 3.11), so this reader stays.
     """
     _check_length(n_max)
+    _check_hook(check)
     start, _, grow, kills = _modified_rule(normalize_pattern(p))
     opened = incremental.opened
 
@@ -720,6 +733,7 @@ def joint_histograms(descriptor, n_max: int, *stats: str, check=None):
         raise ValueError("joint_histograms needs at least one statistic")
     kind, p = _described(descriptor, stats)
     _check_length(n_max)
+    _check_hook(check)
     return _joint_histograms(kind, p, n_max, stats, check)
 
 

@@ -68,7 +68,7 @@ def expected_counts(pattern: str, n_max: int) -> dict[int, int]:
     """Reference counts for a pattern up to n_max.
 
     Rows with a closed form are extended by it beyond the stored terms
-    (the stored prefix is always checked against the formula on load);
+    (the stored prefix is checked against the formula on every call);
     other rows raise when asked past their stored range.  Lengths
     above 2000 are refused.
     """

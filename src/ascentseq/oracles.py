@@ -293,7 +293,7 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
         raise ValueError("patterns must be an iterable of patterns, not "
                          f"{type(patterns).__name__}") from None
     # label -> normalized pattern; a label with letters past 9 is
-    # comma-separated, which as_word does not parse back
+    # comma-separated, and as_word reads it back
     words = {}
     for p in patterns:
         w = normalize_pattern(as_word(p) if isinstance(p, str) else p)

@@ -152,6 +152,29 @@ BAD_SERIES = {
     "huge-root": {1: 10**400},
 }
 
+# budget hooks that cannot be called
+BAD_CHECKS = {"int": 5, "str": "x", "object": object()}
+
+# per public callable that takes a budget hook, the call with a bad one
+CHECK_CALLS = {
+    "avoiders": lambda c: lib.avoiders(P, 4, check=c),
+    "avoider_counts": lambda c: lib.avoider_counts((0, 1), 5, check=c),
+    "count_avoiders": lambda c: lib.count_avoiders(P, 4, check=c),
+    "perm_avoiders": lambda c: lib.perm_avoiders((0, 1), 4, check=c),
+    "modified_avoiders": lambda c: lib.modified_avoiders(P, 4, check=c),
+    "modified_asc_counts": lambda c: lib.modified_asc_counts(P, 4, check=c),
+    "count_modified_avoiders":
+        lambda c: lib.count_modified_avoiders(P, 4, check=c),
+    "joint_histograms": lambda c: lib.joint_histograms(
+        ("avoiders", (0, 1)), 5, "asc", check=c),
+    "joint_distribution": lambda c: lib.joint_distribution(
+        ("perm-avoiders", (0, 1)), 4, "asc", check=c),
+    "wilf_classify": lambda c: lib.wilf_classify(["01"], 4, check=c),
+    **{f"run_conjecture[{cid}]":
+       (lambda cid: lambda c: lib.run_conjecture(cid, 5, check=c))(cid)
+       for cid in lib.oracles.CONJECTURE_IDS},
+}
+
 CASES = [(name, call, kind, BAD[kind][0])
          for name, call in LENGTH_CALLS.items() for kind in BAD] + \
         [(name, call, kind, BAD[kind][1])
@@ -210,6 +233,19 @@ def test_bad_name_is_refused(name, call, kind, arg):
     with _three_seconds(f"{name} on a {kind} name"):
         with pytest.raises(ValueError) as exc:
             call(arg)
+    assert len(str(exc.value)) < 300, (name, kind)
+
+
+@pytest.mark.parametrize("name", CHECK_CALLS)
+@pytest.mark.parametrize("kind", BAD_CHECKS)
+def test_a_hook_that_cannot_be_called_is_refused(name, kind):
+    # before it is first called, where it raised TypeError; a generator
+    # refuses on its first item
+    with pytest.raises(ValueError) as exc:
+        result = CHECK_CALLS[name](BAD_CHECKS[kind])
+        if hasattr(result, "__next__"):
+            next(result)
+    assert str(exc.value).startswith("check must be callable or None")
     assert len(str(exc.value)) < 300, (name, kind)
 
 

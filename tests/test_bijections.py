@@ -17,7 +17,7 @@ from ascentseq.bijections import (BIJECTIONS, is_noncrossing,
                                   seq102_to_ternary, standardize_partition,
                                   ternary_to_seq102, unmodify)
 from ascentseq.cli import EXIT_OK, EXIT_USAGE, main
-from ascentseq.core import (as_word, asc, check_ascent_sequence,
+from ascentseq.core import (abridged, as_word, asc, check_ascent_sequence,
                             check_letters, check_permutation, check_rgf,
                             contains, des, is_ascent_sequence, is_restricted,
                             perm_contains, word_str)
@@ -157,6 +157,21 @@ class Test102Ternary:
                 assert bases == sorted(bases, reverse=True)
                 if bases:
                     assert bases[0] < dec.head[-1]
+
+    def test_every_even_ternary_word_decodes_to_an_ascent_sequence(self):
+        # ternary_to_seq102 returns its word unchecked
+        for n in range(11):
+            for t in product((0, 1, 2), repeat=n):
+                if t.count(2) % 2 == 0:
+                    x = ternary_to_seq102(t)
+                    assert is_ascent_sequence(x) and len(x) == n + 1, t
+
+    def test_every_102_avoider_encodes(self):
+        # seq102_to_ternary pairs each block's 2 with a head rise
+        # unchecked; every 102-avoider has that rise
+        for n in range(1, 11):
+            for x in avoiders(pat("102"), n):
+                assert ternary_to_seq102(seq102_to_ternary(x)) == x
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -542,6 +557,42 @@ def outcome(f, w):
         return ValueError
 
 
+# the 312 inverse that the rank decode replaced, copied verbatim
+# (renamed) as an oracle
+
+
+def placed_perm312_to_seq101(pi):
+    """Inverse of seq101_to_perm312.
+
+    The letters pi(1), pi(1)-1, ..., 1 must occur in decreasing order in
+    a 312-avoiding permutation; their places get value 0.  The leftmost
+    letter above the used range starts the next value, and so on.
+    """
+    pi = check_permutation(pi)
+    if perm_contains(pi, (2, 0, 1)):
+        raise ValueError(f"input contains 312: {abridged(pi)}")
+    n = len(pi)
+    out = [0] * n
+    place = {v: i for i, v in enumerate(pi)}
+    used_top = 0
+    value = 0
+    for top in pi:
+        if top > used_top:
+            for v in range(used_top + 1, top + 1):
+                out[place[v]] = value
+            used_top = top
+            value += 1
+    return check_ascent_sequence(out)
+
+
+def answer(f, w):
+    """f(w), or the message of its refusal."""
+    try:
+        return f(w)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
 class TestAgainstQuadraticMaps:
     def test_every_short_sequence(self):
         for n in range(1, 10):
@@ -576,6 +627,15 @@ class TestAgainstQuadraticMaps:
     @given(ascent_sequences(restricted=True, max_len=2000))
     def test_long_random_phi(self, x):
         assert phi(x) == tuple(quadratic_omega(x))
+
+    def test_312_rank_decode_against_the_place_walk(self):
+        for n in range(1, 9):
+            for pi in permutations(range(1, n + 1)):
+                assert answer(perm312_to_seq101, pi) == \
+                    answer(placed_perm312_to_seq101, pi), pi
+        for pi in [(), (0, 1), (1, 1), (2, 3), (1, 2.0), tuple(range(1, 60))]:
+            assert answer(perm312_to_seq101, pi) == \
+                answer(placed_perm312_to_seq101, pi), pi
 
     def test_231_stack_check_against_the_search(self):
         for n in range(1, 9):

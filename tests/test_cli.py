@@ -100,7 +100,7 @@ class TestParsing:
         (["bijection", "--name", "rgf-encode", "--input", "\uff11-2"],
          "bad partition block '\uff11'"),
         *((["table", "--nmax", text], f"bad length '{text}'")
-          for text in ("1_2", "+3", " 3", "\uff11\uff12", "1..3")),
+          for text in ("1_2", "+3", " 3", "\uff11\uff12", "1..3", "0")),
     ])
     def test_digit_strings_are_ascii(self, capsys, argv, message):
         # str.isdigit and int() take other scripts' digits, and int()

@@ -78,6 +78,40 @@ class TestMembership:
             test(w)
 
 
+class TestAsWord:
+    @pytest.mark.parametrize("w", [(), (0,), (0, 1, 0, 9), tuple(range(11)),
+                                   (0, 12, 3, 10), (0, 10**20)])
+    def test_reads_what_word_str_writes(self, w):
+        assert as_word(word_str(w)) == w
+
+    def test_one_letter_above_9_reads_as_its_digits(self):
+        # word_str writes no comma to tell them apart; a pattern's label
+        # has a letter above 9 only from 11 letters on
+        assert word_str((10,)) == word_str((1, 0)) == "10"
+        assert as_word("10") == (1, 0)
+
+    def test_a_class_label_is_classified_again(self):
+        # a label with letters past 9 is comma-separated; int() refused
+        # its commas
+        label = "0,1,2,3,4,5,6,7,8,9,10"
+        report = wilf_classify([tuple(range(11)), "01"], 5)
+        assert report.classes == [["01"], [label]]
+        again = wilf_classify(report.classes[1], 5)
+        assert again.classes == [[label]]
+        assert again.series[label] == report.series[label]
+
+    @pytest.mark.parametrize("text", [
+        "01a", "\uff11\uff12", "\u00b201", ",", "0,,1", "1,", ",1", " 1",
+        "-1", "+1", "1_2", "0,1a"])
+    def test_other_text_is_refused(self, text):
+        # int() read full-width digits and gave its own message for the
+        # rest
+        with pytest.raises(ValueError) as exc:
+            as_word(text)
+        assert str(exc.value) == ("a word is a digit string or letters "
+                                  f"joined by commas, not {text!r}")
+
+
 class TestStatistics:
     def test_asc_des(self):
         assert asc(as_word("00121")) == 2
