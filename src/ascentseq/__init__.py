@@ -27,7 +27,7 @@ _EXPORTS = {
         seq101_to_perm312 seq102_to_ternary standardize_partition
         ternary_to_seq102 unmodify""",
     "oracles": """ConjectureResult WilfReport all_patterns bell
-        binomial_transform_catalan catalan dyck_height5_count
+        binomial_transform_catalan catalan dyck_height5_count fishburn
         growth_rate_estimates half_power_formula narayana
         non_k_crossing_partition_count run_conjecture stirling2
         ternary_even_twos_count wilf_classify""",

@@ -29,6 +29,10 @@ from typing import Iterable, Sequence
 Word = tuple[int, ...]
 
 
+# int()'s default limit on the digits, leading zeros too, of a str it reads
+_MAX_LETTER_DIGITS = 4300
+
+
 def as_word(letters: Iterable[int] | str) -> Word:
     """Coerce a str or an iterable of ints to a word tuple.  A str is
     read as ``word_str`` writes it: ASCII digits, one letter each, or
@@ -46,6 +50,10 @@ def as_word(letters: Iterable[int] | str) -> Word:
         if not all(d.isascii() and d.isdigit() for d in parts):
             raise ValueError("a word is a digit string or letters joined "
                              f"by commas, not {reprlib.repr(letters)}")
+        # counted first: int() refuses a longer str with its own message
+        if any(len(d) > _MAX_LETTER_DIGITS for d in parts):
+            raise ValueError(f"letters of more than {_MAX_LETTER_DIGITS} "
+                             "digits are not supported")
         return tuple(map(int, parts))
     w = tuple(int(x) for x in check_letters(letters))
     if any(x < 0 for x in w):

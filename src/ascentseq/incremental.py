@@ -20,8 +20,10 @@ should keep no more than the future depends on.  The tracker keeps the
 set of partial embeddings of the pattern, each reduced to the values and
 intervals its remaining letters depend on, and every pair the book
 returns is reduced: it holds no embedding that can change no dead bit
-(``_Book.reduced``).  These sets are the labels of a generating tree
-(West 1995, "Generating trees and the Catalan and Schröder numbers").
+(``_Book.reduced``, one walk over the pair, since the book records
+which embeddings each one covers as it interns them).  These sets are
+the labels of a generating tree (West 1995, "Generating trees and the
+Catalan and Schröder numbers").
 The book interns every embedding to a small id and keeps each
 embedding's and each pair's move on a letter once computed, and ``ids``
 is the bitmask of the prefix's embeddings.  It indexes each embedding by
@@ -122,9 +124,10 @@ class _Book:
         ranged       the ids whose next slot is an interval
         slots[i]     (first, stop): the letters first..stop - 1 that the
                      next slot of embedding i admits
-        dominators[i]
-                     the ids whose embeddings cover embedding i, filled
-                     as each embedding is interned
+        subs[i]      the ids of the embeddings that embedding i covers,
+                     filled as each embedding is interned; only a pair
+                     whose kills nest is asked, since a cover admits
+                     every final letter the covered one admits
         steps[(ids, dead, c)]
                      the reduced pair that the pair (ids, dead) steps to
                      on letter c
@@ -141,7 +144,7 @@ class _Book:
     """
 
     __slots__ = ("p", "plan", "tails", "index", "embeddings",
-                 "rows", "gaps", "drops", "merges", "kills", "dominators",
+                 "rows", "gaps", "drops", "merges", "kills", "subs",
                  "penult", "fixed", "ranged", "slots", "root", "steps",
                  "deleted", "merged")
 
@@ -156,15 +159,12 @@ class _Book:
             self.plan.append((v, v in p[j + 1:],
                               tuple(u for u in later if u > v),
                               tuple(u for u in later if u < v)))
-        # the letters of p[j:], the final one first: it is in every tail
-        # and rejects most cover pairs
-        final = p[-1]
-        self.tails = [(final, *(set(p[j:]) - {final}))
-                      for j in range(len(p))]
+        # the letters of p[j:]
+        self.tails = [tuple(set(p[j:])) for j in range(len(p))]
         self.index = {}
         self.embeddings = []
         self.rows, self.gaps, self.drops, self.merges = [], [], [], []
-        self.kills, self.dominators, self.slots = [], [], []
+        self.kills, self.subs, self.slots = [], [], []
         self.penult = self.ranged = 0
         self.fixed = {}
         self.steps, self.deleted, self.merged = {}, {}, {}
@@ -176,19 +176,21 @@ class _Book:
         i = self.index.get(e)
         if i is None:
             i = self.index[e] = len(self.embeddings)
+            j, vals = e
+            mine, sub = _kills(vals[self.p[-1]]), 0
+            # a cover admits every final letter the covered one admits
+            for k, (f, kills) in enumerate(zip(self.embeddings, self.kills)):
+                if not mine & ~kills and self.covers(f, e):
+                    self.subs[k] |= 1 << i
+                elif not kills & ~mine and self.covers(e, f):
+                    sub |= 1 << k
             self.embeddings.append(e)
             self.rows.append({})
             self.gaps.append({})
             self.drops.append({})
             self.merges.append({})
-            self.kills.append(_kills(e[1][self.p[-1]]))
-            self.dominators.append(0)
-            for k, f in enumerate(self.embeddings[:i]):
-                if self.covers(f, e):
-                    self.dominators[i] |= 1 << k
-                elif self.covers(e, f):
-                    self.dominators[k] |= 1 << i
-            j, vals = e
+            self.kills.append(mine)
+            self.subs.append(sub)
             if j == len(self.p) - 2:
                 self.penult |= 1 << i
             a = vals[self.p[j]]
@@ -353,25 +355,22 @@ class _Book:
             completes v2.
 
         Dead bits stay the same on every continuation and every move of
-        the book; only the pairs get fewer.  Dropping every
-        covered embedding at once is sound: covering is transitive, and
-        two distinct embeddings never cover each other (they would be
-        equal, and share one id), so each has a kept dominator."""
-        kills, dominators = self.kills, self.dominators
-        live = rest = ids
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = kills[low.bit_length() - 1]
-            if dead & m == m:
-                live ^= low
-        kept = rest = live
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if dominators[low.bit_length() - 1] & live:
-                kept ^= low
-        return kept, dead
+        the book; only the pairs get fewer.  One walk finds both: the
+        embeddings left by (a), and the union of their ``subs``.
+        Dropping every covered embedding at once is sound: covering is
+        transitive, and two distinct embeddings never cover each other
+        (they would be equal, and share one id), so each has a kept
+        cover."""
+        kills, subs, alive = self.kills, self.subs, ~dead
+        live = covered = 0
+        while ids:
+            low = ids & -ids
+            ids ^= low
+            i = low.bit_length() - 1
+            if kills[i] & alive:
+                live |= low
+                covered |= subs[i]
+        return live & ~covered, dead
 
     def step(self, ids: int, dead: int, c: int):
         """The pair (ids, dead) grown by the letter c, reduced, kept."""

@@ -25,8 +25,8 @@ from operator import ne
 from typing import NamedTuple
 
 from .core import as_word, normalize_pattern, word_str
-from .enumeration import (CountSeries, _check_length, avoider_counts,
-                          count_avoiders, joint_histograms,
+from .enumeration import (CountSeries, _check_hook, _check_length,
+                          avoider_counts, count_avoiders, joint_histograms,
                           modified_asc_counts)
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,7 @@ _MAX_DYCK_N = 10**5             # 0.78 s
 _MAX_BELL_N = 2000              # 0.54 s; stirling2(2000, 1000) 0.59 s
 _MAX_POWER_N = 5 * 10**6        # 0.59 s
 _MAX_CATALAN_TRANSFORM_N = 2000     # 0.34 s
+_MAX_FISHBURN_N = 200           # 0.3 s
 _MAX_TABLEAU_WORK = 240000      # shape-steps of the walk: 1.1 s at most
 
 
@@ -116,6 +117,27 @@ def binomial_transform_catalan(n: int) -> int:
     values start 1, 2, 5, 15, 51 at n = 1."""
     _check_n(n, 1, _MAX_CATALAN_TRANSFORM_N)
     return sum(comb(n - 1, k) * catalan(k) for k in range(n))
+
+
+def fishburn(n: int) -> int:
+    """The Fishburn number: ascent sequences of length n, 1 at n = 0.
+
+    It is the coefficient of x^n in the series
+    sum_{k >= 0} prod_{i=1..k} (1 - (1 - x)^i) (Zagier 2001;
+    Bousquet-Mélou, Claesson, Dukes & Kitaev 2010).  Each factor has no
+    constant term, so only the terms k <= n reach x^n; each product is
+    kept to degree n, in integers."""
+    _check_n(n, 0, _MAX_FISHBURN_N)
+    power = [1] + [0] * n           # (1 - x)^i
+    term = power[:]                 # the product of the first i factors
+    total = term[n]
+    for i in range(1, n + 1):
+        power = [1] + [power[d] - power[d - 1] for d in range(1, n + 1)]
+        # term times 1 - power; term has no degree below i - 1
+        term = [-sum(term[e] * power[d - e] for e in range(i - 1, d))
+                for d in range(n + 1)]
+        total += term[n]
+    return total
 
 
 def bell(n: int) -> int:
@@ -281,9 +303,11 @@ def wilf_classify(patterns, n_max: int, check=None) -> WilfReport:
     among them, and two classes that never settled differ within n_max.
 
     ``series`` counts a settled pattern again, in full, when it is first
-    read.  ``check`` is passed on to every count.
+    read.  ``check`` is refused at once when it is neither None nor
+    callable, with patterns or without, and passed on to every count.
     """
     _check_length(n_max)
+    _check_hook(check)
     if isinstance(patterns, (str, bytes)):
         raise ValueError("patterns must be an iterable of patterns, not "
                          f"{type(patterns).__name__}")

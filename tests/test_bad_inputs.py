@@ -31,7 +31,7 @@ LENGTH_CALLS = {
         "count_ascent_sequences", "generate_ascent_sequences",
         "generate_restricted", "generate_set_partitions", "all_patterns",
         "bell", "binomial_transform_catalan", "catalan",
-        "dyck_height5_count", "half_power_formula",
+        "dyck_height5_count", "fishburn", "half_power_formula",
         "ternary_even_twos_count")},
     "avoiders": lambda n: lib.avoiders(P, n),
     "perm_avoiders": lambda n: lib.perm_avoiders((0, 1), n),
@@ -170,6 +170,9 @@ CHECK_CALLS = {
     "joint_distribution": lambda c: lib.joint_distribution(
         ("perm-avoiders", (0, 1)), 4, "asc", check=c),
     "wilf_classify": lambda c: lib.wilf_classify(["01"], 4, check=c),
+    # no count runs to refuse it
+    "wilf_classify[no patterns]":
+        lambda c: lib.wilf_classify([], 4, check=c),
     **{f"run_conjecture[{cid}]":
        (lambda cid: lambda c: lib.run_conjecture(cid, 5, check=c))(cid)
        for cid in lib.oracles.CONJECTURE_IDS},

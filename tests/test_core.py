@@ -111,6 +111,16 @@ class TestAsWord:
         assert str(exc.value) == ("a word is a digit string or letters "
                                   f"joined by commas, not {text!r}")
 
+    def test_a_letter_past_the_digit_limit_is_refused(self):
+        # int() refused it with its own message; leading zeros count too
+        assert as_word("0," + "1" * 4300)[1] == int("1" * 4300)
+        for text in ("0," + "1" * 4301, "0," + "0" * 4300 + "1",
+                     "1" * 5000 + ",0"):
+            with pytest.raises(ValueError) as exc:
+                as_word(text)
+            assert str(exc.value) == ("letters of more than 4300 digits "
+                                      "are not supported")
+
 
 class TestStatistics:
     def test_asc_des(self):

@@ -636,26 +636,46 @@ class TestCanonicalTracker:
     @staticmethod
     def assert_reduced(book, s):
         # no embedding of the pair kills only dead letters, and none is
-        # covered by another: (j2 >= j1, v2) admits, on every letter of
-        # p[j2:], every letter (j1, v1) admits
+        # covered by another
         ids, dead = s
         p = book.p
         held = [i for i in range(len(book.embeddings)) if ids >> i & 1]
         for i in held:
             assert dead & book.kills[i] != book.kills[i], (p, i)
         for i1 in held:
-            j1, v1 = book.embeddings[i1]
             for i2 in held:
-                j2, v2 = book.embeddings[i2]
-                assert i1 == i2 or j2 < j1 or not all(
-                    v2[u] == v1[u] if type(v2[u]) is int
-                    else v2[u][0] <= v1[u][0] and v1[u][1] <= v2[u][1]
-                    for u in set(p[j2:])), (p, i1, i2)
+                assert i1 == i2 or not _covers(
+                    p, book.embeddings[i2], book.embeddings[i1]), (p, i1, i2)
+
+    @staticmethod
+    def assert_covers_kept(book, pairs, rng):
+        # subs[i] names exactly the embeddings that embedding i covers,
+        # and reduced gives what the two-walk rule gives, on every pair
+        # seen, alone and with other ids of the book added
+        p, embeddings = book.p, book.embeddings
+        dominators = [0] * len(embeddings)
+        for i, e in enumerate(embeddings):
+            for k, f in enumerate(embeddings):
+                covered = i != k and _covers(p, e, f)
+                assert book.subs[i] >> k & 1 == covered, (p, i, k)
+                dominators[k] |= covered << i
+        every = (1 << len(embeddings)) - 1
+        for ids, dead in pairs:
+            for more in (0, rng.getrandbits(len(embeddings)), every):
+                assert book.reduced(ids | more, dead) == two_walk_reduced(
+                    book.kills, dominators, ids | more, dead), (p, ids, more)
 
     def walk_reduced(self, p, rng, perm):
         # grow random prefixes as the layered counts grow their keys, and
-        # check every pair that step, delete and merge_live return
+        # check every pair that step, delete and merge_live return, then
+        # the book's cover relation
         book, s0 = fresh(p)
+        pairs = []
+
+        def check(s):
+            self.assert_reduced(book, s)
+            pairs.append(s)
+
         for _ in range(20):
             if perm:
                 s, groups = book.merge_live(*s0, 0)
@@ -664,24 +684,25 @@ class TestCanonicalTracker:
                 s, last, a = s0, -1, -1
                 gone = s[1] & 1
                 s, a = book.delete(*s, gone), a - gone.bit_count()
-            self.assert_reduced(book, s)
+            check(s)
             for _ in range(8):
                 if a < -1:
                     break               # no letter or gap is live
                 c = rng.randrange(a + 2)
                 if perm:
                     s = book.step(*book.open_gap(*s, 2 * c), 2 * c + 1)
-                    self.assert_reduced(book, s)
+                    check(s)
                     s, groups = book.merge_live(*s, a + 2)
                     a = groups[-1] - 1
                 else:
                     s, last, a = book.step(*s, c), c, a + (c > last)
-                    self.assert_reduced(book, s)
+                    check(s)
                     gone = s[1] & ((1 << (a + 2)) - 1)
                     s = book.delete(*s, gone)
                     last -= (gone & ((1 << (last + 1)) - 1)).bit_count()
                     a -= gone.bit_count()
-                self.assert_reduced(book, s)
+                check(s)
+        self.assert_covers_kept(book, pairs, rng)
 
     def test_every_returned_state_is_reduced(self):
         for label in all_patterns(4):
@@ -761,6 +782,37 @@ class TestLongPatterns:
             want = Counter(tuple(stat(w, s) for s in stats)
                            for w in _listed(kind, n) if not contains(w, p))
             assert hist == want, (kind, p, n)
+
+
+def _covers(p, e2, e1):
+    # embedding e2 = (j2 >= j1, v2) admits, on every letter of p[j2:],
+    # every letter that e1 = (j1, v1) admits
+    (j1, v1), (j2, v2) = e1, e2
+    return j2 >= j1 and all(
+        v2[u] == v1[u] if type(v2[u]) is int
+        else v2[u][0] <= v1[u][0] and v1[u][1] <= v2[u][1]
+        for u in set(p[j2:]))
+
+
+def two_walk_reduced(kills, dominators, ids, dead):
+    # the oracle for _Book.reduced, in two walks from the other side of
+    # the cover relation: dominators[i] holds the ids whose embeddings
+    # cover embedding i; one walk drops the embeddings whose kills are
+    # all dead, a second those that an embedding left by the first covers
+    live = rest = ids
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        m = kills[low.bit_length() - 1]
+        if dead & m == m:
+            live ^= low
+    kept = rest = live
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if dominators[low.bit_length() - 1] & live:
+            kept ^= low
+    return kept, dead
 
 
 def _admits(book, i, c):

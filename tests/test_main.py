@@ -42,7 +42,7 @@ EXPORTS = {
                    "unmodify"],
     "oracles": ["ConjectureResult", "WilfReport", "all_patterns", "bell",
                 "binomial_transform_catalan", "catalan",
-                "dyck_height5_count", "growth_rate_estimates",
+                "dyck_height5_count", "fishburn", "growth_rate_estimates",
                 "half_power_formula", "narayana",
                 "non_k_crossing_partition_count", "run_conjecture",
                 "stirling2", "ternary_even_twos_count", "wilf_classify"],
@@ -230,7 +230,7 @@ def test_star_import_gives_the_exported_names():
     names = {}
     exec("from ascentseq import *", names)
     del names["__builtins__"]
-    assert len(STAR_NAMES) == 79
+    assert len(STAR_NAMES) == 80
     assert sorted(names) == STAR_NAMES
     for module, group in EXPORTS.items():
         home = vars(sys.modules[f"ascentseq.{module}"])

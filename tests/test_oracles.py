@@ -12,10 +12,11 @@ from ascentseq import oracles
 from ascentseq.bijections import LiftedBinaryDecomposition
 from ascentseq.core import as_word
 from ascentseq.enumeration import (CountSeries, count_ascent_sequences,
-                                   count_avoiders, generate_set_partitions)
+                                   count_avoiders, generate_ascent_sequences,
+                                   generate_set_partitions)
 from ascentseq.fixtures import available_depth, expected_counts, table_patterns
 from ascentseq.oracles import (all_patterns, bell, binomial_transform_catalan,
-                               catalan, dyck_height5_count,
+                               catalan, dyck_height5_count, fishburn,
                                growth_rate_estimates, half_power_formula,
                                narayana, non_k_crossing_partition_count,
                                run_conjecture, stirling2,
@@ -78,6 +79,7 @@ class TestClosedForms:
         (dyck_height5_count, (10**7,)),
         (binomial_transform_catalan, (10**4,)),
         (bell, (10**4,)),
+        (fishburn, (10**4,)),
         (non_k_crossing_partition_count, (400, 3)),
         (non_k_crossing_partition_count, (60, 31)),
         (count_ascent_sequences, (1000,)),
@@ -107,6 +109,16 @@ class TestClosedForms:
         for n in range(1, 12):
             assert binomial_transform_catalan(n) == \
                 sum(comb(n - 1, k) * catalan(k) for k in range(n))
+
+    def test_fishburn_vs_the_generator_and_the_dp(self):
+        # the series in integers against the ascent sequences listed to
+        # n = 8 and counted by the dynamic programme to n = 30
+        assert [fishburn(n) for n in range(11)] == [
+            1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608]
+        for n in range(1, 9):
+            assert fishburn(n) == sum(1 for _ in generate_ascent_sequences(n))
+        for n in range(1, 31):
+            assert fishburn(n) == count_ascent_sequences(n), n
 
     def test_bell_vs_enumeration(self):
         for n in range(1, 8):
@@ -142,9 +154,12 @@ class TestClosedForms:
         ("bell", False, "arguments must be ints, not False"),
         ("bell", 0, "n must be at least 1"),
         ("bell", 2001, "n above 2000 is not supported"),
+        ("fishburn", 1.0, "arguments must be ints, not 1.0"),
+        ("fishburn", -1, "n must be nonnegative"),
+        ("fishburn", 201, "n above 200 is not supported"),
     ])
     def test_refusal_messages(self, name, n, message):
-        # one guard checks all six closed forms, each message byte for
+        # one guard checks all seven closed forms, each message byte for
         # byte
         with pytest.raises(ValueError) as exc:
             getattr(oracles, name)(n)
