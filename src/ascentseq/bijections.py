@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 from .core import (Word, abridged, check_ascent_sequence, check_letters,
                    check_permutation, check_restricted, check_rgf, contains,
-                   is_ascent_sequence, is_restricted, maximal_positions,
-                   perm_contains)
+                   is_restricted, maximal_positions, perm_contains)
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -432,36 +431,34 @@ def modify(x) -> Word:
 def unmodify(w) -> Word:
     """Inverse of modify; rejects words outside its image.
 
-    For w in the image, x[i] is the number of distinct values below w[i]
-    whose first occurrence is at or before i: the rank of i's class when
-    i was written.  A Fenwick tree over the ranks of the sorted distinct
-    values counts them, so huge or negative letters are safe, in
-    O(n log n); then is_ascent_sequence(x) and modify(x) == w decide the
-    domain.
+    x[i] is the rank of w[i] among the distinct values of w[:i + 1],
+    read off one sorted list of the values seen so far.  w is a modified
+    ascent sequence exactly when (a) w[i] is a new value exactly when
+    i = 0 or x[i] > x[i - 1], and (b) the values of w are 0..m.  That is
+    modify's own rule: x[0] and each ascent top make a new class at rank
+    x[i] among the classes so far, and every other letter joins the
+    class at rank x[i].  Under (a) the classes are w's values in order,
+    and under (b) each class ends at the rank that is its value; x is an
+    ascent sequence, as each new value is an ascent, which bounds x[i]
+    by asc(x[:i]) + 1.  Huge or negative letters are only compared, and
+    w is refused at the first letter that breaks (a).  O(n log n)
+    comparisons plus one list.insert per new value, as in modify.
     """
     w = check_letters(w)
-    ranks = {v: r for r, v in enumerate(sorted(set(w)), 1)}
-    tree = [0] * (len(ranks) + 1)   # Fenwick counts of the values seen
-    seen = set()
-    x = []
+    seen: list[int] = []        # the distinct values so far, sorted
+    x: list[int] = []
     for v in w:
-        r = ranks[v]
-        if v not in seen:
-            seen.add(v)
-            k = r
-            while k < len(tree):
-                tree[k] += 1
-                k += k & -k
-        below, k = 0, r - 1
-        while k:
-            below += tree[k]
-            k &= k - 1
-        x.append(below)
-    x = tuple(x)
-    if not is_ascent_sequence(x) or modify(x) != w:
-        raise ValueError(
-            f"not a modified ascent sequence: {abridged(w)}")
-    return x
+        r = bisect_left(seen, v)
+        new = r == len(seen) or seen[r] != v
+        if new != (not x or r > x[-1]):
+            break
+        if new:
+            seen.insert(r, v)
+        x.append(r)
+    else:
+        if w and seen == list(range(len(seen))):
+            return tuple(x)
+    raise ValueError(f"not a modified ascent sequence: {abridged(w)}")
 
 
 BIJECTIONS = {

@@ -36,17 +36,21 @@ _MAX_LETTER_DIGITS = 4300
 def as_word(letters: Iterable[int] | str) -> Word:
     """Coerce a str or an iterable of ints to a word tuple.  A str is
     read as ``word_str`` writes it: ASCII digits, one letter each, or
-    letters joined by commas (so a word of one letter above 9 reads as
-    its digits); an iterable with a letter that is not an int is
-    refused, as by ``check_letters``.
+    letters joined by commas, or one letter above 9 and a comma; an
+    iterable with a letter that is not an int is refused, as by
+    ``check_letters``.
 
     >>> as_word("0101312052")
     (0, 1, 0, 1, 3, 1, 2, 0, 5, 2)
     >>> as_word("0,1,10")
     (0, 1, 10)
+    >>> as_word("10,")
+    (10,)
     """
     if isinstance(letters, str):
         parts = letters.split(",") if "," in letters else letters
+        if len(parts) == 2 and not parts[1] and len(parts[0].lstrip("0")) > 1:
+            parts = parts[:1]   # one letter above 9, as word_str writes it
         if not all(d.isascii() and d.isdigit() for d in parts):
             raise ValueError("a word is a digit string or letters joined "
                              f"by commas, not {reprlib.repr(letters)}")
@@ -80,12 +84,14 @@ def check_letters(w: Iterable[int]) -> Word:
 
 
 def word_str(w: Sequence[int]) -> str:
-    """Compact display form: digits concatenated while all letters fit;
-    letters that are not ints are refused, as by ``check_letters``, and
-    a bool letter prints as the int it is read as."""
+    """Compact display form: digits concatenated while all letters fit,
+    else letters joined by commas, and a lone letter above 9 followed by
+    one, so that it does not read as its digits; letters that are not
+    ints are refused, as by ``check_letters``, and a bool letter prints
+    as the int it is read as."""
     w = check_letters(w)
     if w and max(w) > 9:
-        return ",".join("%d" % x for x in w)
+        return ",".join("%d" % x for x in w) if len(w) > 1 else "%d," % w[0]
     return "".join("%d" % x for x in w)
 
 

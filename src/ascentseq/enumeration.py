@@ -626,9 +626,9 @@ def _delete(y, gone):
     letter v goes to 2(v - k) + 1, and a deleted letter v, like the gap
     below v, to the gap 2(v - k) it leaves.  A deleted letter never
     occurs again, so it compares with every later letter as that gap
-    does."""
-    if y < 0 or y == inf:
-        return y
+    does.  Every statistic state's start sentinel (-1 or ``inf``) is
+    replaced on the first step, before any rename, so y is a place
+    >= 0."""
     v = y >> 1
     gap = 2 * (v - (gone & ((1 << v) - 1)).bit_count())
     return gap + 1 if y & 1 and not (gone >> v) & 1 else gap
@@ -644,10 +644,11 @@ def _merge(y, move):
     """Place y of a permutation key once the entry in gap g is inserted
     and the live gaps are merged (``_perm_rule``), where move is (g,
     groups): ``_open``, then value 2r + 1 goes to its group's value
-    2 groups[r + 1] + 1."""
+    2 groups[r + 1] + 1.  Place -1, the run below the first live gap,
+    stays -1, as groups[0] is -1."""
     g, groups = move
     y = _open(y, g)
-    return y if y == inf else 2 * groups[(y + 1) // 2] + 1
+    return 2 * groups[(y + 1) // 2] + 1
 
 
 def _rlmax(s, x, last):

@@ -306,3 +306,15 @@ def test_closed_forms_stop_at_their_limit():
                            "not supported"):
             lib.fixtures.expected_counts(pattern, limit + 1)
     assert lib.fixtures.available_depth("210", limit + 1) == 13
+
+
+def test_a_stored_value_that_contradicts_its_formula_raises(monkeypatch):
+    # the stored prefix of a row with a closed form is checked against
+    # the formula on every call
+    rows = [dict(row) for row in lib.fixtures.load_table()]
+    row = next(row for row in rows if "101" in row["patterns"])
+    row["values"] = row["values"][:3] + [15] + row["values"][4:]
+    monkeypatch.setattr(lib.fixtures, "load_table", lambda: rows)
+    with pytest.raises(AssertionError, match="^stored value for 101 at n=4 "
+                       "contradicts formula$"):
+        lib.fixtures.expected_counts("101", 3)

@@ -1,6 +1,7 @@
 """Worked examples and exhaustive round trips for every map."""
 
 import json
+import random
 import time
 from itertools import permutations, product
 
@@ -17,10 +18,11 @@ from ascentseq.bijections import (BIJECTIONS, is_noncrossing,
                                   seq102_to_ternary, standardize_partition,
                                   ternary_to_seq102, unmodify)
 from ascentseq.cli import EXIT_OK, EXIT_USAGE, main
-from ascentseq.core import (abridged, as_word, asc, check_ascent_sequence,
-                            check_letters, check_permutation, check_rgf,
-                            contains, des, is_ascent_sequence, is_restricted,
-                            perm_contains, word_str)
+from ascentseq.core import (Word, abridged, as_word, asc,
+                            check_ascent_sequence, check_letters,
+                            check_permutation, check_rgf, contains, des,
+                            is_ascent_sequence, is_restricted, perm_contains,
+                            word_str)
 from ascentseq.enumeration import (avoiders, generate_ascent_sequences,
                                    generate_restricted,
                                    generate_set_partitions, perm_avoiders)
@@ -53,6 +55,10 @@ class TestRgf:
             standardize_partition([[1], [1, 2]])
         with pytest.raises(ValueError):
             standardize_partition([[2, 3]])
+        for no_blocks in ([], [(), ()]):
+            with pytest.raises(ValueError, match="^a set partition needs at "
+                               "least one block$"):
+                standardize_partition(no_blocks)
 
     def test_partition_str(self):
         assert partition_str(((1, 4, 6), (2, 3), (5,), (7, 8), (9,))) == \
@@ -585,6 +591,57 @@ def placed_perm312_to_seq101(pi):
     return check_ascent_sequence(out)
 
 
+# the Fenwick unmodify that the sorted list of values replaced, copied
+# verbatim (renamed) as an oracle
+
+
+def fenwick_unmodify(w) -> Word:
+    """Inverse of modify; rejects words outside its image.
+
+    For w in the image, x[i] is the number of distinct values below w[i]
+    whose first occurrence is at or before i: the rank of i's class when
+    i was written.  A Fenwick tree over the ranks of the sorted distinct
+    values counts them, so huge or negative letters are safe, in
+    O(n log n); then is_ascent_sequence(x) and modify(x) == w decide the
+    domain.
+    """
+    w = check_letters(w)
+    ranks = {v: r for r, v in enumerate(sorted(set(w)), 1)}
+    tree = [0] * (len(ranks) + 1)   # Fenwick counts of the values seen
+    seen = set()
+    x = []
+    for v in w:
+        r = ranks[v]
+        if v not in seen:
+            seen.add(v)
+            k = r
+            while k < len(tree):
+                tree[k] += 1
+                k += k & -k
+        below, k = 0, r - 1
+        while k:
+            below += tree[k]
+            k &= k - 1
+        x.append(below)
+    x = tuple(x)
+    if not is_ascent_sequence(x) or modify(x) != w:
+        raise ValueError(
+            f"not a modified ascent sequence: {abridged(w)}")
+    return x
+
+
+def unmodify_words():
+    """Every word over 0..4 up to length 6, every word over 0..3 of
+    length 7, and 20000 seeded random words with letters -2..12: 55915
+    words in all."""
+    for n in range(7):
+        yield from product(range(5), repeat=n)
+    yield from product(range(4), repeat=7)
+    rng = random.Random(1)
+    for _ in range(20000):
+        yield tuple(rng.randint(-2, 12) for _ in range(rng.randint(1, 12)))
+
+
 def answer(f, w):
     """f(w), or the message of its refusal."""
     try:
@@ -637,6 +694,18 @@ class TestAgainstQuadraticMaps:
             assert answer(perm312_to_seq101, pi) == \
                 answer(placed_perm312_to_seq101, pi), pi
 
+    def test_unmodify_against_the_fenwick_ranks(self):
+        words = 0
+        for words, w in enumerate(unmodify_words(), 1):
+            assert answer(unmodify, w) == answer(fenwick_unmodify, w), w
+        assert words == 55915
+
+    @pytest.mark.parametrize("w", [
+        (True, False), (0, True), (False,), (True,), (0, 1, True),
+        (10**30,), (-1,), (0, 0.5), ("a",), (), None, 5])
+    def test_unmodify_of_odd_inputs_against_the_fenwick_ranks(self, w):
+        assert answer(unmodify, w) == answer(fenwick_unmodify, w)
+
     def test_231_stack_check_against_the_search(self):
         for n in range(1, 9):
             for pi in permutations(range(1, n + 1)):
@@ -656,9 +725,12 @@ class TestLongInputs:
         (modify, (0, 1) * (N // 2),
          tuple(v for k in range(N // 2, 0, -1) for v in (0, k))),
         (unmodify, (0,) + (1, 0) * (N // 2), ValueError),
+        (unmodify, tuple(v for k in range(N // 2, 0, -1) for v in (0, k)),
+         (0, 1) * (N // 2)),
         (perm231_to_ncpartition, tuple(range(1, N + 1)),
          tuple((v,) for v in range(1, N + 1))),
-    ], ids=["phi", "modify", "unmodify", "perm231_to_ncpartition"])
+    ], ids=["phi", "modify", "unmodify", "unmodify_image",
+            "perm231_to_ncpartition"])
     def test_baseline_inputs(self, f, x, expected):
         t0 = time.perf_counter()
         assert outcome(f, x) == expected

@@ -84,11 +84,13 @@ class TestAsWord:
     def test_reads_what_word_str_writes(self, w):
         assert as_word(word_str(w)) == w
 
-    def test_one_letter_above_9_reads_as_its_digits(self):
-        # word_str writes no comma to tell them apart; a pattern's label
-        # has a letter above 9 only from 11 letters on
-        assert word_str((10,)) == word_str((1, 0)) == "10"
-        assert as_word("10") == (1, 0)
+    @pytest.mark.parametrize("w", [(10,), (99,), (10**20,)])
+    def test_one_letter_above_9_round_trips(self, w):
+        # written with a trailing comma, so that it does not read as its
+        # digits, which are the word (1, 0)
+        assert word_str(w) == "%d," % w[0]
+        assert as_word(word_str(w)) == w
+        assert word_str((1, 0)) == "10" and as_word("10") == (1, 0)
 
     def test_a_class_label_is_classified_again(self):
         # a label with letters past 9 is comma-separated; int() refused
@@ -102,7 +104,7 @@ class TestAsWord:
 
     @pytest.mark.parametrize("text", [
         "01a", "\uff11\uff12", "\u00b201", ",", "0,,1", "1,", ",1", " 1",
-        "-1", "+1", "1_2", "0,1a"])
+        "-1", "+1", "1_2", "0,1a", "10,,", "1,2,", ",10", "09,", "10,1,"])
     def test_other_text_is_refused(self, text):
         # int() read full-width digits and gave its own message for the
         # rest

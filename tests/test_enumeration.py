@@ -7,7 +7,7 @@ import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import islice, permutations
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -109,8 +109,9 @@ class TestAvoiders:
             [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
         assert count_avoiders(pat("000"), 10).as_list() == \
             [1, 2, 4, 10, 27, 83, 277, 1015, 4007, 17047]
-        assert count_avoiders(pat("210"), 9).as_list() == \
-            [1, 2, 5, 15, 52, 202, 859, 3930, 19095]
+        series = count_avoiders(pat("210"), 9)
+        assert series.as_list() == [1, 2, 5, 15, 52, 202, 859, 3930, 19095]
+        assert series.n_max == 9
 
     @pytest.mark.parametrize("label", ["1021", "000", "0"])
     def test_counts_are_lazy(self, label):
@@ -1165,6 +1166,30 @@ class TestJointHistograms:
             sizes = len(layers[8]), len(layers[11])
             assert sizes[0] <= at_8 and sizes[1] <= at_11, (stats, sizes)
 
+    @pytest.mark.parametrize("kind, labels, low", [
+        ("avoiders", all_patterns(3), 0),
+        ("modified-avoiders", all_patterns(3), 1),
+        ("perm-avoiders", PERM_PATTERNS, -1)])
+    def test_every_state_place_is_finite(self, monkeypatch, kind, labels,
+                                         low):
+        # each statistic's start sentinel, -1 or inf, is replaced on the
+        # first step, before any rename.  A deleted avoider letter takes
+        # its gap, down to 0; a modified word deletes no letter, so its
+        # places are letters; a permutation key's place -1 is the run
+        # below its first live gap, which the merge keeps
+        layers = _spied_layers(monkeypatch)
+        stats = ("asc", "des", "zeros", "lrmax", "lrmin", "rlmax", "rlmin")
+        places = Counter()
+        for label in labels:
+            for _ in joint_histograms((kind, pat(label)), 6, *stats):
+                pass
+            for layer in layers.values():
+                for key in layer:
+                    _, states = key[0] if len(key) == 1 else key
+                    places.update(y for s in states if type(s) is not int
+                                  for y in s[1:])
+        assert min(places) == low and max(places) < inf, kind
+
     def test_yields_match_joint_distribution(self):
         for kind, label, stats in (("avoiders", "0012", ("asc", "fwd")),
                                    ("avoiders", "1021", ("rlmax", "lrmin")),
@@ -1275,6 +1300,32 @@ class TestModified:
     def test_counts_are_bell_like(self):
         assert [count_modified_avoiders(pat("101"), n)
                 for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
+
+    def test_check_is_called_once_per_ascent_sequence(self):
+        for n, sequences in zip(range(1, 6), (1, 2, 5, 15, 53)):
+            calls = []
+            for _ in modified_avoiders(pat("101"), n,
+                                       check=lambda: calls.append(None)):
+                pass
+            assert len(calls) == sequences, n
+
+    def test_a_raising_check_stops_the_listing(self):
+        # the check gives out at the 11th of the 53 ascent sequences of
+        # length 5; the words yielded before it raised are the first ones
+        calls = []
+
+        def check():
+            calls.append(None)
+            if len(calls) > 10:
+                raise RuntimeError("out of budget")
+
+        got = []
+        with pytest.raises(RuntimeError):
+            for pair in modified_avoiders(pat("101"), 5, check=check):
+                got.append(pair)
+        assert len(calls) == 11
+        assert got == list(modified_avoiders(pat("101"), 5))[:len(got)]
+        assert len(got) == 10   # the first 10 ascent sequences avoid it
 
     @staticmethod
     def enumerated(p, n):
